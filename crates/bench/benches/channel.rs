@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use desim::DetRng;
 use std::hint::black_box;
-use vlc_channel::link::{ChannelConfig, OpticalChannel};
+use vlc_channel::link::{ChannelConfig, OpticalChannel, RxScratch};
 
 fn bench_channel(c: &mut Criterion) {
     let slots: Vec<bool> = (0..1000).map(|i| i % 3 != 0).collect();
@@ -13,8 +13,12 @@ fn bench_channel(c: &mut Criterion) {
 
     let mut sampled =
         OpticalChannel::new(ChannelConfig::paper_bench(3.0), DetRng::seed_from_u64(1));
+    let mut scratch = RxScratch::new();
     group.bench_function("sampled_pipeline", |b| {
-        b.iter(|| black_box(sampled.transmit_and_decide(black_box(&slots))))
+        b.iter(|| {
+            sampled.transmit_and_decide_into(black_box(&slots), &mut scratch);
+            black_box(scratch.decided.as_slice());
+        })
     });
 
     // The SlotIid fast path the link simulation uses for long runs.

@@ -1,13 +1,12 @@
-//! The RX hot path before and after the speed pass: analytic
-//! operating-point derivation vs the interned cache, and the sampled
-//! slot pipeline with and without the reusable [`RxScratch`].
+//! The RX hot path: analytic operating-point derivation vs the interned
+//! cache, the sampled slot pipeline with a reusable [`RxScratch`], and
+//! slot decisions.
 //!
 //! The "before" shapes are reconstructed from public API, mirroring
 //! `codec_scratch`'s baselines: `analytic_recompute` is the full
 //! `detector_with(..).error_probs()` chain the old per-frame/per-tick
-//! code paid on every call, `sampled_alloc` is the allocating
-//! detector + `transmit` + `decide_all` frame, and `decide_per_slot`
-//! recomputes the threshold slot by slot the way `decide` does.
+//! code paid on every call, and `decide_per_slot` recomputes the
+//! threshold slot by slot the way `decide` does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use desim::DetRng;
@@ -67,15 +66,6 @@ fn bench_sampled(c: &mut Criterion) {
     let cfg = ChannelConfig::paper_bench(2.5);
     let slots = frame_slots();
 
-    group.bench_function("frame_alloc", |b| {
-        let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(7));
-        b.iter(|| {
-            let det = black_box(&cfg).detector_with(1.0, false);
-            let levels = ch.transmit(black_box(&slots));
-            black_box(det.decide_all(&levels))
-        })
-    });
-
     group.bench_function("frame_scratch", |b| {
         let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(7));
         let mut scratch = RxScratch::new();
@@ -93,7 +83,9 @@ fn bench_decide(c: &mut Criterion) {
     let slots = frame_slots();
     let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(7));
     let det = ch.analytic_detector();
-    let levels = ch.transmit(&slots);
+    let mut scratch = RxScratch::new();
+    ch.transmit_into(&slots, &mut scratch);
+    let levels = scratch.levels;
 
     group.bench_function("per_slot_threshold", |b| {
         b.iter(|| {

@@ -76,9 +76,9 @@ fn encode_biguint_baseline(
 ///   the operating-point intern cache. The memo is invalidated every 256
 ///   iterations so the shared intern map (not just the per-channel L0
 ///   slot) stays on the timed path. This ratio is the headline gate.
-/// * **sampled** — the old frame pipeline (fresh detector + allocating
-///   `transmit` + allocating `decide_all` per frame) vs. the reused
-///   `RxScratch` pipeline, verified bit-identical on the same seed first.
+/// * **sampled** — the `transmit_and_decide_into` frame pipeline in
+///   ns/slot, after checking that two channels on the same seed produce
+///   identical decisions.
 /// * **decide** — threshold recomputed per slot (`decide` in a loop) vs.
 ///   the batch `decide_into`.
 fn rx_hot_path_section() -> String {
@@ -141,42 +141,30 @@ fn rx_hot_path_section() -> String {
         "operating-point cache speedup regressed below the 5x gate: {analytic_ratio:.2}x"
     );
 
-    // Sampled pipeline: verify bit-identity on twin seeds, then time.
-    let mut ch_old = OpticalChannel::new(ch_cfg, DetRng::seed_from_u64(77));
-    let mut ch_new = OpticalChannel::new(ch_cfg, DetRng::seed_from_u64(77));
+    // Sampled pipeline: two channels on the same seed must decide
+    // identically, then time one of them.
+    let mut ch_a = OpticalChannel::new(ch_cfg, DetRng::seed_from_u64(77));
+    let mut ch_b = OpticalChannel::new(ch_cfg, DetRng::seed_from_u64(77));
     let mut scratch = RxScratch::new();
+    let mut twin = RxScratch::new();
     for _ in 0..16 {
-        let det = ch_old.analytic_detector();
-        let levels = ch_old.transmit(&slots);
-        let old = det.decide_all(&levels);
-        ch_new.transmit_and_decide_into(&slots, &mut scratch);
-        assert_eq!(
-            old, scratch.decided,
-            "scratch RX pipeline diverged from the allocating one"
-        );
+        ch_a.transmit_and_decide_into(&slots, &mut scratch);
+        ch_b.transmit_and_decide_into(&slots, &mut twin);
+        assert_eq!(scratch.decided, twin.decided, "same-seed channels diverged");
     }
 
     let frames = 4_000u32;
-    let slot_norm = frames as f64 * frame_slots as f64;
     let t2 = Instant::now();
     for _ in 0..frames {
-        let det = ch_cfg.detector_with(1.0, false);
-        let levels = ch_old.transmit(&slots);
-        std::hint::black_box(det.decide_all(&levels));
-    }
-    let sampled_baseline_ns = t2.elapsed().as_nanos() as f64 / slot_norm;
-
-    let t3 = Instant::now();
-    for _ in 0..frames {
-        ch_new.transmit_and_decide_into(&slots, &mut scratch);
+        ch_a.transmit_and_decide_into(&slots, &mut scratch);
         std::hint::black_box(scratch.decided.len());
     }
-    let sampled_scratch_ns = t3.elapsed().as_nanos() as f64 / slot_norm;
-    let sampled_ratio = sampled_baseline_ns / sampled_scratch_ns.max(1e-9);
+    let sampled_ns = t2.elapsed().as_nanos() as f64 / (frames as f64 * frame_slots as f64);
 
     // Batch decision: per-slot threshold recompute vs. decide_into.
-    let det = ch_new.analytic_detector();
-    let levels = ch_new.transmit(&slots);
+    let det = ch_a.analytic_detector();
+    ch_a.transmit_into(&slots, &mut scratch);
+    let levels = scratch.levels;
     let reps = 100_000u32;
     let decide_norm = reps as f64 * frame_slots as f64;
     let t4 = Instant::now();
@@ -201,8 +189,8 @@ fn rx_hot_path_section() -> String {
          interned {analytic_cached_ns:7.1} ns/call  ({analytic_ratio:.1}x)"
     );
     println!(
-        "rx sampled frame ({frame_slots} slots): alloc {sampled_baseline_ns:6.1} ns/slot  \
-         scratch {sampled_scratch_ns:6.1} ns/slot  ({sampled_ratio:.2}x, bit-identical)"
+        "rx sampled frame ({frame_slots} slots): {sampled_ns:6.1} ns/slot  \
+         (same-seed channels bit-identical)"
     );
     println!(
         "rx decide: per-slot-threshold {decide_baseline_ns:5.2} ns/slot  \
@@ -213,8 +201,7 @@ fn rx_hot_path_section() -> String {
         "  \"rx_ns_per_slot\": {{\n    \"frame_slots\": {},\n    \
          \"analytic\": {{\"baseline_ns_per_call\": {:.1}, \"cached_ns_per_call\": {:.1}, \
          \"baseline_ns_per_slot\": {:.3}, \"cached_ns_per_slot\": {:.3}, \"ratio\": {:.2}}},\n    \
-         \"sampled\": {{\"baseline_ns_per_slot\": {:.2}, \"scratch_ns_per_slot\": {:.2}, \
-         \"ratio\": {:.3}, \"bit_identical\": true}},\n    \
+         \"sampled\": {{\"ns_per_slot\": {:.2}, \"bit_identical\": true}},\n    \
          \"decide\": {{\"baseline_ns_per_slot\": {:.3}, \"into_ns_per_slot\": {:.3}, \
          \"ratio\": {:.2}}},\n    \"headline_ratio\": {:.2}\n  }}\n",
         frame_slots,
@@ -223,9 +210,7 @@ fn rx_hot_path_section() -> String {
         analytic_baseline_ns / frame_slots as f64,
         analytic_cached_ns / frame_slots as f64,
         analytic_ratio,
-        sampled_baseline_ns,
-        sampled_scratch_ns,
-        sampled_ratio,
+        sampled_ns,
         decide_baseline_ns,
         decide_into_ns,
         decide_ratio,

@@ -44,6 +44,7 @@ pub mod process;
 pub mod rng;
 pub mod scheduler;
 pub mod time;
+mod ziggurat;
 
 pub use process::{Component, StepOutcome};
 pub use rng::DetRng;

@@ -11,6 +11,8 @@
 //! construction recommended by its authors. Implemented here directly (8
 //! lines of core math) so the kernel stays dependency-free.
 
+use crate::ziggurat;
+
 /// A deterministic pseudo-random stream (xoshiro256++).
 #[derive(Clone, Debug)]
 pub struct DetRng {
@@ -125,13 +127,67 @@ impl DetRng {
         }
     }
 
-    /// Standard normal draw (Box–Muller; one value per call, the pair's
-    /// second half is discarded for simplicity).
+    /// Standard normal draw: 256-layer Marsaglia–Tsang ziggurat.
+    ///
+    /// One `next_u64` picks the layer (low 8 bits) and a signed uniform
+    /// (top 52 bits); about 99% of draws return after a single compare.
+    /// The rest fall in a layer's wedge (one more uniform and an `exp`) or,
+    /// from the base layer, in the tail beyond `r ≈ 3.654` (Marsaglia's
+    /// exponential rejection). The layer tables are `const` arrays.
+    #[inline]
     pub fn next_gaussian(&mut self) -> f64 {
-        // Avoid ln(0) by nudging u away from zero.
-        let u = (self.next_f64()).max(f64::MIN_POSITIVE);
-        let v = self.next_f64();
-        (-2.0 * u.ln()).sqrt() * (core::f64::consts::TAU * v).cos()
+        let (i, x) = self.ziggurat_point();
+        if x.abs() < ziggurat::X[i + 1] {
+            x
+        } else {
+            self.gaussian_slow(i, x)
+        }
+    }
+
+    /// A uniformly chosen layer and a point uniform across its full width.
+    #[inline]
+    fn ziggurat_point(&mut self) -> (usize, f64) {
+        let bits = self.next_u64();
+        let i = (bits & 0xff) as usize;
+        // 52 mantissa bits in [2, 4), shifted to a uniform in [-1, 1).
+        let u = f64::from_bits((bits >> 12) | 0x4000_0000_0000_0000) - 3.0;
+        (i, u * ziggurat::X[i])
+    }
+
+    /// The ziggurat's rare paths, kept out of line: the base layer's tail,
+    /// the wedge test, and a fresh point after a rejection.
+    #[cold]
+    #[inline(never)]
+    fn gaussian_slow(&mut self, mut i: usize, mut x: f64) -> f64 {
+        loop {
+            if i == 0 {
+                return self.normal_tail(x < 0.0);
+            }
+            let y = ziggurat::F[i + 1] + (ziggurat::F[i] - ziggurat::F[i + 1]) * self.next_f64();
+            if y < (-0.5 * x * x).exp() {
+                return x;
+            }
+            (i, x) = self.ziggurat_point();
+            if x.abs() < ziggurat::X[i + 1] {
+                return x;
+            }
+        }
+    }
+
+    /// A draw from the normal tail beyond `r`, negated if `negative`.
+    fn normal_tail(&mut self, negative: bool) -> f64 {
+        loop {
+            // `1 - next_f64()` lies in (0, 1], so both logarithms are finite.
+            let x = (1.0 - self.next_f64()).ln() / ziggurat::R;
+            let y = (1.0 - self.next_f64()).ln();
+            if -2.0 * y >= x * x {
+                return if negative {
+                    x - ziggurat::R
+                } else {
+                    ziggurat::R - x
+                };
+            }
+        }
     }
 
     /// Normal draw with the given mean and standard deviation.
@@ -249,6 +305,96 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean={mean}");
         assert!((var - 1.0).abs() < 0.02, "var={var}");
+    }
+
+    /// Complementary error function (Numerical Recipes `erfcc`, relative
+    /// error below 1.2e-7 everywhere): accurate enough for KS distances
+    /// around 1e-3 and tail masses at 4σ.
+    fn erfc(x: f64) -> f64 {
+        let z = x.abs();
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = -z * z - 1.265_512_23
+            + t * (1.000_023_68
+                + t * (0.374_091_96
+                    + t * (0.096_784_18
+                        + t * (-0.186_288_06
+                            + t * (0.278_868_07
+                                + t * (-1.135_203_98
+                                    + t * (1.488_515_87
+                                        + t * (-0.822_152_23 + t * 0.170_872_77))))))));
+        let r = t * poly.exp();
+        if x >= 0.0 {
+            r
+        } else {
+            2.0 - r
+        }
+    }
+
+    /// Standard normal CDF Φ.
+    fn phi(x: f64) -> f64 {
+        0.5 * erfc(-x / core::f64::consts::SQRT_2)
+    }
+
+    #[test]
+    fn ziggurat_passes_kolmogorov_smirnov_against_phi() {
+        let mut r = DetRng::seed_from_u64(13);
+        let n = 1_000_000;
+        let mut xs: Vec<f64> = (0..n).map(|_| r.next_gaussian()).collect();
+        xs.sort_by(f64::total_cmp);
+        let nf = n as f64;
+        let d = xs
+            .iter()
+            .enumerate()
+            .map(|(k, &x)| {
+                let c = phi(x);
+                (c - k as f64 / nf).max((k + 1) as f64 / nf - c)
+            })
+            .fold(0.0, f64::max);
+        // KS critical value at significance 0.001 is 1.949 / sqrt(n).
+        assert!(d < 1.949 / nf.sqrt(), "D = {d}");
+    }
+
+    #[test]
+    fn ziggurat_tail_mass_matches_the_normal() {
+        // |z| > 4 lies past r ≈ 3.654, so every such draw comes from the
+        // base layer's tail branch.
+        let mut r = DetRng::seed_from_u64(14);
+        let n = 2_000_000;
+        let (mut over3, mut over4) = (0u64, 0u64);
+        for _ in 0..n {
+            let z = r.next_gaussian().abs();
+            over3 += u64::from(z > 3.0);
+            over4 += u64::from(z > 4.0);
+        }
+        for (count, t) in [(over3, 3.0), (over4, 4.0)] {
+            let p = 2.0 * phi(-t);
+            let expected = p * n as f64;
+            let sd = (expected * (1.0 - p)).sqrt();
+            // Five binomial standard deviations.
+            assert!(
+                (count as f64 - expected).abs() < 5.0 * sd,
+                "P(|z|>{t}): {count} draws, expected {expected:.1} ± {sd:.1}"
+            );
+        }
+    }
+
+    #[test]
+    fn ziggurat_tables_satisfy_the_layer_recurrence() {
+        use crate::ziggurat::{F, R, X};
+        let f = |x: f64| (-0.5 * x * x).exp();
+        assert_eq!((X[1], X[256], F[256]), (R, 0.0, 1.0));
+        // The base strip holds the rectangle under f(r) plus the tail.
+        let v = X[0] * f(R);
+        let tail = (core::f64::consts::PI / 2.0).sqrt() * erfc(R / core::f64::consts::SQRT_2);
+        assert!((v - (R * f(R) + tail)).abs() < 1e-6 * v, "v = {v}");
+        // Every other layer has the same area.
+        for i in 1..256 {
+            let area = X[i] * (F[i + 1] - F[i]);
+            assert!((area - v).abs() < 1e-9 * v, "layer {i}: {area} vs {v}");
+        }
+        for i in 0..257 {
+            assert!((F[i] - f(X[i])).abs() < 1e-15, "F[{i}]");
+        }
     }
 
     #[test]

@@ -2,18 +2,22 @@
 //!
 //! The paper's receive chain is a TLC237 op-amp as TIA feeding a TI
 //! ADS7883 (12-bit, up to 3 MS/s, sampled at 500 kHz = 4× the slot rate).
-//! The model converts photocurrent to voltage, adds input-referred
-//! thermal noise, AC-couples away the ambient DC, and quantizes:
+//! The model converts AC-coupled photocurrent (ambient DC removed) to
+//! voltage and quantizes it:
 //!
 //! ```text
-//! v = clamp(i_ac · G + n_thermal, 0, Vref) → code ∈ [0, 2^bits)
+//! v = clamp(i_ac · G, 0, Vref) → code ∈ [0, 2^bits)
 //! ```
+//!
+//! The front end is noise-free here: its input-referred thermal noise
+//! ([`AnalogFrontend::thermal_noise_a_rms`]) is folded by the channel into
+//! the one Gaussian it draws per ADC sample, together with shot and
+//! ambient-RIN noise, before the current reaches [`AnalogFrontend::quantize`].
 //!
 //! Quantization matters: once the received swing falls below a couple of
 //! LSBs, decisions collapse — this is what produces the sharp throughput
 //! cliff past 3.6 m in Fig. 16 rather than a gentle roll-off.
 
-use desim::DetRng;
 use serde::{Deserialize, Serialize};
 
 /// TIA + ADC parameters.
@@ -55,22 +59,26 @@ impl AnalogFrontend {
         self.adc_vref_v / (1u64 << self.adc_bits) as f64
     }
 
-    /// Convert one AC-coupled photocurrent sample to an ADC code.
-    ///
-    /// `i_ac_a` is the photocurrent with the ambient/dark DC already
-    /// removed (the receiver AC-couples); `rng` supplies thermal noise.
-    pub fn sample(&self, i_ac_a: f64, rng: &mut DetRng) -> u16 {
-        let noisy = i_ac_a + rng.next_normal(0.0, self.thermal_noise_a_rms);
-        let v = (noisy * self.tia_gain_v_per_a + self.bias_v).clamp(0.0, self.adc_vref_v);
-        let code = (v / self.lsb_v()).floor();
-        let max = ((1u64 << self.adc_bits) - 1) as f64;
-        code.min(max) as u16
+    /// Convert one AC-coupled, already-noised photocurrent sample to an
+    /// ADC code.
+    pub fn quantize(&self, i_ac_a: f64) -> u16 {
+        self.quantizer().quantize(i_ac_a)
     }
 
-    /// Convert an ADC code back to the equivalent input current (for
-    /// threshold arithmetic in the detector).
-    pub fn code_to_current(&self, code: u16) -> f64 {
-        (code as f64 * self.lsb_v() - self.bias_v) / self.tia_gain_v_per_a
+    /// The ADC transfer with its constants precomputed, for per-sample
+    /// loops.
+    pub fn quantizer(&self) -> Quantizer {
+        Quantizer {
+            codes_per_a: 1.0 / self.lsb_current_a(),
+            bias_codes: self.bias_v / self.lsb_v(),
+            max_code: ((1u64 << self.adc_bits) - 1) as u16,
+        }
+    }
+
+    /// Convert an ADC code — or a fractional one, such as the mean of a
+    /// slot's codes — back to the equivalent input current.
+    pub fn code_to_current(&self, code: f64) -> f64 {
+        (code * self.lsb_v() - self.bias_v) / self.tia_gain_v_per_a
     }
 
     /// The input-referred current equivalent of one LSB — the quantization
@@ -80,13 +88,29 @@ impl AnalogFrontend {
     }
 }
 
+/// An [`AnalogFrontend`]'s ADC transfer with the LSB's reciprocal and the
+/// bias offset precomputed: quantizing one sample is a multiply-add and a
+/// saturating cast.
+#[derive(Clone, Copy, Debug)]
+pub struct Quantizer {
+    codes_per_a: f64,
+    bias_codes: f64,
+    max_code: u16,
+}
+
+impl Quantizer {
+    /// The ADC code for input-referred current `i_ac_a`.
+    #[inline]
+    pub fn quantize(&self, i_ac_a: f64) -> u16 {
+        // `as` saturates (negative and NaN inputs read 0, the bottom rail)
+        // and truncates, which is `floor` for the non-negative range.
+        ((i_ac_a * self.codes_per_a + self.bias_codes) as u16).min(self.max_code)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rng() -> DetRng {
-        DetRng::seed_from_u64(1234)
-    }
 
     #[test]
     fn lsb_math() {
@@ -96,13 +120,10 @@ mod tests {
     }
 
     #[test]
-    fn sample_roundtrip_within_lsb() {
-        let mut fe = AnalogFrontend::paper_receiver();
-        fe.thermal_noise_a_rms = 0.0; // isolate quantization
-        let mut r = rng();
+    fn quantize_roundtrip_within_lsb() {
+        let fe = AnalogFrontend::paper_receiver();
         for i_in in [0.0, 1e-6, 3e-6, -5e-7] {
-            let code = fe.sample(i_in, &mut r);
-            let i_out = fe.code_to_current(code);
+            let i_out = fe.code_to_current(f64::from(fe.quantize(i_in)));
             assert!(
                 (i_out - i_in).abs() <= fe.lsb_current_a(),
                 "i_in={i_in} i_out={i_out}"
@@ -111,36 +132,23 @@ mod tests {
     }
 
     #[test]
+    fn quantize_is_floor_of_the_transfer() {
+        let fe = AnalogFrontend::paper_receiver();
+        for k in 0..1000 {
+            let i = -3e-6 + k as f64 * 1.7e-8;
+            let v = (i * fe.tia_gain_v_per_a + fe.bias_v).clamp(0.0, fe.adc_vref_v);
+            let reference = (v / fe.lsb_v()).floor().min(4095.0) as u16;
+            // The hoisted multiply may land one code off exactly at a step.
+            assert!(fe.quantize(i).abs_diff(reference) <= 1, "i={i}");
+        }
+    }
+
+    #[test]
     fn saturation_clamps() {
         let fe = AnalogFrontend::paper_receiver();
-        let mut r = rng();
-        let code = fe.sample(1.0, &mut r); // absurdly large current
-        assert_eq!(code, 4095);
-        let code = fe.sample(-1.0, &mut r);
-        assert_eq!(code, 0);
-    }
-
-    #[test]
-    fn noise_spreads_codes() {
-        let fe = AnalogFrontend::paper_receiver();
-        let mut r = rng();
-        let codes: Vec<u16> = (0..1000).map(|_| fe.sample(2e-6, &mut r)).collect();
-        let min = *codes.iter().min().unwrap();
-        let max = *codes.iter().max().unwrap();
-        assert!(max > min, "noise should dither codes");
-        // 130 nA rms * 220 kV/A = ~28.6 mV = ~35 LSBs sigma.
-        let spread = max - min;
-        assert!((100..400).contains(&spread), "spread: {min}..{max}");
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let fe = AnalogFrontend::paper_receiver();
-        let mut a = rng();
-        let mut b = rng();
-        for _ in 0..100 {
-            assert_eq!(fe.sample(1e-6, &mut a), fe.sample(1e-6, &mut b));
-        }
+        assert_eq!(fe.quantize(1.0), 4095); // absurdly large current
+        assert_eq!(fe.quantize(-1.0), 0);
+        assert_eq!(fe.quantize(f64::NAN), 0);
     }
 
     #[test]

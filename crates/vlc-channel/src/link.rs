@@ -20,7 +20,7 @@ use crate::frontend::AnalogFrontend;
 use crate::led::LedModel;
 use crate::opcache::{CachedOp, OperatingPointCache};
 use crate::optics::LambertianLink;
-use crate::photodiode::Photodiode;
+use crate::photodiode::{Photodiode, ELECTRON_CHARGE_C};
 use desim::{DetRng, SimTime};
 use serde::{Deserialize, Serialize};
 use smartvlc_obs as obs;
@@ -106,7 +106,7 @@ impl ChannelConfig {
         // Saturation: the frontend clips; fold the clipped swing in.
         let max_i = self
             .frontend
-            .code_to_current(((1u64 << self.frontend.adc_bits) - 1) as u16);
+            .code_to_current(((1u64 << self.frontend.adc_bits) - 1) as f64);
         // A railed front end pins both levels at full scale: the slot eye
         // collapses entirely (same degenerate detector as a beyond-FoV
         // receiver, which the detector already supports).
@@ -178,9 +178,8 @@ impl ChannelConfig {
 /// Reusable receive-path buffers for the batched sampled pipeline.
 ///
 /// One `RxScratch` threaded through [`OpticalChannel::transmit_into`] /
-/// [`OpticalChannel::transmit_and_decide_into`] replaces the per-frame
-/// `Vec<f64>`/`Vec<bool>` allocations of the original API: buffers are
-/// cleared and refilled in place, so steady-state frames allocate nothing.
+/// [`OpticalChannel::transmit_and_decide_into`] is cleared and refilled in
+/// place, so steady-state frames allocate nothing.
 #[derive(Default)]
 pub struct RxScratch {
     /// LED optical waveform, one entry per ADC sample.
@@ -324,35 +323,21 @@ impl OpticalChannel {
         cfg
     }
 
-    /// Transmit a slot waveform; returns the per-slot detected current
-    /// levels (input-referred amperes, ambient DC removed).
+    /// Transmit a slot waveform: fills `scratch.levels` with the per-slot
+    /// detected current levels (input-referred amperes, ambient DC
+    /// removed), reusing the buffers in place.
     ///
     /// Each slot's level is the mean of its ADC samples excluding the
-    /// first (which straddles the LED transition).
-    ///
-    /// Allocates fresh buffers per call; batched callers use
-    /// [`OpticalChannel::transmit_into`] with a reusable [`RxScratch`].
-    pub fn transmit(&mut self, slots: &[bool]) -> Vec<f64> {
-        let mut scratch = RxScratch::new();
-        self.transmit_into(slots, &mut scratch);
-        scratch.levels
-    }
-
-    /// Allocation-free form of [`OpticalChannel::transmit`]: fills
-    /// `scratch.levels` (and `scratch.optical`) in place, bit-identical to
-    /// the allocating path — same noise-stream draw order, same float
-    /// expression shapes, only the loop-invariant factors hoisted.
+    /// first (which straddles the LED transition). Every counted sample
+    /// takes one Gaussian draw whose variance sums the independent shot,
+    /// ambient-RIN and thermal terms,
+    /// `2qB·(i_sig + i_amb) + (rin·i_amb)² + σ_th²`, and is then quantized
+    /// by the noise-free front end.
     pub fn transmit_into(&mut self, slots: &[bool], scratch: &mut RxScratch) {
         let spp = self.cfg.samples_per_slot;
         self.cfg
             .led
             .synthesize_into(slots, self.cfg.tslot_s, spp, &mut scratch.optical);
-        let gain = self.cfg.geometry.path_gain() * self.blockage_gain * self.fault.gain;
-        let i_amb = self.ambient_current();
-        let i_amb_rin = self.cfg.ambient_rin * i_amb;
-        let rin_var = i_amb_rin * i_amb_rin;
-        let half_bw = spp as f64 / self.cfg.tslot_s / 2.0;
-        let responsivity = self.cfg.rx_diode.responsivity_a_per_w;
         let slot_norm = (spp - 1) as f64;
         scratch.levels.clear();
         scratch.levels.reserve(slots.len());
@@ -364,7 +349,7 @@ impl OpticalChannel {
             let max_i = self
                 .cfg
                 .frontend
-                .code_to_current(((1u64 << self.cfg.frontend.adc_bits) - 1) as u16);
+                .code_to_current(((1u64 << self.cfg.frontend.adc_bits) - 1) as f64);
             for _ in 0..slots.len() {
                 // Keep the original repeated-add average: `max_i * n / n`
                 // is not bit-identical to summing n copies.
@@ -376,35 +361,38 @@ impl OpticalChannel {
             }
             return;
         }
+        // Per-frame constants. The noise variance is affine in the
+        // sample's optical power: `var = var_floor + var_per_w · p_opt`.
+        let i_per_w = self.cfg.rx_diode.responsivity_a_per_w
+            * self.cfg.geometry.path_gain()
+            * self.blockage_gain
+            * self.fault.gain;
+        let i_amb = self.ambient_current();
+        let shot_coeff = 2.0 * ELECTRON_CHARGE_C * (spp as f64 / self.cfg.tslot_s / 2.0);
+        let rin = self.cfg.ambient_rin * i_amb;
+        let th = self.cfg.frontend.thermal_noise_a_rms;
+        let var_floor = shot_coeff * i_amb + rin * rin + th * th;
+        let var_per_w = shot_coeff * i_per_w;
+        let adc = self.cfg.frontend.quantizer();
+        let inv_norm = 1.0 / slot_norm;
         for chunk in scratch.optical.chunks_exact(spp) {
-            let mut acc = 0.0;
+            let mut codes = 0u32;
             for &p_opt in &chunk[1..] {
-                let i_sig = responsivity * p_opt * gain;
-                let shot = self.cfg.rx_diode.shot_noise_std_a(i_sig + i_amb, half_bw);
-                // Shot + ambient RIN enter before the frontend; the
-                // frontend adds its own thermal noise and quantizes.
-                let noise = self.rng.next_gaussian() * (shot * shot + rin_var).sqrt();
-                let code = self.cfg.frontend.sample(i_sig + noise, &mut self.rng);
-                acc += self.cfg.frontend.code_to_current(code);
+                let sigma = (var_floor + var_per_w * p_opt).max(0.0).sqrt();
+                let i = i_per_w * p_opt + sigma * self.rng.next_gaussian();
+                codes += u32::from(adc.quantize(i));
             }
-            scratch.levels.push(acc / slot_norm);
+            let mean_code = f64::from(codes) * inv_norm;
+            scratch
+                .levels
+                .push(self.cfg.frontend.code_to_current(mean_code));
         }
     }
 
     /// Transmit and decide with an ideal (analytically-trained) detector —
-    /// the common path for link simulations.
-    ///
-    /// Allocates fresh buffers per call; batched callers use
-    /// [`OpticalChannel::transmit_and_decide_into`].
-    pub fn transmit_and_decide(&mut self, slots: &[bool]) -> Vec<bool> {
-        let mut scratch = RxScratch::new();
-        self.transmit_and_decide_into(slots, &mut scratch);
-        scratch.decided
-    }
-
-    /// Allocation-free form of [`OpticalChannel::transmit_and_decide`]:
-    /// fills `scratch.decided` in place (threshold computed once per
-    /// frame, detector served from the operating-point cache).
+    /// the common path for link simulations. Fills `scratch.decided` in
+    /// place (threshold computed once per frame, detector served from the
+    /// operating-point cache).
     pub fn transmit_and_decide_into(&mut self, slots: &[bool], scratch: &mut RxScratch) {
         let detector = self.analytic_detector();
         self.transmit_into(slots, scratch);
@@ -448,11 +436,23 @@ mod tests {
         OpticalChannel::new(ChannelConfig::paper_bench(d), DetRng::seed_from_u64(42))
     }
 
+    fn levels(ch: &mut OpticalChannel, slots: &[bool]) -> Vec<f64> {
+        let mut scratch = RxScratch::new();
+        ch.transmit_into(slots, &mut scratch);
+        scratch.levels
+    }
+
+    fn decide(ch: &mut OpticalChannel, slots: &[bool]) -> Vec<bool> {
+        let mut scratch = RxScratch::new();
+        ch.transmit_and_decide_into(slots, &mut scratch);
+        scratch.decided
+    }
+
     #[test]
     fn clean_link_decodes_perfectly() {
         let mut ch = channel(1.0);
         let slots: Vec<bool> = (0..2000).map(|i| (i / 3) % 2 == 0).collect();
-        let decided = ch.transmit_and_decide(&slots);
+        let decided = decide(&mut ch, &slots);
         assert_eq!(decided, slots);
     }
 
@@ -482,18 +482,56 @@ mod tests {
 
     #[test]
     fn monte_carlo_error_rate_matches_analytic() {
-        let mut ch = channel(3.9); // p ~ 1e-3 region: measurable quickly
-        let probs = ch.analytic_error_probs();
-        let n = 60_000;
-        let slots: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-        let decided = ch.transmit_and_decide(&slots);
-        let errors = decided.iter().zip(&slots).filter(|(a, b)| a != b).count();
-        let measured = errors as f64 / n as f64;
-        let expected = (probs.p_on_error + probs.p_off_error) / 2.0;
-        assert!(
-            measured > expected * 0.4 && measured < expected * 2.5,
-            "measured={measured:.2e} expected={expected:.2e}"
-        );
+        // Across the Fig. 16 cliff: p ~ 1e-4 at 3.6 m to ~1e-2 at 4.2 m.
+        for d in [3.6, 3.9, 4.2] {
+            let mut ch = channel(d);
+            let probs = ch.analytic_error_probs();
+            let expected = (probs.p_on_error + probs.p_off_error) / 2.0;
+            // Enough slots for ~150 expected errors.
+            let n = ((150.0 / expected) as usize).clamp(60_000, 3_000_000);
+            let slots: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+            let decided = decide(&mut ch, &slots);
+            let errors = decided.iter().zip(&slots).filter(|(a, b)| a != b).count();
+            let measured = errors as f64 / n as f64;
+            assert!(
+                measured > expected * 0.4 && measured < expected * 2.5,
+                "{d} m: measured={measured:.2e} expected={expected:.2e}"
+            );
+        }
+    }
+
+    #[test]
+    fn steady_levels_match_the_analytic_detector() {
+        // Bright ambient (RIN-dominated noise) and a dark room
+        // (thermal-dominated): the per-slot level of a steady ON or OFF
+        // run has the detector's mean and σ. Tolerances: the mean within
+        // four standard errors plus half an LSB (the ADC floors, so a
+        // dithered code reads half an LSB low on average), σ within 4%.
+        let n = 20_000;
+        for lux in [8080.0, 16.0] {
+            let mut ch = channel(3.6);
+            ch.set_ambient_lux(lux);
+            let det = ch.analytic_detector();
+            let lsb = ch.config().frontend.lsb_current_a();
+            for (on, mu) in [(true, det.mu_on_a), (false, det.mu_off_a)] {
+                // Skip the LED's settling at the start of the run.
+                let xs = levels(&mut ch, &vec![on; n + 100]);
+                let xs = &xs[100..];
+                let mean = xs.iter().sum::<f64>() / n as f64;
+                let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+                let sd = var.sqrt();
+                let se = det.sigma_a / (n as f64).sqrt();
+                assert!(
+                    (mean - mu).abs() < 4.0 * se + 0.5 * lsb,
+                    "{lux} lx on={on}: mean {mean:.4e} vs {mu:.4e}"
+                );
+                assert!(
+                    (sd / det.sigma_a - 1.0).abs() < 0.04,
+                    "{lux} lx on={on}: sigma {sd:.4e} vs {:.4e}",
+                    det.sigma_a
+                );
+            }
+        }
     }
 
     #[test]
@@ -549,13 +587,13 @@ mod tests {
     fn blockage_kills_and_restores_the_link() {
         let mut ch = channel(2.0);
         let slots: Vec<bool> = (0..4000).map(|i| i % 3 == 0).collect();
-        assert_eq!(ch.transmit_and_decide(&slots), slots, "clear baseline");
+        assert_eq!(decide(&mut ch, &slots), slots, "clear baseline");
         ch.set_blockage_gain(0.001); // -30 dB person in the beam
-        let blocked = ch.transmit_and_decide(&slots);
+        let blocked = decide(&mut ch, &slots);
         let errors = blocked.iter().zip(&slots).filter(|(a, b)| a != b).count();
         assert!(errors > 500, "blockage barely hurt: {errors} errors");
         ch.set_blockage_gain(1.0);
-        assert_eq!(ch.transmit_and_decide(&slots), slots, "recovered");
+        assert_eq!(decide(&mut ch, &slots), slots, "recovered");
     }
 
     #[test]
@@ -563,26 +601,7 @@ mod tests {
         let slots: Vec<bool> = (0..500).map(|i| i % 5 < 2).collect();
         let mut a = channel(3.6);
         let mut b = channel(3.6);
-        assert_eq!(a.transmit(&slots), b.transmit(&slots));
-    }
-
-    #[test]
-    fn scratch_pipeline_matches_allocating_pipeline() {
-        let slots: Vec<bool> = (0..700).map(|i| i % 4 < 2).collect();
-        let mut a = channel(3.8);
-        let mut b = channel(3.8);
-        let mut scratch = RxScratch::new();
-        // Same seed, same draws: levels and decisions must match bitwise.
-        b.transmit_into(&slots, &mut scratch);
-        let levels_a = a.transmit(&slots);
-        assert_eq!(levels_a.len(), scratch.levels.len());
-        for (x, y) in levels_a.iter().zip(&scratch.levels) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let mut c = channel(3.8);
-        let mut d = channel(3.8);
-        c.transmit_and_decide_into(&slots, &mut scratch);
-        assert_eq!(d.transmit_and_decide(&slots), scratch.decided);
+        assert_eq!(levels(&mut a, &slots), levels(&mut b, &slots));
     }
 
     #[test]
@@ -635,7 +654,7 @@ mod tests {
             saturated: false,
         });
         let slots: Vec<bool> = (0..4000).map(|i| i % 3 == 0).collect();
-        let decided = occluded.transmit_and_decide(&slots);
+        let decided = decide(&mut occluded, &slots);
         let errors = decided.iter().zip(&slots).filter(|(a, b)| a != b).count();
         assert!(errors > 500, "occlusion barely hurt: {errors} errors");
 
@@ -648,8 +667,8 @@ mod tests {
         });
         let d = sat.analytic_detector();
         assert_eq!(d.mu_on_a, d.mu_off_a);
-        let levels = sat.transmit(&slots[..100]);
-        assert!(levels.windows(2).all(|w| w[0] == w[1]), "rail not flat");
+        let rail = levels(&mut sat, &slots[..100]);
+        assert!(rail.windows(2).all(|w| w[0] == w[1]), "rail not flat");
 
         // Clearing restores the baseline exactly.
         sat.clear_faults();

@@ -31,6 +31,7 @@ fn main() {
     let mut channel =
         OpticalChannel::new(ChannelConfig::paper_bench(3.8), DetRng::seed_from_u64(7));
 
+    let mut scratch = RxScratch::new();
     let mut received: Vec<Option<Vec<u8>>> = vec![None; chunks.len()];
     let mut transmissions = 0u32;
     let mut crc_drops = 0u32;
@@ -46,8 +47,8 @@ fn main() {
             let frame = Frame::new(descriptor, payload).unwrap();
             let slots = codec.emit(&frame).unwrap();
             transmissions += 1;
-            let decided = channel.transmit_and_decide(&slots);
-            for ev in rx.push_slots(&decided) {
+            channel.transmit_and_decide_into(&slots, &mut scratch);
+            for ev in rx.push_slots(&scratch.decided) {
                 match ev {
                     RxEvent::Frame { frame, .. } => {
                         if let Some((hdr, body)) = MacHeader::decapsulate(&frame.payload) {

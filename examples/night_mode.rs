@@ -56,7 +56,9 @@ fn main() {
     let mut channel_cfg = ChannelConfig::paper_bench(3.0);
     channel_cfg.ambient_lux = 16.0; // the paper's L3 dark condition
     let mut channel = OpticalChannel::new(channel_cfg, DetRng::seed_from_u64(42));
-    let received = channel.transmit_and_decide(&slots);
+    let mut scratch = RxScratch::new();
+    channel.transmit_and_decide_into(&slots, &mut scratch);
+    let received = scratch.decided;
     let (parsed, stats) = codec.parse(&received).unwrap();
     assert!(stats.crc_ok);
     println!(

@@ -43,7 +43,9 @@ fn main() {
     //    air, SFH206K photodiode, TIA + 12-bit ADC, bright ambient.
     let mut channel =
         OpticalChannel::new(ChannelConfig::paper_bench(3.0), DetRng::seed_from_u64(1));
-    let received = channel.transmit_and_decide(&slots);
+    let mut scratch = RxScratch::new();
+    channel.transmit_and_decide_into(&slots, &mut scratch);
+    let received = scratch.decided;
     let flipped = received.iter().zip(&slots).filter(|(a, b)| a != b).count();
     println!(
         "channel: {} of {} slots flipped in flight",

@@ -78,7 +78,7 @@ pub mod prelude {
         UserStudy,
     };
     pub use vlc_channel::ambient::{AmbientProfile, BlindRamp, ConstantAmbient, DiurnalProfile};
-    pub use vlc_channel::{ChannelConfig, OpticalChannel, ShadowingModel};
+    pub use vlc_channel::{ChannelConfig, OpticalChannel, RxScratch, ShadowingModel};
 }
 
 #[cfg(test)]

@@ -29,8 +29,9 @@ fn every_scheme_survives_the_sampled_channel() {
         let slots = codec.emit(&frame).unwrap();
         let mut channel =
             OpticalChannel::new(ChannelConfig::paper_bench(3.0), DetRng::seed_from_u64(5));
-        let decided = channel.transmit_and_decide(&slots);
-        let (back, stats) = codec.parse(&decided).unwrap();
+        let mut scratch = RxScratch::new();
+        channel.transmit_and_decide_into(&slots, &mut scratch);
+        let (back, stats) = codec.parse(&scratch.decided).unwrap();
         assert!(stats.crc_ok, "{d:?}");
         assert_eq!(back, frame, "{d:?}");
     }
@@ -61,7 +62,9 @@ fn sample_level_receive_chain_recovers_frames() {
     // Build a sample stream with an unknown phase offset, as the free-
     // running receiver clock would see it: prepend a partial slot of
     // idle light.
-    let per_slot = channel.transmit(&slots);
+    let mut scratch = RxScratch::new();
+    channel.transmit_into(&slots, &mut scratch);
+    let per_slot = scratch.levels;
     // Reconstruct 4x samples from slot levels (the channel averages per
     // slot; emulate the raw stream with an LED-transition edge sample at
     // each slot boundary); a fractional lead of 3 samples plays the role

@@ -49,7 +49,9 @@ fn full_prototype_loop_recovers_a_frame() {
     let mut channel =
         OpticalChannel::new(ChannelConfig::paper_bench(3.0), DetRng::seed_from_u64(77));
     let detector = channel.analytic_detector();
-    let per_slot_levels = channel.transmit(&emitted);
+    let mut scratch = RxScratch::new();
+    channel.transmit_into(&emitted, &mut scratch);
+    let per_slot_levels = scratch.levels;
 
     // PRU RX loop: the sampler clocks the ADC at fs = 4 ftx; reconstruct
     // the 4x stream (transition sample + interior) the frontend would
@@ -68,13 +70,16 @@ fn full_prototype_loop_recovers_a_frame() {
     let mut idx = 0usize;
     let fs_period_ns = 2_000u64; // 500 kS/s
     let n_samples = sample_stream.len();
-    // The frontend quantizes each current sample into an ADC code.
+    // The frontend quantizes each current sample into an ADC code, after
+    // its own input-referred thermal noise.
     let frontend = channel.config().frontend;
     let mut enc_rng = DetRng::seed_from_u64(5);
     rx_board.run_until(
         SimTime::from_nanos((n_samples as u64 - 1) * fs_period_ns),
         |_t| {
-            let code = frontend.sample(sample_stream[idx.min(n_samples - 1)], &mut enc_rng);
+            let i = sample_stream[idx.min(n_samples - 1)];
+            let code =
+                frontend.quantize(i + enc_rng.next_normal(0.0, frontend.thermal_noise_a_rms));
             idx += 1;
             code
         },
@@ -85,7 +90,10 @@ fn full_prototype_loop_recovers_a_frame() {
     // decide slots, and parse the frame out of the stream.
     let codes = rx_board.drain(usize::MAX);
     assert_eq!(codes.len(), n_samples);
-    let currents: Vec<f64> = codes.iter().map(|&c| frontend.code_to_current(c)).collect();
+    let currents: Vec<f64> = codes
+        .iter()
+        .map(|&c| frontend.code_to_current(f64::from(c)))
+        .collect();
     let lock = find_slot_phase(&currents, spp, &detector, 20).expect("phase lock");
     assert_eq!(lock.phase, 2, "clock offset recovered");
     let levels = decimate(&currents, spp, lock.phase, usize::MAX);

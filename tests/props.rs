@@ -103,8 +103,9 @@ proptest! {
             ChannelConfig::paper_bench(1.0),
             DetRng::seed_from_u64(1),
         );
-        let decided = channel.transmit_and_decide(&pattern);
-        prop_assert_eq!(decided, pattern);
+        let mut scratch = RxScratch::new();
+        channel.transmit_and_decide_into(&pattern, &mut scratch);
+        prop_assert_eq!(scratch.decided, pattern);
     }
 }
 
