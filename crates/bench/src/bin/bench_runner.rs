@@ -10,7 +10,7 @@
 //! that changed the numbers would be a bug, not a win.
 
 use desim::{DetRng, SimDuration};
-use smartvlc_bench::{indent_json, results_dir};
+use smartvlc_bench::results_dir;
 use smartvlc_core::SystemConfig;
 use smartvlc_link::{SchemeKind, Transmitter};
 use smartvlc_obs as obs;
@@ -419,7 +419,7 @@ fn main() {
         tele.push_str(&format!(
             "  \"{}\": {}{}\n",
             t.figure,
-            indent_json(&t.telemetry.to_json(), "  "),
+            t.telemetry.to_json_embedded(),
             if i + 1 < timings.len() { "," } else { "" }
         ));
     }

@@ -15,17 +15,13 @@
 //! determinism contract, enforced on the chaos path (both legs) every
 //! time this binary runs (CI diffs the same pair).
 
-use smartvlc_bench::{f, full_run, indent_json, results_dir};
+use smartvlc_bench::{f, full_run, results_dir};
 use smartvlc_obs as obs;
 use smartvlc_sim::chaos::{ChaosFecComparison, ChaosSummary};
 use smartvlc_sim::report::markdown_table;
 use smartvlc_sim::run_chaos_suite_fec;
 
 const BASE_SEED: u64 = 0x5eed_c4a0;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// The coded leg, as a single JSON line so it stays grep-filterable.
 fn fec_on_json(s: &ChaosSummary) -> String {
@@ -58,11 +54,11 @@ fn to_json(
     for (i, c) in comparisons.iter().enumerate() {
         let s = &c.off;
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(s.name)));
-        out.push_str(&format!(
-            "      \"description\": \"{}\",\n",
-            json_escape(s.description)
-        ));
+        out.push_str("      \"name\": \"");
+        obs::escape_json(s.name, &mut out);
+        out.push_str("\",\n      \"description\": \"");
+        obs::escape_json(s.description, &mut out);
+        out.push_str("\",\n");
         out.push_str(&format!(
             "      \"mean_goodput_retained\": {:.6},\n",
             s.mean_goodput_retained
@@ -109,7 +105,7 @@ fn to_json(
     // submission-order merge), so it participates in the byte-diff gate.
     out.push_str(&format!(
         "  \"telemetry\": {}\n",
-        indent_json(&telemetry.to_json(), "  ")
+        telemetry.to_json_embedded()
     ));
     out.push_str("}\n");
     out

@@ -15,7 +15,7 @@
 //! determinism contract, enforced on the datagram path (both legs)
 //! every time this binary runs (CI diffs the same pair).
 
-use smartvlc_bench::{f, full_run, indent_json, results_dir};
+use smartvlc_bench::{f, full_run, results_dir};
 use smartvlc_obs as obs;
 use smartvlc_sim::net_suite::{NetFecComparison, NetSummary};
 use smartvlc_sim::report::markdown_table;
@@ -23,10 +23,6 @@ use smartvlc_sim::run_net_suite_fec;
 use smartvlc_sim::stats_util::Percentiles;
 
 const BASE_SEED: u64 = 0x5eed_4e71;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Percentile triple as a one-line JSON object (`null` when the mix
 /// delivered nothing, e.g. a dead-link leg).
@@ -71,11 +67,11 @@ fn to_json(
     for (i, c) in comparisons.iter().enumerate() {
         let s = &c.off;
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(s.name)));
-        out.push_str(&format!(
-            "      \"description\": \"{}\",\n",
-            json_escape(s.description)
-        ));
+        out.push_str("      \"name\": \"");
+        obs::escape_json(s.name, &mut out);
+        out.push_str("\",\n      \"description\": \"");
+        obs::escape_json(s.description, &mut out);
+        out.push_str("\",\n");
         out.push_str(&format!(
             "      \"offered_dgrams\": {},\n",
             s.offered_dgrams
@@ -118,7 +114,7 @@ fn to_json(
     // submission-order merge), so it participates in the byte-diff gate.
     out.push_str(&format!(
         "  \"telemetry\": {}\n",
-        indent_json(&telemetry.to_json(), "  ")
+        telemetry.to_json_embedded()
     ));
     out.push_str("}\n");
     out

@@ -36,24 +36,6 @@ pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
 }
 
-/// Re-indent every line after the first of a serialized JSON block by
-/// `pad`, so it can be embedded as a value inside a larger hand-rolled
-/// JSON document without breaking its indentation.
-pub fn indent_json(json: &str, pad: &str) -> String {
-    json.trim_end()
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            if i == 0 {
-                l.to_string()
-            } else {
-                format!("{pad}{l}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

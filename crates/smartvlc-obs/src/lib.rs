@@ -71,7 +71,7 @@ pub use noop::{
 };
 
 mod snapshot;
-pub use snapshot::{EventSnapshot, HistogramSnapshot, Snapshot};
+pub use snapshot::{escape_json, EventSnapshot, HistogramSnapshot, Snapshot};
 
 /// Marker alias documenting the disabled-telemetry mode: with the `telemetry`
 /// feature off, [`Recorder`] *is* the no-op sink.

@@ -53,7 +53,9 @@ pub struct Snapshot {
     pub events_dropped: u64,
 }
 
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` as the body of a JSON string literal: quotes,
+/// backslashes and control characters escaped, everything else verbatim.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -155,6 +157,13 @@ impl Snapshot {
         out
     }
 
+    /// [`Snapshot::to_json`] re-indented to embed as a value inside a
+    /// two-space-indented JSON document: every line after the first
+    /// gains two spaces.
+    pub fn to_json_embedded(&self) -> String {
+        self.to_json().replace('\n', "\n  ")
+    }
+
     /// Serializes to a deterministic CSV table with columns
     /// `record,key,index,value`:
     ///
@@ -224,6 +233,19 @@ mod tests {
         assert!(a.contains("\"count\": 2, \"sum\": 5"));
         assert!(a.contains("\"t_ns\": 8000"));
         assert!(a.contains("\"events_dropped\": 1"));
+    }
+
+    #[test]
+    fn embedded_json_indents_every_line_after_the_first() {
+        let flat = sample().to_json();
+        let embedded = sample().to_json_embedded();
+        let mut lines = embedded.lines();
+        let mut flat_lines = flat.lines();
+        assert_eq!(lines.next(), flat_lines.next());
+        for (e, f) in lines.zip(flat_lines) {
+            assert_eq!(e, format!("  {f}"));
+        }
+        assert_eq!(embedded.lines().count(), flat.lines().count());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`run_cell`](super::run_cell) executes here: every piece of per-tick
 //! work is a typed [`CellEvent`] on a [`desim::Scheduler`] queue, and
 //! simulated time advances event-to-event instead of sweeping every
-//! component in a lockstep loop. Two properties fall out:
+//! component every tick. Two properties fall out:
 //!
 //! * **Idle components cost nothing.** A user in association outage has
 //!   no `Grant` event queued at all — its delivery work is cancelled at
@@ -19,19 +19,17 @@
 //!
 //! # Determinism
 //!
-//! The lockstep loop was deterministic because it visited components in
-//! a fixed order; an event queue is deterministic only if same-instant
-//! delivery order is pinned. Every event therefore carries an explicit
-//! ordering key ([`CellEvent::order_key`]): phase first — ambient →
-//! sense → walk → TDMA → grant, the exact lockstep sweep order — then
-//! entity id within the phase. [`Scheduler::schedule_keyed`] orders
-//! same-instant events by that key *regardless of when they were
-//! scheduled*, so cancelling and re-scheduling a grant around a handover
-//! cannot demote it behind another user's grant and perturb the
-//! (order-sensitive) per-cell f64 accumulation. The result is
-//! bit-identical to [`run_cell_lockstep`](super::run_cell_lockstep) on
-//! every configuration — the `cell_equivalence` suite asserts it — and
-//! byte-identical across `SMARTVLC_THREADS` like every other battery.
+//! An event queue is deterministic only if same-instant delivery order
+//! is pinned. Every event therefore carries an explicit ordering key
+//! ([`CellEvent::order_key`]): phase first — ambient → sense → walk →
+//! TDMA → grant — then entity id within the phase.
+//! [`Scheduler::schedule_keyed`] orders same-instant events by that key
+//! *regardless of when they were scheduled*, so cancelling and
+//! re-scheduling a grant around a handover cannot demote it behind
+//! another user's grant and perturb the (order-sensitive) per-cell f64
+//! accumulation. The result is a pure function of `(cfg, seed)` — the
+//! `cell_fingerprints` suite pins it bit for bit — and byte-identical
+//! across `SMARTVLC_THREADS` like every other battery.
 //!
 //! # Adding a new event type
 //!
@@ -44,8 +42,9 @@
 use super::sched::{CellScheduler, LinkEstimate, ScheduleContext, SchedulerSpec, TickPlan};
 use super::traffic::{CellTrafficSpec, TrafficState};
 use super::{
-    cell_channel, finish_report, interference_sigma_a, quantize_lux, rate_for, received_power_w,
-    sim_parts, window_gain, CellConfig, CellReport, Position, RunTallies, SimParts,
+    cell_channel, interference_sigma_a, jain_index, quantize_lux, rate_for, received_power_w,
+    sim_parts, window_gain, CellConfig, CellOutcome, CellReport, Position, RunTallies, SimParts,
+    UserOutcome,
 };
 use desim::{EventHandle, Scheduler, SimTime};
 use smartvlc_core::adaptation::{perceived, AdaptationStepper};
@@ -56,11 +55,10 @@ use vlc_channel::opcache::OperatingPointCache;
 /// One typed event on the cell simulation's queue.
 ///
 /// A tick of simulated time is the set of events sharing one timestamp;
-/// their delivery order is pinned by [`CellEvent::order_key`], which
-/// reproduces the lockstep sweep: the shared ambient advances first,
-/// then every luminaire senses (id order), every user walks and runs
-/// handover (id order), TDMA membership is recounted, and finally each
-/// granted user's delivery fires (id order).
+/// their delivery order is pinned by [`CellEvent::order_key`]: the shared
+/// ambient advances first, then every luminaire senses (id order), every
+/// user walks and runs handover (id order), TDMA membership is
+/// recounted, and finally each granted user's delivery fires (id order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellEvent {
     /// Advance the shared ambient field and cache this tick's base lux.
@@ -88,7 +86,7 @@ pub enum CellEvent {
     },
 }
 
-/// Phase slots for [`CellEvent::order_key`]: the lockstep sweep order.
+/// Phase slots for [`CellEvent::order_key`], in delivery order.
 const PHASE_AMBIENT: u64 = 0;
 const PHASE_SENSE: u64 = 1;
 const PHASE_WALK: u64 = 2;
@@ -116,8 +114,7 @@ impl CellEvent {
     }
 }
 
-/// The timestamp of tick `tick` — the same expression the lockstep loop
-/// used, so `lux_at` sees identical instants.
+/// The timestamp of tick `tick`.
 fn tick_time(cfg: &CellConfig, tick: u32) -> SimTime {
     SimTime::from_nanos((tick as f64 * cfg.tick_s * 1e9) as u64)
 }
@@ -286,7 +283,7 @@ impl<'a> EventEngine<'a> {
 
         // RSS over the window (plus the serving cell, wherever it is):
         // everything outside is exactly 0 W, so the subset ranking is
-        // bit-identical to the lockstep full scan.
+        // bit-identical to a scan of the whole grid.
         self.fill_window(&pos);
         if let Err(at) = self.cand.binary_search(&serving) {
             self.cand.insert(at, serving);
@@ -314,9 +311,9 @@ impl<'a> EventEngine<'a> {
 
             let delay = cfg.policy.assoc_delay_ticks;
             if delay > 0 {
-                // Account the whole outage window now (the lockstep loop
-                // counted it tick by tick; overlapping handovers extend,
-                // never double-count) and move the user's grant past it.
+                // Account the whole outage window now (overlapping
+                // handovers extend it, never double-count) and move the
+                // user's grant past it.
                 let until_new = self.tick + delay;
                 let lo = self.outage_until[user].max(self.tick);
                 let hi = until_new.min(cfg.ticks);
@@ -529,6 +526,92 @@ impl<'a> EventEngine<'a> {
         }
         self.grant[user] = self.schedule_next(sched, CellEvent::Grant { user });
     }
+
+    /// Close the run: emit the per-policy counters and assemble the
+    /// report from the tallies, the luminaires and the observers.
+    fn finish(self, events: u64, queue_peak: u64) -> CellReport {
+        let cfg = self.cfg;
+        let t = &self.tallies;
+        let coord_blocked = self.scheduler.stats().coord_blocked;
+        // New policies get their own counter namespace; the legacy
+        // equal-share path emits exactly the legacy telemetry so existing
+        // artifacts stay byte-identical.
+        if !matches!(cfg.scheduler, SchedulerSpec::EqualShare) {
+            obs::counter_add(
+                match cfg.scheduler {
+                    SchedulerSpec::EqualShare => unreachable!(),
+                    SchedulerSpec::ProportionalFair { .. } => obs::key!("sim.cell.sched.pf_runs"),
+                    SchedulerSpec::CoordinatedEdge { .. } => obs::key!("sim.cell.sched.coord_runs"),
+                },
+                1,
+            );
+            obs::counter_add(obs::key!("sim.cell.sched.grants"), t.served_ticks);
+            if t.coord_grants > 0 {
+                obs::counter_add(obs::key!("sim.cell.sched.coord_grants"), t.coord_grants);
+            }
+            if coord_blocked > 0 {
+                obs::counter_add(obs::key!("sim.cell.sched.coord_blocked"), coord_blocked);
+            }
+        }
+
+        let duration_s = cfg.ticks as f64 * cfg.tick_s;
+        let users_out: Vec<UserOutcome> = (0..cfg.n_users)
+            .map(|j| UserOutcome {
+                id: j,
+                delivered_bits: t.user_bits[j],
+                goodput_bps: t.user_bits[j] / duration_s,
+                handovers: t.user_handovers[j],
+                outage_ticks: t.user_outage[j],
+                grant_ticks: t.user_grants[j],
+            })
+            .collect();
+        let cells_out: Vec<CellOutcome> = self
+            .parts
+            .grid
+            .iter()
+            .zip(&self.parts.lums)
+            .map(|(l, st)| CellOutcome {
+                id: l.id,
+                delivered_bits: st.delivered_bits,
+                mean_led: st.led_sum / cfg.ticks as f64,
+                mean_users: st.users_sum / cfg.ticks as f64,
+                smart_steps: st.smart_steps,
+            })
+            .collect();
+        let aggregate_goodput_bps = users_out.iter().map(|u| u.goodput_bps).sum();
+        let goodputs: Vec<f64> = users_out.iter().map(|u| u.goodput_bps).collect();
+        let jain_fairness = jain_index(&goodputs);
+        let edge_p5_goodput_bps = crate::stats_util::try_percentile(&goodputs, 5.0).unwrap_or(0.0);
+        CellReport {
+            aggregate_goodput_bps,
+            jain_fairness,
+            edge_p5_goodput_bps,
+            coord_grants: t.coord_grants,
+            coord_blocked,
+            traffic: self.traffic.as_ref().map(TrafficState::report),
+            handovers: t.handovers,
+            mean_handover_latency_s: if t.handovers > 0 {
+                Some(t.latency_ticks_sum as f64 / t.handovers as f64 * cfg.tick_s)
+            } else {
+                None
+            },
+            outage_fraction: t.user_outage.iter().sum::<u64>() as f64
+                / (cfg.ticks as u64 * cfg.n_users as u64) as f64,
+            interference_limited_fraction: if t.served_ticks > 0 {
+                t.interference_limited as f64 / t.served_ticks as f64
+            } else {
+                0.0
+            },
+            users: users_out,
+            cells: cells_out,
+            duration_s,
+            opcache_hits: self.opcache.hits(),
+            opcache_misses: self.opcache.misses(),
+            slots_equivalent: t.served_ticks as f64 * (cfg.tick_s / self.tslot_s),
+            events,
+            queue_peak,
+        }
+    }
 }
 
 /// Index window along one grid axis: every cell whose center coordinate
@@ -581,52 +664,7 @@ pub(crate) fn run_cell_event(cfg: &CellConfig, seed: u64) -> CellReport {
     obs::counter_add(obs::key!("sim.cell.events"), events);
     obs::gauge_set(obs::key!("sim.cell.queue_peak"), queue_peak as f64);
 
-    let sched_stats = eng.scheduler.stats();
-    let traffic_report = eng.traffic.as_ref().map(|t| t.report());
-    let EventEngine {
-        parts,
-        mut tallies,
-        opcache,
-        tslot_s,
-        ..
-    } = eng;
-    tallies.coord_blocked = sched_stats.coord_blocked;
-    // New policies get their own counter namespace; the legacy
-    // equal-share path emits exactly the legacy telemetry so existing
-    // artifacts stay byte-identical.
-    if !matches!(cfg.scheduler, SchedulerSpec::EqualShare) {
-        obs::counter_add(
-            match cfg.scheduler {
-                SchedulerSpec::EqualShare => unreachable!(),
-                SchedulerSpec::ProportionalFair { .. } => obs::key!("sim.cell.sched.pf_runs"),
-                SchedulerSpec::CoordinatedEdge { .. } => obs::key!("sim.cell.sched.coord_runs"),
-            },
-            1,
-        );
-        obs::counter_add(obs::key!("sim.cell.sched.grants"), tallies.served_ticks);
-        if tallies.coord_grants > 0 {
-            obs::counter_add(
-                obs::key!("sim.cell.sched.coord_grants"),
-                tallies.coord_grants,
-            );
-        }
-        if tallies.coord_blocked > 0 {
-            obs::counter_add(
-                obs::key!("sim.cell.sched.coord_blocked"),
-                tallies.coord_blocked,
-            );
-        }
-    }
-    finish_report(
-        cfg,
-        &parts,
-        &tallies,
-        &opcache,
-        tslot_s,
-        events,
-        queue_peak,
-        traffic_report,
-    )
+    eng.finish(events, queue_peak)
 }
 
 #[cfg(test)]
@@ -634,7 +672,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn order_keys_reproduce_the_lockstep_sweep() {
+    fn order_keys_follow_the_phase_order() {
         let tick: Vec<u64> = [
             CellEvent::AmbientSample,
             CellEvent::Sense { lum: 0 },

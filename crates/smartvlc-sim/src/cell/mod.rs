@@ -28,15 +28,13 @@
 //! user, so a whole-room run is a pure function of its seed and
 //! bit-identical at any `SMARTVLC_THREADS`.
 //!
-//! Since the event-driven refactor, [`run_cell`] executes on the
-//! [`desim::Scheduler`] event queue ([`event`]): every ambient sample,
-//! luminaire sensing pass, user walk, TDMA recount and per-user grant is
-//! a typed [`CellEvent`], and per-user work touches only the luminaires
-//! inside the receiver's field of view — which is what lets the battery
-//! scale to 32×32 grids serving 1000 users. The retired lockstep loop
-//! survives as [`run_cell_lockstep`] (deprecated) purely as the
-//! equivalence oracle: on any configuration the two produce bit-identical
-//! [`CellReport`]s, and the `cell_equivalence` test suite asserts it.
+//! [`run_cell`] executes on the [`desim::Scheduler`] event queue
+//! ([`event`]): every ambient sample, luminaire sensing pass, user walk,
+//! TDMA recount and per-user grant is a typed [`CellEvent`], and per-user
+//! work touches only the luminaires inside the receiver's field of view —
+//! which is what lets the battery scale to 32×32 grids serving 1000
+//! users. The `cell_fingerprints` test suite pins its [`CellReport`]s
+//! bit for bit against a checked-in table.
 
 pub mod event;
 pub mod geometry;
@@ -65,15 +63,12 @@ pub use suite::{
 };
 pub use traffic::{CellTrafficReport, CellTrafficSpec};
 
-use desim::{DetRng, SimTime};
+use desim::DetRng;
 use serde::{Deserialize, Serialize};
-use smartvlc_core::adaptation::{perceived, AdaptationStepper, PerceptionStepper};
+use smartvlc_core::adaptation::PerceptionStepper;
 use smartvlc_core::dimming::IlluminationTarget;
 use smartvlc_core::{AmppmPlanner, DimmingLevel, SystemConfig};
-use smartvlc_obs as obs;
 use vlc_channel::ambient::{AmbientProfile, BlindRamp, ConstantAmbient};
-use vlc_channel::detector::SlotDetector;
-use vlc_channel::opcache::OperatingPointCache;
 
 /// The ambient field a cell run adapts against.
 ///
@@ -260,10 +255,9 @@ pub struct CellReport {
     pub slots_equivalent: f64,
     /// Events delivered off the scheduler queue over the run — a pure
     /// function of `(cfg, seed)`, so it participates in the byte-equality
-    /// gate. Zero when the run came from the deprecated lockstep path.
+    /// gate.
     pub events: u64,
-    /// Scheduler queue-depth high-water mark. Deterministic; zero on the
-    /// lockstep path.
+    /// Scheduler queue-depth high-water mark. Deterministic.
     pub queue_peak: u64,
     /// Jain fairness index of the per-user goodputs:
     /// `(Σg)² / (n·Σg²)` — 1.0 is perfectly fair, `1/n` is one user
@@ -302,11 +296,9 @@ pub(crate) fn quantize_lux(lux: f64, res: f64) -> f64 {
     }
 }
 
-/// Everything both simulation cores build identically from `(cfg, seed)`
-/// before the first tick: geometry, planner, keyed RNG streams, the
-/// shared ambient field, and the initial (strongest-cell) associations.
-/// Factoring this out is what makes "the event core reproduces the
-/// lockstep core bit-for-bit" a statement about the tick loop alone.
+/// Everything a run builds from `(cfg, seed)` before the first tick:
+/// geometry, planner, keyed RNG streams, the shared ambient field, and
+/// the initial (strongest-cell) associations.
 pub(crate) struct SimParts {
     pub(crate) room: RoomGeometry,
     pub(crate) grid: Vec<Luminaire>,
@@ -410,8 +402,8 @@ pub(crate) fn sim_parts(cfg: &CellConfig, seed: u64) -> SimParts {
     }
 }
 
-/// The integer/float accumulators both cores advance tick by tick, and
-/// the report construction they share.
+/// The integer/float accumulators the event core advances as grants,
+/// handovers and outages happen.
 pub(crate) struct RunTallies {
     pub(crate) user_bits: Vec<f64>,
     pub(crate) user_handovers: Vec<u64>,
@@ -421,11 +413,9 @@ pub(crate) struct RunTallies {
     pub(crate) handovers: u64,
     pub(crate) served_ticks: u64,
     pub(crate) interference_limited: u64,
-    /// Coordination grants applied at delivery (always 0 on the lockstep
-    /// path and under policies without coordination).
+    /// Coordination grants applied at delivery (always 0 under policies
+    /// without coordination).
     pub(crate) coord_grants: u64,
-    /// Coordination requests rejected by the donor ledger.
-    pub(crate) coord_blocked: u64,
 }
 
 impl RunTallies {
@@ -440,7 +430,6 @@ impl RunTallies {
             served_ticks: 0,
             interference_limited: 0,
             coord_grants: 0,
-            coord_blocked: 0,
         }
     }
 }
@@ -458,258 +447,13 @@ pub fn jain_index(goodputs: &[f64]) -> f64 {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal assembly point: both cores feed it
-pub(crate) fn finish_report(
-    cfg: &CellConfig,
-    parts: &SimParts,
-    t: &RunTallies,
-    opcache: &OperatingPointCache,
-    tslot_s: f64,
-    events: u64,
-    queue_peak: u64,
-    traffic: Option<CellTrafficReport>,
-) -> CellReport {
-    let duration_s = cfg.ticks as f64 * cfg.tick_s;
-    let users_out: Vec<UserOutcome> = (0..cfg.n_users)
-        .map(|j| UserOutcome {
-            id: j,
-            delivered_bits: t.user_bits[j],
-            goodput_bps: t.user_bits[j] / duration_s,
-            handovers: t.user_handovers[j],
-            outage_ticks: t.user_outage[j],
-            grant_ticks: t.user_grants[j],
-        })
-        .collect();
-    let cells_out: Vec<CellOutcome> = parts
-        .grid
-        .iter()
-        .zip(&parts.lums)
-        .map(|(l, st)| CellOutcome {
-            id: l.id,
-            delivered_bits: st.delivered_bits,
-            mean_led: st.led_sum / cfg.ticks as f64,
-            mean_users: st.users_sum / cfg.ticks as f64,
-            smart_steps: st.smart_steps,
-        })
-        .collect();
-    let aggregate_goodput_bps = users_out.iter().map(|u| u.goodput_bps).sum();
-    let goodputs: Vec<f64> = users_out.iter().map(|u| u.goodput_bps).collect();
-    let jain_fairness = jain_index(&goodputs);
-    let edge_p5_goodput_bps = crate::stats_util::try_percentile(&goodputs, 5.0).unwrap_or(0.0);
-    CellReport {
-        aggregate_goodput_bps,
-        jain_fairness,
-        edge_p5_goodput_bps,
-        coord_grants: t.coord_grants,
-        coord_blocked: t.coord_blocked,
-        traffic,
-        handovers: t.handovers,
-        mean_handover_latency_s: if t.handovers > 0 {
-            Some(t.latency_ticks_sum as f64 / t.handovers as f64 * cfg.tick_s)
-        } else {
-            None
-        },
-        outage_fraction: t.user_outage.iter().sum::<u64>() as f64
-            / (cfg.ticks as u64 * cfg.n_users as u64) as f64,
-        interference_limited_fraction: if t.served_ticks > 0 {
-            t.interference_limited as f64 / t.served_ticks as f64
-        } else {
-            0.0
-        },
-        users: users_out,
-        cells: cells_out,
-        duration_s,
-        opcache_hits: opcache.hits(),
-        opcache_misses: opcache.misses(),
-        slots_equivalent: t.served_ticks as f64 * (cfg.tick_s / tslot_s),
-        events,
-        queue_peak,
-    }
-}
-
 /// Run one multi-cell scenario to completion. Deterministic per
 /// `(cfg, seed)`: the shared ambient, every luminaire's sensor noise and
 /// every user's walk derive from keyed forks of `seed`.
 ///
-/// Executes on the [`desim::Scheduler`] event core ([`event`]); the
-/// result is bit-identical to the retired lockstep loop
-/// ([`run_cell_lockstep`]) on every configuration.
+/// Executes on the [`desim::Scheduler`] event core ([`event`]).
 pub fn run_cell(cfg: &CellConfig, seed: u64) -> CellReport {
     event::run_cell_event(cfg, seed)
-}
-
-/// The original lockstep tick loop, kept as the equivalence oracle for
-/// the event-driven core: it steps every luminaire and every user each
-/// tick, scanning all cells per user, so it cannot scale past small
-/// grids — but its output defines what [`run_cell`] must reproduce
-/// bit-for-bit (the `cell_equivalence` test suite asserts exactly that).
-///
-/// Fields only the event core can measure ([`CellReport::events`],
-/// [`CellReport::queue_peak`]) report 0 here.
-#[deprecated(
-    note = "superseded by the event-driven core behind `run_cell`; kept one release \
-            as the bit-equivalence oracle (see ARCHITECTURE.md, 'Event-driven cell core')"
-)]
-pub fn run_cell_lockstep(cfg: &CellConfig, seed: u64) -> CellReport {
-    assert!(cfg.n_cells() >= 1, "need at least one luminaire");
-    assert!(cfg.n_users >= 1, "need at least one user");
-    assert!(cfg.tick_s > 0.0 && cfg.ticks > 0, "need a positive horizon");
-    // The oracle predates the pluggable scheduler: it hard-codes the
-    // equal-share arithmetic, so it can only vouch for that policy.
-    // (The traffic observer is also absent here — it perturbs nothing,
-    // so equal-share fingerprints still match with it enabled.)
-    assert!(
-        matches!(cfg.scheduler, SchedulerSpec::EqualShare),
-        "the lockstep oracle only implements the EqualShare policy"
-    );
-    obs::counter_add(obs::key!("sim.cell.runs"), 1);
-
-    let SimParts {
-        room,
-        grid,
-        tau_p,
-        planner,
-        illum,
-        stepper,
-        mut ambient,
-        mut lums,
-        mut users,
-        mut assocs,
-    } = sim_parts(cfg, seed);
-
-    let mut tallies = RunTallies::new(cfg.n_users);
-    let tslot_s = vlc_channel::link::ChannelConfig::paper_bench(1.0).tslot_s;
-
-    // One operating-point cache per run (never process-global: a shared
-    // map would make hit/miss attribution scheduling-dependent and break
-    // byte-identical telemetry across thread counts). Hits appear when
-    // users pause AND the ambient holds bit-exactly (constant-ambient
-    // studies, unit tests); under the suite's wobbling blind ramp every
-    // tick is a distinct operating point, so the miss count doubles as a
-    // truthful "distinct operating points" measure and the per-frame wins
-    // live in the link/broadcast memo paths instead.
-    let opcache = OperatingPointCache::new();
-    let mut interferers: Vec<(Position, f64)> = Vec::with_capacity(grid.len());
-
-    let mut rss = vec![0.0f64; grid.len()];
-    let mut members = vec![0u32; grid.len()];
-
-    for tick in 0..cfg.ticks {
-        let t = SimTime::from_nanos((tick as f64 * cfg.tick_s * 1e9) as u64);
-        let base_lux = ambient.lux_at(t);
-
-        // Luminaires: sense (own sensor, own noise stream), adapt through
-        // the perception deadband, replan only when the level moved.
-        for (st, l) in lums.iter_mut().zip(&grid) {
-            let lux = quantize_lux(
-                base_lux * window_gain(&room, &l.pos)
-                    + st.rng.next_gaussian() * cfg.sensor_noise_lux,
-                cfg.sensor_res_lux,
-            );
-            let norm = (lux / cfg.full_scale_lux).clamp(0.0, 1.0);
-            let target = illum.led_level_for(norm).value();
-            if (perceived(target) - perceived(st.led)).abs() >= tau_p {
-                st.smart_steps += stepper.step_count(st.led, target) as u64;
-                st.led = target;
-                st.rate_bps = rate_for(&planner, target);
-            }
-            st.led_sum += st.led;
-        }
-
-        // Users: walk, rank cells by RSS at the *current* LED levels,
-        // run the handover state machine.
-        for (j, u) in users.iter_mut().enumerate() {
-            u.step(&room, &cfg.mobility, cfg.tick_s);
-            for (l, st) in grid.iter().zip(&lums) {
-                rss[l.id] = received_power_w(&cfg.optics, &room, &l.pos, &u.pos, st.led);
-            }
-            if let Some(ev) = assocs[j].step(&rss, &cfg.policy) {
-                tallies.handovers += 1;
-                tallies.user_handovers[j] += 1;
-                tallies.latency_ticks_sum += ev.latency_ticks as u64;
-                obs::counter_add(obs::key!("sim.cell.handovers"), 1);
-                obs::observe(
-                    obs::key!("sim.cell.handover_latency_ms"),
-                    (ev.latency_ticks as f64 * cfg.tick_s * 1e3) as u64,
-                );
-                obs::event(t, obs::key!("sim.cell.handover"), j as u64);
-            }
-        }
-
-        // TDMA membership: every associated user owns an equal share of
-        // its cell's planned rate, outage or not (the slot is reserved
-        // while the user re-associates).
-        members.iter_mut().for_each(|m| *m = 0);
-        for a in &assocs {
-            members[a.serving] += 1;
-        }
-        for (st, &m) in lums.iter_mut().zip(&members) {
-            st.users_sum += m as f64;
-        }
-
-        // Delivery: analytic slot error probabilities at the user's
-        // geometry and local ambient, with every co-channel luminaire's
-        // modulation folded in as detector noise.
-        for (j, u) in users.iter().enumerate() {
-            let a = &assocs[j];
-            if a.in_outage() {
-                tallies.user_outage[j] += 1;
-                obs::counter_add(obs::key!("sim.cell.outage_ticks"), 1);
-                continue;
-            }
-            tallies.user_grants[j] += 1;
-            let serving = a.serving;
-            let rate = lums[serving].rate_bps;
-            if rate <= 0.0 {
-                continue;
-            }
-            tallies.served_ticks += 1;
-            let lum_pos = &grid[serving].pos;
-            let lux_here = quantize_lux(
-                (base_lux * window_gain(&room, &u.pos)).max(0.0),
-                cfg.sensor_res_lux,
-            );
-            let ch = cell_channel(&cfg.optics, &room, lum_pos, &u.pos, lux_here);
-            let det = opcache.query(&ch, 1.0, false).detector;
-            interferers.clear();
-            interferers.extend(
-                grid.iter()
-                    .zip(&lums)
-                    .filter(|(l, _)| l.id != serving)
-                    .map(|(l, st)| (l.pos, st.led)),
-            );
-            let sigma_cci = interference_sigma_a(&cfg.optics, &room, &interferers, &u.pos);
-            if sigma_cci > det.sigma_a {
-                tallies.interference_limited += 1;
-            }
-            let det =
-                SlotDetector::from_levels(det.mu_on_a, det.mu_off_a, det.sigma_a.hypot(sigma_cci));
-            let probs = det.error_probs();
-            let p_slot = 0.5 * (probs.p_off_error + probs.p_on_error);
-            // Frame error amplification: a frame of `frame_bits` payload
-            // occupies `frame_bits / rate` seconds of slots.
-            let slots_per_frame = (cfg.frame_bits / rate / tslot_s).max(1.0);
-            let p_frame_ok = (1.0 - p_slot).powf(slots_per_frame);
-            let share = rate / members[serving].max(1) as f64;
-            let bits = share * p_frame_ok * cfg.tick_s;
-            tallies.user_bits[j] += bits;
-            lums[serving].delivered_bits += bits;
-        }
-    }
-
-    let parts = SimParts {
-        room,
-        grid,
-        tau_p,
-        planner,
-        illum,
-        stepper,
-        ambient,
-        lums,
-        users,
-        assocs,
-    };
-    finish_report(cfg, &parts, &tallies, &opcache, tslot_s, 0, 0, None)
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! The cell simulation historically hard-coded equal-share TDMA: every
 //! associated user owns `1/members` of its serving cell's planned AMPPM
 //! rate, outage or not. That policy survives here as [`EqualShare`] —
-//! bit-identical to the historical arithmetic, which keeps it usable as
-//! the equivalence oracle — next to two policies that actually use the
+//! bit-identical to the historical arithmetic, so the committed cell
+//! artifacts did not move — next to two policies that actually use the
 //! multi-cell headroom BENCH_cell exposes (~0.78 of served user-ticks
 //! are interference-limited even on small grids):
 //!
@@ -349,7 +349,7 @@ impl SchedulerSpec {
 ///
 /// This reproduces the historical scheduler **bit for bit** — same
 /// division order (`rate / members`), no extra operating-point queries —
-/// which is what keeps the lockstep-oracle equivalence gate and the
+/// which is what keeps the pinned `cell_fingerprints` table and the
 /// BENCH_cell byte gate meaningful across the refactor.
 ///
 /// ```

@@ -473,22 +473,6 @@ pub fn cell_policy_json(points: &[PolicyPoint]) -> String {
     s
 }
 
-/// Re-indent every line after the first of an embedded JSON block.
-fn indent(json: &str, pad: &str) -> String {
-    json.trim_end()
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            if i == 0 {
-                l.to_string()
-            } else {
-                format!("{pad}{l}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Deterministic JSON for the suite: stable key order, fixed float
 /// formatting, the telemetry snapshot embedded — the exact bytes
 /// `cell_suite` writes to `results/BENCH_cell.json`, so byte-equality of
@@ -587,7 +571,7 @@ pub fn cell_suite_json(
     // recorder merge — so the telemetry participates in the byte gate.
     s.push_str(&format!(
         "  \"telemetry\": {}\n",
-        indent(&telemetry.to_json(), "  ")
+        telemetry.to_json_embedded()
     ));
     s.push_str("}\n");
     s

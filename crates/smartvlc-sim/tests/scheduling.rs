@@ -1,5 +1,5 @@
 //! The scheduling subsystem's behavioural contract, over and above the
-//! bit-equivalence gates in `cell_equivalence.rs`:
+//! pinned fingerprints in `cell_fingerprints.rs`:
 //!
 //! 1. **Proportional fairness pays** — on an asymmetric two-cell
 //!    scenario (and on the reference 4×4 battery grid) the PF policy's
