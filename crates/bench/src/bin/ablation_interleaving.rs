@@ -10,7 +10,7 @@
 //! levels. Same data, same rate, same length — strictly less
 //! low-frequency ripple.
 
-use combinat::{BigUint, BinomialTable, BitReader};
+use combinat::{BinomialTable, BitReader, EncodeScratch};
 use smartvlc_bench::{f, results_dir};
 use smartvlc_core::{AmppmPlanner, DimmingLevel, SystemConfig};
 use smartvlc_sim::report::{markdown_table, write_csv};
@@ -53,15 +53,12 @@ fn main() {
         // Build both waveforms from the same data bits.
         let build = |patterns: &[smartvlc_core::SymbolPattern], table: &BinomialTable| {
             let mut reader = BitReader::new(&payload);
+            let mut scratch = EncodeScratch::new();
             let mut slots = Vec::new();
             for _ in 0..4 {
                 // four super-symbols worth
                 for &p in patterns {
-                    let bits = p.bits_per_symbol(table) as usize;
-                    let mut word = reader.read_bits(bits);
-                    word.resize(bits, false);
-                    let v = BigUint::from_bits_msb(&word);
-                    slots.extend(p.encode(table, &v).unwrap());
+                    p.encode_word(table, &mut reader, &mut scratch, &mut slots);
                 }
             }
             slots

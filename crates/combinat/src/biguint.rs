@@ -1,8 +1,8 @@
 //! A minimal arbitrary-precision unsigned integer.
 //!
 //! Only the operations the enumerative codec needs are implemented:
-//! construction, comparison, addition, checked subtraction, doubling /
-//! halving (for bit-stream conversion), and bit-level accessors. Limbs are
+//! construction, comparison, addition, checked subtraction, left shifts
+//! (for assembling wide data words), and bit-level accessors. Limbs are
 //! `u64`, little-endian, and the representation is always *normalized*
 //! (no trailing zero limbs), so `==` on the limb vector is value equality.
 
@@ -201,13 +201,7 @@ impl BigUint {
         Some(r)
     }
 
-    /// `self * 2` (one left shift).
-    pub fn double(&self) -> BigUint {
-        self.shl_small(1)
-    }
-
-    /// `self << k` for small `k` (k < 64 is enough for our callers, but any
-    /// k is accepted).
+    /// `self << k`, for any `k`.
     pub fn shl_small(&self, k: u32) -> BigUint {
         if self.is_zero() || k == 0 {
             let mut c = self.clone();
@@ -232,42 +226,6 @@ impl BigUint {
         let mut r = BigUint { limbs: out };
         r.normalize();
         r
-    }
-
-    /// Set bit 0 to `b` (used when assembling a value bit-by-bit:
-    /// `v = v.double().with_bit0(next_bit)`).
-    pub fn with_bit0(mut self, b: bool) -> BigUint {
-        if b {
-            if self.limbs.is_empty() {
-                self.limbs.push(1);
-            } else {
-                self.limbs[0] |= 1;
-            }
-        }
-        self
-    }
-
-    /// Build a value from MSB-first bits.
-    pub fn from_bits_msb(bits: &[bool]) -> BigUint {
-        let mut v = BigUint::zero();
-        for &b in bits {
-            v = v.double().with_bit0(b);
-        }
-        v
-    }
-
-    /// Emit exactly `width` MSB-first bits.
-    ///
-    /// # Panics
-    /// Panics if the value does not fit in `width` bits.
-    pub fn to_bits_msb(&self, width: u32) -> Vec<bool> {
-        assert!(
-            self.bit_length() <= width,
-            "value has {} bits, does not fit in {}",
-            self.bit_length(),
-            width
-        );
-        (0..width).rev().map(|i| self.bit(i)).collect()
     }
 }
 
@@ -418,25 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn bits_msb_roundtrip() {
-        for v in [0u128, 1, 5, 0b101101, u64::MAX as u128, 1 << 90] {
-            let big = BigUint::from_u128(v);
-            let w = big.bit_length().max(1);
-            let bits = big.to_bits_msb(w);
-            assert_eq!(BigUint::from_bits_msb(&bits), big, "v={v}");
-            // Padding with leading zeros must not change the value.
-            let padded = big.to_bits_msb(w + 7);
-            assert_eq!(BigUint::from_bits_msb(&padded), big, "v={v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn to_bits_msb_rejects_narrow_width() {
-        BigUint::from_u64(256).to_bits_msb(8);
-    }
-
-    #[test]
     fn add_assign_matches_add() {
         let cases = [
             (0u128, 0u128),
@@ -480,20 +419,5 @@ mod tests {
         v.clone_from(&BigUint::from_u64(77));
         assert_eq!(v.to_u64(), Some(77));
         assert_eq!(BigUint::ZERO, BigUint::zero());
-    }
-
-    #[test]
-    fn with_bit0_builds_values() {
-        // 0b1011 = 11 built MSB-first.
-        let v = BigUint::zero()
-            .double()
-            .with_bit0(true)
-            .double()
-            .with_bit0(false)
-            .double()
-            .with_bit0(true)
-            .double()
-            .with_bit0(true);
-        assert_eq!(v.to_u64(), Some(11));
     }
 }

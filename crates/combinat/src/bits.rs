@@ -46,29 +46,22 @@ impl<'a> BitReader<'a> {
         Some(bit)
     }
 
-    /// Read up to `n` bits into a vector (MSB-first). Returns fewer than
-    /// `n` at end of buffer; an empty vector means the stream is done.
-    pub fn read_bits(&mut self, n: usize) -> Vec<bool> {
-        let take = n.min(self.remaining());
-        let mut out = Vec::with_capacity(take);
-        for _ in 0..take {
-            out.push(self.read_bit().expect("remaining checked"));
+    /// Read the next `n <= 128` bits as an integer, MSB-first. Once the
+    /// buffer runs dry the word is zero-padded on the right, so the final
+    /// data word of a payload needs no special case. Moves up to a byte
+    /// per step.
+    pub fn read_word(&mut self, n: usize) -> u128 {
+        assert!(n <= 128, "read_word supports at most 128 bits");
+        let end = self.pos + n;
+        let stop = end.min(self.total_bits());
+        let mut v = 0u128;
+        while self.pos < stop {
+            let off = self.pos % 8;
+            let take = (8 - off).min(stop - self.pos);
+            v = (v << take) | ((self.bytes[self.pos / 8] << off) >> (8 - take)) as u128;
+            self.pos += take;
         }
-        out
-    }
-
-    /// Read exactly `n <= 64` bits as an integer (MSB-first), or `None` if
-    /// fewer remain.
-    pub fn read_uint(&mut self, n: usize) -> Option<u64> {
-        assert!(n <= 64, "read_uint supports at most 64 bits");
-        if self.remaining() < n {
-            return None;
-        }
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit().expect("remaining checked") as u64;
-        }
-        Some(v)
+        v.checked_shl((end - stop) as u32).unwrap_or(0)
     }
 }
 
@@ -107,18 +100,21 @@ impl BitWriter {
         self.partial = (self.partial + 1) % 8;
     }
 
-    /// Append a slice of bits (MSB-first order preserved).
-    pub fn write_bits(&mut self, bits: &[bool]) {
-        for &b in bits {
-            self.write_bit(b);
-        }
-    }
-
-    /// Append the low `n <= 64` bits of `v`, MSB-first.
-    pub fn write_uint(&mut self, v: u64, n: usize) {
-        assert!(n <= 64, "write_uint supports at most 64 bits");
-        for i in (0..n).rev() {
-            self.write_bit((v >> i) & 1 == 1);
+    /// Append the low `n <= 128` bits of `v`, MSB-first. Moves up to a
+    /// byte per step.
+    pub fn write_word(&mut self, v: u128, n: usize) {
+        assert!(n <= 128, "write_word supports at most 128 bits");
+        let mut left = n;
+        while left > 0 {
+            if self.partial == 0 {
+                self.bytes.push(0);
+            }
+            let free = 8 - self.partial as usize;
+            let take = free.min(left);
+            left -= take;
+            let chunk = (v >> left) as u8 & (0xFF >> (8 - take));
+            *self.bytes.last_mut().expect("pushed above") |= chunk << (free - take);
+            self.partial = ((self.partial as usize + take) % 8) as u8;
         }
     }
 
@@ -140,49 +136,56 @@ mod tests {
         assert_eq!(r.read_bit(), Some(true));
         assert_eq!(r.read_bit(), Some(false));
         assert_eq!(r.read_bit(), Some(true));
-        assert_eq!(r.read_bits(4), vec![false, false, false, false]);
+        assert_eq!(r.read_word(4), 0);
         assert_eq!(r.read_bit(), Some(true));
         assert_eq!(r.read_bit(), None);
     }
 
     #[test]
-    fn read_uint_crosses_byte_boundary() {
+    fn read_word_crosses_byte_boundary() {
         let mut r = BitReader::new(&[0xAB, 0xCD]);
-        assert_eq!(r.read_uint(12), Some(0xABC));
-        assert_eq!(r.read_uint(4), Some(0xD));
-        assert_eq!(r.read_uint(1), None);
+        assert_eq!(r.read_word(12), 0xABC);
+        assert_eq!(r.read_word(4), 0xD);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn read_word_zero_pads_a_dry_reader() {
+        let mut r = BitReader::new(&[0xFF]);
+        assert_eq!(r.read_word(5), 0b11111);
+        // Three bits left: they land MSB-first, the padding below them.
+        assert_eq!(r.read_word(6), 0b111000);
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.read_word(128), 0);
+        assert_eq!(r.position(), 8);
     }
 
     #[test]
     fn writer_reader_roundtrip() {
         let mut w = BitWriter::new();
-        w.write_uint(0b101, 3);
-        w.write_uint(0xFFFF, 16);
+        w.write_word(0b101, 3);
+        w.write_word(0xFFFF, 16);
         w.write_bit(false);
-        w.write_uint(42, 13);
+        w.write_word(42, 13);
+        w.write_word(u128::MAX, 128);
         let (bytes, bits) = w.finish();
-        assert_eq!(bits, 33);
+        assert_eq!(bits, 161);
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_uint(3), Some(0b101));
-        assert_eq!(r.read_uint(16), Some(0xFFFF));
+        assert_eq!(r.read_word(3), 0b101);
+        assert_eq!(r.read_word(16), 0xFFFF);
         assert_eq!(r.read_bit(), Some(false));
-        assert_eq!(r.read_uint(13), Some(42));
+        assert_eq!(r.read_word(13), 42);
+        assert_eq!(r.read_word(128), u128::MAX);
     }
 
     #[test]
     fn partial_final_byte_is_zero_padded() {
+        // Only the low 3 bits of the word are written.
         let mut w = BitWriter::new();
-        w.write_bits(&[true, true, true]);
+        w.write_word(0b1111, 3);
         let (bytes, bits) = w.finish();
         assert_eq!(bits, 3);
         assert_eq!(bytes, vec![0b1110_0000]);
-    }
-
-    #[test]
-    fn read_bits_truncates_at_end() {
-        let mut r = BitReader::new(&[0xFF]);
-        assert_eq!(r.read_bits(20).len(), 8);
-        assert!(r.read_bits(4).is_empty());
     }
 
     #[test]
@@ -191,9 +194,11 @@ mod tests {
         assert_eq!(w.len_bits(), 0);
         w.write_bit(true);
         assert_eq!(w.len_bits(), 1);
-        w.write_uint(0, 7);
+        w.write_word(0, 7);
         assert_eq!(w.len_bits(), 8);
         w.write_bit(false);
+        assert_eq!(w.len_bits(), 9);
+        w.write_word(0, 0);
         assert_eq!(w.len_bits(), 9);
     }
 
@@ -201,7 +206,7 @@ mod tests {
     fn position_and_remaining_are_consistent() {
         let mut r = BitReader::new(&[0, 0, 0]);
         assert_eq!(r.remaining(), 24);
-        r.read_bits(5);
+        r.read_word(5);
         assert_eq!(r.position(), 5);
         assert_eq!(r.remaining(), 19);
     }

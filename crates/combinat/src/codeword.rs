@@ -21,23 +21,31 @@
 //!
 //! ## Hot-path engineering
 //!
-//! The per-symbol cost is dominated not by the walk but by big-integer
-//! memory churn, so two layers remove it:
+//! The walk itself is cheap; what a symbol costs is how its data word gets
+//! in and out of the walk. Three layers keep that off the heap:
 //!
 //! * a **`u128` fast path**: when `C(N,K)` fits 128 bits (every `N ≤ 128`,
 //!   which covers all patterns the planner emits under the default
-//!   calibration) the walk runs entirely on machine integers — zero
-//!   allocation per symbol;
+//!   calibration) the walk runs entirely on machine integers;
+//! * a **word-level stream codec**, [`encode_word`]/[`decode_word`]: the
+//!   modems read each data word from the payload as one `u128`
+//!   ([`BitReader::read_word`]) and write it back the same way
+//!   ([`BitWriter::write_word`]), so a symbol on the fast path allocates
+//!   nothing and never builds a `BigUint`;
 //! * an **[`EncodeScratch`] reusable workspace** for the `BigUint` slow
-//!   path: the residual value and decode accumulator live in scratch
-//!   buffers that are `clone_from`-refilled, so steady-state symbols
-//!   allocate nothing regardless of pattern size.
+//!   path (`C(N,K) ≥ 2^128`): the residual value and decode accumulator
+//!   live in scratch buffers that are `clone_from`-refilled. The slow path
+//!   still assembles each data word as a fresh `BigUint`.
 //!
-//! The plain [`encode_codeword`]/[`decode_codeword`] entry points keep
-//! their historical signatures and route through the same machinery.
+//! The value-level [`encode_codeword_into`]/[`decode_codeword_with`] take
+//! a `BigUint` and so convert on every call, and the plain
+//! [`encode_codeword`]/[`decode_codeword`] entry points also allocate
+//! their output; they keep their historical signatures and route through
+//! the same walks.
 
 use crate::biguint::BigUint;
 use crate::binomial::BinomialTable;
+use crate::bits::{BitReader, BitWriter};
 use core::fmt;
 
 /// Errors from encoding or decoding a constant-weight codeword.
@@ -230,6 +238,17 @@ pub fn decode_codeword_with(
     codeword: &[bool],
     scratch: &mut EncodeScratch,
 ) -> Result<BigUint, CodewordError> {
+    check_received(n, k, codeword)?;
+    if table.binomial_u128(n, k).is_some() {
+        return Ok(BigUint::from_u128(rank_u128(table, n, k, codeword)));
+    }
+    rank_big(table, n, k, codeword, &mut scratch.val);
+    Ok(scratch.val.clone())
+}
+
+/// The checks Algorithm 2 needs before ranking: a valid pattern, the
+/// right length, and the constant weight.
+fn check_received(n: usize, k: usize, codeword: &[bool]) -> Result<(), CodewordError> {
     if k > n {
         return Err(CodewordError::InvalidPattern { n, k });
     }
@@ -246,27 +265,13 @@ pub fn decode_codeword_with(
             got: weight,
         });
     }
-    // u128 fast path.
-    if table.binomial_u128(n, k).is_some() {
-        let mut value = 0u128;
-        let mut ones_left = k;
-        for (pos, &bit) in codeword.iter().enumerate() {
-            if ones_left == 0 {
-                break; // remaining slots are all OFF, contribute nothing
-            }
-            let slots_left = n - pos;
-            if bit {
-                ones_left -= 1;
-            } else {
-                value += table
-                    .binomial_u128(slots_left - 1, ones_left - 1)
-                    .expect("sub-binomial fits if C(n,k) fits");
-            }
-        }
-        return Ok(BigUint::from_u128(value));
-    }
-    let value = &mut scratch.val;
-    value.set_zero();
+    Ok(())
+}
+
+/// The rank walk entirely in `u128` (caller guarantees a checked codeword
+/// and that `C(n,k)` fits).
+fn rank_u128(table: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> u128 {
+    let mut value = 0u128;
     let mut ones_left = k;
     for (pos, &bit) in codeword.iter().enumerate() {
         if ones_left == 0 {
@@ -276,11 +281,30 @@ pub fn decode_codeword_with(
         if bit {
             ones_left -= 1;
         } else {
+            value += table
+                .binomial_u128(slots_left - 1, ones_left - 1)
+                .expect("sub-binomial fits if C(n,k) fits");
+        }
+    }
+    value
+}
+
+/// The rank walk on `BigUint`, accumulating into `value`.
+fn rank_big(table: &BinomialTable, n: usize, k: usize, codeword: &[bool], value: &mut BigUint) {
+    value.set_zero();
+    let mut ones_left = k;
+    for (pos, &bit) in codeword.iter().enumerate() {
+        if ones_left == 0 {
+            break;
+        }
+        let slots_left = n - pos;
+        if bit {
+            ones_left -= 1;
+        } else {
             // Skip over every codeword that put ON here.
             value.add_assign(table.binomial_ref(slots_left - 1, ones_left - 1));
         }
     }
-    Ok(value.clone())
 }
 
 /// Algorithm 2 — rank a received `n`-slot codeword back to its value.
@@ -295,6 +319,92 @@ pub fn decode_codeword(
 ) -> Result<BigUint, CodewordError> {
     let mut scratch = EncodeScratch::new();
     decode_codeword_with(table, n, k, codeword, &mut scratch)
+}
+
+/// Algorithm 1 on the next data word of a payload stream: read
+/// `b = ⌊log2 C(n,k)⌋` bits from `reader` (zero-padded once it runs dry),
+/// unrank them into `n` slots and append the slots to `out`.
+///
+/// This is the modems' per-symbol path. When `C(n,k)` fits 128 bits the
+/// word goes from the payload bytes to the slots as one `u128` and the
+/// symbol allocates nothing; only larger patterns assemble a `BigUint`.
+pub fn encode_word(
+    table: &BinomialTable,
+    n: usize,
+    k: usize,
+    reader: &mut BitReader<'_>,
+    scratch: &mut EncodeScratch,
+    out: &mut Vec<bool>,
+) -> Result<(), CodewordError> {
+    let bits = table
+        .bits_per_symbol(n, k)
+        .ok_or(CodewordError::InvalidPattern { n, k })? as usize;
+    if table.binomial_u128(n, k).is_some() {
+        encode_walk_u128(table, n, k, reader.read_word(bits), out);
+        return Ok(());
+    }
+    let mut value = BigUint::zero();
+    let mut left = bits;
+    while left > 0 {
+        let take = left.min(128);
+        value = value.shl_small(take as u32);
+        value.add_assign(&BigUint::from_u128(reader.read_word(take)));
+        left -= take;
+    }
+    encode_codeword_into(table, n, k, &value, scratch, out)
+}
+
+/// Algorithm 2 on one received symbol: rank `codeword` and append its
+/// `b = ⌊log2 C(n,k)⌋`-bit data word to `writer`.
+///
+/// Returns `Ok(true)` for a symbol error: a word that lost its constant
+/// weight, or one that kept it but ranks at or beyond `2^b` (never sent,
+/// since `C(n,k)` is rarely a power of two). A failed symbol appends `b`
+/// zero bits so the stream keeps its alignment; the frame CRC decides the
+/// frame's fate. A wrong length or pattern is an error.
+pub fn decode_word(
+    table: &BinomialTable,
+    n: usize,
+    k: usize,
+    codeword: &[bool],
+    scratch: &mut EncodeScratch,
+    writer: &mut BitWriter,
+) -> Result<bool, CodewordError> {
+    let bits = table
+        .bits_per_symbol(n, k)
+        .ok_or(CodewordError::InvalidPattern { n, k })? as usize;
+    let weight_ok = match check_received(n, k, codeword) {
+        Ok(()) => true,
+        Err(CodewordError::WrongWeight { .. }) => false,
+        Err(e) => return Err(e),
+    };
+    if table.binomial_u128(n, k).is_some() {
+        let value = if weight_ok {
+            rank_u128(table, n, k, codeword)
+        } else {
+            0
+        };
+        let failed = !weight_ok || value >> bits != 0;
+        writer.write_word(if failed { 0 } else { value }, bits);
+        return Ok(failed);
+    }
+    let value = &mut scratch.val;
+    if weight_ok {
+        rank_big(table, n, k, codeword, value);
+    } else {
+        value.set_zero();
+    }
+    let failed = !weight_ok || value.bit_length() as usize > bits;
+    let mut hi = bits as u32;
+    while hi > 0 {
+        let lo = hi.saturating_sub(128);
+        let word = (lo..hi)
+            .rev()
+            .fold(0u128, |w, i| (w << 1) | (!failed && value.bit(i)) as u128);
+        writer.write_word(word, (hi - lo) as usize);
+        hi = lo;
+    }
+    Ok(failed)
 }
 
 /// Reference enumeration of all `(n,k)` constant-weight words in codec
@@ -428,6 +538,84 @@ mod tests {
             let cw = encode_codeword(&t, n, k, &val).unwrap();
             assert_eq!(decode_codeword(&t, n, k, &cw).unwrap(), val);
         }
+    }
+
+    #[test]
+    fn word_codec_roundtrips_on_both_paths() {
+        // (21,11) and (128,64) take the u128 path; (132,66) and (500,250)
+        // have C(N,K) >= 2^128 and take the BigUint fallback: one full
+        // 128-bit word, and a word spanning several reads.
+        let t = table();
+        let payload: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+        for (n, k) in [(21usize, 11usize), (128, 64), (132, 66), (500, 250)] {
+            let bits = t.bits_per_symbol(n, k).unwrap() as usize;
+            let mut reader = BitReader::new(&payload);
+            let mut scratch = EncodeScratch::new();
+            let mut slots = Vec::new();
+            encode_word(&t, n, k, &mut reader, &mut scratch, &mut slots).unwrap();
+            assert_eq!(slots.len(), n);
+            assert_eq!(slots.iter().filter(|&&b| b).count(), k);
+            // The same slots as the value-level codec on the same word.
+            let mut words = BitReader::new(&payload);
+            let mut value = BigUint::zero();
+            for _ in 0..bits {
+                value = value.shl_small(1);
+                if words.read_bit().unwrap_or(false) {
+                    value.add_assign(&BigUint::one());
+                }
+            }
+            assert_eq!(slots, encode_codeword(&t, n, k, &value).unwrap(), "n={n}");
+            let mut w = BitWriter::new();
+            assert_eq!(
+                decode_word(&t, n, k, &slots, &mut scratch, &mut w),
+                Ok(false)
+            );
+            let (bytes, nbits) = w.finish();
+            assert_eq!(nbits, bits);
+            let (mut a, mut b) = (BitReader::new(&payload), BitReader::new(&bytes));
+            for i in 0..bits {
+                assert_eq!(a.read_bit(), b.read_bit(), "n={n} bit {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_word_flags_symbol_errors_and_keeps_alignment() {
+        let t = table();
+        let mut scratch = EncodeScratch::new();
+        for (n, k) in [(10usize, 4usize), (300, 150)] {
+            let bits = t.bits_per_symbol(n, k).unwrap() as usize;
+            // Kept its weight but ranks beyond the 2^bits data window.
+            let beyond = t.binomial(n, k).checked_sub(&BigUint::one()).unwrap();
+            assert!(beyond.bit_length() as usize > bits);
+            let cw = encode_codeword(&t, n, k, &beyond).unwrap();
+            // Lost its weight.
+            let mut flipped = cw.clone();
+            flipped[0] = !flipped[0];
+            for bad in [cw, flipped] {
+                let mut w = BitWriter::new();
+                w.write_bit(true);
+                assert_eq!(decode_word(&t, n, k, &bad, &mut scratch, &mut w), Ok(true));
+                let (bytes, nbits) = w.finish();
+                assert_eq!(nbits, 1 + bits, "failed symbol keeps alignment");
+                let mut r = BitReader::new(&bytes);
+                assert_eq!(r.read_bit(), Some(true));
+                assert!((0..bits).all(|_| r.read_bit() == Some(false)));
+            }
+        }
+        let mut w = BitWriter::new();
+        assert_eq!(
+            decode_word(&t, 10, 4, &[true; 9], &mut scratch, &mut w),
+            Err(CodewordError::WrongLength {
+                expected: 10,
+                got: 9
+            })
+        );
+        assert_eq!(
+            decode_word(&t, 3, 5, &[true; 3], &mut scratch, &mut w),
+            Err(CodewordError::InvalidPattern { n: 3, k: 5 })
+        );
+        assert_eq!(w.len_bits(), 0);
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //!   fast path for the sizes the modem actually uses.
 //! * [`bits::BitReader`] / [`bits::BitWriter`] — MSB-first bit streams over
 //!   bytes, used to slice the upper-layer payload into per-symbol data
-//!   words.
+//!   words of up to 128 bits at a time.
 //! * [`codeword`] — Algorithm 1 (encode = unrank) and Algorithm 2
-//!   (decode = rank), with a `u128` fast path and an [`EncodeScratch`]
-//!   reusable workspace keeping the per-symbol hot loop allocation-free,
-//!   plus an exhaustive-enumeration reference used by the property tests.
+//!   (decode = rank), plus an exhaustive-enumeration reference used by the
+//!   property tests. The per-symbol stream codec
+//!   [`encode_word`]/[`decode_word`] moves data words between the payload
+//!   and the walk as `u128`s, so a symbol whose `C(N,K)` fits 128 bits
+//!   allocates nothing; larger patterns fall back to `BigUint`, with an
+//!   [`EncodeScratch`] workspace reused across symbols.
 //!
 //! The crate is dependency-free and `forbid(unsafe_code)`.
 //!
@@ -56,7 +59,7 @@ pub use biguint::BigUint;
 pub use binomial::BinomialTable;
 pub use bits::{BitReader, BitWriter};
 pub use codeword::{
-    decode_codeword, decode_codeword_with, encode_codeword, encode_codeword_into, CodewordError,
-    EncodeScratch,
+    decode_codeword, decode_codeword_with, decode_word, encode_codeword, encode_codeword_into,
+    encode_word, CodewordError, EncodeScratch,
 };
 pub use tabulated::{table_memory_bytes, TabulatedCodec};

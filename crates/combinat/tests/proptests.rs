@@ -1,8 +1,9 @@
 //! Property-based tests for the combinatorics substrate.
 
 use combinat::{
-    binomial::binomial_u128_direct, decode_codeword, encode_codeword, BigUint, BinomialTable,
-    BitReader, BitWriter,
+    binomial::binomial_u128_direct, decode_codeword, decode_codeword_with, decode_word,
+    encode_codeword, encode_codeword_into, encode_word, BigUint, BinomialTable, BitReader,
+    BitWriter, EncodeScratch,
 };
 use proptest::prelude::*;
 
@@ -22,20 +23,12 @@ proptest! {
     /// (a + b) - b == a for arbitrary multi-limb values.
     #[test]
     fn biguint_add_sub_inverse(
-        a_bits in proptest::collection::vec(any::<bool>(), 0..300),
-        b_bits in proptest::collection::vec(any::<bool>(), 0..300),
+        a_words in proptest::collection::vec(any::<u128>(), 0..3),
+        b_words in proptest::collection::vec(any::<u128>(), 0..3),
     ) {
-        let a = BigUint::from_bits_msb(&a_bits);
-        let b = BigUint::from_bits_msb(&b_bits);
+        let a = from_words(&a_words);
+        let b = from_words(&b_words);
         prop_assert_eq!(a.add(&b).checked_sub(&b).unwrap(), a);
-    }
-
-    /// Bit-vector round trip at arbitrary widths.
-    #[test]
-    fn biguint_bits_roundtrip(bits in proptest::collection::vec(any::<bool>(), 1..200), pad in 0u32..32) {
-        let v = BigUint::from_bits_msb(&bits);
-        let w = v.bit_length().max(1) + pad;
-        prop_assert_eq!(BigUint::from_bits_msb(&v.to_bits_msb(w)), v);
     }
 
     /// Pascal identity on the memo table, cross-checked with the direct
@@ -90,25 +83,130 @@ proptest! {
 
     /// BitWriter/BitReader round trip for arbitrary chunkings.
     #[test]
-    fn bitstream_roundtrip(chunks in proptest::collection::vec((any::<u64>(), 1usize..=64), 0..40)) {
+    fn bitstream_roundtrip(chunks in proptest::collection::vec((any::<u128>(), 0usize..=128), 0..40)) {
         let mut w = BitWriter::new();
         for &(v, n) in &chunks {
-            w.write_uint(v & mask(n), n);
+            w.write_word(v, n);
         }
         let total: usize = chunks.iter().map(|&(_, n)| n).sum();
         let (bytes, bits) = w.finish();
         prop_assert_eq!(bits, total);
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &chunks {
-            prop_assert_eq!(r.read_uint(n), Some(v & mask(n)));
+            prop_assert_eq!(r.read_word(n), v & mask(n));
+        }
+    }
+
+    /// `read_word` equals n per-bit reads at every bit offset, including a
+    /// reader that runs dry mid-word (the missing bits read as zero).
+    #[test]
+    fn read_word_matches_per_bit_reference(
+        bytes in proptest::collection::vec(any::<u8>(), 0..24),
+        skip in 0usize..200,
+        n in 0usize..=128,
+    ) {
+        let mut r = BitReader::new(&bytes);
+        for _ in 0..skip {
+            r.read_bit();
+        }
+        let mut reference = r.clone();
+        let expect = (0..n).fold(0u128, |v, _| {
+            (v << 1) | reference.read_bit().unwrap_or(false) as u128
+        });
+        prop_assert_eq!(r.read_word(n), expect);
+        prop_assert_eq!(r.position(), reference.position());
+    }
+
+    /// `write_word` equals n per-bit writes at every bit offset.
+    #[test]
+    fn write_word_matches_per_bit_reference(
+        prefix in proptest::collection::vec(any::<bool>(), 0..20),
+        v in any::<u128>(),
+        n in 0usize..=128,
+    ) {
+        let mut word = BitWriter::new();
+        let mut reference = BitWriter::new();
+        for &b in &prefix {
+            word.write_bit(b);
+            reference.write_bit(b);
+        }
+        word.write_word(v, n);
+        for i in (0..n).rev() {
+            reference.write_bit((v >> i) & 1 == 1);
+        }
+        prop_assert_eq!(word.finish(), reference.finish());
+    }
+
+    /// The word codec equals the value-level `BigUint` codec for random
+    /// `(N ≤ 128, K)`: the same slots on encode, and on decode the same
+    /// word, or a symbol error (zeros, no panic) exactly when the received
+    /// word lost its weight or ranks at or beyond 2^bits.
+    #[test]
+    fn word_codec_matches_biguint_codec(
+        n in 1usize..=128,
+        k_seed in any::<u64>(),
+        v in any::<u128>(),
+        rank_seed in any::<u128>(),
+        flip in any::<usize>(),
+        do_flip in any::<bool>(),
+    ) {
+        let t = BinomialTable::new(128);
+        let k = (k_seed % (n as u64 + 1)) as usize;
+        let bits = t.bits_per_symbol(n, k).unwrap() as usize;
+        let c = t.binomial_u128(n, k).unwrap();
+        let mut scratch = EncodeScratch::new();
+
+        // Encode: a data word below 2^bits, read from a byte stream.
+        let v = v & mask(bits);
+        let mut w = BitWriter::new();
+        w.write_word(v, bits);
+        let (bytes, _) = w.finish();
+        let mut word_slots = Vec::new();
+        encode_word(&t, n, k, &mut BitReader::new(&bytes), &mut scratch, &mut word_slots).unwrap();
+        let mut big_slots = Vec::new();
+        encode_codeword_into(&t, n, k, &BigUint::from_u128(v), &mut scratch, &mut big_slots)
+            .unwrap();
+        prop_assert_eq!(&word_slots, &big_slots);
+
+        // Decode: any rank below C(n,k), including ranks never sent, with
+        // an optional slot flip that breaks the weight.
+        let rank = rank_seed % c;
+        let mut received = encode_codeword(&t, n, k, &BigUint::from_u128(rank)).unwrap();
+        if do_flip {
+            received[flip % n] = !received[flip % n];
+        }
+        let mut w = BitWriter::new();
+        let failed = decode_word(&t, n, k, &received, &mut scratch, &mut w).unwrap();
+        let (bytes, nbits) = w.finish();
+        prop_assert_eq!(nbits, bits);
+        let got = BitReader::new(&bytes).read_word(bits);
+        match decode_codeword_with(&t, n, k, &received, &mut scratch) {
+            Ok(value) if value.bit_length() as usize <= bits => {
+                prop_assert!(!failed);
+                prop_assert_eq!(Some(got), value.to_u128());
+            }
+            Ok(_) | Err(combinat::CodewordError::WrongWeight { .. }) => {
+                prop_assert!(failed);
+                prop_assert_eq!(got, 0);
+            }
+            Err(e) => prop_assert!(false, "unexpected error {:?}", e),
         }
     }
 }
 
-fn mask(n: usize) -> u64 {
-    if n == 64 {
-        u64::MAX
+fn mask(n: usize) -> u128 {
+    if n == 128 {
+        u128::MAX
     } else {
-        (1u64 << n) - 1
+        (1u128 << n) - 1
     }
+}
+
+/// The value whose 128-bit words, most significant first, are `words`.
+fn from_words(words: &[u128]) -> BigUint {
+    words.iter().fold(BigUint::zero(), |v, &w| {
+        let mut v = v.shl_small(128);
+        v.add_assign(&BigUint::from_u128(w));
+        v
+    })
 }

@@ -23,8 +23,9 @@
 //! ordering is a pure function of `(S1, m1, S2, m2)`, so the receiver
 //! reconstructs it from the frame header without extra signalling.
 
+use crate::modem::spread_evenly;
 use crate::symbol::SymbolPattern;
-use combinat::{BigUint, BinomialTable, BitReader, BitWriter, CodewordError};
+use combinat::BinomialTable;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -110,83 +111,9 @@ impl SuperSymbol {
     /// The deterministic transmission order of constituent symbols: `m1`
     /// copies of `S1` spread evenly among `m2` copies of `S2`.
     pub fn symbol_sequence(&self) -> Vec<SymbolPattern> {
-        let total = (self.m1 + self.m2) as u32;
-        let mut out = Vec::with_capacity(total as usize);
-        // Slot i carries S1 iff the scaled index crosses an integer
-        // boundary — exactly m1 of the total positions do.
-        let m1 = self.m1 as u32;
-        for i in 0..total {
-            let before = (i * m1) / total;
-            let after = ((i + 1) * m1) / total;
-            out.push(if after > before { self.s1 } else { self.s2 });
-        }
-        out
-    }
-
-    /// Encode data bits from `reader` into the slot waveform of one
-    /// super-symbol. If the reader runs dry the remaining data words are
-    /// zero (the framing layer sizes payloads so this only happens on the
-    /// final super-symbol).
-    pub fn encode(&self, table: &BinomialTable, reader: &mut BitReader<'_>) -> Vec<bool> {
-        let mut slots = Vec::with_capacity(self.n_super() as usize);
-        for pattern in self.symbol_sequence() {
-            let bits = pattern.bits_per_symbol(table) as usize;
-            let mut word = reader.read_bits(bits);
-            word.resize(bits, false); // zero-pad a dry reader
-            let value = BigUint::from_bits_msb(&word);
-            let symbol = pattern
-                .encode(table, &value)
-                .expect("value width bounded by bits_per_symbol");
-            slots.extend_from_slice(&symbol);
-        }
-        slots
-    }
-
-    /// Decode one super-symbol's worth of received slots, appending the
-    /// recovered bits to `writer`. Returns the number of constituent
-    /// symbols that failed their constant-weight check (each failed symbol
-    /// contributes zero-bits so downstream framing keeps its alignment).
-    pub fn decode(
-        &self,
-        table: &BinomialTable,
-        slots: &[bool],
-        writer: &mut BitWriter,
-    ) -> Result<u32, CodewordError> {
-        if slots.len() != self.n_super() as usize {
-            return Err(CodewordError::WrongLength {
-                expected: self.n_super() as usize,
-                got: slots.len(),
-            });
-        }
-        let mut offset = 0usize;
-        let mut failures = 0u32;
-        for pattern in self.symbol_sequence() {
-            let n = pattern.n() as usize;
-            let bits = pattern.bits_per_symbol(table);
-            let word = &slots[offset..offset + n];
-            match pattern.decode(table, word) {
-                // A corrupted symbol can keep its weight by chance yet
-                // rank beyond the 2^bits window actually used for data
-                // (C(N,K) is not a power of two); that is a symbol error
-                // too, not a panic.
-                Ok(value) if value.bit_length() <= bits => {
-                    for b in value.to_bits_msb(bits) {
-                        writer.write_bit(b);
-                    }
-                }
-                Ok(_) | Err(CodewordError::WrongWeight { .. }) => {
-                    // Symbol corrupted: emit placeholder zeros to keep
-                    // alignment; the frame CRC will catch the damage.
-                    failures += 1;
-                    for _ in 0..bits {
-                        writer.write_bit(false);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-            offset += n;
-        }
-        Ok(failures)
+        spread_evenly(self.m1 as usize, (self.m1 + self.m2) as usize)
+            .map(|first| if first { self.s1 } else { self.s2 })
+            .collect()
     }
 }
 
@@ -199,9 +126,39 @@ impl fmt::Debug for SuperSymbol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use combinat::{BitReader, BitWriter, CodewordError, EncodeScratch};
 
     fn table() -> BinomialTable {
         BinomialTable::new(512)
+    }
+
+    /// One super-symbol's waveform: each constituent symbol in order
+    /// through the per-symbol word codec, as the AMPPM modem sends it.
+    fn encode_super(ss: &SuperSymbol, t: &BinomialTable, reader: &mut BitReader<'_>) -> Vec<bool> {
+        let mut slots = Vec::new();
+        let mut scratch = EncodeScratch::new();
+        for p in ss.symbol_sequence() {
+            p.encode_word(t, reader, &mut scratch, &mut slots);
+        }
+        slots
+    }
+
+    /// Decode one super-symbol's slots into `writer`; returns the number
+    /// of failed symbols.
+    fn decode_super(
+        ss: &SuperSymbol,
+        t: &BinomialTable,
+        slots: &[bool],
+        writer: &mut BitWriter,
+    ) -> Result<u32, CodewordError> {
+        let mut scratch = EncodeScratch::new();
+        let (mut offset, mut failures) = (0, 0);
+        for p in ss.symbol_sequence() {
+            let end = (offset + p.n() as usize).min(slots.len());
+            failures += p.decode_word(t, &slots[offset..end], &mut scratch, writer)? as u32;
+            offset = end;
+        }
+        Ok(failures)
     }
 
     fn s(n: u16, k: u16) -> SymbolPattern {
@@ -272,12 +229,12 @@ mod tests {
         let ss = SuperSymbol::new(s(21, 11), 2, s(10, 4), 3).unwrap();
         let payload: Vec<u8> = (0u8..64).collect();
         let mut reader = BitReader::new(&payload);
-        let slots = ss.encode(&t, &mut reader);
+        let slots = encode_super(&ss, &t, &mut reader);
         assert_eq!(slots.len(), ss.n_super() as usize);
         // The waveform realizes the promised dimming level exactly.
         assert_eq!(slots.iter().filter(|&&b| b).count() as u32, ss.ones());
         let mut w = BitWriter::new();
-        let failures = ss.decode(&t, &slots, &mut w).unwrap();
+        let failures = decode_super(&ss, &t, &slots, &mut w).unwrap();
         assert_eq!(failures, 0);
         let consumed = ss.bits(&t) as usize;
         let (bytes, nbits) = w.finish();
@@ -295,7 +252,7 @@ mod tests {
         let t = table();
         let ss = SuperSymbol::new(s(20, 10), 10, s(20, 10), 0).unwrap();
         let mut reader = BitReader::new(&[0xFF]); // 8 bits for 170+ bit capacity
-        let slots = ss.encode(&t, &mut reader);
+        let slots = encode_super(&ss, &t, &mut reader);
         assert_eq!(slots.len(), 200);
         // Still a valid constant-weight waveform.
         assert_eq!(slots.iter().filter(|&&b| b).count(), 100);
@@ -307,10 +264,10 @@ mod tests {
         let ss = SuperSymbol::new(s(10, 4), 4, s(10, 4), 0).unwrap();
         let payload = [0xA5u8; 8];
         let mut reader = BitReader::new(&payload);
-        let mut slots = ss.encode(&t, &mut reader);
+        let mut slots = encode_super(&ss, &t, &mut reader);
         slots[1] = !slots[1]; // corrupt the first symbol
         let mut w = BitWriter::new();
-        let failures = ss.decode(&t, &slots, &mut w).unwrap();
+        let failures = decode_super(&ss, &t, &slots, &mut w).unwrap();
         assert_eq!(failures, 1);
         let (_, nbits) = w.finish();
         assert_eq!(nbits as u32, ss.bits(&t), "alignment preserved");
@@ -322,10 +279,10 @@ mod tests {
         let ss = SuperSymbol::uniform(s(10, 5), 2).unwrap();
         let mut w = BitWriter::new();
         assert!(matches!(
-            ss.decode(&t, &[false; 19], &mut w),
+            decode_super(&ss, &t, &[false; 19], &mut w),
             Err(CodewordError::WrongLength {
-                expected: 20,
-                got: 19
+                expected: 10,
+                got: 9
             })
         ));
     }

@@ -104,6 +104,26 @@ pub trait SlotModem {
     fn norm_rate(&self, table: &BinomialTable) -> f64;
 }
 
+/// `n` flags of which exactly `m ≤ n` are set, spread evenly (Bresenham):
+/// flag `i` is set iff `⌊(i+1)·m/n⌋ > ⌊i·m/n⌋`.
+///
+/// Both ends of a link derive layouts from it — OOK-CT's compensation
+/// slots, AMPPM's tail filler and symbol order, the idle filler — so it
+/// must stay bit-exact. It steps a remainder `i·m mod n` instead of
+/// dividing: adding `m` crosses `n` at most once because `m ≤ n`.
+pub fn spread_evenly(m: usize, n: usize) -> impl Iterator<Item = bool> {
+    assert!(m <= n, "cannot spread {m} of {n}");
+    let mut acc = 0;
+    (0..n).map(move |_| {
+        acc += m;
+        let hit = acc >= n;
+        if hit {
+            acc -= n;
+        }
+        hit
+    })
+}
+
 /// Convenience: bits required for `n_bytes`.
 pub(crate) fn bits_for(n_bytes: usize) -> usize {
     n_bytes * 8
@@ -145,6 +165,18 @@ mod tests {
             got: 9,
         };
         assert!(e.to_string().contains("expected 10"));
+    }
+
+    #[test]
+    fn spread_evenly_matches_the_division_form() {
+        for n in 0..40usize {
+            for m in 0..=n {
+                let got: Vec<bool> = spread_evenly(m, n).collect();
+                let expect: Vec<bool> = (0..n).map(|i| (i * m) / n != ((i + 1) * m) / n).collect();
+                assert_eq!(got, expect, "m={m} n={n}");
+                assert_eq!(got.iter().filter(|&&b| b).count(), m);
+            }
+        }
     }
 
     #[test]

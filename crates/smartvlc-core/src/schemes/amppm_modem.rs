@@ -14,9 +14,9 @@
 use crate::amppm::planner::SuperSymbolPlan;
 use crate::amppm::super_symbol::SuperSymbol;
 use crate::dimming::DimmingLevel;
-use crate::modem::{bits_for, DemodError, DemodStats, SlotModem};
+use crate::modem::{bits_for, spread_evenly, DemodError, DemodStats, SlotModem};
 use crate::symbol::SymbolPattern;
-use combinat::{BigUint, BinomialTable, BitReader, BitWriter, CodewordError, EncodeScratch};
+use combinat::{BinomialTable, BitReader, BitWriter, EncodeScratch};
 
 /// A modem that repeats one AMPPM super-symbol over the payload block.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,10 +42,10 @@ impl AmppmModem {
         self.super_symbol
     }
 
-    /// The symbol patterns (with per-symbol bit counts) that cover
-    /// `n_bytes`, cycling the super-symbol's sequence and truncating
-    /// after the last needed symbol.
-    fn symbol_walk(&self, table: &BinomialTable, n_bytes: usize) -> Vec<(SymbolPattern, u32)> {
+    /// The symbol patterns that cover `n_bytes`, cycling the
+    /// super-symbol's sequence and truncating after the last needed
+    /// symbol.
+    fn symbol_walk(&self, table: &BinomialTable, n_bytes: usize) -> Vec<SymbolPattern> {
         let seq = self.super_symbol.symbol_sequence();
         let per_super: u32 = seq.iter().map(|p| p.bits_per_symbol(table)).sum();
         assert!(
@@ -58,9 +58,8 @@ impl AmppmModem {
         let mut covered = 0u64;
         'outer: loop {
             for &p in &seq {
-                let b = p.bits_per_symbol(table);
-                out.push((p, b));
-                covered += b as u64;
+                out.push(p);
+                covered += p.bits_per_symbol(table) as u64;
                 if covered >= needed {
                     break 'outer;
                 }
@@ -74,9 +73,9 @@ impl AmppmModem {
     /// data-free filler restores the exact ratio so frame tails don't
     /// produce Type-II brightness dips/bumps: `filler_len` slots of which
     /// `filler_ones` are ON, both pure functions of the walk.
-    fn tail_filler(&self, walk: &[(SymbolPattern, u32)]) -> (usize, usize) {
-        let slots: u64 = walk.iter().map(|&(p, _)| p.n() as u64).sum();
-        let ones: u64 = walk.iter().map(|&(p, _)| p.k() as u64).sum();
+    fn tail_filler(&self, walk: &[SymbolPattern]) -> (usize, usize) {
+        let slots: u64 = walk.iter().map(|p| p.n() as u64).sum();
+        let ones: u64 = walk.iter().map(|p| p.k() as u64).sum();
         let l = self.super_symbol.dimming();
         // Find the smallest filler that brings the total within half a
         // slot of the target ratio. Capped defensively; typical lengths
@@ -91,10 +90,6 @@ impl AmppmModem {
         }
         (0, 0)
     }
-
-    fn filler_slots(len: usize, ones: usize) -> impl Iterator<Item = bool> {
-        (0..len).map(move |i| (i * ones) / len.max(1) != ((i + 1) * ones) / len.max(1))
-    }
 }
 
 impl SlotModem for AmppmModem {
@@ -105,7 +100,7 @@ impl SlotModem for AmppmModem {
     fn slots_for_payload(&self, table: &BinomialTable, n_bytes: usize) -> usize {
         let walk = self.symbol_walk(table, n_bytes);
         let (filler, _) = self.tail_filler(&walk);
-        walk.iter().map(|(p, _)| p.n() as usize).sum::<usize>() + filler
+        walk.iter().map(|p| p.n() as usize).sum::<usize>() + filler
     }
 
     fn modulate(&self, table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
@@ -114,15 +109,10 @@ impl SlotModem for AmppmModem {
         let mut reader = BitReader::new(bytes);
         let mut slots = Vec::new();
         let mut scratch = EncodeScratch::new();
-        for (pattern, bits) in walk {
-            let mut word = reader.read_bits(bits as usize);
-            word.resize(bits as usize, false);
-            let value = BigUint::from_bits_msb(&word);
-            pattern
-                .encode_into(table, &value, &mut scratch, &mut slots)
-                .expect("value bounded by bits_per_symbol");
+        for pattern in walk {
+            pattern.encode_word(table, &mut reader, &mut scratch, &mut slots);
         }
-        slots.extend(Self::filler_slots(filler, filler_ones));
+        slots.extend(spread_evenly(filler_ones, filler));
         slots
     }
 
@@ -134,7 +124,7 @@ impl SlotModem for AmppmModem {
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
         let walk = self.symbol_walk(table, n_bytes);
         let (filler, _) = self.tail_filler(&walk);
-        let expected: usize = walk.iter().map(|(p, _)| p.n() as usize).sum::<usize>() + filler;
+        let expected: usize = walk.iter().map(|p| p.n() as usize).sum::<usize>() + filler;
         if slots.len() != expected {
             return Err(DemodError::LengthMismatch {
                 expected,
@@ -145,26 +135,12 @@ impl SlotModem for AmppmModem {
         let mut stats = DemodStats::default();
         let mut scratch = EncodeScratch::new();
         let mut offset = 0usize;
-        for (pattern, bits) in walk {
+        for pattern in walk {
             let n = pattern.n() as usize;
             stats.symbols += 1;
-            match pattern.decode_with(table, &slots[offset..offset + n], &mut scratch) {
-                // A corrupted symbol can keep its weight by chance yet
-                // rank beyond the 2^bits data window (C(N,K) is not a
-                // power of two); that is a symbol error, not a panic.
-                Ok(value) if value.bit_length() <= bits => {
-                    for b in value.to_bits_msb(bits) {
-                        writer.write_bit(b);
-                    }
-                }
-                Ok(_) | Err(CodewordError::WrongWeight { .. }) => {
-                    stats.symbol_failures += 1;
-                    for _ in 0..bits {
-                        writer.write_bit(false);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
+            let symbol = &slots[offset..offset + n];
+            stats.symbol_failures +=
+                pattern.decode_word(table, symbol, &mut scratch, &mut writer)? as u32;
             offset += n;
         }
         let (mut bytes, _) = writer.finish();
@@ -217,7 +193,8 @@ mod tests {
         let slots = m.slots_for_payload(&t, n_bytes);
         assert!(slots < ss.n_super() as usize, "padded to a whole super");
         // Covered bits within one symbol of the requirement.
-        let walk_bits: u32 = m.symbol_walk(&t, n_bytes).iter().map(|&(_, b)| b).sum();
+        let walk = m.symbol_walk(&t, n_bytes);
+        let walk_bits: u32 = walk.iter().map(|p| p.bits_per_symbol(&t)).sum();
         assert!(walk_bits >= 128);
         assert!(walk_bits < 128 + 19, "walk_bits={walk_bits}");
     }

@@ -96,13 +96,9 @@ impl SlotModem for DarklightModem {
         let mut reader = BitReader::new(bytes);
         let mut slots = Vec::with_capacity(symbols * n);
         for _ in 0..symbols {
-            let mut v = 0u64;
-            let word = reader.read_bits(bits);
-            for (i, b) in word.iter().enumerate() {
-                v |= (*b as u64) << (bits - 1 - i);
-            }
+            let v = reader.read_word(bits) as usize;
             let mut symbol = vec![false; n];
-            symbol[v as usize..v as usize + self.pulse_w as usize].fill(true);
+            symbol[v..v + self.pulse_w as usize].fill(true);
             slots.extend(symbol);
         }
         slots
@@ -145,7 +141,7 @@ impl SlotModem for DarklightModem {
                 stats.symbol_failures += 1; // pulse lost entirely
             }
             let v = best.0.min((1usize << bits) - 1);
-            writer.write_uint(v as u64, bits);
+            writer.write_word(v as u128, bits);
         }
         let (mut bytes, _) = writer.finish();
         bytes.truncate(n_bytes);

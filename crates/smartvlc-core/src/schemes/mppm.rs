@@ -8,7 +8,7 @@
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, div_ceil, DemodError, DemodStats, SlotModem};
 use crate::symbol::SymbolPattern;
-use combinat::{BigUint, BinomialTable, BitReader, BitWriter, CodewordError, EncodeScratch};
+use combinat::{BinomialTable, BitReader, BitWriter, EncodeScratch};
 
 /// A fixed-pattern MPPM modem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,17 +52,12 @@ impl SlotModem for MppmModem {
 
     fn modulate(&self, table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
         let symbols = self.symbols_for(table, bytes.len());
-        let bits = self.pattern.bits_per_symbol(table) as usize;
         let mut reader = BitReader::new(bytes);
         let mut slots = Vec::with_capacity(symbols * self.pattern.n() as usize);
         let mut scratch = EncodeScratch::new();
         for _ in 0..symbols {
-            let mut word = reader.read_bits(bits);
-            word.resize(bits, false);
-            let value = BigUint::from_bits_msb(&word);
             self.pattern
-                .encode_into(table, &value, &mut scratch, &mut slots)
-                .expect("value bounded by bits_per_symbol");
+                .encode_word(table, &mut reader, &mut scratch, &mut slots);
         }
         slots
     }
@@ -81,28 +76,14 @@ impl SlotModem for MppmModem {
             });
         }
         let n = self.pattern.n() as usize;
-        let bits = self.pattern.bits_per_symbol(table);
         let mut writer = BitWriter::new();
         let mut stats = DemodStats::default();
         let mut scratch = EncodeScratch::new();
         for chunk in slots.chunks_exact(n) {
             stats.symbols += 1;
-            match self.pattern.decode_with(table, chunk, &mut scratch) {
-                // Ranks at or beyond 2^bits are never transmitted; a
-                // corrupted symbol landing there is a symbol error.
-                Ok(value) if value.bit_length() <= bits => {
-                    for b in value.to_bits_msb(bits) {
-                        writer.write_bit(b);
-                    }
-                }
-                Ok(_) | Err(CodewordError::WrongWeight { .. }) => {
-                    stats.symbol_failures += 1;
-                    for _ in 0..bits {
-                        writer.write_bit(false);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
+            stats.symbol_failures +=
+                self.pattern
+                    .decode_word(table, chunk, &mut scratch, &mut writer)? as u32;
         }
         let (mut bytes, _) = writer.finish();
         bytes.truncate(n_bytes);
@@ -139,6 +120,26 @@ mod tests {
             assert_eq!(back, payload, "S({n},{k})");
             assert_eq!(stats.symbol_failures, 0);
         }
+    }
+
+    #[test]
+    fn biguint_fallback_roundtrips() {
+        // C(200,100) >= 2^128: the one path no default-calibration frame
+        // reaches, so pin it here (a data word spans two 128-bit reads).
+        let t = BinomialTable::new(200);
+        assert!(t.binomial_u128(200, 100).is_none());
+        let m = modem(200, 100);
+        let payload: Vec<u8> = (0..100u8).map(|b| b.wrapping_mul(151)).collect();
+        let slots = m.modulate(&t, &payload);
+        assert_eq!(slots.len(), m.slots_for_payload(&t, payload.len()));
+        assert_eq!(slots.iter().filter(|&&b| b).count() * 2, slots.len());
+        let (back, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        assert_eq!(back, payload);
+        assert_eq!(stats.symbol_failures, 0);
+        let mut corrupted = slots.clone();
+        corrupted[7] = !corrupted[7];
+        let (_, stats) = m.demodulate(&t, &corrupted, payload.len()).unwrap();
+        assert_eq!(stats.symbol_failures, 1);
     }
 
     #[test]

@@ -29,16 +29,8 @@
 //! real OOK links make.
 
 use crate::dimming::DimmingLevel;
-use crate::modem::{bits_for, DemodError, DemodStats, SlotModem};
+use crate::modem::{bits_for, spread_evenly, DemodError, DemodStats, SlotModem};
 use combinat::BinomialTable;
-
-/// True when position `i` of a `total`-slot block carries one of the `c`
-/// evenly-spread compensation slots (both sides compute the same layout
-/// from the header's length and dimming level — no extra signalling).
-fn is_comp_slot(i: usize, c: usize, total: usize) -> bool {
-    debug_assert!(i < total && c <= total);
-    (i * c) / total != ((i + 1) * c) / total
-}
 
 /// Multiplicative congruential whitening sequence (PCG-ish byte stream).
 fn scramble_byte(index: usize) -> u8 {
@@ -111,30 +103,26 @@ impl SlotModem for OokCtModem {
     fn modulate(&self, _table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
         let d = bits_for(bytes.len());
         let (c, comp_on) = self.compensation(d);
-        let total = d + c;
         // Data bits, scrambled.
-        let mut data = Vec::with_capacity(d);
-        for (i, &b) in bytes.iter().enumerate() {
+        let mut data = bytes.iter().enumerate().flat_map(|(i, &b)| {
             let w = b ^ scramble_byte(i);
-            for bit in (0..8).rev() {
-                data.push((w >> bit) & 1 == 1);
-            }
-        }
-        // Interleave compensation evenly among the data (see
-        // `is_comp_slot`): a single appended block of `c` identical slots
-        // would be a Type-I flicker source at extreme dimming levels
-        // (e.g. 4·D consecutive OFFs at l = 0.1 is an 8+ ms dark gap).
-        let mut slots = Vec::with_capacity(total);
-        let mut di = 0usize;
-        for i in 0..total {
-            if is_comp_slot(i, c, total) {
-                slots.push(comp_on);
-            } else {
-                slots.push(data[di]);
-                di += 1;
-            }
-        }
-        debug_assert_eq!(di, d);
+            (0..8).rev().map(move |bit| (w >> bit) & 1 == 1)
+        });
+        // Interleave compensation evenly among the data: a single appended
+        // block of `c` identical slots would be a Type-I flicker source at
+        // extreme dimming levels (e.g. 4·D consecutive OFFs at l = 0.1 is
+        // an 8+ ms dark gap). Both sides derive the same layout from the
+        // header's length and dimming level — no extra signalling.
+        let slots: Vec<bool> = spread_evenly(c, d + c)
+            .map(|comp| {
+                if comp {
+                    comp_on
+                } else {
+                    data.next().expect("d data slots")
+                }
+            })
+            .collect();
+        debug_assert!(data.next().is_none());
         slots
     }
 
@@ -153,20 +141,17 @@ impl SlotModem for OokCtModem {
         }
         let d = bits_for(n_bytes);
         let (c, _) = self.compensation(d);
-        let total = d + c;
-        let mut data = Vec::with_capacity(d);
-        for (i, &s) in slots.iter().enumerate() {
-            if !is_comp_slot(i, c, total) {
-                data.push(s);
-            }
-        }
         let mut bytes = Vec::with_capacity(n_bytes);
-        for i in 0..n_bytes {
-            let mut w = 0u8;
-            for bit in 0..8 {
-                w = (w << 1) | data[i * 8 + bit] as u8;
+        let (mut w, mut bits) = (0u8, 0);
+        for (&s, comp) in slots.iter().zip(spread_evenly(c, d + c)) {
+            if !comp {
+                w = (w << 1) | s as u8;
+                bits += 1;
+                if bits == 8 {
+                    bytes.push(w ^ scramble_byte(bytes.len()));
+                    bits = 0;
+                }
             }
-            bytes.push(w ^ scramble_byte(i));
         }
         // OOK has no per-symbol integrity structure; errors surface at the
         // frame CRC. Report the data field as one "symbol".

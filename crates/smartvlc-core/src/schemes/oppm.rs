@@ -119,16 +119,8 @@ impl SlotModem for OppmModem {
         let mut reader = combinat::BitReader::new(bytes);
         let mut slots = Vec::with_capacity(symbols * self.n as usize);
         for _ in 0..symbols {
-            let v = reader.read_uint(bits).unwrap_or_else(|| {
-                // Final partial word: gather what remains, zero-padded.
-                let mut v = 0u64;
-                let rem = reader.read_bits(bits);
-                for (i, b) in rem.iter().enumerate() {
-                    v |= (*b as u64) << (bits - 1 - i);
-                }
-                v
-            });
-            slots.extend(self.encode_symbol(v as u16));
+            // The final partial word reads zero-padded.
+            slots.extend(self.encode_symbol(reader.read_word(bits) as u16));
         }
         slots
     }
@@ -155,7 +147,7 @@ impl SlotModem for OppmModem {
             if ambiguous {
                 stats.symbol_failures += 1;
             }
-            writer.write_uint(pos as u64, bits);
+            writer.write_word(pos as u128, bits);
         }
         let (mut bytes, _) = writer.finish();
         bytes.truncate(n_bytes);

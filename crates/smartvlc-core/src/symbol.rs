@@ -8,8 +8,7 @@
 
 use crate::dimming::DimmingLevel;
 use combinat::{
-    decode_codeword, decode_codeword_with, encode_codeword, encode_codeword_into, BigUint,
-    BinomialTable, CodewordError, EncodeScratch,
+    decode_word, encode_word, BinomialTable, BitReader, BitWriter, CodewordError, EncodeScratch,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -68,41 +67,34 @@ impl SymbolPattern {
         self.bits_per_symbol(table) as f64 / self.n as f64
     }
 
-    /// Encode one data word into slot states (Algorithm 1).
-    pub fn encode(
+    /// Encode the next `bits_per_symbol` data bits of `reader` (zero
+    /// padded once it runs dry) into this pattern's slots, appended to
+    /// `out` (Algorithm 1). The modems' per-symbol path: no allocation
+    /// when `C(N,K)` fits 128 bits.
+    pub fn encode_word(
         self,
         table: &BinomialTable,
-        value: &BigUint,
-    ) -> Result<Vec<bool>, CodewordError> {
-        encode_codeword(table, self.n as usize, self.k as usize, value)
-    }
-
-    /// Decode received slot states back into the data word (Algorithm 2).
-    pub fn decode(self, table: &BinomialTable, slots: &[bool]) -> Result<BigUint, CodewordError> {
-        decode_codeword(table, self.n as usize, self.k as usize, slots)
-    }
-
-    /// Encode one data word, appending slots to `out` and reusing
-    /// `scratch` — the modems' per-frame hot path (no per-symbol
-    /// allocation).
-    pub fn encode_into(
-        self,
-        table: &BinomialTable,
-        value: &BigUint,
+        reader: &mut BitReader<'_>,
         scratch: &mut EncodeScratch,
         out: &mut Vec<bool>,
-    ) -> Result<(), CodewordError> {
-        encode_codeword_into(table, self.n as usize, self.k as usize, value, scratch, out)
+    ) {
+        let (n, k) = (self.n as usize, self.k as usize);
+        encode_word(table, n, k, reader, scratch, out).expect("invariant k<=n");
     }
 
-    /// Decode received slot states reusing `scratch` for the accumulator.
-    pub fn decode_with(
+    /// Decode one received symbol and append its data word to `writer`
+    /// (Algorithm 2). `Ok(true)` is a symbol error — lost weight, or a rank
+    /// beyond the data window — and appends zeros to keep alignment; a
+    /// wrong-length slice is an error.
+    pub fn decode_word(
         self,
         table: &BinomialTable,
         slots: &[bool],
         scratch: &mut EncodeScratch,
-    ) -> Result<BigUint, CodewordError> {
-        decode_codeword_with(table, self.n as usize, self.k as usize, slots, scratch)
+        writer: &mut BitWriter,
+    ) -> Result<bool, CodewordError> {
+        let (n, k) = (self.n as usize, self.k as usize);
+        decode_word(table, n, k, slots, scratch, writer)
     }
 }
 
@@ -163,16 +155,32 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
+    fn word_codec_roundtrip() {
         let t = table();
         let s = SymbolPattern::new(21, 11).unwrap();
-        for v in [0u64, 1, 352_715, 77_777] {
-            let val = BigUint::from_u64(v);
-            let slots = s.encode(&t, &val).unwrap();
+        let mut scratch = EncodeScratch::new();
+        for v in [0u128, 1, 77_777, 262_143] {
+            let mut w = BitWriter::new();
+            w.write_word(v, 18);
+            let (bytes, _) = w.finish();
+            let mut slots = Vec::new();
+            s.encode_word(&t, &mut BitReader::new(&bytes), &mut scratch, &mut slots);
             assert_eq!(slots.len(), 21);
             assert_eq!(slots.iter().filter(|&&b| b).count(), 11);
-            assert_eq!(s.decode(&t, &slots).unwrap(), val);
+            let mut w = BitWriter::new();
+            assert_eq!(s.decode_word(&t, &slots, &mut scratch, &mut w), Ok(false));
+            let (bytes, bits) = w.finish();
+            assert_eq!(bits, 18);
+            assert_eq!(BitReader::new(&bytes).read_word(18), v);
         }
+        let mut w = BitWriter::new();
+        assert_eq!(
+            s.decode_word(&t, &[true; 20], &mut scratch, &mut w),
+            Err(CodewordError::WrongLength {
+                expected: 21,
+                got: 20
+            })
+        );
     }
 
     #[test]

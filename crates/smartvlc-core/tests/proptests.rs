@@ -1,6 +1,6 @@
 //! Property-based tests for the modulation core.
 
-use combinat::{BinomialTable, BitReader, BitWriter};
+use combinat::{BinomialTable, BitReader, BitWriter, EncodeScratch};
 use proptest::prelude::*;
 use smartvlc_core::adaptation::{measured, perceived};
 use smartvlc_core::amppm::SuperSymbol;
@@ -64,8 +64,9 @@ proptest! {
         }
     }
 
-    /// Super-symbol encode/decode round-trips arbitrary data for
-    /// arbitrary shapes within the flicker budget.
+    /// A super-symbol's symbol sequence through the per-symbol word codec
+    /// round-trips arbitrary data for arbitrary shapes within the flicker
+    /// budget, with the exact slot count and ON count.
     #[test]
     fn super_symbol_roundtrip(
         n1 in 5u16..30, k1s in any::<u16>(),
@@ -81,12 +82,21 @@ proptest! {
         let ss = SuperSymbol::new(s1, m1, s2, m2).unwrap();
         let table = BinomialTable::new(64);
         let mut reader = BitReader::new(&data);
-        let slots = ss.encode(&table, &mut reader);
+        let mut scratch = EncodeScratch::new();
+        let mut slots = Vec::new();
+        for p in ss.symbol_sequence() {
+            p.encode_word(&table, &mut reader, &mut scratch, &mut slots);
+        }
         prop_assert_eq!(slots.len() as u32, ss.n_super());
         prop_assert_eq!(slots.iter().filter(|&&b| b).count() as u32, ss.ones());
         let mut writer = BitWriter::new();
-        let failures = ss.decode(&table, &slots, &mut writer).unwrap();
-        prop_assert_eq!(failures, 0);
+        let mut offset = 0;
+        for p in ss.symbol_sequence() {
+            let n = p.n() as usize;
+            let failed = p.decode_word(&table, &slots[offset..offset + n], &mut scratch, &mut writer);
+            prop_assert_eq!(failed, Ok(false));
+            offset += n;
+        }
         let consumed = (ss.bits(&table) as usize).min(data.len() * 8);
         let (bytes, _) = writer.finish();
         let mut orig = BitReader::new(&data);

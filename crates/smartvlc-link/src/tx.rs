@@ -16,6 +16,7 @@ use smartvlc_core::adaptation::{
 use smartvlc_core::dimming::IlluminationTarget;
 use smartvlc_core::frame::codec::{FrameCodec, FrameCodecError};
 use smartvlc_core::frame::format::{FecMode, Frame, PatternDescriptor, MAX_PAYLOAD};
+use smartvlc_core::modem::spread_evenly;
 use smartvlc_core::{DimmingLevel, SystemConfig, MAX_DEGRADE_TIER};
 use smartvlc_obs as obs;
 
@@ -408,8 +409,7 @@ impl Transmitter {
         let pairs = slots / 2;
         let ones = (self.led_level * pairs as f64).round() as usize;
         out.reserve(slots);
-        for i in 0..pairs {
-            let on = (i * ones) / pairs.max(1) != ((i + 1) * ones) / pairs.max(1);
+        for on in spread_evenly(ones, pairs) {
             out.push(on);
             out.push(on);
         }
