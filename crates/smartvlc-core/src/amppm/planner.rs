@@ -11,7 +11,7 @@
 
 use super::candidates::{candidate_patterns, Candidate};
 use super::envelope::Envelope;
-use super::mixer::best_mix;
+use super::mixer::{fold, rate_bound, Mix, Pair};
 use super::super_symbol::SuperSymbol;
 use crate::config::SystemConfig;
 use crate::dimming::DimmingLevel;
@@ -283,17 +283,31 @@ impl AmppmPlanner {
         // A dimming error within half the header quantum is indistinguishable
         // on the wire, so such mixes compete purely on rate.
         let tolerance = cfg.dimming_quantum / 2.0;
-        let mut mix: Option<crate::amppm::mixer::Mix> = None;
+        // The hull edge's best in-tolerance rate is a floor no winner
+        // falls below (ties within 1e-12 cannot drift 1e-6 over a few
+        // hundred pairs), so a pair whose chord bound sits under it holds
+        // nothing that could change the fold.
+        let edge = Pair::new(&left, &right, l, n_max).best_in_tolerance(tolerance);
+        let floor = edge.map_or(f64::NEG_INFINITY, |m| m.norm_rate - 1e-6);
+        let mut in_tolerance = edge.is_some();
+        let mut mix: Option<Mix> = None;
         for a in &lows {
             for b in &highs {
-                if let Some(m) = best_mix(a, b, l, tolerance, n_max, &self.table) {
-                    let better = match &mix {
-                        None => true,
-                        Some(cur) => crate::amppm::mixer::mix_is_better(&m, cur, tolerance),
-                    };
-                    if better {
-                        mix = Some(m);
-                    }
+                if rate_bound(a, b, l, tolerance) < floor {
+                    continue;
+                }
+                let pair = Pair::new(a, b, l, n_max);
+                let m = match pair.best_in_tolerance(tolerance) {
+                    Some(m) => Some(m),
+                    // An out-of-tolerance mix never displaces an
+                    // in-tolerance one, so once the answer is known to be
+                    // in tolerance a pair without such a mix is moot.
+                    None if in_tolerance => None,
+                    None => pair.full_scan(tolerance),
+                };
+                if let Some(m) = m {
+                    in_tolerance |= m.dimming_error <= tolerance;
+                    fold(&mut mix, m, tolerance);
                 }
             }
         }

@@ -39,18 +39,17 @@
 //! handle it in `EventEngine::handle`, and seed/re-schedule it like the
 //! others. The keyed queue does the rest.
 
+use super::geometry::{interference_var_from_gain, path_gain, rss_from_gain};
 use super::sched::{CellScheduler, LinkEstimate, ScheduleContext, SchedulerSpec, TickPlan};
 use super::traffic::{CellTrafficSpec, TrafficState};
 use super::{
-    cell_channel, interference_sigma_a, jain_index, quantize_lux, rate_for, received_power_w,
-    sim_parts, window_gain, CellConfig, CellOutcome, CellReport, Position, RunTallies, SimParts,
-    UserOutcome,
+    cell_channel, jain_index, quantize_lux, rate_for, received_power_w, sim_parts, window_gain,
+    CellConfig, CellOutcome, CellReport, Position, RunTallies, SimParts, UserOutcome,
 };
 use desim::{EventHandle, Scheduler, SimTime};
 use smartvlc_core::adaptation::{perceived, AdaptationStepper};
 use smartvlc_obs as obs;
 use vlc_channel::detector::SlotDetector;
-use vlc_channel::opcache::OperatingPointCache;
 
 /// One typed event on the cell simulation's queue.
 ///
@@ -119,11 +118,69 @@ fn tick_time(cfg: &CellConfig, tick: u32) -> SimTime {
     SimTime::from_nanos((tick as f64 * cfg.tick_s * 1e9) as u64)
 }
 
+/// The memo slot a user's serving-cell operating point lives in.
+const SERVING_SLOT: usize = 0;
+/// The memo slot a user's coordination donor's operating point lives in.
+const DONOR_SLOT: usize = 1;
+
+/// A remembered operating point's key: the cell id and the exact bits of
+/// the user's x, y and quantized ambient lux — the only [`cell_channel`]
+/// inputs that vary within a run.
+type OpKey = [u64; 4];
+
+/// Per-user operating-point memo: two slots per user, one for the serving
+/// cell and one for the coordination donor, each holding the last
+/// `cell_channel(..).detector_with(1.0, false)` it computed. Memory is
+/// O(users) however long the run, and a hit is bit-identical to the
+/// recompute because the key covers every varying input exactly. The
+/// memo hits when the TDMA link estimate and the grant ask for the same
+/// point in one tick, and across ticks for a user standing still under
+/// quantized sensing.
+struct OpMemo {
+    slots: Vec<[Option<(OpKey, SlotDetector)>; 2]>,
+    hits: u64,
+    misses: u64,
+}
+
+impl OpMemo {
+    fn new(n_users: usize) -> OpMemo {
+        OpMemo {
+            slots: vec![[None; 2]; n_users],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The user's memoized detector in `slot` if its key is `key`, else
+    /// `compute()`, remembered under `key`.
+    fn detector(
+        &mut self,
+        user: usize,
+        slot: usize,
+        key: OpKey,
+        compute: impl FnOnce() -> SlotDetector,
+    ) -> SlotDetector {
+        let entry = &mut self.slots[user][slot];
+        if let Some((k, det)) = *entry {
+            if k == key {
+                self.hits += 1;
+                obs::counter_add(obs::key!("channel.opcache.hit"), 1);
+                return det;
+            }
+        }
+        let det = compute();
+        *entry = Some((key, det));
+        self.misses += 1;
+        obs::counter_add(obs::key!("channel.opcache.miss"), 1);
+        det
+    }
+}
+
 struct EventEngine<'a> {
     cfg: &'a CellConfig,
     parts: SimParts,
     tallies: RunTallies,
-    opcache: OperatingPointCache,
+    op_memo: OpMemo,
     /// This tick's shared ambient sample (set by `AmbientSample`, the
     /// first event of every tick).
     base_lux: f64,
@@ -138,7 +195,11 @@ struct EventEngine<'a> {
     rss: Vec<f64>,
     /// Scratch: ascending ids of the luminaires inside the window.
     cand: Vec<usize>,
-    interferers: Vec<(Position, f64)>,
+    /// Per user: `(cell, path gain)` for every luminaire in the window
+    /// around the user's current position, ascending cell id — written by
+    /// the user's `Walk`, read by its link estimate and grant in the same
+    /// tick (position is fixed from `Walk` on).
+    gains: Vec<Vec<(usize, f64)>>,
     /// Horizontal range beyond which received power is exactly 0 W
     /// (FoV cutoff), padded so float rounding can only *include* cells.
     window_r_m: f64,
@@ -186,7 +247,7 @@ impl<'a> EventEngine<'a> {
         EventEngine {
             cfg,
             tallies: RunTallies::new(cfg.n_users),
-            opcache: OperatingPointCache::new(),
+            op_memo: OpMemo::new(cfg.n_users),
             base_lux: 0.0,
             tick: 0,
             next_tick: 0,
@@ -195,7 +256,7 @@ impl<'a> EventEngine<'a> {
             members: vec![0; n_cells],
             rss: vec![0.0; n_cells],
             cand: Vec::with_capacity(n_cells.min(64)),
-            interferers: Vec::with_capacity(n_cells.min(64)),
+            gains: vec![Vec::new(); cfg.n_users],
             window_r_m,
             dx_m: parts.room.width_m / cfg.nx as f64,
             dy_m: parts.room.depth_m / cfg.ny as f64,
@@ -224,6 +285,46 @@ impl<'a> EventEngine<'a> {
                 self.cand.push(j * self.cfg.nx + i);
             }
         }
+    }
+
+    /// The slot detector of the path from `cell` to `user` under this
+    /// tick's quantized ambient at the user, through the user's memo
+    /// `slot`.
+    fn operating_point(&mut self, user: usize, slot: usize, cell: usize) -> SlotDetector {
+        let pos = self.parts.users[user].pos;
+        let lux = self.lux_at(&pos);
+        let key = [
+            cell as u64,
+            pos.x_m.to_bits(),
+            pos.y_m.to_bits(),
+            lux.to_bits(),
+        ];
+        let (cfg, parts) = (self.cfg, &self.parts);
+        self.op_memo.detector(user, slot, key, || {
+            cell_channel(&cfg.optics, &parts.room, &parts.grid[cell].pos, &pos, lux)
+                .detector_with(1.0, false)
+        })
+    }
+
+    /// This tick's ambient at `pos`, quantized like the sensors.
+    fn lux_at(&self, pos: &Position) -> f64 {
+        quantize_lux(
+            (self.base_lux * window_gain(&self.parts.room, pos)).max(0.0),
+            self.cfg.sensor_res_lux,
+        )
+    }
+
+    /// Co-channel interference σ (A) at `user` from its window's
+    /// luminaires other than those `skip` rejects — bit for bit
+    /// [`super::interference_sigma_a`] over the same cells, in id order,
+    /// from the path gains this tick's `Walk` computed.
+    fn sigma_cci(&self, user: usize, skip: impl Fn(usize) -> bool) -> f64 {
+        let var: f64 = self.gains[user]
+            .iter()
+            .filter(|&&(i, _)| !skip(i))
+            .map(|&(i, g)| interference_var_from_gain(&self.cfg.optics, g, self.parts.lums[i].led))
+            .sum();
+        var.sqrt()
     }
 
     fn schedule_next(
@@ -283,18 +384,24 @@ impl<'a> EventEngine<'a> {
 
         // RSS over the window (plus the serving cell, wherever it is):
         // everything outside is exactly 0 W, so the subset ranking is
-        // bit-identical to a scan of the whole grid.
+        // bit-identical to a scan of the whole grid. The window's path
+        // gains are kept for this tick's link estimate and grant.
         self.fill_window(&pos);
+        let gains = &mut self.gains[user];
+        gains.clear();
+        for &i in &self.cand {
+            let g = path_gain(&cfg.optics, &self.parts.room, &self.parts.grid[i].pos, &pos);
+            gains.push((i, g));
+            self.rss[i] = rss_from_gain(&cfg.optics, g, self.parts.lums[i].led);
+        }
         if let Err(at) = self.cand.binary_search(&serving) {
             self.cand.insert(at, serving);
-        }
-        for &i in &self.cand {
-            self.rss[i] = received_power_w(
+            self.rss[serving] = received_power_w(
                 &cfg.optics,
                 &self.parts.room,
-                &self.parts.grid[i].pos,
+                &self.parts.grid[serving].pos,
                 &pos,
-                self.parts.lums[i].led,
+                self.parts.lums[serving].led,
             );
         }
 
@@ -390,8 +497,9 @@ impl<'a> EventEngine<'a> {
 
     /// Analytic link estimate for one eligible user at the TDMA phase:
     /// the same operating-point/interference math the grant path runs,
-    /// summarized into what a policy can rank on. Costs one opcache
-    /// query per call (the grant's own query then hits the cache), which
+    /// summarized into what a policy can rank on. Costs one
+    /// operating-point computation per call (it lands in the user's
+    /// serving memo slot, where the grant's own lookup then hits), which
     /// is why policies opt in via `needs_link_estimates`.
     fn link_estimate(&mut self, user: usize) -> LinkEstimate {
         let cfg = self.cfg;
@@ -400,30 +508,17 @@ impl<'a> EventEngine<'a> {
         if rate <= 0.0 {
             return LinkEstimate::default();
         }
-        let pos = self.parts.users[user].pos;
-        let lux_here = quantize_lux(
-            (self.base_lux * window_gain(&self.parts.room, &pos)).max(0.0),
-            cfg.sensor_res_lux,
-        );
-        let ch = cell_channel(
-            &cfg.optics,
-            &self.parts.room,
-            &self.parts.grid[serving].pos,
-            &pos,
-            lux_here,
-        );
-        let det = self.opcache.query(&ch, 1.0, false).detector;
-        self.fill_window(&pos);
+        let det = self.operating_point(user, SERVING_SLOT, serving);
         // Per-interferer contributions (ascending cell id, strict `>`:
-        // dominant ties break to the lowest id).
+        // dominant ties break to the lowest id). Each σ is
+        // `interference_sigma_a` of that one luminaire.
         let mut var = 0.0;
         let mut dominant: Option<(usize, f64)> = None;
-        for &i in &self.cand {
+        for &(i, g) in &self.gains[user] {
             if i == serving {
                 continue;
             }
-            let one = [(self.parts.grid[i].pos, self.parts.lums[i].led)];
-            let sig = interference_sigma_a(&cfg.optics, &self.parts.room, &one, &pos);
+            let sig = interference_var_from_gain(&cfg.optics, g, self.parts.lums[i].led).sqrt();
             var += sig * sig;
             if sig > 0.0 && dominant.is_none_or(|(_, s)| sig > s) {
                 dominant = Some((i, sig));
@@ -460,34 +555,13 @@ impl<'a> EventEngine<'a> {
         if granted_bps > 0.0 {
             debug_assert!(rate > 0.0, "a grant implies a live serving cell");
             self.tallies.served_ticks += 1;
-            let pos = self.parts.users[user].pos;
-            let lux_here = quantize_lux(
-                (self.base_lux * window_gain(&self.parts.room, &pos)).max(0.0),
-                cfg.sensor_res_lux,
-            );
-            let ch = cell_channel(
-                &cfg.optics,
-                &self.parts.room,
-                &self.parts.grid[serving].pos,
-                &pos,
-                lux_here,
-            );
-            let det = self.opcache.query(&ch, 1.0, false).detector;
+            let det = self.operating_point(user, SERVING_SLOT, serving);
             // Co-channel luminaires within the window, id order, serving
             // (and a coordinating donor) excluded — cells beyond the
             // window contribute exact-zero variance terms, so the pruned
             // sum is bit-identical to the full one.
-            self.fill_window(&pos);
             let donor = coord.map(|c| c.donor);
-            self.interferers.clear();
-            self.interferers.extend(
-                self.cand
-                    .iter()
-                    .filter(|&&i| i != serving && Some(i) != donor)
-                    .map(|&i| (self.parts.grid[i].pos, self.parts.lums[i].led)),
-            );
-            let sigma_cci =
-                interference_sigma_a(&cfg.optics, &self.parts.room, &self.interferers, &pos);
+            let sigma_cci = self.sigma_cci(user, |i| i == serving || Some(i) == donor);
             if sigma_cci > det.sigma_a {
                 self.tallies.interference_limited += 1;
             }
@@ -498,14 +572,7 @@ impl<'a> EventEngine<'a> {
                     // The donor transmits the user's symbols in phase:
                     // its swing raises the ON level instead of raising
                     // the interference floor.
-                    let ch_d = cell_channel(
-                        &cfg.optics,
-                        &self.parts.room,
-                        &self.parts.grid[c.donor].pos,
-                        &pos,
-                        lux_here,
-                    );
-                    let det_d = self.opcache.query(&ch_d, 1.0, false).detector;
+                    let det_d = self.operating_point(user, DONOR_SLOT, c.donor);
                     mu_on += det_d.mu_on_a - det_d.mu_off_a;
                 }
             }
@@ -605,8 +672,8 @@ impl<'a> EventEngine<'a> {
             users: users_out,
             cells: cells_out,
             duration_s,
-            opcache_hits: self.opcache.hits(),
-            opcache_misses: self.opcache.misses(),
+            opcache_hits: self.op_memo.hits,
+            opcache_misses: self.op_memo.misses,
             slots_equivalent: t.served_ticks as f64 * (cfg.tick_s / self.tslot_s),
             events,
             queue_peak,
@@ -707,6 +774,122 @@ mod tests {
         // A window wider than the room covers everything.
         let (lo, hi) = axis_range(5.0, f64::INFINITY, 2.5, 8);
         assert_eq!((lo, hi), (0, 7));
+    }
+
+    /// An engine at tick 0 of a 4×4 × 6-user run, every user walked once
+    /// and every luminaire at a distinct duty so interference is nonzero.
+    fn walked_engine(cfg: &CellConfig) -> EventEngine<'_> {
+        let mut eng = EventEngine::new(cfg, sim_parts(cfg, 31), 31);
+        let mut sched = Scheduler::new();
+        let t0 = tick_time(cfg, 0);
+        eng.on_ambient(&mut sched, t0);
+        for (i, st) in eng.parts.lums.iter_mut().enumerate() {
+            st.led = 0.05 + 0.057 * i as f64;
+        }
+        for user in 0..cfg.n_users {
+            eng.on_walk(&mut sched, t0, user);
+        }
+        eng
+    }
+
+    fn bits(d: &SlotDetector) -> [u64; 3] {
+        [
+            d.mu_on_a.to_bits(),
+            d.mu_off_a.to_bits(),
+            d.sigma_a.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn memo_answers_are_the_direct_detector_bit_for_bit() {
+        let cfg = CellConfig::standard(4, 4, 6);
+        let mut eng = walked_engine(&cfg);
+        let direct = |eng: &EventEngine, user: usize, cell: usize| {
+            let pos = eng.parts.users[user].pos;
+            cell_channel(
+                &cfg.optics,
+                &eng.parts.room,
+                &eng.parts.grid[cell].pos,
+                &pos,
+                eng.lux_at(&pos),
+            )
+            .detector_with(1.0, false)
+        };
+        for user in 0..cfg.n_users {
+            let serving = eng.parts.assocs[user].serving;
+            let donor = (serving + 1) % cfg.n_cells();
+            let want = bits(&direct(&eng, user, serving));
+            // Miss, then hit: both are the direct computation's bits.
+            assert_eq!(
+                bits(&eng.operating_point(user, SERVING_SLOT, serving)),
+                want
+            );
+            assert_eq!(
+                bits(&eng.operating_point(user, SERVING_SLOT, serving)),
+                want
+            );
+            // The donor slot is independent of the serving slot.
+            let want_d = bits(&direct(&eng, user, donor));
+            assert_eq!(bits(&eng.operating_point(user, DONOR_SLOT, donor)), want_d);
+            assert_eq!(
+                bits(&eng.operating_point(user, SERVING_SLOT, serving)),
+                want
+            );
+        }
+        let n = cfg.n_users as u64;
+        assert_eq!((eng.op_memo.hits, eng.op_memo.misses), (2 * n, 2 * n));
+
+        // A moved user misses, and the fresh answer is the new point's.
+        eng.parts.users[0].pos.x_m += 0.25;
+        let serving = eng.parts.assocs[0].serving;
+        let want = bits(&direct(&eng, 0, serving));
+        assert_eq!(bits(&eng.operating_point(0, SERVING_SLOT, serving)), want);
+        assert_eq!(eng.op_memo.misses, 2 * n + 1);
+
+        // So does a user standing still under a new ambient.
+        eng.base_lux += 500.0;
+        let want = bits(&direct(&eng, 0, serving));
+        assert_eq!(bits(&eng.operating_point(0, SERVING_SLOT, serving)), want);
+        assert_eq!(eng.op_memo.misses, 2 * n + 2);
+    }
+
+    #[test]
+    fn walk_gains_reproduce_rss_and_interference_bit_for_bit() {
+        let cfg = CellConfig::standard(4, 4, 6);
+        let mut eng = walked_engine(&cfg);
+        let mut sched = Scheduler::new();
+        for user in 0..cfg.n_users {
+            // `rss` is scratch shared by all users: check it right after
+            // this user's walk.
+            eng.on_walk(&mut sched, tick_time(&cfg, 1), user);
+            let (optics, room) = (&cfg.optics, &eng.parts.room);
+            let pos = eng.parts.users[user].pos;
+            let serving = eng.parts.assocs[user].serving;
+            let window = &eng.gains[user];
+            assert!(window.len() > 1, "user {user} sees one luminaire");
+            for &(i, _) in window {
+                let lum = &eng.parts.grid[i].pos;
+                let led = eng.parts.lums[i].led;
+                let want = received_power_w(optics, room, lum, &pos, led);
+                assert_eq!(eng.rss[i].to_bits(), want.to_bits(), "rss of cell {i}");
+                // The link estimate's per-interferer σ.
+                let g = window.iter().find(|w| w.0 == i).unwrap().1;
+                let one = interference_var_from_gain(optics, g, led).sqrt();
+                let want = super::super::interference_sigma_a(optics, room, &[(*lum, led)], &pos);
+                assert_eq!(one.to_bits(), want.to_bits(), "σ of cell {i}");
+            }
+            // The grant's σ over the window, serving and a donor excluded.
+            let donor = window.last().unwrap().0;
+            let interferers: Vec<(Position, f64)> = window
+                .iter()
+                .filter(|w| w.0 != serving && w.0 != donor)
+                .map(|w| (eng.parts.grid[w.0].pos, eng.parts.lums[w.0].led))
+                .collect();
+            let want = super::super::interference_sigma_a(optics, room, &interferers, &pos);
+            let got = eng.sigma_cci(user, |i| i == serving || i == donor);
+            assert!(want > 0.0);
+            assert_eq!(got.to_bits(), want.to_bits(), "user {user}");
+        }
     }
 
     #[test]

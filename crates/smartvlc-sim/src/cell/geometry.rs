@@ -180,7 +180,33 @@ pub fn received_power_w(
     user: &Position,
     level: f64,
 ) -> f64 {
-    link_geometry(optics, room, lum, user).received_power_w(optics.tx_optical_w * level.max(0.0))
+    rss_from_gain(optics, path_gain(optics, room, lum, user), level)
+}
+
+/// The Lambertian path gain of one luminaire→user path: the one geometric
+/// factor inside both [`received_power_w`] and [`interference_sigma_a`],
+/// so a caller needing both computes it once.
+pub(crate) fn path_gain(
+    optics: &CellOptics,
+    room: &RoomGeometry,
+    lum: &Position,
+    user: &Position,
+) -> f64 {
+    link_geometry(optics, room, lum, user).path_gain()
+}
+
+/// [`received_power_w`] from the path's [`path_gain`].
+pub(crate) fn rss_from_gain(optics: &CellOptics, gain: f64, level: f64) -> f64 {
+    (optics.tx_optical_w * level.max(0.0)) * gain
+}
+
+/// One interferer's variance term (A²) in [`interference_sigma_a`], from
+/// its path's [`path_gain`] and its duty `level`.
+pub(crate) fn interference_var_from_gain(optics: &CellOptics, gain: f64, level: f64) -> f64 {
+    let responsivity = vlc_channel::photodiode::Photodiode::sfh206k().responsivity_a_per_w;
+    let l = level.clamp(0.0, 1.0);
+    let i_peak = responsivity * (optics.tx_optical_w * gain);
+    i_peak * i_peak * l * (1.0 - l)
 }
 
 /// Co-channel interference noise at the slot detector, as an equivalent
@@ -199,14 +225,10 @@ pub fn interference_sigma_a(
     interferers: &[(Position, f64)],
     user: &Position,
 ) -> f64 {
-    let responsivity = vlc_channel::photodiode::Photodiode::sfh206k().responsivity_a_per_w;
     let var: f64 = interferers
         .iter()
         .map(|(pos, level)| {
-            let l = level.clamp(0.0, 1.0);
-            let p_rx = link_geometry(optics, room, pos, user).received_power_w(optics.tx_optical_w);
-            let i_peak = responsivity * p_rx;
-            i_peak * i_peak * l * (1.0 - l)
+            interference_var_from_gain(optics, path_gain(optics, room, pos, user), *level)
         })
         .sum();
     var.sqrt()

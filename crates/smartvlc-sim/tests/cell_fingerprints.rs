@@ -225,7 +225,7 @@ const PINS: &[(&str, u64, u64)] = &[
     ("grid4x4_users2", 0xce110006, 0x755c93fb270cb2ed),
     ("grid4x4_users6", 0xce110007, 0xb7cc84fc37d6c911),
     ("grid4x4_users12", 0xce110008, 0xfed606634d99d11a),
-    ("quantized_3x3_users6", 0x4d, 0x4eef801d9bbf59ba),
+    ("quantized_3x3_users6", 0x4d, 0xa80183c715e4e656),
     ("policy_4x4_users12_proportional_fair", 0x7ea, 0x7e5017244306052e),
     ("policy_4x4_users12_coordinated_edge", 0x7ea, 0x0ca3f0df71c5cf14),
     ("chaotic_3x3_users5_dwell1_delay0", 0x1b64, 0x9135ec41b55724ec),

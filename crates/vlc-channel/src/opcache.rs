@@ -3,9 +3,8 @@
 //! [`ChannelConfig::detector_with`] walks the full analytic receive chain
 //! — Lambertian `cosᵐ` powers, shot/RIN/thermal noise composition, ADC
 //! quantization, Gaussian tails — every time it is called. Link
-//! simulations call it once per *frame* and the multi-cell workload once
-//! per *(luminaire, user, tick)*, yet the operating point only actually
-//! changes when gain, ambient or fault state moves. This module interns
+//! simulations call it once per *frame*, yet the operating point only
+//! actually changes when gain, ambient or fault state moves. This module interns
 //! the computed operating points the way `combinat` interns its binomial
 //! tables: an Arc-shared, clone-cheap [`OperatingPointCache`] maps the
 //! **exact bit pattern** of (config fingerprint, extra gain, saturation
@@ -18,9 +17,15 @@
 //! outputs anyway. The `cached_detector_is_bit_identical` proptest pins
 //! this down across random configurations.
 //!
+//! The map has no capacity bound, so it suits a workload that revisits a
+//! few operating points, like one link's frames. The multi-cell
+//! simulation does not use it: a moving user almost never repeats an
+//! operating point, so a per-run map only grew (to hundreds of MB on a
+//! 32×32-luminaire, 1000-user minute) without hitting. The cell core keeps
+//! a per-user two-slot memo instead (`smartvlc-sim`'s `cell::event`).
+//!
 //! Determinism: caches are **per pipeline instance** (one per
-//! [`crate::link::OpticalChannel`], one per cell-simulation run), never a
-//! process-wide singleton. A global map would make the
+//! [`crate::link::OpticalChannel`]), never a process-wide singleton. A global map would make the
 //! `channel.opcache.hit`/`channel.opcache.miss` telemetry counters depend
 //! on which worker thread warmed the cache first, breaking the repo's
 //! byte-identical-artifacts-at-any-`SMARTVLC_THREADS` contract. Within
