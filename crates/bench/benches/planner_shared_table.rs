@@ -1,14 +1,18 @@
-//! Cost of sharing the planner's precomputed state — the `Arc` redesign.
+//! Cost of sharing the planner's precomputed state.
 //!
-//! `AmppmPlanner` now keeps its binomial table, candidate list, envelope,
-//! and plan cache behind `Arc`s: a clone is a handle, not a rebuild, and
-//! every clone sees every other clone's cached plans. These benches
-//! quantify the three costs that matter for the parallel runner:
+//! `AmppmPlanner` interns its binomial table, candidate list, envelope
+//! and plan table per process and config: a new planner is a lookup plus
+//! its own first-touch set, a clone is a handle, and every planner over
+//! the config reads every plan already made. These benches quantify the
+//! costs that matter for the parallel runner:
 //!
-//! * `planner_new_interned` — constructing a planner when the interned
-//!   table already exists (the steady state for sweep workers),
+//! * `planner_new_interned` — constructing a planner when its config is
+//!   already interned (the steady state for sweep workers),
 //! * `planner_clone` — handing a worker its handle,
-//! * `plan_cache_hit` — a quantized level already planned by any clone.
+//! * `plan_cache_hit` — a quantized level this planner already asked for,
+//! * `plan_cold` — a fresh planner's first request for a level some
+//!   other planner already planned (a miss by the counters, a table read
+//!   by the clock).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use smartvlc_core::{AmppmPlanner, DimmingLevel, SystemConfig};
@@ -16,8 +20,8 @@ use std::hint::black_box;
 
 fn bench_shared_planner(c: &mut Criterion) {
     let cfg = SystemConfig::default();
-    // Warm the table intern pool so construction benches measure the
-    // candidate search, not the one-time Pascal build.
+    // Intern the config so construction benches measure the lookup, not
+    // the one-time Steps 1–3 build.
     let warm = AmppmPlanner::new(cfg.clone()).expect("valid config");
 
     c.bench_function("planner_new_interned", |b| {

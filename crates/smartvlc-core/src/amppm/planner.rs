@@ -1,9 +1,9 @@
 //! The AMPPM planner: dimming level in, best super-symbol out.
 //!
 //! This is the component labelled "AMPPM best pattern selection" in the
-//! paper's architecture diagram (Fig. 2). It runs the full Step 1–4
-//! pipeline once at construction (candidate enumeration + envelope), then
-//! serves per-level queries out of a cache keyed by the quantized dimming
+//! paper's architecture diagram (Fig. 2). It runs the Step 1–3 pipeline
+//! (candidate enumeration + envelope) once per configuration, then serves
+//! per-level queries out of a table indexed by the quantized dimming
 //! level — the same quantized value the transmitter puts in the frame
 //! header, so a receiver running the same planner over the same
 //! [`SystemConfig`] reconstructs the identical super-symbol without any
@@ -17,9 +17,9 @@ use crate::config::SystemConfig;
 use crate::dimming::DimmingLevel;
 use combinat::BinomialTable;
 use smartvlc_obs as obs;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Highest degradation tier the self-healing link may request (tier 0 is
 /// the paper's nominal operating point). Each tier replans the candidate
@@ -88,121 +88,88 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The Step 1–3 artifacts: deterministic functions of the configuration,
-/// computed once and shared read-only by every planner clone.
+/// The Step 1–3 artifacts of one tier: deterministic functions of the
+/// tier's configuration.
 struct PlannerShared {
     candidates: Vec<Candidate>,
     envelope: Envelope,
 }
 
-/// The AMPPM pattern planner (Fig. 2's "best pattern selection" block).
-///
-/// Cloning is cheap and *shares state*: the binomial table (interned
-/// process-wide via [`BinomialTable::shared`]), the candidate set and
-/// envelope, and the per-quantized-level plan cache all sit behind `Arc`s,
-/// so a transmitter, its receiver, and every sweep worker thread reuse one
-/// planner instance's work. Because plans are a pure function of
-/// `(config, quantized level)`, cache sharing is invisible except in
-/// speed.
-#[derive(Clone)]
-pub struct AmppmPlanner {
-    cfg: SystemConfig,
-    table: Arc<BinomialTable>,
-    shared: Arc<PlannerShared>,
-    /// Lazily-built Step 1–3 artifacts for degradation tiers > 0, keyed
-    /// by tier and shared across clones like the tier-0 artifacts.
-    degraded: Arc<Mutex<HashMap<u8, Arc<PlannerShared>>>>,
-    cache: Arc<Mutex<HashMap<(u16, u8), SuperSymbolPlan>>>,
-}
-
-impl AmppmPlanner {
-    /// Build the planner: run candidate enumeration (Steps 1–2) and the
-    /// envelope walk (Step 3) for the given configuration.
-    pub fn new(cfg: SystemConfig) -> Result<AmppmPlanner, PlanError> {
-        let table = BinomialTable::shared(cfg.n_max_super().clamp(16, 512) as usize);
-        let candidates = candidate_patterns(&cfg, &table);
+impl PlannerShared {
+    fn build(cfg: &SystemConfig, table: &BinomialTable) -> Result<PlannerShared, PlanError> {
+        let candidates = candidate_patterns(cfg, table);
         let envelope = Envelope::build(&candidates).ok_or(PlanError::NoCandidates)?;
-        Ok(AmppmPlanner {
-            cfg,
-            table,
-            shared: Arc::new(PlannerShared {
-                candidates,
-                envelope,
-            }),
-            degraded: Arc::new(Mutex::new(HashMap::new())),
-            cache: Arc::new(Mutex::new(HashMap::new())),
+        Ok(PlannerShared {
+            candidates,
+            envelope,
         })
     }
+}
 
-    /// The configuration the planner was built from.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
+/// One tier's answers, one cell per quantized level.
+type PlanTable = Box<[OnceLock<Result<SuperSymbolPlan, PlanError>>]>;
 
-    /// All admissible candidates (Step 2 output) — the point cloud of
-    /// Figs. 8 and 9.
-    pub fn candidates(&self) -> &[Candidate] {
-        &self.shared.candidates
-    }
+/// Everything a planner derives from its [`SystemConfig`]: a pure
+/// function of the config, so one instance per distinct config serves
+/// the whole process ([`PlannerCore::intern`]). Degraded tiers and each
+/// tier's plan table are built on first use.
+struct PlannerCore {
+    cfg: SystemConfig,
+    table: Arc<BinomialTable>,
+    /// Quantized levels on the header grid: `0..=quantize_dimming(1.0)`.
+    levels: usize,
+    nominal: PlannerShared,
+    /// Step 1–3 artifacts of tiers `1..=MAX_DEGRADE_TIER`.
+    degraded: [OnceLock<Result<PlannerShared, PlanError>>; MAX_DEGRADE_TIER as usize],
+    plans: [OnceLock<PlanTable>; MAX_DEGRADE_TIER as usize + 1],
+}
 
-    /// The throughput envelope (Step 3 output) — the solid line of Fig. 9.
-    pub fn envelope(&self) -> &Envelope {
-        &self.shared.envelope
-    }
-
-    /// The process-shared binomial table (handy for callers that need
-    /// symbol metrics).
-    pub fn table(&self) -> &BinomialTable {
-        &self.table
-    }
-
-    /// An owning handle to the shared binomial table, for callers that
-    /// fan work out across threads.
-    pub fn table_arc(&self) -> Arc<BinomialTable> {
-        Arc::clone(&self.table)
-    }
-
-    /// Plan the best super-symbol for `target` (Step 4). The target is
-    /// first quantized to the header grid; results are cached per grid
-    /// point, and the cache is shared by every clone of this planner.
-    pub fn plan(&self, target: DimmingLevel) -> Result<SuperSymbolPlan, PlanError> {
-        self.plan_tiered(target, 0)
-    }
-
-    /// Like [`AmppmPlanner::plan`], but at degradation tier `tier`
-    /// (clamped to [`MAX_DEGRADE_TIER`]). Tier 0 is the nominal plan;
-    /// each higher tier re-runs candidate selection under slot error
-    /// probabilities inflated ×3 per tier against an SER budget relaxed
-    /// ×2 per tier, yielding shorter, sturdier patterns at a lower rate.
-    /// The plan is still a pure function of `(config, level, tier)`, so a
-    /// receiver reading the tier from the frame header reconstructs the
-    /// identical super-symbol.
-    pub fn plan_tiered(
-        &self,
-        target: DimmingLevel,
-        tier: u8,
-    ) -> Result<SuperSymbolPlan, PlanError> {
-        let tier = tier.min(MAX_DEGRADE_TIER);
-        let q = self.cfg.quantize_dimming(target.value());
-        if let Some(plan) = self
-            .cache
-            .lock()
-            .expect("plan cache poisoned")
-            .get(&(q, tier))
-        {
-            obs::counter_add(obs::key!("core.planner.cache_hits"), 1);
-            return Ok(*plan);
+impl PlannerCore {
+    /// The process-wide core for `cfg`, built on the first request. Like
+    /// [`BinomialTable::shared`], the lock guards only the intern list:
+    /// a slow build runs outside it, and a racing builder just wastes one
+    /// build. The list stays short (one entry per distinct config), so a
+    /// linear scan on `==` finds a core without hashing floats.
+    fn intern(cfg: SystemConfig) -> Result<Arc<PlannerCore>, PlanError> {
+        static CORES: Mutex<Vec<Arc<PlannerCore>>> = Mutex::new(Vec::new());
+        let find = |cores: &[Arc<PlannerCore>]| cores.iter().find(|c| c.cfg == cfg).cloned();
+        if let Some(core) = find(&CORES.lock().expect("planner intern list poisoned")) {
+            return Ok(core);
         }
-        obs::counter_add(obs::key!("core.planner.cache_misses"), 1);
-        let tier_cfg = self.tier_config(tier);
-        let shared = self.shared_for_tier(tier, &tier_cfg)?;
-        let l = self.cfg.dequantize_dimming(q);
-        let plan = self.plan_uncached(&shared, &tier_cfg, l)?;
-        self.cache
-            .lock()
-            .expect("plan cache poisoned")
-            .insert((q, tier), plan);
-        Ok(plan)
+        let table = BinomialTable::shared(cfg.n_max_super().clamp(16, 512) as usize);
+        let nominal = PlannerShared::build(&cfg, &table)?;
+        let mut cores = CORES.lock().expect("planner intern list poisoned");
+        if let Some(core) = find(&cores) {
+            return Ok(core);
+        }
+        let core = Arc::new(PlannerCore {
+            levels: usize::from(cfg.quantize_dimming(1.0)) + 1,
+            cfg,
+            table,
+            nominal,
+            degraded: Default::default(),
+            plans: Default::default(),
+        });
+        cores.push(Arc::clone(&core));
+        Ok(core)
+    }
+
+    /// The answer at quantized level `q` and (clamped) `tier`, computed
+    /// once per process.
+    fn plan(&self, q: u16, tier: u8) -> &Result<SuperSymbolPlan, PlanError> {
+        let plans = self.plans[usize::from(tier)]
+            .get_or_init(|| (0..self.levels).map(|_| OnceLock::new()).collect());
+        plans[usize::from(q)].get_or_init(|| {
+            let tier_cfg = self.tier_config(tier);
+            let shared = match tier {
+                0 => &self.nominal,
+                t => self.degraded[usize::from(t) - 1]
+                    .get_or_init(|| PlannerShared::build(&tier_cfg, &self.table))
+                    .as_ref()
+                    .map_err(Clone::clone)?,
+            };
+            plan_level(shared, &tier_cfg, self.cfg.dequantize_dimming(q))
+        })
     }
 
     /// The effective configuration at degradation tier `tier`: slot error
@@ -221,123 +188,205 @@ impl AmppmPlanner {
         cfg.n_min = cfg.n_min.clamp(2, 4);
         cfg
     }
+}
 
-    fn shared_for_tier(
-        &self,
-        tier: u8,
-        tier_cfg: &SystemConfig,
-    ) -> Result<Arc<PlannerShared>, PlanError> {
-        if tier == 0 {
-            return Ok(Arc::clone(&self.shared));
-        }
-        let mut map = self.degraded.lock().expect("tier artifacts poisoned");
-        if let Some(s) = map.get(&tier) {
-            return Ok(Arc::clone(s));
-        }
-        let candidates = candidate_patterns(tier_cfg, &self.table);
-        let envelope = Envelope::build(&candidates).ok_or(PlanError::NoCandidates)?;
-        let shared = Arc::new(PlannerShared {
-            candidates,
-            envelope,
-        });
-        map.insert(tier, Arc::clone(&shared));
-        Ok(shared)
+/// The AMPPM pattern planner (Fig. 2's "best pattern selection" block).
+///
+/// Plans are a pure function of `(config, quantized level, tier)`, so
+/// they are interned per process: every planner built from an equal
+/// [`SystemConfig`] — a cell run's, each link task's frame codec, a
+/// day-long run's — reads one shared plan table and one binomial table
+/// ([`BinomialTable::shared`]), and each level is planned once.
+///
+/// The `core.planner.cache_hits`/`cache_misses` counters stay per
+/// instance: each [`AmppmPlanner::new`] gets its own first-touch set,
+/// shared by its clones, and a call counts a miss exactly when it is the
+/// first (by an atomic bit flip, whatever the thread interleaving) to
+/// ask this instance for its `(level, tier)`. A level without a plan
+/// counts a miss on every call. So the counters are a function of the
+/// calls made, not of what other planners planned first.
+#[derive(Clone)]
+pub struct AmppmPlanner {
+    core: Arc<PlannerCore>,
+    /// First-touch bits, `tier · levels + q`.
+    touched: Arc<[AtomicU64]>,
+}
+
+impl AmppmPlanner {
+    /// A planner for `cfg`: runs candidate enumeration (Steps 1–2) and the
+    /// envelope walk (Step 3) unless an equal configuration already has.
+    pub fn new(cfg: SystemConfig) -> Result<AmppmPlanner, PlanError> {
+        let core = PlannerCore::intern(cfg)?;
+        let bits = core.levels * (usize::from(MAX_DEGRADE_TIER) + 1);
+        let touched = (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        Ok(AmppmPlanner { core, touched })
     }
 
-    fn plan_uncached(
-        &self,
-        shared: &PlannerShared,
-        cfg: &SystemConfig,
-        l: f64,
-    ) -> Result<SuperSymbolPlan, PlanError> {
-        let (min, max) = shared.envelope.dimming_range();
-        let (left, right) = shared.envelope.bracket(l).ok_or(PlanError::OutOfRange {
-            requested: l,
-            min,
-            max,
-        })?;
-        let (left, right) = (*left, *right);
-        let n_max = cfg.n_max_super().min(u32::MAX as u64) as u32;
+    /// The configuration the planner was built from.
+    pub fn config(&self) -> &SystemConfig {
+        &self.core.cfg
+    }
 
-        // Step 4, refined: the hull edge fixes the dimming span, but any
-        // candidate *pair* inside that span can realize the target — often
-        // with far finer granularity than the two edge endpoints alone
-        // (e.g. S(27,8)+S(27,9) hits 0.2998 exactly where the hull edge
-        // S(27,8)+S(29,11) can only get within 1.4e-3). The super-symbol
-        // still uses at most two patterns, as the paper requires; we pick
-        // the pair minimizing dimming error, then maximizing rate.
-        let span_lo = left.dimming();
-        let span_hi = right.dimming();
-        let lows: Vec<Candidate> = shared
-            .candidates
-            .iter()
-            .filter(|c| c.dimming() >= span_lo && c.dimming() <= l)
-            .copied()
-            .collect();
-        let highs: Vec<Candidate> = shared
-            .candidates
-            .iter()
-            .filter(|c| c.dimming() >= l && c.dimming() <= span_hi)
-            .copied()
-            .collect();
-        // A dimming error within half the header quantum is indistinguishable
-        // on the wire, so such mixes compete purely on rate.
-        let tolerance = cfg.dimming_quantum / 2.0;
-        // The hull edge's best in-tolerance rate is a floor no winner
-        // falls below (ties within 1e-12 cannot drift 1e-6 over a few
-        // hundred pairs), so a pair whose chord bound sits under it holds
-        // nothing that could change the fold.
-        let edge = Pair::new(&left, &right, l, n_max).best_in_tolerance(tolerance);
-        let floor = edge.map_or(f64::NEG_INFINITY, |m| m.norm_rate - 1e-6);
-        let mut in_tolerance = edge.is_some();
-        let mut mix: Option<Mix> = None;
-        for a in &lows {
-            for b in &highs {
-                if rate_bound(a, b, l, tolerance) < floor {
-                    continue;
-                }
-                let pair = Pair::new(a, b, l, n_max);
-                let m = match pair.best_in_tolerance(tolerance) {
-                    Some(m) => Some(m),
-                    // An out-of-tolerance mix never displaces an
-                    // in-tolerance one, so once the answer is known to be
-                    // in tolerance a pair without such a mix is moot.
-                    None if in_tolerance => None,
-                    None => pair.full_scan(tolerance),
-                };
-                if let Some(m) = m {
-                    in_tolerance |= m.dimming_error <= tolerance;
-                    fold(&mut mix, m, tolerance);
-                }
-            }
+    /// All admissible candidates (Step 2 output) — the point cloud of
+    /// Figs. 8 and 9.
+    pub fn candidates(&self) -> &[Candidate] {
+        &self.core.nominal.candidates
+    }
+
+    /// The throughput envelope (Step 3 output) — the solid line of Fig. 9.
+    pub fn envelope(&self) -> &Envelope {
+        &self.core.nominal.envelope
+    }
+
+    /// The process-shared binomial table (handy for callers that need
+    /// symbol metrics).
+    pub fn table(&self) -> &BinomialTable {
+        &self.core.table
+    }
+
+    /// An owning handle to the shared binomial table, for callers that
+    /// fan work out across threads.
+    pub fn table_arc(&self) -> Arc<BinomialTable> {
+        Arc::clone(&self.core.table)
+    }
+
+    /// Plan the best super-symbol for `target` (Step 4). The target is
+    /// first quantized to the header grid; each grid point is planned once
+    /// per process.
+    pub fn plan(&self, target: DimmingLevel) -> Result<SuperSymbolPlan, PlanError> {
+        self.plan_tiered(target, 0)
+    }
+
+    /// Like [`AmppmPlanner::plan`], but at degradation tier `tier`
+    /// (clamped to [`MAX_DEGRADE_TIER`]). Tier 0 is the nominal plan;
+    /// each higher tier re-runs candidate selection under slot error
+    /// probabilities inflated ×3 per tier against an SER budget relaxed
+    /// ×2 per tier, yielding shorter, sturdier patterns at a lower rate.
+    /// The plan is still a pure function of `(config, level, tier)`, so a
+    /// receiver reading the tier from the frame header reconstructs the
+    /// identical super-symbol.
+    pub fn plan_tiered(
+        &self,
+        target: DimmingLevel,
+        tier: u8,
+    ) -> Result<SuperSymbolPlan, PlanError> {
+        let tier = tier.min(MAX_DEGRADE_TIER);
+        let q = self.core.cfg.quantize_dimming(target.value());
+        let plan = self.core.plan(q, tier).clone();
+        if plan.is_err() || self.first_touch(q, tier) {
+            obs::counter_add(obs::key!("core.planner.cache_misses"), 1);
+        } else {
+            obs::counter_add(obs::key!("core.planner.cache_hits"), 1);
         }
-        let mix = mix.ok_or(PlanError::NoFit)?;
-        let ser1 = cfg.slot_errors.symbol_error_rate(mix.super_symbol.s1());
-        let ser2 = cfg.slot_errors.symbol_error_rate(mix.super_symbol.s2());
-        let ser = mix.super_symbol.mean_symbol_error_rate(ser1, ser2);
-        Ok(SuperSymbolPlan {
-            super_symbol: mix.super_symbol,
-            achieved: DimmingLevel::clamped(mix.dimming),
-            requested: DimmingLevel::clamped(l),
-            norm_rate: mix.norm_rate,
-            rate_bps: mix.norm_rate * cfg.ftx_hz as f64 * (1.0 - ser),
-            expected_ser: ser,
-        })
+        plan
+    }
+
+    /// Mark `(q, tier)` touched; true if this call was the first.
+    fn first_touch(&self, q: u16, tier: u8) -> bool {
+        let i = usize::from(tier) * self.core.levels + usize::from(q);
+        let bit = 1u64 << (i % 64);
+        self.touched[i / 64].fetch_or(bit, Ordering::Relaxed) & bit == 0
     }
 
     /// Like [`AmppmPlanner::plan`] but clamps out-of-range targets to the
     /// nearest supported level — what the live transmitter does when
     /// ambient light swings beyond the data-carrying range.
     pub fn plan_clamped(&self, target: DimmingLevel) -> Result<SuperSymbolPlan, PlanError> {
-        let (min, max) = self.shared.envelope.dimming_range();
+        let (min, max) = self.envelope().dimming_range();
         let l = DimmingLevel::clamped(target.value().clamp(min, max));
         self.plan(l)
     }
 
-    /// Number of distinct levels planned so far (shared cache occupancy).
+    /// Number of distinct levels this planner (with its clones) has
+    /// planned so far.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("plan cache poisoned").len()
+        self.touched
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
     }
+}
+
+/// Step 4 for one level `l` of a tier with artifacts `shared` and
+/// configuration `cfg`.
+fn plan_level(
+    shared: &PlannerShared,
+    cfg: &SystemConfig,
+    l: f64,
+) -> Result<SuperSymbolPlan, PlanError> {
+    let (min, max) = shared.envelope.dimming_range();
+    let (left, right) = shared.envelope.bracket(l).ok_or(PlanError::OutOfRange {
+        requested: l,
+        min,
+        max,
+    })?;
+    let (left, right) = (*left, *right);
+    let n_max = cfg.n_max_super().min(u32::MAX as u64) as u32;
+
+    // Step 4, refined: the hull edge fixes the dimming span, but any
+    // candidate *pair* inside that span can realize the target — often
+    // with far finer granularity than the two edge endpoints alone
+    // (e.g. S(27,8)+S(27,9) hits 0.2998 exactly where the hull edge
+    // S(27,8)+S(29,11) can only get within 1.4e-3). The super-symbol
+    // still uses at most two patterns, as the paper requires; we pick
+    // the pair minimizing dimming error, then maximizing rate.
+    let span_lo = left.dimming();
+    let span_hi = right.dimming();
+    let lows: Vec<Candidate> = shared
+        .candidates
+        .iter()
+        .filter(|c| c.dimming() >= span_lo && c.dimming() <= l)
+        .copied()
+        .collect();
+    let highs: Vec<Candidate> = shared
+        .candidates
+        .iter()
+        .filter(|c| c.dimming() >= l && c.dimming() <= span_hi)
+        .copied()
+        .collect();
+    // A dimming error within half the header quantum is indistinguishable
+    // on the wire, so such mixes compete purely on rate.
+    let tolerance = cfg.dimming_quantum / 2.0;
+    // The hull edge's best in-tolerance rate is a floor no winner
+    // falls below (ties within 1e-12 cannot drift 1e-6 over a few
+    // hundred pairs), so a pair whose chord bound sits under it holds
+    // nothing that could change the fold.
+    let edge = Pair::new(&left, &right, l, n_max).best_in_tolerance(tolerance);
+    let floor = edge.map_or(f64::NEG_INFINITY, |m| m.norm_rate - 1e-6);
+    let mut in_tolerance = edge.is_some();
+    let mut mix: Option<Mix> = None;
+    for a in &lows {
+        for b in &highs {
+            if rate_bound(a, b, l, tolerance) < floor {
+                continue;
+            }
+            let pair = Pair::new(a, b, l, n_max);
+            let m = match pair.best_in_tolerance(tolerance) {
+                Some(m) => Some(m),
+                // An out-of-tolerance mix never displaces an
+                // in-tolerance one, so once the answer is known to be
+                // in tolerance a pair without such a mix is moot.
+                None if in_tolerance => None,
+                None => pair.full_scan(tolerance),
+            };
+            if let Some(m) = m {
+                in_tolerance |= m.dimming_error <= tolerance;
+                fold(&mut mix, m, tolerance);
+            }
+        }
+    }
+    let mix = mix.ok_or(PlanError::NoFit)?;
+    let ser1 = cfg.slot_errors.symbol_error_rate(mix.super_symbol.s1());
+    let ser2 = cfg.slot_errors.symbol_error_rate(mix.super_symbol.s2());
+    let ser = mix.super_symbol.mean_symbol_error_rate(ser1, ser2);
+    Ok(SuperSymbolPlan {
+        super_symbol: mix.super_symbol,
+        achieved: DimmingLevel::clamped(mix.dimming),
+        requested: DimmingLevel::clamped(l),
+        norm_rate: mix.norm_rate,
+        rate_bps: mix.norm_rate * cfg.ftx_hz as f64 * (1.0 - ser),
+        expected_ser: ser,
+    })
 }
 
 #[cfg(test)]
@@ -460,16 +509,45 @@ mod tests {
         }
     }
 
+    /// `(hits, misses)` on `rec`'s planner counters; (0, 0) when
+    /// telemetry is compiled out.
+    fn counts(rec: &obs::Recorder) -> (u64, u64) {
+        let counters = rec.snapshot().counters;
+        let get = |name: &str| counters.iter().find(|c| c.0 == name).map_or(0, |c| c.1);
+        (
+            get("core.planner.cache_hits"),
+            get("core.planner.cache_misses"),
+        )
+    }
+
+    /// [`counts`] of the planner calls `f` makes on this thread.
+    fn counted(f: impl FnOnce()) -> (u64, u64) {
+        let rec = obs::Recorder::new();
+        obs::with_recorder(&rec, f);
+        counts(&rec)
+    }
+
+    /// What [`counts`] reports for `(hits, misses)` in this build.
+    fn expect_counts(hits: u64, misses: u64) -> (u64, u64) {
+        if cfg!(feature = "telemetry") {
+            (hits, misses)
+        } else {
+            (0, 0)
+        }
+    }
+
     #[test]
     fn clones_share_cache_and_table() {
         let p = planner();
         let q = p.clone();
-        assert!(std::sync::Arc::ptr_eq(&p.table_arc(), &q.table_arc()));
+        assert!(Arc::ptr_eq(&p.table_arc(), &q.table_arc()));
+        assert!(Arc::ptr_eq(&p.core, &q.core));
         let a = p.plan(lv(0.37)).unwrap();
-        // The clone sees the cached plan without recomputing.
+        // The clone shares the first-touch set: the level is a hit there.
         assert_eq!(q.cache_len(), p.cache_len());
-        assert_eq!(q.plan(lv(0.37)).unwrap(), a);
-        // ...and entries planned via the clone appear in the original.
+        let counts = counted(|| assert_eq!(q.plan(lv(0.37)).unwrap(), a));
+        assert_eq!(counts, expect_counts(1, 0));
+        // ...and levels planned via the clone count in the original.
         let before = p.cache_len();
         q.plan(lv(0.61)).unwrap();
         assert_eq!(p.cache_len(), before + 1);
@@ -477,20 +555,80 @@ mod tests {
 
     #[test]
     fn shared_cache_is_thread_safe() {
+        // Four threads race over the same 17 levels of one instance:
+        // whatever the interleaving, each level is a miss exactly once.
         let p = planner();
+        let rec = obs::Recorder::new();
+        let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
             for i in 0..4 {
-                let p = p.clone();
+                let (p, rec, start) = (p.clone(), rec.clone(), &start);
                 s.spawn(move || {
-                    for j in 2..=18 {
-                        let l = j as f64 / 20.0;
-                        let plan = p.plan(lv(l)).unwrap();
-                        assert!(plan.rate_bps >= 0.0, "worker {i} l={l}");
-                    }
+                    start.wait();
+                    obs::with_recorder(&rec, || {
+                        for j in 2..=18 {
+                            let l = j as f64 / 20.0;
+                            let plan = p.plan(lv(l)).unwrap();
+                            assert!(plan.rate_bps >= 0.0, "worker {i} l={l}");
+                        }
+                    })
                 });
             }
         });
         assert_eq!(p.cache_len(), 17);
+        assert_eq!(counts(&rec), expect_counts(3 * 17, 17));
+    }
+
+    #[test]
+    fn new_planners_share_the_interned_table_but_count_alone() {
+        let cfg = SystemConfig::default();
+        let a = AmppmPlanner::new(cfg.clone()).unwrap();
+        let levels: Vec<DimmingLevel> = (0..=20).map(|i| lv(i as f64 / 20.0)).collect();
+        let plans: Vec<_> = levels.iter().map(|&l| a.plan(l)).collect();
+        let b = AmppmPlanner::new(cfg).unwrap();
+        assert!(Arc::ptr_eq(&a.core, &b.core), "equal configs must intern");
+        assert_eq!(b.cache_len(), 0, "first-touch sets are per instance");
+        // Every level is already planned process-wide, yet each is still
+        // a miss the first time `b` asks for it, and a hit after.
+        let counts = counted(|| {
+            for (&l, want) in levels.iter().zip(&plans) {
+                assert_eq!(&b.plan(l), want, "l={l:?}");
+                assert_eq!(&b.plan(l), want, "l={l:?}");
+            }
+        });
+        assert_eq!(counts, expect_counts(21, 21));
+        assert_eq!(b.cache_len(), 21);
+        // Tiers count apart: a level touched at tier 0 misses at tier 1.
+        let counts = counted(|| {
+            b.plan_tiered(levels[7], 1).unwrap();
+            b.plan_tiered(levels[7], 1).unwrap();
+        });
+        assert_eq!(counts, expect_counts(1, 1));
+        assert_eq!(b.cache_len(), 22);
+        // A different config gets its own core.
+        let other = AmppmPlanner::new(SystemConfig::paper_optimistic()).unwrap();
+        assert!(!Arc::ptr_eq(&a.core, &other.core));
+    }
+
+    #[test]
+    fn unplannable_levels_miss_on_every_call() {
+        // Lossy "off" slots leave only near-full-on patterns: the envelope
+        // spans [0.9, 1], so 0.5 has no plan. The error is interned like
+        // a plan, but each call still counts a miss, and nothing counts
+        // as planned.
+        let mut cfg = SystemConfig::default();
+        cfg.slot_errors.p_off_error = 1e-3;
+        let p = AmppmPlanner::new(cfg).unwrap();
+        assert_eq!(p.envelope().dimming_range(), (0.9, 1.0));
+        let counts = counted(|| {
+            for _ in 0..3 {
+                let err = p.plan(lv(0.5)).unwrap_err();
+                assert!(matches!(err, PlanError::OutOfRange { .. }), "{err:?}");
+            }
+            p.plan(lv(0.95)).unwrap();
+        });
+        assert_eq!(counts, expect_counts(0, 4));
+        assert_eq!(p.cache_len(), 1);
     }
 
     #[test]

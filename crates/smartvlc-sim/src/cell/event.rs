@@ -39,12 +39,12 @@
 //! handle it in `EventEngine::handle`, and seed/re-schedule it like the
 //! others. The keyed queue does the rest.
 
-use super::geometry::{interference_var_from_gain, path_gain, rss_from_gain};
+use super::geometry::{interference_var_from_gain, rss_from_gain};
 use super::sched::{CellScheduler, LinkEstimate, ScheduleContext, SchedulerSpec, TickPlan};
 use super::traffic::{CellTrafficSpec, TrafficState};
 use super::{
-    cell_channel, jain_index, quantize_lux, rate_for, received_power_w, sim_parts, window_gain,
-    CellConfig, CellOutcome, CellReport, Position, RunTallies, SimParts, UserOutcome,
+    cell_channel, jain_index, quantize_lux, rate_for, sim_parts, window_gain, CellConfig,
+    CellOutcome, CellReport, Position, RunTallies, SimParts, UserOutcome,
 };
 use desim::{EventHandle, Scheduler, SimTime};
 use smartvlc_core::adaptation::{perceived, AdaptationStepper};
@@ -234,8 +234,8 @@ impl<'a> EventEngine<'a> {
             CellTrafficSpec::Saturated => None,
             CellTrafficSpec::NetMix => Some(TrafficState::new(cfg.n_users, seed)),
         };
-        // Beyond drop·tan(FoV) the off-axis angle exceeds the receiver
-        // FoV and `path_gain` returns exactly 0.0; the micro-padding
+        // Beyond drop·tan(FoV) the path's cos θ = drop/d falls below
+        // cos FoV and `PathGain::at` returns exactly 0.0; the padding
         // absorbs rounding at the boundary (inclusion is always safe —
         // an included far cell just contributes exact zeros).
         let fov = cfg.optics.rx_fov_deg;
@@ -389,20 +389,16 @@ impl<'a> EventEngine<'a> {
         self.fill_window(&pos);
         let gains = &mut self.gains[user];
         gains.clear();
+        let path = self.parts.path_gain;
         for &i in &self.cand {
-            let g = path_gain(&cfg.optics, &self.parts.room, &self.parts.grid[i].pos, &pos);
+            let g = path.at(&self.parts.grid[i].pos, &pos);
             gains.push((i, g));
             self.rss[i] = rss_from_gain(&cfg.optics, g, self.parts.lums[i].led);
         }
         if let Err(at) = self.cand.binary_search(&serving) {
             self.cand.insert(at, serving);
-            self.rss[serving] = received_power_w(
-                &cfg.optics,
-                &self.parts.room,
-                &self.parts.grid[serving].pos,
-                &pos,
-                self.parts.lums[serving].led,
-            );
+            let g = path.at(&self.parts.grid[serving].pos, &pos);
+            self.rss[serving] = rss_from_gain(&cfg.optics, g, self.parts.lums[serving].led);
         }
 
         if let Some(ev) = self.parts.assocs[user].step_subset(&self.rss, &self.cand, &cfg.policy) {
@@ -737,6 +733,7 @@ pub(crate) fn run_cell_event(cfg: &CellConfig, seed: u64) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::received_power_w;
 
     #[test]
     fn order_keys_follow_the_phase_order() {
@@ -889,6 +886,56 @@ mod tests {
             let got = eng.sigma_cci(user, |i| i == serving || i == donor);
             assert!(want > 0.0);
             assert_eq!(got.to_bits(), want.to_bits(), "user {user}");
+        }
+    }
+
+    #[test]
+    fn fov_window_holds_every_cell_with_nonzero_gain() {
+        // Random positions, plus positions on (and a hair either side of)
+        // each luminaire's FoV circle, where rounding decides the cutoff.
+        let mut rng = desim::DetRng::seed_from_u64(7);
+        for fov in [20.0, 45.0, 70.0, 80.0] {
+            let mut cfg = CellConfig::standard(9, 7, 1);
+            cfg.optics.rx_fov_deg = fov;
+            let mut eng = EventEngine::new(&cfg, sim_parts(&cfg, 3), 3);
+            let room = eng.parts.room;
+            let edge = room.drop_m * f64::to_radians(fov).tan();
+            let mut spots: Vec<Position> = (0..500)
+                .map(|_| Position {
+                    x_m: rng.next_f64() * room.width_m,
+                    y_m: rng.next_f64() * room.depth_m,
+                })
+                .collect();
+            for lum in &eng.parts.grid {
+                for k in 0..16 {
+                    let phi = k as f64 * std::f64::consts::TAU / 16.0;
+                    for scale in [1.0 - 1e-12, 1.0, 1.0 + 1e-12] {
+                        spots.push(room.clamp(Position {
+                            x_m: lum.pos.x_m + edge * scale * phi.cos(),
+                            y_m: lum.pos.y_m + edge * scale * phi.sin(),
+                        }));
+                    }
+                }
+            }
+            // Lit paths within 1e-9 of the FoV radius: the cases that test
+            // the window's padding.
+            let mut edge_lit = 0;
+            for pos in &spots {
+                eng.fill_window(pos);
+                for lum in &eng.parts.grid {
+                    if eng.parts.path_gain.at(&lum.pos, pos) > 0.0 {
+                        if lum.pos.horizontal_distance(pos) > edge * (1.0 - 1e-9) {
+                            edge_lit += 1;
+                        }
+                        assert!(
+                            eng.cand.contains(&lum.id),
+                            "fov {fov}: cell {} lit at {pos:?} but outside the window",
+                            lum.id
+                        );
+                    }
+                }
+            }
+            assert!(edge_lit > 0, "fov {fov}: no lit path at the FoV radius");
         }
     }
 

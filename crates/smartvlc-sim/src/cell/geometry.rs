@@ -13,8 +13,16 @@
 //! ceiling   ●lum───────r───────┐
 //!                      \       │ drop
 //!                       \ d    │
-//! rx plane ──────────────▣user─┘      d = √(r² + drop²),  θ = atan(r/drop)
+//! rx plane ──────────────▣user─┘      d = √(r² + drop²),  cos θ = drop/d
 //! ```
+//!
+//! With `θ` known only through its cosine, the Lambertian gain collapses
+//! to a closed form, `H = (m+1)·A/2π · cos θ^(m+1) / d²`, exactly 0 once
+//! `cos θ < cos FoV`; the crate builds its constants once per run.
+//! [`LambertianLink::path_gain`] is the reference. It round-trips `θ`
+//! through degrees, so the two agree to within 1e-12 relative (semi-angles
+//! 10–80°), not bit for bit, and make the same FoV decision except within
+//! 1e-9 relative of the FoV radius.
 //!
 //! Co-channel interference rides the same path: every *other* luminaire's
 //! light reaches the receiver through its own [`LambertianLink`] and the
@@ -180,28 +188,59 @@ pub fn received_power_w(
     user: &Position,
     level: f64,
 ) -> f64 {
-    rss_from_gain(optics, path_gain(optics, room, lum, user), level)
+    rss_from_gain(optics, PathGain::new(optics, room).at(lum, user), level)
 }
 
-/// The Lambertian path gain of one luminaire→user path: the one geometric
-/// factor inside both [`received_power_w`] and [`interference_sigma_a`],
-/// so a caller needing both computes it once.
-pub(crate) fn path_gain(
-    optics: &CellOptics,
-    room: &RoomGeometry,
-    lum: &Position,
-    user: &Position,
-) -> f64 {
-    link_geometry(optics, room, lum, user).path_gain()
+/// The Lambertian path gain of every luminaire→user path in one room, in
+/// closed form: the one geometric factor inside both [`received_power_w`]
+/// and [`interference_sigma_a`]. Everything but the distance is constant
+/// per `(optics, room)`, so a run builds this once and pays a square
+/// root and a `powf` per path.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PathGain {
+    /// Exponent of `cos θ`: `m + 1` (emission `cosᵐ` times the receiver's
+    /// `cos` projection — one angle, see the module diagram).
+    exponent: f64,
+    /// `(m+1)·A/2π`, m².
+    k: f64,
+    drop_m: f64,
+    cos_fov: f64,
 }
 
-/// [`received_power_w`] from the path's [`path_gain`].
+impl PathGain {
+    pub(crate) fn new(optics: &CellOptics, room: &RoomGeometry) -> PathGain {
+        let origin = Position { x_m: 0.0, y_m: 0.0 };
+        let link = link_geometry(optics, room, &origin, &origin);
+        let m = link.mode_number();
+        PathGain {
+            exponent: m + 1.0,
+            k: (m + 1.0) * link.rx_area_m2 / (2.0 * core::f64::consts::PI),
+            drop_m: room.drop_m,
+            cos_fov: optics.rx_fov_deg.to_radians().cos(),
+        }
+    }
+
+    /// The gain of the path from `lum` to `user`: 0.0 outside the
+    /// receiver's FoV.
+    #[inline]
+    pub(crate) fn at(&self, lum: &Position, user: &Position) -> f64 {
+        let (dx, dy) = (lum.x_m - user.x_m, lum.y_m - user.y_m);
+        let d2 = dx * dx + dy * dy + self.drop_m * self.drop_m;
+        let cos = self.drop_m / d2.sqrt();
+        if cos < self.cos_fov {
+            return 0.0;
+        }
+        self.k / d2 * cos.powf(self.exponent)
+    }
+}
+
+/// [`received_power_w`] from the path's [`PathGain`].
 pub(crate) fn rss_from_gain(optics: &CellOptics, gain: f64, level: f64) -> f64 {
     (optics.tx_optical_w * level.max(0.0)) * gain
 }
 
 /// One interferer's variance term (A²) in [`interference_sigma_a`], from
-/// its path's [`path_gain`] and its duty `level`.
+/// its path's [`PathGain`] and its duty `level`.
 pub(crate) fn interference_var_from_gain(optics: &CellOptics, gain: f64, level: f64) -> f64 {
     let responsivity = vlc_channel::photodiode::Photodiode::sfh206k().responsivity_a_per_w;
     let l = level.clamp(0.0, 1.0);
@@ -225,11 +264,10 @@ pub fn interference_sigma_a(
     interferers: &[(Position, f64)],
     user: &Position,
 ) -> f64 {
+    let gain = PathGain::new(optics, room);
     let var: f64 = interferers
         .iter()
-        .map(|(pos, level)| {
-            interference_var_from_gain(optics, path_gain(optics, room, pos, user), *level)
-        })
+        .map(|(pos, level)| interference_var_from_gain(optics, gain.at(pos, user), *level))
         .sum();
     var.sqrt()
 }
@@ -237,6 +275,7 @@ pub fn interference_sigma_a(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn room() -> RoomGeometry {
         RoomGeometry::for_grid(3, 3, 2.5)
@@ -394,5 +433,70 @@ mod tests {
                 y_m: r.depth_m
             }
         );
+    }
+
+    /// Closed form vs [`LambertianLink::path_gain`] for a user `reach`
+    /// FoV radii from a luminaire, bearing `phi`: within 1e-12 relative
+    /// where both are nonzero, and both 0.0 together except within 1e-9
+    /// relative of the FoV radius (where the reference's degree round
+    /// trip may flip the cutoff).
+    fn check_gain(semi: f64, fov: f64, drop: f64, reach: f64, phi: f64) {
+        let optics = CellOptics {
+            semi_angle_deg: semi,
+            rx_fov_deg: fov,
+            tx_optical_w: 11.0,
+        };
+        let room = RoomGeometry {
+            width_m: 0.0,
+            depth_m: 0.0,
+            drop_m: drop,
+        };
+        let edge = drop * fov.to_radians().tan();
+        let r = reach * edge;
+        let lum = Position {
+            x_m: 3.7,
+            y_m: -1.9,
+        };
+        let user = Position {
+            x_m: lum.x_m + r * phi.cos(),
+            y_m: lum.y_m + r * phi.sin(),
+        };
+        let want = link_geometry(&optics, &room, &lum, &user).path_gain();
+        let got = PathGain::new(&optics, &room).at(&lum, &user);
+        if want == 0.0 || got == 0.0 {
+            prop_assert!(
+                want == got || (reach - 1.0).abs() <= 1e-9,
+                "FoV cutoff disagrees at reach {reach}: closed form {got:e}, reference {want:e}"
+            );
+        } else {
+            let rel = ((got - want) / want).abs();
+            prop_assert!(rel <= 1e-12, "relative error {rel:e} at reach {reach}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn closed_form_gain_tracks_the_reference(
+            semi in 10.0f64..=80.0,
+            fov in 10.0f64..=89.0,
+            drop in 0.5f64..=5.0,
+            reach in 0.0f64..=1.2,
+            phi in 0.0f64..std::f64::consts::TAU,
+        ) {
+            check_gain(semi, fov, drop, reach, phi);
+        }
+
+        #[test]
+        fn closed_form_gain_tracks_the_reference_at_the_fov_edge(
+            semi in 10.0f64..=80.0,
+            fov in 10.0f64..=89.0,
+            drop in 0.5f64..=5.0,
+            offset in -1e-8f64..=1e-8,
+            phi in 0.0f64..std::f64::consts::TAU,
+        ) {
+            check_gain(semi, fov, drop, 1.0 + offset, phi);
+        }
     }
 }

@@ -64,6 +64,7 @@ pub use suite::{
 pub use traffic::{CellTrafficReport, CellTrafficSpec};
 
 use desim::DetRng;
+use geometry::{rss_from_gain, PathGain};
 use serde::{Deserialize, Serialize};
 use smartvlc_core::adaptation::PerceptionStepper;
 use smartvlc_core::dimming::IlluminationTarget;
@@ -302,6 +303,8 @@ pub(crate) fn quantize_lux(lux: f64, res: f64) -> f64 {
 pub(crate) struct SimParts {
     pub(crate) room: RoomGeometry,
     pub(crate) grid: Vec<Luminaire>,
+    /// The closed-form luminaire→user path gain of `room`.
+    pub(crate) path_gain: PathGain,
     pub(crate) tau_p: f64,
     pub(crate) planner: AmppmPlanner,
     pub(crate) illum: IlluminationTarget,
@@ -341,6 +344,7 @@ pub(crate) fn sim_parts(cfg: &CellConfig, seed: u64) -> SimParts {
     let root = DetRng::seed_from_u64(seed);
     let room = cfg.room();
     let grid = ceiling_grid(&room, cfg.nx, cfg.ny);
+    let path_gain = PathGain::new(&cfg.optics, &room);
     let sys = SystemConfig::default();
     let planner = AmppmPlanner::new(sys.clone()).expect("valid system config");
     let illum = IlluminationTarget::new(cfg.i_sum);
@@ -378,7 +382,7 @@ pub(crate) fn sim_parts(cfg: &CellConfig, seed: u64) -> SimParts {
             let mut best = 0usize;
             let mut best_p = f64::NEG_INFINITY;
             for l in &grid {
-                let p = received_power_w(&cfg.optics, &room, &l.pos, &u.pos, 1.0);
+                let p = rss_from_gain(&cfg.optics, path_gain.at(&l.pos, &u.pos), 1.0);
                 if p > best_p {
                     best_p = p;
                     best = l.id;
@@ -391,6 +395,7 @@ pub(crate) fn sim_parts(cfg: &CellConfig, seed: u64) -> SimParts {
     SimParts {
         room,
         grid,
+        path_gain,
         tau_p: sys.tau_p,
         planner,
         illum,

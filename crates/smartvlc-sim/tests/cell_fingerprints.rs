@@ -216,22 +216,22 @@ fn pinned_configs() -> Vec<(String, CellConfig)> {
 /// [`fingerprint`]).
 #[rustfmt::skip]
 const PINS: &[(&str, u64, u64)] = &[
-    ("grid2x2_users2", 0xce110000, 0xc11f06a21bbb2956),
-    ("grid2x2_users6", 0xce110001, 0xe1d214f58671afb5),
-    ("grid2x2_users12", 0xce110002, 0xc12b6314d79d5010),
-    ("grid3x3_users2", 0xce110003, 0x99c4734315dea988),
-    ("grid3x3_users6", 0xce110004, 0xdfc8c5955d7229aa),
-    ("grid3x3_users12", 0xce110005, 0xa9e61d31be95ac86),
-    ("grid4x4_users2", 0xce110006, 0x755c93fb270cb2ed),
-    ("grid4x4_users6", 0xce110007, 0xb7cc84fc37d6c911),
-    ("grid4x4_users12", 0xce110008, 0xfed606634d99d11a),
-    ("quantized_3x3_users6", 0x4d, 0xa80183c715e4e656),
-    ("policy_4x4_users12_proportional_fair", 0x7ea, 0x7e5017244306052e),
-    ("policy_4x4_users12_coordinated_edge", 0x7ea, 0x0ca3f0df71c5cf14),
-    ("chaotic_3x3_users5_dwell1_delay0", 0x1b64, 0x9135ec41b55724ec),
-    ("chaotic_3x3_users5_dwell1_delay3", 0x1b65, 0x17749947589309c8),
+    ("grid2x2_users2", 0xce110000, 0xbc27216739dd936c),
+    ("grid2x2_users6", 0xce110001, 0x69ebb6816706d4d2),
+    ("grid2x2_users12", 0xce110002, 0xfffc3610ee2e07aa),
+    ("grid3x3_users2", 0xce110003, 0x067456fc3084178c),
+    ("grid3x3_users6", 0xce110004, 0xc4c13068dbdc8576),
+    ("grid3x3_users12", 0xce110005, 0x67b48282dc196926),
+    ("grid4x4_users2", 0xce110006, 0x6e6474dae86a104a),
+    ("grid4x4_users6", 0xce110007, 0x3d9a3baf25c5f117),
+    ("grid4x4_users12", 0xce110008, 0x4d1a16a22483a3b4),
+    ("quantized_3x3_users6", 0x4d, 0x6a4183d61582d519),
+    ("policy_4x4_users12_proportional_fair", 0x7ea, 0xe3257133bfd04d7a),
+    ("policy_4x4_users12_coordinated_edge", 0x7ea, 0x6c46e14bba458ad1),
+    ("chaotic_3x3_users5_dwell1_delay0", 0x1b64, 0xce384ddb5a74ccd9),
+    ("chaotic_3x3_users5_dwell1_delay3", 0x1b65, 0x82ec9bd8e6f9baf9),
     ("chaotic_3x3_users5_dwell1_delay6", 0x1b66, 0x437856026ad467df),
-    ("chaotic_2x2_users4_dwell1_delay6", 0x1b67, 0x72881c5c1f599b37),
+    ("chaotic_2x2_users4_dwell1_delay6", 0x1b67, 0x52023464796e5ed5),
 ];
 
 #[test]
