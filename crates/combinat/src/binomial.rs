@@ -8,12 +8,17 @@
 //! row up to its `max_n` — computed once at construction — and serves
 //! values through three read-only views:
 //!
-//! * [`BinomialTable::binomial_ref`] — a borrowed `&BigUint`, the codec
-//!   hot path (no clone, no lock),
-//! * [`BinomialTable::binomial_u128`] — the `u128` fast path when the
-//!   coefficient fits 128 bits (everything up to `N = 128` does),
+//! * [`BinomialTable::binomial_u128`] — `C(n,k)` as `u128` when it fits
+//!   128 bits (everything up to `N = 128` does), the walk for rows 68–128;
+//! * [`BinomialTable::binomial_ref`] — a borrowed `&BigUint`, for the
+//!   walk past `N = 128` and for the planner's bit counts;
 //! * [`BinomialTable::binomial`] — an owned clone for callers that keep
 //!   the value.
+//!
+//! Rows `0..=min(max_n, 67)`, the last whose entries all fit a `u64`, are
+//! also kept as a flat `u64` triangle (`C(n,k)` at `n(n+1)/2 + k`). That
+//! is the codec hot path: the walks of every pattern with `N ≤ 67` index
+//! it directly, one load per slot with no `BigUint` and no `Option`.
 //!
 //! Because the table is immutable after construction, one instance can be
 //! shared across every planner, codec, and sweep worker thread:
@@ -33,6 +38,19 @@ pub struct BinomialTable {
     max_n: usize,
     /// `rows[n][k]` = C(n,k) for k <= n/2.
     rows: Vec<Vec<BigUint>>,
+    /// Rows `0..=min(max_n, WORD_ROWS_MAX_N)` as a flat `u64` triangle:
+    /// `C(n,k)` at `n(n+1)/2 + k`, every `k <= n`.
+    words: Vec<u64>,
+}
+
+/// The last Pascal row whose every entry fits a `u64`:
+/// `C(67,33) < 2⁶⁴ ≤ C(68,34)`.
+pub(crate) const WORD_ROWS_MAX_N: usize = 67;
+
+/// Start of row `n` in the flat word triangle.
+#[inline]
+fn word_row_start(n: usize) -> usize {
+    n * (n + 1) / 2
 }
 
 impl BinomialTable {
@@ -57,7 +75,17 @@ impl BinomialTable {
             }
             rows.push(row);
         }
-        BinomialTable { max_n, rows }
+        let word_rows = max_n.min(WORD_ROWS_MAX_N) + 1;
+        let mut words = Vec::with_capacity(word_row_start(word_rows));
+        for (n, row) in rows.iter().take(word_rows).enumerate() {
+            words.extend((0..=n).map(|k| {
+                fetch_half(row, n, k)
+                    .to_u128()
+                    .and_then(|c| u64::try_from(c).ok())
+                    .expect("rows up to WORD_ROWS_MAX_N fit a u64")
+            }));
+        }
+        BinomialTable { max_n, rows, words }
     }
 
     /// A process-wide shared table for `max_n`, built on first use.
@@ -100,6 +128,17 @@ impl BinomialTable {
     /// Exact `C(n,k)` as an owned value. Returns 0 for `k > n`.
     pub fn binomial(&self, n: usize, k: usize) -> BigUint {
         self.binomial_ref(n, k).clone()
+    }
+
+    /// Rows `0..=n` of the `u64` triangle (`C(m,k)` at `m(m+1)/2 + k`),
+    /// or `None` when row `n` is not stored: past `max_n` or past
+    /// `WORD_ROWS_MAX_N`. The codec walks run on these rows.
+    #[inline]
+    pub(crate) fn word_rows(&self, n: usize) -> Option<&[u64]> {
+        if n > self.max_n.min(WORD_ROWS_MAX_N) {
+            return None;
+        }
+        Some(&self.words[..word_row_start(n + 1)])
     }
 
     /// `C(n,k)` as `u128` if it fits, else `None`.
@@ -254,6 +293,31 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), Some(126_410_606_437_752));
         }
+    }
+
+    #[test]
+    fn word_rows_equal_the_biguint_rows() {
+        let t = BinomialTable::new(128);
+        let words = t.word_rows(WORD_ROWS_MAX_N).unwrap();
+        assert_eq!(words.len(), 2346);
+        for n in 0..=WORD_ROWS_MAX_N {
+            for k in 0..=n {
+                let c = words[word_row_start(n) + k];
+                assert_eq!(BigUint::from_u64(c), t.binomial(n, k), "C({n},{k})");
+            }
+        }
+        // Row 68 is the first with an entry past a u64.
+        assert!(t.word_rows(WORD_ROWS_MAX_N + 1).is_none());
+        assert!(t.binomial_u128(68, 34).unwrap() > u64::MAX as u128);
+    }
+
+    #[test]
+    fn small_table_keeps_only_its_own_word_rows() {
+        let t = BinomialTable::new(40);
+        assert_eq!(t.word_rows(40).map(<[u64]>::len), Some(word_row_start(41)));
+        assert!(t.word_rows(41).is_none());
+        assert!(t.word_rows(WORD_ROWS_MAX_N).is_none());
+        assert_eq!(t.binomial_u128(40, 20), Some(137_846_528_820));
     }
 
     #[test]

@@ -21,17 +21,22 @@
 //!
 //! ## Hot-path engineering
 //!
-//! The walk itself is cheap; what a symbol costs is how its data word gets
-//! in and out of the walk. Three layers keep that off the heap:
+//! The walk itself is cheap; what a symbol costs is one binomial lookup
+//! per slot and how its data word gets in and out of the walk. Three
+//! layers keep that off the heap:
 //!
-//! * a **`u128` fast path**: when `C(N,K)` fits 128 bits (every `N ≤ 128`,
-//!   which covers all patterns the planner emits under the default
-//!   calibration) the walk runs entirely on machine integers;
+//! * a **`u64` word-row walk**: when row `N` of the table's flat `u64`
+//!   triangle is stored (`BinomialTable::word_rows`, every `N ≤ 67`,
+//!   which covers every pattern the planner emits under the default
+//!   calibration and MPPM(20)) each slot is one indexed load, one
+//!   compare and a branch-free update. Rows 68–128 run the same walk on
+//!   `u128`, looking each coefficient up through
+//!   [`BinomialTable::binomial_u128`];
 //! * a **word-level stream codec**, [`encode_word`]/[`decode_word`]: the
 //!   modems read each data word from the payload as one `u128`
 //!   ([`BitReader::read_word`]) and write it back the same way
-//!   ([`BitWriter::write_word`]), so a symbol on the fast path allocates
-//!   nothing and never builds a `BigUint`;
+//!   ([`BitWriter::write_word`]), so a symbol on the machine-integer
+//!   paths allocates nothing and never builds a `BigUint`;
 //! * an **[`EncodeScratch`] reusable workspace** for the `BigUint` slow
 //!   path (`C(N,K) ≥ 2^128`): the residual value and decode accumulator
 //!   live in scratch buffers that are `clone_from`-refilled. The slow path
@@ -179,10 +184,43 @@ pub fn encode_codeword_into(
     Ok(())
 }
 
-/// The unrank walk entirely in `u128` (caller guarantees `v < C(n,k)` and
-/// that `C(n,k)` fits).
-fn encode_walk_u128(table: &BinomialTable, n: usize, k: usize, mut v: u128, out: &mut Vec<bool>) {
+/// The unrank walk on machine integers (caller guarantees `v < C(n,k)`
+/// and that `C(n,k)` fits `u128`): on `u64` word rows when row `n` is
+/// stored, else on `u128`.
+fn encode_walk_u128(table: &BinomialTable, n: usize, k: usize, v: u128, out: &mut Vec<bool>) {
     out.reserve(n);
+    let base = out.len();
+    match table.word_rows(n) {
+        Some(words) => encode_walk_u64(words, n, k, v as u64, out),
+        None => encode_walk_wide(table, n, k, v, out),
+    }
+    debug_assert_eq!(out.len() - base, n);
+}
+
+/// The unrank walk over the `u64` triangle `words` (rows `0..=n`). The
+/// per-slot ON/OFF decision is branch-free; only the run-out of ONs or
+/// OFFs ends the walk early.
+fn encode_walk_u64(words: &[u64], n: usize, k: usize, mut v: u64, out: &mut Vec<bool>) {
+    let end = out.len() + n;
+    let mut ones_left = k;
+    for pos in 0..n {
+        let slots_left = n - pos;
+        if ones_left == 0 || ones_left == slots_left {
+            out.resize(end, ones_left != 0);
+            break;
+        }
+        // C(slots_left-1, ones_left-1): row slots_left-1 starts at m(m+1)/2.
+        let m = slots_left - 1;
+        let c = words[m * (m + 1) / 2 + ones_left - 1];
+        let on = v < c;
+        v -= if on { 0 } else { c };
+        ones_left -= on as usize;
+        out.push(on);
+    }
+}
+
+/// The unrank walk in `u128`, for rows past the word triangle.
+fn encode_walk_wide(table: &BinomialTable, n: usize, k: usize, mut v: u128, out: &mut Vec<bool>) {
     let base = out.len();
     let mut ones_left = k;
     for pos in 0..n {
@@ -206,7 +244,6 @@ fn encode_walk_u128(table: &BinomialTable, n: usize, k: usize, mut v: u128, out:
             out.push(false);
         }
     }
-    debug_assert_eq!(out.len() - base, n);
 }
 
 /// Algorithm 1 — unrank `value` into an `n`-slot codeword with exactly `k`
@@ -268,9 +305,35 @@ fn check_received(n: usize, k: usize, codeword: &[bool]) -> Result<(), CodewordE
     Ok(())
 }
 
-/// The rank walk entirely in `u128` (caller guarantees a checked codeword
-/// and that `C(n,k)` fits).
+/// The rank walk on machine integers (caller guarantees a checked
+/// codeword and that `C(n,k)` fits `u128`): on `u64` word rows when row
+/// `n` is stored, else on `u128`.
 fn rank_u128(table: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> u128 {
+    match table.word_rows(n) {
+        Some(words) => rank_u64(words, n, k, codeword) as u128,
+        None => rank_wide(table, n, k, codeword),
+    }
+}
+
+/// The rank walk over the `u64` triangle `words` (rows `0..=n`),
+/// branch-free per slot until the ONs run out.
+fn rank_u64(words: &[u64], n: usize, k: usize, codeword: &[bool]) -> u64 {
+    let mut value = 0u64;
+    let mut ones_left = k;
+    for (pos, &bit) in codeword.iter().enumerate() {
+        if ones_left == 0 {
+            break; // remaining slots are all OFF, contribute nothing
+        }
+        let m = n - pos - 1;
+        let c = words[m * (m + 1) / 2 + ones_left - 1];
+        value += if bit { 0 } else { c };
+        ones_left -= bit as usize;
+    }
+    value
+}
+
+/// The rank walk in `u128`, for rows past the word triangle.
+fn rank_wide(table: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> u128 {
     let mut value = 0u128;
     let mut ones_left = k;
     for (pos, &bit) in codeword.iter().enumerate() {
@@ -525,12 +588,15 @@ mod tests {
 
     #[test]
     fn u128_and_biguint_paths_agree_at_the_boundary() {
-        // N=128,K=64 is the largest pattern whose C(N,K) fits u128;
-        // N=132,K=66 does not fit. Both must round-trip identically.
+        // N=67 is the last row of the u64 triangle and N=68 the first
+        // walked in u128; N=128,K=64 is the largest pattern whose C(N,K)
+        // fits u128; N=132,K=66 does not fit. All must round-trip.
         let t = table();
+        assert!(t.word_rows(67).is_some());
+        assert!(t.word_rows(68).is_none());
         assert!(t.binomial_u128(128, 64).is_some());
         assert!(t.binomial_u128(132, 66).is_none());
-        for (n, k) in [(128usize, 64usize), (132, 66)] {
+        for (n, k) in [(67usize, 33usize), (68, 34), (128, 64), (132, 66)] {
             let val = t
                 .binomial(n, k)
                 .checked_sub(&BigUint::from_u64(98765))
@@ -542,12 +608,20 @@ mod tests {
 
     #[test]
     fn word_codec_roundtrips_on_both_paths() {
-        // (21,11) and (128,64) take the u128 path; (132,66) and (500,250)
-        // have C(N,K) >= 2^128 and take the BigUint fallback: one full
-        // 128-bit word, and a word spanning several reads.
+        // (21,11) and (67,33) walk the u64 triangle, (68,34) and (128,64)
+        // walk in u128; (132,66) and (500,250) have C(N,K) >= 2^128 and
+        // take the BigUint fallback: one full 128-bit word, and a word
+        // spanning several reads.
         let t = table();
         let payload: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
-        for (n, k) in [(21usize, 11usize), (128, 64), (132, 66), (500, 250)] {
+        for (n, k) in [
+            (21usize, 11usize),
+            (67, 33),
+            (68, 34),
+            (128, 64),
+            (132, 66),
+            (500, 250),
+        ] {
             let bits = t.bits_per_symbol(n, k).unwrap() as usize;
             let mut reader = BitReader::new(&payload);
             let mut scratch = EncodeScratch::new();

@@ -14,8 +14,9 @@
 //! * [`binomial::BinomialTable`] — exact precomputed binomial
 //!   coefficients: immutable after construction so one table (interned
 //!   behind `Arc` via [`BinomialTable::shared`]) serves every planner,
-//!   codec, and sweep worker thread, with borrowed lookups and a `u128`
-//!   fast path for the sizes the modem actually uses.
+//!   codec, and sweep worker thread, with a flat `u64` triangle of rows
+//!   `0..=67` for the codec walks at the sizes the modem actually uses,
+//!   a `u128` view up to `N = 128`, and borrowed `BigUint` lookups.
 //! * [`bits::BitReader`] / [`bits::BitWriter`] — MSB-first bit streams over
 //!   bytes, used to slice the upper-layer payload into per-symbol data
 //!   words of up to 128 bits at a time.

@@ -93,16 +93,6 @@ pub fn pow(base: u8, e: usize) -> u8 {
     EXP[(LOG[base as usize] as usize * e) % 255]
 }
 
-/// Evaluate a polynomial with coefficients highest-degree first (Horner).
-#[inline]
-pub fn poly_eval(coeffs_high_first: &[u8], x: u8) -> u8 {
-    let mut acc = 0u8;
-    for &c in coeffs_high_first {
-        acc = mul(acc, x) ^ c;
-    }
-    acc
-}
-
 /// Evaluate a polynomial with coefficients lowest-degree first.
 #[inline]
 pub fn poly_eval_low_first(coeffs_low_first: &[u8], x: u8) -> u8 {
@@ -114,8 +104,18 @@ pub fn poly_eval_low_first(coeffs_low_first: &[u8], x: u8) -> u8 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Evaluate a polynomial with coefficients highest-degree first
+    /// (Horner): the scalar oracle for the table-driven syndromes.
+    pub(crate) fn poly_eval(coeffs_high_first: &[u8], x: u8) -> u8 {
+        let mut acc = 0u8;
+        for &c in coeffs_high_first {
+            acc = mul(acc, x) ^ c;
+        }
+        acc
+    }
 
     #[test]
     fn alpha_generates_the_whole_field() {

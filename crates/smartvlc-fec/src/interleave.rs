@@ -19,6 +19,7 @@
 
 use crate::profile::FecProfile;
 use crate::rs::ReedSolomon;
+use std::sync::OnceLock;
 
 /// Result of decoding one interleaved block.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,25 +37,30 @@ pub struct FecDecode {
     pub ok: bool,
 }
 
+/// The profile's code, built once per process and shared by every
+/// encoder and decoder.
+fn code(profile: FecProfile) -> &'static ReedSolomon {
+    static CODES: [OnceLock<ReedSolomon>; FecProfile::ALL.len()] =
+        [const { OnceLock::new() }; FecProfile::ALL.len()];
+    CODES[profile.index() as usize].get_or_init(|| ReedSolomon::new(profile.parity()))
+}
+
 /// Encode `data` under `profile`: returns `data ++ interleaved parity`.
 pub fn encode(profile: FecProfile, data: &[u8]) -> Vec<u8> {
     let c = profile.codewords_for(data.len());
     let p = profile.parity();
-    let rs = ReedSolomon::new(p);
+    let rs = code(profile);
     let mut out = Vec::with_capacity(data.len() + c * p);
     out.extend_from_slice(data);
-    let mut parities: Vec<Vec<u8>> = Vec::with_capacity(c);
+    out.resize(data.len() + c * p, 0);
     let mut lane = Vec::new();
     let mut parity = Vec::new();
     for j in 0..c {
         lane.clear();
         lane.extend(data.iter().skip(j).step_by(c));
         rs.encode(&lane, &mut parity);
-        parities.push(parity.clone());
-    }
-    for r in 0..p {
-        for par in &parities {
-            out.push(par[r]);
+        for (slot, &b) in out[data.len() + j..].iter_mut().step_by(c).zip(&parity) {
+            *slot = b;
         }
     }
     out
@@ -78,7 +84,7 @@ pub fn decode(profile: FecProfile, coded: &[u8], data_len: usize) -> FecDecode {
             ok: false,
         };
     }
-    let rs = ReedSolomon::new(p);
+    let rs = code(profile);
     let mut data = coded[..data_len].to_vec();
     let mut corrected = 0u32;
     let mut failed = 0u32;

@@ -12,7 +12,7 @@
 //! corruption) comes back as [`RsError::Unrecoverable`] and the caller
 //! falls back to the outer CRC + ARQ.
 
-use crate::gf256::{alpha_pow, alpha_pow_neg, div, inv, mul, poly_eval, poly_eval_low_first, pow};
+use crate::gf256::{alpha_pow, alpha_pow_neg, div, inv, mul, poly_eval_low_first, pow};
 use std::fmt;
 
 /// Largest codeword the field supports.
@@ -36,12 +36,29 @@ impl fmt::Display for RsError {
 impl std::error::Error for RsError {}
 
 /// A Reed–Solomon code with a fixed parity-symbol count.
+///
+/// The per-byte kernels (encode and syndromes) are table-driven: the code
+/// holds one 256-byte GF(256) multiply row per generator coefficient and
+/// per syndrome root, so each step is one indexed load and one XOR. That
+/// is `2 · parity · 256` bytes per code (16 KB at 32 parity symbols).
 #[derive(Clone, Debug)]
 pub struct ReedSolomon {
     parity: usize,
-    /// Generator polynomial `∏_{i=0}^{parity-1} (x - αⁱ)`, coefficients
-    /// highest-degree first, `gen[0] = 1`.
-    gen: Vec<u8>,
+    /// `gen_mul[j][x] = x · g_{j+1}`, where `g` is the generator
+    /// polynomial `∏_{i=0}^{parity-1} (x - αⁱ)` with coefficients
+    /// highest-degree first (`g_0 = 1` is implicit).
+    gen_mul: Vec<[u8; 256]>,
+    /// `root_mul[i][x] = x · αⁱ`: one Horner step of syndrome `i`.
+    root_mul: Vec<[u8; 256]>,
+}
+
+/// The 256-entry row `x ↦ x · c`.
+fn mul_row(c: u8) -> [u8; 256] {
+    let mut row = [0u8; 256];
+    for (x, r) in row.iter_mut().enumerate() {
+        *r = mul(x as u8, c);
+    }
+    row
 }
 
 impl ReedSolomon {
@@ -62,7 +79,11 @@ impl ReedSolomon {
             }
             gen = next;
         }
-        ReedSolomon { parity, gen }
+        ReedSolomon {
+            parity,
+            gen_mul: gen[1..].iter().map(|&g| mul_row(g)).collect(),
+            root_mul: (0..parity).map(|i| mul_row(alpha_pow(i))).collect(),
+        }
     }
 
     /// Parity symbols per codeword.
@@ -84,16 +105,17 @@ impl ReedSolomon {
         );
         parity_out.clear();
         parity_out.resize(self.parity, 0);
-        // LFSR division of data(x)·x^parity by the generator.
+        // LFSR division of data(x)·x^parity by the generator: shift the
+        // register one symbol and add coef·g, one table row per tap.
+        let p = &mut parity_out[..];
+        let taps = &self.gen_mul[..p.len()];
+        let last = p.len() - 1;
         for &d in data {
-            let coef = d ^ parity_out[0];
-            parity_out.rotate_left(1);
-            parity_out[self.parity - 1] = 0;
-            if coef != 0 {
-                for (p, &g) in parity_out.iter_mut().zip(&self.gen[1..]) {
-                    *p ^= mul(g, coef);
-                }
+            let coef = (d ^ p[0]) as usize;
+            for j in 0..last {
+                p[j] = p[j + 1] ^ taps[j][coef];
             }
+            p[last] = taps[last][coef];
         }
     }
 
@@ -107,14 +129,15 @@ impl ReedSolomon {
         if n <= self.parity || n > MAX_CODEWORD {
             return Err(RsError::Unrecoverable);
         }
-        let synd = self.syndromes(codeword);
+        let all = self.syndromes(codeword);
+        let synd = &all[..self.parity];
         if synd.iter().all(|&s| s == 0) {
             return Ok(0);
         }
 
         // Berlekamp–Massey: shortest LFSR (error locator σ, coefficients
         // lowest-degree first, σ[0] = 1) consistent with the syndromes.
-        let sigma = berlekamp_massey(&synd);
+        let sigma = berlekamp_massey(synd);
         let nu = sigma.len() - 1;
         if nu == 0 || nu > self.t() {
             return Err(RsError::Unrecoverable);
@@ -156,10 +179,18 @@ impl ReedSolomon {
         Ok(nu as u32)
     }
 
-    fn syndromes(&self, codeword: &[u8]) -> Vec<u8> {
-        (0..self.parity)
-            .map(|i| poly_eval(codeword, alpha_pow(i)))
-            .collect()
+    /// `S_i = c(αⁱ)` for `i < parity` (entries past `parity` stay 0),
+    /// every Horner chain advanced together in one pass over the
+    /// codeword. The array lives on the stack, so a clean codeword never
+    /// touches the heap.
+    fn syndromes(&self, codeword: &[u8]) -> [u8; MAX_CODEWORD] {
+        let mut s = [0u8; MAX_CODEWORD];
+        for &c in codeword {
+            for (si, row) in s.iter_mut().zip(&self.root_mul) {
+                *si = row[*si as usize] ^ c;
+            }
+        }
+        s
     }
 }
 
@@ -251,6 +282,95 @@ mod tests {
         *state ^= *state >> 7;
         *state ^= *state << 17;
         *state
+    }
+
+    /// The scalar LFSR, one `gf256::mul` per generator tap: the oracle
+    /// for the table encoder.
+    fn scalar_parity(parity: usize, data: &[u8]) -> Vec<u8> {
+        let mut gen = vec![1u8];
+        for i in 0..parity {
+            let mut next = vec![0u8; gen.len() + 1];
+            for (j, &g) in gen.iter().enumerate() {
+                next[j] ^= g;
+                next[j + 1] ^= mul(g, alpha_pow(i));
+            }
+            gen = next;
+        }
+        let mut p = vec![0u8; parity];
+        for &d in data {
+            let coef = d ^ p[0];
+            p.rotate_left(1);
+            p[parity - 1] = 0;
+            for (pj, &g) in p.iter_mut().zip(&gen[1..]) {
+                *pj ^= mul(g, coef);
+            }
+        }
+        p
+    }
+
+    /// Flip `count` distinct random bytes of `cw` to different values.
+    fn corrupt(cw: &mut [u8], count: usize, state: &mut u64) {
+        let mut hit = vec![false; cw.len()];
+        let mut placed = 0;
+        while placed < count {
+            let pos = (xorshift(state) as usize) % cw.len();
+            if !hit[pos] {
+                hit[pos] = true;
+                cw[pos] ^= (xorshift(state) as u8).max(1);
+                placed += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn table_kernels_match_scalar_oracles_at_every_length() {
+        use crate::gf256::tests::poly_eval;
+        use crate::profile::FecProfile;
+        let mut state = 0x0f1e_2d3c_4b5a_6978u64;
+        for profile in FecProfile::ALL {
+            let p = profile.parity();
+            let rs = ReedSolomon::new(p);
+            for n in p + 1..=MAX_CODEWORD {
+                let data: Vec<u8> = (0..n - p).map(|_| xorshift(&mut state) as u8).collect();
+                let clean = codeword(&rs, &data);
+                assert_eq!(clean[n - p..], scalar_parity(p, &data), "{profile:?} n={n}");
+
+                let mut received = clean.clone();
+                let errors = 1 + (xorshift(&mut state) as usize) % rs.t();
+                corrupt(&mut received, errors, &mut state);
+                let synd = rs.syndromes(&received);
+                for (i, &s) in synd.iter().enumerate() {
+                    let want = if i < p {
+                        poly_eval(&received, alpha_pow(i))
+                    } else {
+                        0
+                    };
+                    assert_eq!(s, want, "{profile:?} n={n} S_{i}");
+                }
+
+                assert_eq!(
+                    rs.correct(&mut received),
+                    Ok(errors as u32),
+                    "{profile:?} n={n}"
+                );
+                assert_eq!(received, clean, "{profile:?} n={n}");
+
+                // Past t: either flagged and untouched, or moved to a true
+                // codeword no more than t symbols from what arrived.
+                let mut received = clean.clone();
+                corrupt(&mut received, rs.t() + 1 + (n % 3), &mut state);
+                let arrived = received.clone();
+                match rs.correct(&mut received) {
+                    Err(RsError::Unrecoverable) => assert_eq!(received, arrived),
+                    Ok(fixed) => {
+                        let moved = received.iter().zip(&arrived).filter(|(a, b)| a != b);
+                        assert_eq!(moved.count(), fixed as usize, "{profile:?} n={n}");
+                        assert!(fixed as usize <= rs.t(), "{profile:?} n={n}");
+                        assert!(rs.syndromes(&received).iter().all(|&s| s == 0));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
