@@ -25,24 +25,11 @@ fn bench_channel(c: &mut Criterion) {
     let probs = OpticalChannel::new(ChannelConfig::paper_bench(3.0), DetRng::seed_from_u64(1))
         .analytic_error_probs();
     let mut rng = DetRng::seed_from_u64(2);
+    let mut out = Vec::with_capacity(slots.len());
     group.bench_function("slot_iid", |b| {
         b.iter(|| {
-            let out: Vec<bool> = slots
-                .iter()
-                .map(|&s| {
-                    let p = if s {
-                        probs.p_on_error
-                    } else {
-                        probs.p_off_error
-                    };
-                    if rng.chance(p) {
-                        !s
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            black_box(out)
+            probs.flip_into(&mut rng, black_box(&slots), &mut out);
+            black_box(out.as_slice());
         })
     });
 

@@ -5,8 +5,11 @@
 //! the pattern sizes the modem actually uses, up to the Nmax = 500
 //! flicker-bound extreme.
 
-use combinat::{decode_codeword, encode_codeword, BigUint, BinomialTable};
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use combinat::{
+    decode_codeword, decode_word, encode_codeword, BigUint, BinomialTable, BitWriter, EncodeScratch,
+};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use desim::DetRng;
 use std::hint::black_box;
 
 fn bench_codeword(c: &mut Criterion) {
@@ -36,6 +39,38 @@ fn bench_codeword(c: &mut Criterion) {
     group.finish();
 }
 
+/// The receiver's per-symbol path: `decode_word` over a stream of random
+/// S(29, 14) symbols (a pattern the AMPPM planner emits), each ranked on
+/// a packed word and appended to one reused `BitWriter`.
+fn bench_decode_word_stream(c: &mut Criterion) {
+    const SYMBOLS: usize = 1024;
+    let (n, k) = (29usize, 14usize);
+    let table = BinomialTable::new(512);
+    let count = table.binomial_u128(n, k).unwrap();
+    let mut rng = DetRng::seed_from_u64(29);
+    let slots: Vec<bool> = (0..SYMBOLS)
+        .flat_map(|_| {
+            let value = BigUint::from_u128(u128::from(rng.next_u64()) % count);
+            encode_codeword(&table, n, k, &value).unwrap()
+        })
+        .collect();
+    let mut scratch = EncodeScratch::new();
+    let mut group = c.benchmark_group("decode_word_stream");
+    group.throughput(Throughput::Elements(SYMBOLS as u64));
+    group.bench_function(format!("s{n}_{k}_x{SYMBOLS}"), |b| {
+        b.iter(|| {
+            let mut writer = BitWriter::new();
+            let mut failures = 0u32;
+            for symbol in black_box(&slots).chunks_exact(n) {
+                failures +=
+                    decode_word(&table, n, k, symbol, &mut scratch, &mut writer).unwrap() as u32;
+            }
+            black_box((writer.len_bits(), failures))
+        })
+    });
+    group.finish();
+}
+
 fn bench_table(c: &mut Criterion) {
     c.bench_function("binomial_table_build_512", |b| {
         b.iter_batched(
@@ -48,5 +83,10 @@ fn bench_table(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_codeword, bench_table);
+criterion_group!(
+    benches,
+    bench_codeword,
+    bench_decode_word_stream,
+    bench_table
+);
 criterion_main!(benches);

@@ -9,7 +9,8 @@
 //! values through three read-only views:
 //!
 //! * [`BinomialTable::binomial_u128`] — `C(n,k)` as `u128` when it fits
-//!   128 bits (everything up to `N = 128` does), the walk for rows 68–128;
+//!   128 bits (everything up to `N = 128` does): the rank walk for rows
+//!   65–128 and the unrank walk for rows 68–128;
 //! * [`BinomialTable::binomial_ref`] — a borrowed `&BigUint`, for the
 //!   walk past `N = 128` and for the planner's bit counts;
 //! * [`BinomialTable::binomial`] — an owned clone for callers that keep
@@ -18,7 +19,10 @@
 //! Rows `0..=min(max_n, 67)`, the last whose entries all fit a `u64`, are
 //! also kept as a flat `u64` triangle (`C(n,k)` at `n(n+1)/2 + k`). That
 //! is the codec hot path: the walks of every pattern with `N ≤ 67` index
-//! it directly, one load per slot with no `BigUint` and no `Option`.
+//! it directly, one load per slot with no `BigUint` and no `Option`, and
+//! for those rows `binomial_u128` and `bits_per_symbol` (`63 − lzcnt` of
+//! the entry) answer from it too, so the codec's once-per-symbol metadata
+//! never reads a `BigUint` either.
 //!
 //! Because the table is immutable after construction, one instance can be
 //! shared across every planner, codec, and sweep worker thread:
@@ -141,16 +145,40 @@ impl BinomialTable {
         Some(&self.words[..word_row_start(n + 1)])
     }
 
-    /// `C(n,k)` as `u128` if it fits, else `None`.
+    /// `C(n,k)` from the word triangle when row `n` is stored there (0
+    /// for `k > n`), else `None`.
+    #[inline]
+    fn word(&self, n: usize, k: usize) -> Option<u64> {
+        if n > self.max_n.min(WORD_ROWS_MAX_N) {
+            return None;
+        }
+        Some(if k > n {
+            0
+        } else {
+            self.words[word_row_start(n) + k]
+        })
+    }
+
+    /// `C(n,k)` as `u128` if it fits, else `None`. Rows of the word
+    /// triangle answer with one load.
     #[inline]
     pub fn binomial_u128(&self, n: usize, k: usize) -> Option<u128> {
-        self.binomial_ref(n, k).to_u128()
+        match self.word(n, k) {
+            Some(c) => Some(c.into()),
+            None => self.binomial_ref(n, k).to_u128(),
+        }
     }
 
     /// `⌊log2 C(n,k)⌋`: the number of data bits one MPPM symbol with
     /// pattern `S(n, k/n)` carries (Eq. 2 numerator). Returns `None` when
     /// `C(n,k) == 0` (i.e. `k > n`) and `Some(0)` when `C(n,k) == 1`.
+    /// Rows of the word triangle answer with a load and a leading-zero
+    /// count.
+    #[inline]
     pub fn bits_per_symbol(&self, n: usize, k: usize) -> Option<u32> {
+        if let Some(c) = self.word(n, k) {
+            return c.checked_ilog2();
+        }
         let c = self.binomial_ref(n, k);
         if c.is_zero() {
             None
@@ -309,6 +337,23 @@ mod tests {
         // Row 68 is the first with an entry past a u64.
         assert!(t.word_rows(WORD_ROWS_MAX_N + 1).is_none());
         assert!(t.binomial_u128(68, 34).unwrap() > u64::MAX as u128);
+    }
+
+    #[test]
+    fn word_row_metadata_equals_the_biguint_answers() {
+        // Tables that hold the whole word triangle and only part of it.
+        for t in [BinomialTable::new(128), BinomialTable::new(40)] {
+            for n in 0..=WORD_ROWS_MAX_N.min(t.max_n()) {
+                assert!(t.word(n, 0).is_some());
+                for k in 0..=n + 2 {
+                    let c = t.binomial_ref(n, k);
+                    assert_eq!(t.binomial_u128(n, k), c.to_u128(), "C({n},{k})");
+                    let bits = (!c.is_zero()).then(|| c.bit_length() - 1);
+                    assert_eq!(t.bits_per_symbol(n, k), bits, "C({n},{k})");
+                }
+            }
+            assert!(t.word(WORD_ROWS_MAX_N.min(t.max_n()) + 1, 0).is_none());
+        }
     }
 
     #[test]

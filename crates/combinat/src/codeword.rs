@@ -22,21 +22,29 @@
 //! ## Hot-path engineering
 //!
 //! The walk itself is cheap; what a symbol costs is one binomial lookup
-//! per slot and how its data word gets in and out of the walk. Three
+//! per slot and how its data word gets in and out of the walk. Four
 //! layers keep that off the heap:
 //!
-//! * a **`u64` word-row walk**: when row `N` of the table's flat `u64`
-//!   triangle is stored (`BinomialTable::word_rows`, every `N ≤ 67`,
-//!   which covers every pattern the planner emits under the default
-//!   calibration and MPPM(20)) each slot is one indexed load, one
+//! * a **`u64` word-row unrank walk**: when row `N` of the table's flat
+//!   `u64` triangle is stored (`BinomialTable::word_rows`, every
+//!   `N ≤ 67`, which covers every pattern the planner emits under the
+//!   default calibration and MPPM(20)) each slot is one indexed load, one
 //!   compare and a branch-free update. Rows 68–128 run the same walk on
 //!   `u128`, looking each coefficient up through
 //!   [`BinomialTable::binomial_u128`];
+//! * a **packed rank** for `N ≤ 64`: the received slots become one `u64`
+//!   (eight slots per multiply), the weight check is a `popcount`, and
+//!   the rank sums one triangle entry per OFF slot before the last ON,
+//!   each term computed from its own slot index and visit count rather
+//!   than carried from the previous slot. Rows 65–128 rank with the
+//!   slot-serial `u128` walk;
 //! * a **word-level stream codec**, [`encode_word`]/[`decode_word`]: the
 //!   modems read each data word from the payload as one `u128`
 //!   ([`BitReader::read_word`]) and write it back the same way
-//!   ([`BitWriter::write_word`]), so a symbol on the machine-integer
-//!   paths allocates nothing and never builds a `BigUint`;
+//!   ([`BitWriter::write_word`]). The per-symbol metadata (bits per
+//!   symbol, whether `C(N,K)` fits 128 bits) comes from the word triangle
+//!   for rows ≤ 67, so a symbol on the machine-integer paths allocates
+//!   nothing and never reads or builds a `BigUint`;
 //! * an **[`EncodeScratch`] reusable workspace** for the `BigUint` slow
 //!   path (`C(N,K) ≥ 2^128`): the residual value and decode accumulator
 //!   live in scratch buffers that are `clone_from`-refilled. The slow path
@@ -289,12 +297,7 @@ fn check_received(n: usize, k: usize, codeword: &[bool]) -> Result<(), CodewordE
     if k > n {
         return Err(CodewordError::InvalidPattern { n, k });
     }
-    if codeword.len() != n {
-        return Err(CodewordError::WrongLength {
-            expected: n,
-            got: codeword.len(),
-        });
-    }
+    check_length(n, codeword)?;
     let weight = codeword.iter().filter(|&&b| b).count();
     if weight != k {
         return Err(CodewordError::WrongWeight {
@@ -305,34 +308,86 @@ fn check_received(n: usize, k: usize, codeword: &[bool]) -> Result<(), CodewordE
     Ok(())
 }
 
-/// The rank walk on machine integers (caller guarantees a checked
-/// codeword and that `C(n,k)` fits `u128`): on `u64` word rows when row
-/// `n` is stored, else on `u128`.
+/// `WrongLength` unless the received word has `n` slots.
+fn check_length(n: usize, codeword: &[bool]) -> Result<(), CodewordError> {
+    if codeword.len() != n {
+        return Err(CodewordError::WrongLength {
+            expected: n,
+            got: codeword.len(),
+        });
+    }
+    Ok(())
+}
+
+/// The rank on machine integers (caller guarantees a checked codeword
+/// and that `C(n,k)` fits `u128`): on a packed word when row `n` allows
+/// it, else walked in `u128`.
 fn rank_u128(table: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> u128 {
-    match table.word_rows(n) {
-        Some(words) => rank_u64(words, n, k, codeword) as u128,
+    match packed_rows(table, n) {
+        Some(words) => rank_packed(words, n, k, pack_slots(codeword)).into(),
         None => rank_wide(table, n, k, codeword),
     }
 }
 
-/// The rank walk over the `u64` triangle `words` (rows `0..=n`),
-/// branch-free per slot until the ONs run out.
-fn rank_u64(words: &[u64], n: usize, k: usize, codeword: &[bool]) -> u64 {
+/// The rows of the `u64` triangle (`0..=n`) when the packed rank serves
+/// pattern row `n`: the row is stored and a symbol fits one `u64`.
+fn packed_rows(table: &BinomialTable, n: usize) -> Option<&[u64]> {
+    table.word_rows(n).filter(|_| n <= 64)
+}
+
+/// Slots (at most 64) packed into a word, slot `i` at bit `i`.
+///
+/// Eight slots at a time: their bytes (each 0 or 1) read as one
+/// little-endian word, then gathered into the top byte by one multiply.
+/// Byte `j` times `2^(56−7j)` lands on bit `56 + j`, and no two partial
+/// products share a bit, so nothing carries.
+fn pack_slots(slots: &[bool]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut chunks = slots.chunks_exact(8);
+    let mut word = 0u64;
+    let mut shift = 0;
+    for chunk in &mut chunks {
+        let eight: [bool; 8] = chunk.try_into().expect("chunks of eight");
+        let bytes = u64::from_le_bytes(eight.map(u8::from));
+        word |= (bytes.wrapping_mul(GATHER) >> 56) << shift;
+        shift += 8;
+    }
+    for (j, &s) in chunks.remainder().iter().enumerate() {
+        word |= u64::from(s) << (shift + j);
+    }
+    word
+}
+
+/// Algorithm 2 on a packed symbol (slot `i` at bit `i` of `word`, weight
+/// `k` already checked) over the `u64` triangle `words` (rows `0..=n`).
+///
+/// The walk adds, at each OFF slot `i`, the `C(n−1−i, r−1)` codewords
+/// that put ON there, where `r` is the ONs still to place: `k` less the
+/// ONs before `i`. Past the last ON `r = 0` and nothing is added, so the
+/// rank is a sum over the OFF slots below the last ON. They are visited
+/// lowest first by trailing-zero count, and the `j`-th of them has
+/// exactly `i − j` ONs before it, so `r = k + j − i`: every term comes
+/// from its own slot index and visit count, with no per-slot dependency
+/// chain and no data-dependent branch but the loop's end.
+fn rank_packed(words: &[u64], n: usize, k: usize, word: u64) -> u64 {
+    if word == 0 {
+        return 0; // k = 0: the only codeword
+    }
+    let last_on = 63 - word.leading_zeros();
+    let mut off = !word & ((1u64 << last_on) - 1);
     let mut value = 0u64;
-    let mut ones_left = k;
-    for (pos, &bit) in codeword.iter().enumerate() {
-        if ones_left == 0 {
-            break; // remaining slots are all OFF, contribute nothing
-        }
-        let m = n - pos - 1;
-        let c = words[m * (m + 1) / 2 + ones_left - 1];
-        value += if bit { 0 } else { c };
-        ones_left -= bit as usize;
+    let mut j = 0;
+    while off != 0 {
+        let i = off.trailing_zeros() as usize;
+        let m = n - 1 - i;
+        value += words[m * (m + 1) / 2 + k + j - i - 1];
+        off &= off - 1;
+        j += 1;
     }
     value
 }
 
-/// The rank walk in `u128`, for rows past the word triangle.
+/// The rank walk in `u128`, for rows a packed word cannot hold (N > 64).
 fn rank_wide(table: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> u128 {
     let mut value = 0u128;
     let mut ones_left = k;
@@ -436,20 +491,20 @@ pub fn decode_word(
     let bits = table
         .bits_per_symbol(n, k)
         .ok_or(CodewordError::InvalidPattern { n, k })? as usize;
+    if let Some(words) = packed_rows(table, n) {
+        check_length(n, codeword)?;
+        let word = pack_slots(codeword);
+        let rank = (word.count_ones() as usize == k).then(|| rank_packed(words, n, k, word));
+        return Ok(write_rank(writer, rank.map(u128::from), bits));
+    }
     let weight_ok = match check_received(n, k, codeword) {
         Ok(()) => true,
         Err(CodewordError::WrongWeight { .. }) => false,
         Err(e) => return Err(e),
     };
     if table.binomial_u128(n, k).is_some() {
-        let value = if weight_ok {
-            rank_u128(table, n, k, codeword)
-        } else {
-            0
-        };
-        let failed = !weight_ok || value >> bits != 0;
-        writer.write_word(if failed { 0 } else { value }, bits);
-        return Ok(failed);
+        let rank = weight_ok.then(|| rank_wide(table, n, k, codeword));
+        return Ok(write_rank(writer, rank, bits));
     }
     let value = &mut scratch.val;
     if weight_ok {
@@ -468,6 +523,15 @@ pub fn decode_word(
         hi = lo;
     }
     Ok(failed)
+}
+
+/// Append a ranked symbol's `bits`-bit data word to `writer` and return
+/// whether the symbol failed: no rank (it lost its weight) or one at or
+/// beyond `2^bits`. A failed symbol writes zeros.
+fn write_rank(writer: &mut BitWriter, rank: Option<u128>, bits: usize) -> bool {
+    let word = rank.filter(|r| r >> bits == 0);
+    writer.write_word(word.unwrap_or(0), bits);
+    word.is_none()
 }
 
 /// Reference enumeration of all `(n,k)` constant-weight words in codec
@@ -690,6 +754,163 @@ mod tests {
             Err(CodewordError::InvalidPattern { n: 3, k: 5 })
         );
         assert_eq!(w.len_bits(), 0);
+    }
+
+    /// Algorithm 2 exactly as the paper walks it, one binomial per OFF
+    /// slot while ONs remain: the oracle for the packed rank.
+    fn paper_rank(t: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> u128 {
+        let mut ones_left = k;
+        let mut value = 0;
+        for (pos, &on) in codeword.iter().enumerate() {
+            if ones_left == 0 {
+                break;
+            }
+            if on {
+                ones_left -= 1;
+            } else {
+                value += t.binomial_u128(n - pos - 1, ones_left - 1).unwrap();
+            }
+        }
+        value
+    }
+
+    /// `decode_word` on one symbol: the failure flag and the word it
+    /// wrote, after checking the word is exactly `bits` wide.
+    fn decode_one(t: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> (bool, u128) {
+        let bits = t.bits_per_symbol(n, k).unwrap() as usize;
+        let mut w = BitWriter::new();
+        let failed = decode_word(t, n, k, codeword, &mut EncodeScratch::new(), &mut w).unwrap();
+        let (bytes, nbits) = w.finish();
+        assert_eq!(nbits, bits, "n={n} k={k}");
+        (failed, BitReader::new(&bytes).read_word(bits))
+    }
+
+    #[test]
+    fn packed_rank_is_the_enumeration_index_for_every_row_to_20() {
+        let t = BinomialTable::new(64);
+        for n in 0..=20 {
+            for k in 0..=n {
+                let bits = t.bits_per_symbol(n, k).unwrap();
+                for (i, cw) in enumerate_codewords(n, k).iter().enumerate() {
+                    let i = i as u128;
+                    let sent = i >> bits == 0;
+                    assert_eq!(decode_one(&t, n, k, cw), (!sent, if sent { i } else { 0 }));
+                    let value = decode_codeword(&t, n, k, cw).unwrap();
+                    assert_eq!(value.to_u128(), Some(i), "n={n} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_slots_puts_slot_i_at_bit_i() {
+        let mut gen = xorshift(5);
+        for n in 0..=64 {
+            let slots: Vec<bool> = (0..n).map(|_| gen() & 1 == 1).collect();
+            let expect = slots
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &s)| w | (u64::from(s) << i));
+            assert_eq!(pack_slots(&slots), expect, "n={n}");
+        }
+        assert_eq!(pack_slots(&[true; 64]), u64::MAX);
+    }
+
+    /// A small xorshift stream, so the codec tests need no RNG crate.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    #[test]
+    fn packed_rank_matches_the_paper_walk_on_random_words_to_64() {
+        let t = BinomialTable::new(128);
+        let mut gen = xorshift(17);
+        for n in 1..=64usize {
+            for _ in 0..40 {
+                // A random weight-k word: shuffle k ONs into n slots.
+                let k = (gen() % (n as u64 + 1)) as usize;
+                let mut cw: Vec<bool> = (0..n).map(|i| i < k).collect();
+                for i in (1..n).rev() {
+                    cw.swap(i, (gen() % (i as u64 + 1)) as usize);
+                }
+                let bits = t.bits_per_symbol(n, k).unwrap();
+                let rank = paper_rank(&t, n, k, &cw);
+                let sent = rank >> bits == 0;
+                assert_eq!(
+                    decode_one(&t, n, k, &cw),
+                    (!sent, if sent { rank } else { 0 }),
+                    "n={n} k={k} {cw:?}"
+                );
+                assert_eq!(
+                    decode_codeword(&t, n, k, &cw).unwrap().to_u128(),
+                    Some(rank)
+                );
+                // One flipped slot breaks the weight: flagged, zero word.
+                let flip = (gen() % n as u64) as usize;
+                cw[flip] = !cw[flip];
+                assert_eq!(decode_one(&t, n, k, &cw), (true, 0), "n={n} k={k}");
+            }
+        }
+        // The last ON at bit 63, with OFFs before it: the largest rank of
+        // (64, 3) and (64, 32), both at or beyond 2^b; and one just below
+        // 2^b, which is sent.
+        for k in [3usize, 32] {
+            let mut cw = vec![false; 64];
+            cw[64 - k..].fill(true);
+            let top = t.binomial_u128(64, k).unwrap() - 1;
+            assert_eq!(paper_rank(&t, 64, k, &cw), top);
+            assert_eq!(
+                decode_codeword(&t, 64, k, &cw).unwrap().to_u128(),
+                Some(top)
+            );
+            assert_eq!(decode_one(&t, 64, k, &cw), (true, 0), "k={k}");
+            let bits = t.bits_per_symbol(64, k).unwrap();
+            let below = (1u128 << bits) - 1;
+            let cw = encode_codeword(&t, 64, k, &BigUint::from_u128(below)).unwrap();
+            assert_eq!(decode_one(&t, 64, k, &cw), (false, below), "k={k}");
+        }
+        // C(64, 1) = 2^6, so the one ON at slot 63 is the top rank and sent.
+        let mut cw = vec![false; 64];
+        cw[63] = true;
+        assert_eq!(decode_one(&t, 64, 1, &cw), (false, 63));
+    }
+
+    #[test]
+    fn rows_65_to_67_rank_through_the_u128_walk() {
+        let t = BinomialTable::new(128);
+        let mut gen = xorshift(23);
+        for n in 65..=67usize {
+            assert!(t.word_rows(n).is_some() && packed_rows(&t, n).is_none());
+            for k in [1usize, n / 3, n / 2, n - 1] {
+                let c = t.binomial_u128(n, k).unwrap();
+                let bits = t.bits_per_symbol(n, k).unwrap();
+                for rank in [
+                    0,
+                    1,
+                    c / 2,
+                    (1u128 << bits) - 1,
+                    c - 1,
+                    u128::from(gen()) % c,
+                ] {
+                    let cw = encode_codeword(&t, n, k, &BigUint::from_u128(rank)).unwrap();
+                    assert_eq!(paper_rank(&t, n, k, &cw), rank);
+                    assert_eq!(
+                        decode_codeword(&t, n, k, &cw).unwrap().to_u128(),
+                        Some(rank)
+                    );
+                    let sent = rank >> bits == 0;
+                    let want = (!sent, if sent { rank } else { 0 });
+                    assert_eq!(decode_one(&t, n, k, &cw), want, "n={n} k={k}");
+                }
+            }
+        }
+        assert!(packed_rows(&t, 64).is_some());
     }
 
     #[test]

@@ -114,6 +114,27 @@ impl DetRng {
         self.next_f64() < p
     }
 
+    /// The integer form of [`chance`](Self::chance): for every state,
+    /// `chance(p) == ((next_u64() >> 11) < chance_threshold(p))`.
+    ///
+    /// `next_f64` is the top 53 bits `m` times 2⁻⁵³, and scaling `p` by
+    /// 2⁵³ is exact, so `m·2⁻⁵³ < p` holds exactly when `m < ⌈p·2⁵³⌉`.
+    /// The threshold is 0 for NaN and `p ≤ 0` (never true) and 2⁵³ for
+    /// `p ≥ 1` (always true). A caller drawing many Bernoullis at a few
+    /// fixed probabilities computes the thresholds once and compares
+    /// integers per draw.
+    #[inline]
+    pub fn chance_threshold(p: f64) -> u64 {
+        const SCALE: f64 = (1u64 << 53) as f64;
+        if p >= 1.0 {
+            1 << 53
+        } else if p > 0.0 {
+            (p * SCALE).ceil() as u64
+        } else {
+            0
+        }
+    }
+
     /// Fill a byte slice with uniform random bytes.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
         let mut chunks = out.chunks_exact_mut(8);

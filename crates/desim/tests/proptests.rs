@@ -3,6 +3,40 @@
 use desim::{DetRng, Scheduler, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// Probabilities at the edges of `chance_threshold`'s cases.
+const CHANCE_SPECIALS: [f64; 16] = [
+    0.0,
+    -0.0,
+    -1.0,
+    -5e-324,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    1.0,
+    1.5,
+    f64::INFINITY,
+    5e-324,                         // smallest subnormal
+    f64::MIN_POSITIVE / 3.0,        // a subnormal
+    f64::MIN_POSITIVE,              // smallest normal
+    0.5,                            // p·2⁵³ an integer
+    1.0 - 1.0 / 9007199254740992.0, // the largest f64 below 1 (2⁵³ − 1)·2⁻⁵³
+    1.0 / 9007199254740992.0,       // 2⁻⁵³, threshold 1
+    1.5 / 9007199254740992.0,       // between the first two lattice points
+];
+
+/// Probe `pick`: a special value, or one built from `bits` — a lattice
+/// point `m·2⁻⁵³`, its neighbours one ulp either side, or a uniform value
+/// in (0, 1) with an arbitrary mantissa.
+fn chance_probe(pick: usize, bits: u64) -> f64 {
+    let lattice = (bits >> 11) as f64 / (1u64 << 53) as f64;
+    match pick.checked_sub(CHANCE_SPECIALS.len()) {
+        None => CHANCE_SPECIALS[pick],
+        Some(0) => lattice,
+        Some(1) => f64::from_bits(lattice.to_bits() + 1),
+        Some(2) => f64::from_bits(lattice.to_bits().saturating_sub(1)),
+        _ => f64::from_bits(0x3FF0_0000_0000_0000 | (bits >> 12)) - 1.0,
+    }
+}
+
 proptest! {
     /// Events always pop in non-decreasing time order, FIFO within ties,
     /// regardless of insertion order.
@@ -91,6 +125,33 @@ proptest! {
         let mut r = DetRng::seed_from_u64(seed);
         for _ in 0..64 {
             prop_assert!(r.next_below(bound) < bound);
+        }
+    }
+
+    /// The integer threshold reproduces `chance` draw for draw: on the
+    /// same state, `(next_u64() >> 11) < chance_threshold(p)` equals
+    /// `next_f64() < p`, for special, lattice and arbitrary `p`.
+    #[test]
+    fn chance_threshold_matches_chance(
+        seed in any::<u64>(),
+        pick in 0usize..CHANCE_SPECIALS.len() + 4,
+        bits in any::<u64>(),
+    ) {
+        let p = chance_probe(pick, bits);
+        let t = DetRng::chance_threshold(p);
+        prop_assert!(t <= 1 << 53);
+        let mut float = DetRng::seed_from_u64(seed);
+        let mut int = float.clone();
+        for _ in 0..64 {
+            prop_assert_eq!(float.next_f64() < p, (int.next_u64() >> 11) < t, "p = {:e}", p);
+        }
+        // The threshold is the exact boundary on the 53-bit lattice.
+        let scale = 1.0 / (1u64 << 53) as f64;
+        if t > 0 {
+            prop_assert!(((t - 1) as f64 * scale) < p, "p = {:e}", p);
+        }
+        if t < 1 << 53 {
+            prop_assert!(p.is_nan() || t as f64 * scale >= p, "p = {:e}", p);
         }
     }
 

@@ -712,17 +712,9 @@ impl LinkSimulation {
                 std::mem::swap(out, &mut self.rx_scratch.decided);
             }
             ChannelFidelity::SlotIid => {
-                let probs = self.channel.analytic_error_probs();
-                out.clear();
-                out.reserve(slots.len());
-                for &s in slots {
-                    let p = if s {
-                        probs.p_on_error
-                    } else {
-                        probs.p_off_error
-                    };
-                    out.push(if self.rng.chance(p) { !s } else { s });
-                }
+                self.channel
+                    .analytic_error_probs()
+                    .flip_into(&mut self.rng, slots, out)
             }
         }
     }

@@ -12,6 +12,7 @@
 //! P1 = Q((thr − μ_off)/σ),   P2 = Q((μ_on − thr)/σ)
 //! ```
 
+use desim::DetRng;
 use serde::{Deserialize, Serialize};
 
 /// Analytic per-slot error probabilities of a channel operating point.
@@ -21,6 +22,32 @@ pub struct ChannelErrorProbs {
     pub p_off_error: f64,
     /// Probability an ON slot is decided OFF (the paper's `P2`).
     pub p_on_error: f64,
+}
+
+impl ChannelErrorProbs {
+    /// Fly `slots` through the slot-i.i.d. channel: clears `out` and fills
+    /// it with each slot flipped with probability `P1` (OFF) or `P2` (ON).
+    ///
+    /// Draw for draw this is `rng.chance(p)` per slot, in slot order: the
+    /// two probabilities become [`DetRng::chance_threshold`]s once per
+    /// call, and each slot is one `next_u64`, one integer compare and an
+    /// XOR. The stream is stepped in a local copy so its state stays in
+    /// registers across the loop rather than round-tripping through memory
+    /// around every store into `out`.
+    pub fn flip_into(&self, rng: &mut DetRng, slots: &[bool], out: &mut Vec<bool>) {
+        let t = [
+            DetRng::chance_threshold(self.p_off_error),
+            DetRng::chance_threshold(self.p_on_error),
+        ];
+        let mut local = rng.clone();
+        out.clear();
+        out.extend(
+            slots
+                .iter()
+                .map(|&s| s ^ ((local.next_u64() >> 11) < t[usize::from(s)])),
+        );
+        *rng = local;
+    }
 }
 
 /// The Gaussian tail function `Q(x) = P(N(0,1) > x)`.
@@ -231,7 +258,6 @@ mod tests {
 
     #[test]
     fn monte_carlo_matches_analytic() {
-        use desim::DetRng;
         let d = SlotDetector::from_levels(1.0, 0.0, 0.25); // Q-factor 2
         let probs = d.error_probs();
         let mut rng = DetRng::seed_from_u64(7);
@@ -250,5 +276,62 @@ mod tests {
         let p_off = off_err as f64 / n as f64;
         assert!((p_on - probs.p_on_error).abs() < 0.002, "p_on={p_on}");
         assert!((p_off - probs.p_off_error).abs() < 0.002, "p_off={p_off}");
+    }
+
+    /// The per-slot loop `flip_into` replaces: one `chance` per slot.
+    fn chance_oracle(probs: &ChannelErrorProbs, rng: &mut DetRng, slots: &[bool]) -> Vec<bool> {
+        slots
+            .iter()
+            .map(|&s| {
+                let p = if s {
+                    probs.p_on_error
+                } else {
+                    probs.p_off_error
+                };
+                if rng.chance(p) {
+                    !s
+                } else {
+                    s
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flip_into_equals_the_chance_loop_draw_for_draw() {
+        let mut gen = DetRng::seed_from_u64(11);
+        let slots: Vec<bool> = (0..5_000).map(|_| gen.chance(0.4)).collect();
+        let points = [
+            // A coin flip: about half the slots flip.
+            SlotDetector::from_levels(0.5, 0.5, 0.1).error_probs(),
+            // Asymmetric P1/P2, one of them never, one always.
+            ChannelErrorProbs {
+                p_off_error: 0.0,
+                p_on_error: 1.0,
+            },
+            // The paper's healthy link (Q ≈ 3.75) and a p past 1.
+            ChannelErrorProbs {
+                p_off_error: 9e-5,
+                p_on_error: 1.5,
+            },
+        ];
+        for (i, probs) in points.iter().enumerate() {
+            let mut a = DetRng::seed_from_u64(100 + i as u64);
+            let mut b = a.clone();
+            let expect = chance_oracle(probs, &mut a, &slots);
+            let mut out = vec![true; 3]; // stale contents are cleared
+            probs.flip_into(&mut b, &slots, &mut out);
+            assert_eq!(out, expect, "operating point {i}: {probs:?}");
+            assert_eq!(a.next_u64(), b.next_u64(), "rng state after point {i}");
+        }
+        let flips = |probs: &ChannelErrorProbs| {
+            let mut out = Vec::new();
+            probs.flip_into(&mut DetRng::seed_from_u64(1), &slots, &mut out);
+            out.iter().zip(&slots).filter(|(o, s)| o != s).count()
+        };
+        let ones = slots.iter().filter(|&&s| s).count();
+        assert!((2_300..2_700).contains(&flips(&points[0])));
+        assert_eq!(flips(&points[1]), ones, "every ON flips, no OFF does");
+        assert!(flips(&points[2]) >= ones);
     }
 }
