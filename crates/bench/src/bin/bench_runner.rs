@@ -1,6 +1,6 @@
 //! Wall-clock audit of the parallel experiment runner: each figure
-//! workload timed serially (`SMARTVLC_THREADS=1`) and at the machine's
-//! parallelism, written as machine-readable JSON to
+//! workload timed on one worker and on `SMARTVLC_THREADS` workers (the
+//! machine's parallelism when unset), written as machine-readable JSON to
 //! `results/BENCH_runner.json` (override the directory with
 //! `SMARTVLC_RESULTS`).
 //!
@@ -10,14 +10,14 @@
 //! that changed the numbers would be a bug, not a win.
 
 use desim::{DetRng, SimDuration};
-use smartvlc_bench::results_dir;
+use smartvlc_bench::{env_threads, write_result};
 use smartvlc_core::SystemConfig;
 use smartvlc_link::{SchemeKind, Transmitter};
-use smartvlc_obs as obs;
+use smartvlc_obs::{self as obs, Json};
 use smartvlc_sim::static_run::{
     paper_levels, run_distance_matrix, run_incidence_matrix, run_scheme_matrix,
 };
-use smartvlc_sim::{run_broadcast, Seat, StaticPoint};
+use smartvlc_sim::{run_broadcast, with_threads, Seat, StaticPoint};
 use std::time::Instant;
 use vlc_channel::link::{ChannelConfig, OpticalChannel, RxScratch};
 
@@ -81,7 +81,7 @@ fn encode_biguint_baseline(
 ///   identical decisions.
 /// * **decide** — threshold recomputed per slot (`decide` in a loop) vs.
 ///   the batch `decide_into`.
-fn rx_hot_path_section() -> String {
+fn rx_hot_path_section() -> Json {
     let ch_cfg = ChannelConfig::paper_bench(2.5);
 
     // A realistic slot batch: one AMPPM frame plus the 32-slot gap — the
@@ -197,25 +197,37 @@ fn rx_hot_path_section() -> String {
          decide_into {decide_into_ns:5.2} ns/slot  ({decide_ratio:.2}x)"
     );
 
-    format!(
-        "  \"rx_ns_per_slot\": {{\n    \"frame_slots\": {},\n    \
-         \"analytic\": {{\"baseline_ns_per_call\": {:.1}, \"cached_ns_per_call\": {:.1}, \
-         \"baseline_ns_per_slot\": {:.3}, \"cached_ns_per_slot\": {:.3}, \"ratio\": {:.2}}},\n    \
-         \"sampled\": {{\"ns_per_slot\": {:.2}, \"bit_identical\": true}},\n    \
-         \"decide\": {{\"baseline_ns_per_slot\": {:.3}, \"into_ns_per_slot\": {:.3}, \
-         \"ratio\": {:.2}}},\n    \"headline_ratio\": {:.2}\n  }}\n",
-        frame_slots,
-        analytic_baseline_ns,
-        analytic_cached_ns,
-        analytic_baseline_ns / frame_slots as f64,
-        analytic_cached_ns / frame_slots as f64,
-        analytic_ratio,
-        sampled_ns,
-        decide_baseline_ns,
-        decide_into_ns,
-        decide_ratio,
-        analytic_ratio,
-    )
+    let baseline_per_slot = analytic_baseline_ns / frame_slots as f64;
+    let cached_per_slot = analytic_cached_ns / frame_slots as f64;
+    Json::obj([
+        ("frame_slots", Json::from(frame_slots)),
+        (
+            "analytic",
+            Json::inline_obj([
+                ("baseline_ns_per_call", Json::fixed(analytic_baseline_ns, 1)),
+                ("cached_ns_per_call", Json::fixed(analytic_cached_ns, 1)),
+                ("baseline_ns_per_slot", Json::fixed(baseline_per_slot, 3)),
+                ("cached_ns_per_slot", Json::fixed(cached_per_slot, 3)),
+                ("ratio", Json::fixed(analytic_ratio, 2)),
+            ]),
+        ),
+        (
+            "sampled",
+            Json::inline_obj([
+                ("ns_per_slot", Json::fixed(sampled_ns, 2)),
+                ("bit_identical", Json::from(true)),
+            ]),
+        ),
+        (
+            "decide",
+            Json::inline_obj([
+                ("baseline_ns_per_slot", Json::fixed(decide_baseline_ns, 3)),
+                ("into_ns_per_slot", Json::fixed(decide_into_ns, 3)),
+                ("ratio", Json::fixed(decide_ratio, 2)),
+            ]),
+        ),
+        ("headline_ratio", Json::fixed(analytic_ratio, 2)),
+    ])
 }
 
 fn fingerprint(sweeps: &[Vec<StaticPoint>]) -> Vec<u64> {
@@ -226,32 +238,25 @@ fn fingerprint(sweeps: &[Vec<StaticPoint>]) -> Vec<u64> {
         .collect()
 }
 
-/// Run `work` once at 1 thread and once at the ambient thread count,
-/// returning wall-clock seconds for both plus the outputs' equality.
+/// Run `work` once on 1 worker and once on `threads`, returning
+/// wall-clock seconds for both plus the outputs' equality.
 fn measure<R: PartialEq>(
     figure: &'static str,
     tasks: usize,
     threads: usize,
     work: impl Fn() -> R,
 ) -> Timing {
-    std::env::set_var("SMARTVLC_THREADS", "1");
-    let serial_rec = obs::Recorder::new();
-    let t0 = Instant::now();
-    let serial = obs::with_recorder(&serial_rec, &work);
-    let serial_s = t0.elapsed().as_secs_f64();
-
-    std::env::set_var("SMARTVLC_THREADS", threads.to_string());
-    let parallel_rec = obs::Recorder::new();
-    let t1 = Instant::now();
-    let parallel = obs::with_recorder(&parallel_rec, &work);
-    let parallel_s = t1.elapsed().as_secs_f64();
-    std::env::remove_var("SMARTVLC_THREADS");
-
-    let serial_snap = serial_rec.snapshot();
-    let parallel_snap = parallel_rec.snapshot();
+    let timed = |n: usize| {
+        let rec = obs::Recorder::new();
+        let t = Instant::now();
+        let out = with_threads(n, || obs::with_recorder(&rec, &work));
+        (out, t.elapsed().as_secs_f64(), rec.snapshot())
+    };
+    let (serial, serial_s, serial_snap) = timed(1);
+    let (parallel, parallel_s, parallel_snap) = timed(threads);
     assert_eq!(
-        serial_snap.to_json(),
-        parallel_snap.to_json(),
+        serial_snap.json().to_string(),
+        parallel_snap.json().to_string(),
         "{figure}: telemetry snapshot differs between 1 and {threads} thread(s)"
     );
 
@@ -269,7 +274,7 @@ fn measure<R: PartialEq>(
 fn main() {
     // Honor SMARTVLC_THREADS for the parallel leg (invalid values fail
     // loudly); fall back to the machine's parallelism when unset.
-    let threads = smartvlc_sim::thread_count();
+    let threads = env_threads();
     let dur = SimDuration::millis(400);
     println!("runner wall-clock audit: serial vs {threads} thread(s), 0.4 s points\n");
 
@@ -330,8 +335,8 @@ fn main() {
         }),
     ];
 
-    let mut json = String::from("{\n  \"figures\": [\n");
-    for (i, t) in timings.iter().enumerate() {
+    let mut figures = Vec::new();
+    for t in &timings {
         let speedup = t.serial_s / t.parallel_s.max(1e-9);
         println!(
             "{:28} {:3} tasks  serial {:7.3} s  parallel {:7.3} s  speedup {:.2}x  identical: {}",
@@ -342,27 +347,23 @@ fn main() {
             "{}: parallel output diverged from serial",
             t.figure
         );
-        json.push_str(&format!(
-            "    {{\"figure\": \"{}\", \"tasks\": {}, \"threads\": {}, \
-             \"serial_s\": {:.4}, \"parallel_s\": {:.4}, \"speedup\": {:.3}, \
-             \"identical\": {}}}{}\n",
-            t.figure,
-            t.tasks,
-            t.threads,
-            t.serial_s,
-            t.parallel_s,
-            speedup,
-            t.identical,
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
+        figures.push(Json::inline_obj([
+            ("figure", Json::from(t.figure)),
+            ("tasks", Json::from(t.tasks)),
+            ("threads", Json::from(t.threads)),
+            ("serial_s", Json::fixed(t.serial_s, 4)),
+            ("parallel_s", Json::fixed(t.parallel_s, 4)),
+            ("speedup", Json::fixed(speedup, 3)),
+            ("identical", Json::from(t.identical)),
+        ]));
     }
-    json.push_str("  ],\n  \"codec_ns_per_symbol\": [\n");
 
     // Per-symbol codec cost: the pre-optimisation BigUint walk vs the
     // scratch + u128 fast-path API, at the modem's pattern sizes.
     println!();
     let codec_cases = [(20usize, 10usize), (31, 15), (120, 60)];
-    for (ci, &(n, k)) in codec_cases.iter().enumerate() {
+    let mut codec = Vec::new();
+    for &(n, k) in &codec_cases {
         let table = combinat::BinomialTable::shared(512);
         let value = table
             .binomial(n, k)
@@ -391,42 +392,29 @@ fn main() {
             "codec encode N={n:3} K={k:3}: baseline {baseline_ns:7.1} ns  \
              scratch {scratch_ns:7.1} ns  ({ratio:.1}x fewer ns/symbol)"
         );
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"k\": {}, \"baseline_ns\": {:.1}, \"scratch_ns\": {:.1}, \
-             \"ratio\": {:.2}}}{}\n",
-            n,
-            k,
-            baseline_ns,
-            scratch_ns,
-            ratio,
-            if ci + 1 < codec_cases.len() { "," } else { "" }
-        ));
+        codec.push(Json::inline_obj([
+            ("n", Json::from(n)),
+            ("k", Json::from(k)),
+            ("baseline_ns", Json::fixed(baseline_ns, 1)),
+            ("scratch_ns", Json::fixed(scratch_ns, 1)),
+            ("ratio", Json::fixed(ratio, 2)),
+        ]));
     }
-    json.push_str("  ],\n");
-    json.push_str(&rx_hot_path_section());
-    json.push_str("}\n");
+    let json = Json::obj([
+        ("figures", Json::arr(figures)),
+        ("codec_ns_per_symbol", Json::arr(codec)),
+        ("rx_ns_per_slot", rx_hot_path_section()),
+    ]);
 
-    let path = results_dir().join("BENCH_runner.json");
-    std::fs::write(&path, &json).expect("write BENCH_runner.json");
-    println!("\nwrote {}", path.display());
+    println!();
+    write_result("BENCH_runner.json", format!("{json}\n"));
 
     // Telemetry goes to its own file: BENCH_runner.json carries wall-clock
     // timings (legitimately nondeterministic), while this file holds only
     // sim-time metrics and must be byte-identical at any SMARTVLC_THREADS
     // (the CI telemetry-determinism job diffs it at 1 vs 8).
-    let mut tele = String::from("{\n");
-    for (i, t) in timings.iter().enumerate() {
-        tele.push_str(&format!(
-            "  \"{}\": {}{}\n",
-            t.figure,
-            t.telemetry.to_json_embedded(),
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
-    }
-    tele.push_str("}\n");
-    let tele_path = results_dir().join("TELEMETRY_runner.json");
-    std::fs::write(&tele_path, &tele).expect("write TELEMETRY_runner.json");
-    println!("wrote {}", tele_path.display());
+    let tele = Json::obj(timings.iter().map(|t| (t.figure, t.telemetry.json())));
+    write_result("TELEMETRY_runner.json", format!("{tele}\n"));
     if threads == 1 {
         println!("note: this machine exposes 1 CPU; speedups ~1.0x are expected here.");
         println!("      The determinism cross-check (identical: true) is the load-bearing result;");

@@ -12,7 +12,7 @@
 //! for) is run once per scenario, timed, and reported as the
 //! wall-clock/events-per-second scaling curve: a deterministic
 //! `"scaling"` section plus a nondeterministic `"scaling_wall"` line
-//! that is spliced in only after the byte-equality gates (CI's
+//! that joins the document only after the byte-equality gates (CI's
 //! determinism diff filters it out; CI's perf gate asserts its 8×8
 //! events/sec against a tracked floor).
 //!
@@ -24,58 +24,48 @@
 //! in-binary gate asserts the coordinated scheduler never leaves
 //! cell-edge users worse off than equal share on the 4×4 grid.
 //!
-//! The suite re-runs itself at `SMARTVLC_THREADS=1` and `=8` and
-//! verifies all batteries' reports are byte-identical — the runner's
-//! determinism contract, enforced on the cell path every time this
-//! binary runs (CI diffs the same pair).
+//! Every battery runs on one worker and on eight and its report sections
+//! must be byte-identical — the runner's determinism contract, enforced
+//! on the cell path every time this binary runs (CI diffs the same pair
+//! across `SMARTVLC_THREADS=1` and `=8`).
 
-use smartvlc_bench::{f, full_run, results_dir};
+use smartvlc_bench::{f, full_run, gate_1_vs_8, with_env_threads, write_result};
+use smartvlc_obs::Json;
 use smartvlc_sim::cell::{
-    cell_policy_json, cell_scale_json, cell_scale_scenarios, cell_suite_artifacts, run_cell,
-    run_cell_policies, run_cell_scale, CellSuiteSummary, ScalePoint,
+    cell_policy_json, cell_scale_json, cell_scale_scenarios, cell_suite_artifacts, cell_suite_json,
+    run_cell, run_cell_policies, run_cell_scale, ScalePoint,
 };
 use smartvlc_sim::report::markdown_table;
-use smartvlc_sim::task_seed;
+use smartvlc_sim::{task_seed, with_threads};
 
 const BASE_SEED: u64 = 0xce11_5eed;
 const SCALE_SEED: u64 = 0x5ca1_ab1e;
 
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    let old = std::env::var("SMARTVLC_THREADS").ok();
-    std::env::set_var("SMARTVLC_THREADS", threads.to_string());
-    let out = f();
-    match old {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    out
-}
-
-fn run_at(threads: usize, replicates: usize) -> (String, String, Vec<CellSuiteSummary>) {
-    with_threads(threads, || cell_suite_artifacts(replicates, BASE_SEED))
-}
-
 fn main() {
+    with_env_threads(run);
+}
+
+fn run() {
     let replicates = if full_run() { 5 } else { 2 };
 
     // Determinism gate first: the serial run both feeds the tables and
     // becomes the written artifact, so what we print is what we checked.
     let t0 = std::time::Instant::now();
-    let (serial, serial_csv, summaries) = run_at(1, replicates);
-    let serial_wall_s = t0.elapsed().as_secs_f64();
-    let (parallel, parallel_csv, _) = run_at(8, replicates);
-    assert_eq!(
-        serial, parallel,
-        "cell suite differs between SMARTVLC_THREADS=1 and 8"
-    );
-    assert_eq!(
-        serial_csv, parallel_csv,
-        "cell telemetry CSV differs between SMARTVLC_THREADS=1 and 8"
+    let mut serial_wall_s = None;
+    let (scenarios_json, summaries, telemetry) = gate_1_vs_8(
+        "cell suite",
+        || {
+            let (summaries, snap) = cell_suite_artifacts(replicates, BASE_SEED);
+            // The gate runs serially first: time only that leg.
+            serial_wall_s.get_or_insert(t0.elapsed().as_secs_f64());
+            (cell_suite_json(&summaries), summaries, snap)
+        },
+        |(scenarios, _, snap)| format!("{scenarios}\n{}\n{}", snap.json(), snap.to_csv()),
     );
 
     // Scale battery: each scenario run serially (timed — the wall-clock
     // curve is the point), reproducing the pool's per-scenario seeds so
-    // the 8-thread pool leg below must match byte-for-byte.
+    // the 8-worker pool leg below must match byte-for-byte.
     let scale_scenarios = cell_scale_scenarios();
     let mut points: Vec<ScalePoint> = Vec::new();
     let mut wall_ms: Vec<f64> = Vec::new();
@@ -86,26 +76,23 @@ fn main() {
         wall_ms.push(t.elapsed().as_secs_f64() * 1e3);
         points.push(ScalePoint::from_report(sc, &r));
     }
-    let scale_json = cell_scale_json(&points);
+    let scaling = cell_scale_json(&points);
     let pooled = with_threads(8, || run_cell_scale(SCALE_SEED));
     assert_eq!(
-        scale_json,
-        cell_scale_json(&pooled),
+        scaling.to_string(),
+        cell_scale_json(&pooled).to_string(),
         "scale battery differs between serial and SMARTVLC_THREADS=8"
     );
 
     // Policy battery: every scheduling policy on the reference grids with
     // the net workload mix replayed — deterministic end to end, so the
-    // 1-vs-8-thread byte gate covers it like the main battery. Policies
-    // sharing a grid run the same seed, so the columns compare nothing
-    // but the scheduler.
-    let policies = with_threads(1, || run_cell_policies(BASE_SEED));
-    let policy_json = cell_policy_json(&policies);
-    let policies_par = with_threads(8, || run_cell_policies(BASE_SEED));
-    assert_eq!(
-        policy_json,
-        cell_policy_json(&policies_par),
-        "policy battery differs between SMARTVLC_THREADS=1 and 8"
+    // 1-vs-8 byte gate covers it like the main battery. Policies sharing a
+    // grid run the same seed, so the columns compare nothing but the
+    // scheduler.
+    let policies = gate_1_vs_8(
+        "policy battery",
+        || run_cell_policies(BASE_SEED),
+        |p| cell_policy_json(p).to_string(),
     );
     // Coordination gate: on the reference 4×4 grid the coordinated
     // scheduler must not leave cell-edge users worse off than equal
@@ -124,51 +111,36 @@ fn main() {
         p5("equal_share")
     );
 
-    // Wall-clock is legitimately nondeterministic, so it is spliced into
-    // the artifact only AFTER the byte-equality gates above ran on the
-    // pristine strings (CI's determinism diff filters these lines out).
+    // Wall-clock is legitimately nondeterministic, so it joins the
+    // document only now, after the byte gates above ran on the
+    // deterministic sections (CI's determinism diff filters these lines).
     let slots: f64 = summaries.iter().map(|s| s.slots_equivalent).sum();
-    let wall_ns_per_slot = serial_wall_s * 1e9 / slots.max(1.0);
+    let wall_ns_per_slot = serial_wall_s.expect("the serial leg ran") * 1e9 / slots.max(1.0);
     let hits: u64 = summaries.iter().map(|s| s.opcache_hits).sum();
     let misses: u64 = summaries.iter().map(|s| s.opcache_misses).sum();
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let qhits: u64 = summaries.iter().map(|s| s.opcache_hits_quantized).sum();
     let qmisses: u64 = summaries.iter().map(|s| s.opcache_misses_quantized).sum();
     let qhit_rate = qhits as f64 / (qhits + qmisses).max(1) as f64;
-    let scaling_wall: Vec<String> = points
-        .iter()
-        .zip(&wall_ms)
-        .map(|(p, w)| {
-            format!(
-                "{{\"name\": \"{}\", \"wall_ms\": {w:.1}, \"events_per_sec\": {:.0}}}",
-                p.name,
-                p.events as f64 / (w / 1e3).max(1e-9)
-            )
-        })
-        .collect();
-    let serial = serial.replacen(
-        "  \"suite\": \"cell\",\n",
-        &format!(
-            "  \"suite\": \"cell\",\n  \"wall_ns_per_slot\": {wall_ns_per_slot:.1},\n  \
-             \"scaling_wall\": [{}],\n",
-            scaling_wall.join(", ")
-        ),
-        1,
-    );
-    // The deterministic half of the scaling curve participated in the
-    // byte gate above, so it can live as a regular section.
-    let serial = serial.replacen(
-        "  \"scenarios\": [",
-        &format!("  \"scaling\": {scale_json},\n  \"scenarios\": ["),
-        1,
-    );
-    // The policy comparison is deterministic end to end (gated above).
-    let serial = serial.replacen(
-        "  \"scenarios\": [",
-        &format!("  \"policies\": {policy_json},\n  \"scenarios\": ["),
-        1,
-    );
-
+    let scaling_wall = points.iter().zip(&wall_ms).map(|(p, w)| {
+        let events_per_sec = p.events as f64 / (w / 1e3).max(1e-9);
+        Json::inline_obj([
+            ("name", Json::from(p.name.as_str())),
+            ("wall_ms", Json::fixed(*w, 1)),
+            ("events_per_sec", Json::fixed(events_per_sec, 0)),
+        ])
+    });
+    let doc = Json::obj([
+        ("suite", Json::from("cell")),
+        ("wall_ns_per_slot", Json::fixed(wall_ns_per_slot, 1)),
+        ("scaling_wall", Json::inline_arr(scaling_wall)),
+        ("replicates", Json::from(replicates)),
+        ("base_seed", Json::from(BASE_SEED)),
+        ("scaling", scaling),
+        ("policies", cell_policy_json(&policies)),
+        ("scenarios", scenarios_json),
+        ("telemetry", telemetry.json()),
+    ]);
     let mut rows = Vec::new();
     for s in &summaries {
         rows.push(vec![
@@ -283,10 +255,6 @@ fn main() {
     );
     println!("gate: coordinated_edge cell-edge p5 >= equal_share on the 4x4 grid");
 
-    let path = results_dir().join("BENCH_cell.json");
-    std::fs::write(&path, &serial).expect("write BENCH_cell.json");
-    println!("wrote {}", path.display());
-    let csv_path = results_dir().join("TELEMETRY_cell.csv");
-    std::fs::write(&csv_path, &serial_csv).expect("write TELEMETRY_cell.csv");
-    println!("wrote {}", csv_path.display());
+    write_result("BENCH_cell.json", format!("{doc}\n"));
+    write_result("TELEMETRY_cell.csv", telemetry.to_csv());
 }

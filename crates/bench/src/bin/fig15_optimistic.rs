@@ -12,7 +12,7 @@
 //! EXPERIMENTS.md.
 
 use combinat::BinomialTable;
-use smartvlc_bench::{f, results_dir};
+use smartvlc_bench::{f, results_dir, with_env_threads};
 use smartvlc_core::modem::SlotModem;
 use smartvlc_core::schemes::{MppmModem, OokCtModem};
 use smartvlc_core::{AmppmPlanner, DimmingLevel, SystemConfig};
@@ -20,6 +20,10 @@ use smartvlc_sim::par_map;
 use smartvlc_sim::report::{markdown_table, write_csv};
 
 fn main() {
+    with_env_threads(run);
+}
+
+fn run() {
     let cfg = SystemConfig::paper_optimistic();
     println!(
         "Fig. 15 (optimistic calibration): P1={:.0e}, P2={:.0e}, SER bound {:.0e}\n",

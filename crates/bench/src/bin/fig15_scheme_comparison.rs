@@ -5,12 +5,16 @@
 //! Run with `--full` for paper-length 30 s points; the default 2 s points
 //! reproduce the same shape in seconds.
 
-use smartvlc_bench::{f, point_duration, results_dir};
+use smartvlc_bench::{f, point_duration, results_dir, with_env_threads};
 use smartvlc_link::SchemeKind;
 use smartvlc_sim::report::{ascii_chart, markdown_table, write_csv};
 use smartvlc_sim::static_run::{paper_levels, run_scheme_matrix};
 
 fn main() {
+    with_env_threads(run);
+}
+
+fn run() {
     let levels = paper_levels();
     let dur = point_duration();
     println!(

@@ -6,12 +6,16 @@
 //! roll-off); the dimming level does not change the reach, because
 //! brightness is duty-cycle, not amplitude.
 
-use smartvlc_bench::{f, point_duration, results_dir};
+use smartvlc_bench::{f, point_duration, results_dir, with_env_threads};
 use smartvlc_link::SchemeKind;
 use smartvlc_sim::report::{ascii_chart, markdown_table, write_csv};
 use smartvlc_sim::run_distance_matrix;
 
 fn main() {
+    with_env_threads(run);
+}
+
+fn run() {
     let distances: Vec<f64> = (1..=10).map(|i| i as f64 * 0.5).collect(); // 0.5..5.0 m
     let levels = [0.18, 0.5, 0.7];
     let dur = point_duration();

@@ -4,12 +4,16 @@
 //! longer distances hit their cut-off angle earlier (the link has no SNR
 //! margin left for the `cosᵐ` beam roll-off).
 
-use smartvlc_bench::{f, point_duration, results_dir};
+use smartvlc_bench::{f, point_duration, results_dir, with_env_threads};
 use smartvlc_link::SchemeKind;
 use smartvlc_sim::report::{ascii_chart, markdown_table, write_csv};
 use smartvlc_sim::run_incidence_matrix;
 
 fn main() {
+    with_env_threads(run);
+}
+
+fn run() {
     let angles: Vec<f64> = (0..=8).map(|i| i as f64 * 2.0).collect(); // 0..16 deg
     let distances = [1.3, 2.3, 3.3];
     let dur = point_duration();

@@ -10,140 +10,90 @@
 //! `grep '"fec_on"' results/BENCH_net.json` shows what the code buys in
 //! datagram terms.
 //!
-//! The suite then re-runs itself at `SMARTVLC_THREADS=1` and `=8` and
-//! verifies the two JSON reports are byte-identical — the runner's
-//! determinism contract, enforced on the datagram path (both legs)
-//! every time this binary runs (CI diffs the same pair).
+//! The suite runs on one worker and on eight and verifies the two JSON
+//! reports are byte-identical — the runner's determinism contract,
+//! enforced on the datagram path (both legs) every time this binary runs
+//! (CI diffs the same pair across `SMARTVLC_THREADS=1` and `=8`).
 
-use smartvlc_bench::{f, full_run, results_dir};
-use smartvlc_obs as obs;
-use smartvlc_sim::net_suite::{NetFecComparison, NetSummary};
+use smartvlc_bench::{f, full_run, gate_1_vs_8, with_env_threads, write_result};
+use smartvlc_obs::{self as obs, Json};
+use smartvlc_sim::net_suite::NetFecComparison;
 use smartvlc_sim::report::markdown_table;
 use smartvlc_sim::run_net_suite_fec;
 use smartvlc_sim::stats_util::Percentiles;
 
 const BASE_SEED: u64 = 0x5eed_4e71;
 
-/// Percentile triple as a one-line JSON object (`null` when the mix
-/// delivered nothing, e.g. a dead-link leg).
-fn pct_json(p: &Option<Percentiles>) -> String {
-    match p {
-        Some(p) => format!(
-            "{{\"n\": {}, \"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3}}}",
-            p.n, p.p50, p.p95, p.p99
-        ),
-        None => "null".to_string(),
-    }
-}
-
-/// The coded leg, as a single JSON line so it stays grep-filterable.
-fn fec_on_json(s: &NetSummary) -> String {
-    format!(
-        "{{\"delivery_ratio\": {:.6}, \"delivered_dgrams\": {}, \
-         \"flows_completed\": {}, \"latency_ms\": {}, \"fct_ms\": {}, \
-         \"mean_goodput_bps\": {:.3}}}",
-        s.delivery_ratio,
-        s.delivered_dgrams,
-        s.flows_completed,
-        pct_json(&s.latency_ms),
-        pct_json(&s.fct_ms),
-        s.mean_goodput_bps
-    )
-}
-
-/// Hand-rolled JSON (the workspace is fully offline — no serde_json):
-/// stable key order, fixed float formatting, so equal results mean equal
-/// bytes.
-fn to_json(
+/// The `BENCH_net.json` document: stable key order, fixed float
+/// formatting, the telemetry snapshot embedded. The coded leg is one
+/// inline `fec_on` object so it stays grep-filterable.
+fn report_json(
     comparisons: &[NetFecComparison],
     replicates: usize,
     telemetry: &obs::Snapshot,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"base_seed\": {BASE_SEED},\n"));
-    out.push_str(&format!("  \"replicates\": {replicates},\n"));
-    out.push_str("  \"mixes\": [\n");
-    for (i, c) in comparisons.iter().enumerate() {
-        let s = &c.off;
-        out.push_str("    {\n");
-        out.push_str("      \"name\": \"");
-        obs::escape_json(s.name, &mut out);
-        out.push_str("\",\n      \"description\": \"");
-        obs::escape_json(s.description, &mut out);
-        out.push_str("\",\n");
-        out.push_str(&format!(
-            "      \"offered_dgrams\": {},\n",
-            s.offered_dgrams
-        ));
-        out.push_str(&format!(
-            "      \"delivered_dgrams\": {},\n",
-            s.delivered_dgrams
-        ));
-        out.push_str(&format!("      \"lost_dgrams\": {},\n", s.lost_dgrams));
-        out.push_str(&format!(
-            "      \"delivery_ratio\": {:.6},\n",
-            s.delivery_ratio
-        ));
-        out.push_str(&format!("      \"flows_offered\": {},\n", s.flows_offered));
-        out.push_str(&format!(
-            "      \"flows_completed\": {},\n",
-            s.flows_completed
-        ));
-        out.push_str(&format!(
-            "      \"latency_ms\": {},\n",
-            pct_json(&s.latency_ms)
-        ));
-        out.push_str(&format!("      \"fct_ms\": {},\n", pct_json(&s.fct_ms)));
-        out.push_str(&format!("      \"queue_drops\": {},\n", s.queue_drops));
-        out.push_str(&format!("      \"bad_version\": {},\n", s.bad_version));
-        out.push_str(&format!("      \"evicted\": {},\n", s.evicted));
-        out.push_str(&format!(
-            "      \"mean_goodput_bps\": {:.3},\n",
-            s.mean_goodput_bps
-        ));
-        out.push_str(&format!("      \"fec_on\": {}\n", fec_on_json(&c.on)));
-        out.push_str(if i + 1 == comparisons.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ],\n");
-    // Telemetry block: deterministic by construction (sim-time stamps,
-    // submission-order merge), so it participates in the byte-diff gate.
-    out.push_str(&format!(
-        "  \"telemetry\": {}\n",
-        telemetry.to_json_embedded()
-    ));
-    out.push_str("}\n");
-    out
+) -> Json {
+    let (f3, f6) = (|v: f64| Json::fixed(v, 3), |v: f64| Json::fixed(v, 6));
+    // A percentile triple, `null` when the mix delivered nothing.
+    let pct = |p: &Option<Percentiles>| -> Json {
+        p.as_ref()
+            .map(|p| {
+                Json::inline_obj([
+                    ("n", Json::from(p.n)),
+                    ("p50", f3(p.p50)),
+                    ("p95", f3(p.p95)),
+                    ("p99", f3(p.p99)),
+                ])
+            })
+            .into()
+    };
+    let mix = |c: &NetFecComparison| {
+        let (s, on) = (&c.off, &c.on);
+        Json::obj([
+            ("name", Json::from(s.name)),
+            ("description", Json::from(s.description)),
+            ("offered_dgrams", Json::from(s.offered_dgrams)),
+            ("delivered_dgrams", Json::from(s.delivered_dgrams)),
+            ("lost_dgrams", Json::from(s.lost_dgrams)),
+            ("delivery_ratio", f6(s.delivery_ratio)),
+            ("flows_offered", Json::from(s.flows_offered)),
+            ("flows_completed", Json::from(s.flows_completed)),
+            ("latency_ms", pct(&s.latency_ms)),
+            ("fct_ms", pct(&s.fct_ms)),
+            ("queue_drops", Json::from(s.queue_drops)),
+            ("bad_version", Json::from(s.bad_version)),
+            ("evicted", Json::from(s.evicted)),
+            ("mean_goodput_bps", f3(s.mean_goodput_bps)),
+            (
+                "fec_on",
+                Json::inline_obj([
+                    ("delivery_ratio", f6(on.delivery_ratio)),
+                    ("delivered_dgrams", Json::from(on.delivered_dgrams)),
+                    ("flows_completed", Json::from(on.flows_completed)),
+                    ("latency_ms", pct(&on.latency_ms)),
+                    ("fct_ms", pct(&on.fct_ms)),
+                    ("mean_goodput_bps", f3(on.mean_goodput_bps)),
+                ]),
+            ),
+        ])
+    };
+    Json::obj([
+        ("base_seed", Json::from(BASE_SEED)),
+        ("replicates", Json::from(replicates)),
+        ("mixes", Json::arr(comparisons.iter().map(mix))),
+        // Deterministic by construction (sim-time stamps, submission-order
+        // merge), so the telemetry participates in the byte gate.
+        ("telemetry", telemetry.json()),
+    ])
 }
 
-/// One full suite run under a fresh root recorder. Returns the JSON report
-/// (with embedded telemetry) and the telemetry CSV export.
-fn suite_report(replicates: usize) -> (String, String, Vec<NetFecComparison>) {
+/// One full suite run under a fresh root recorder: the comparisons, the
+/// JSON report and the telemetry CSV.
+fn suite_run(replicates: usize) -> (Vec<NetFecComparison>, String, String) {
     let rec = obs::Recorder::new();
     let comparisons = obs::with_recorder(&rec, || run_net_suite_fec(replicates, BASE_SEED));
     let snap = rec.snapshot();
-    (
-        to_json(&comparisons, replicates, &snap),
-        snap.to_csv(),
-        comparisons,
-    )
-}
-
-fn run_at(threads: Option<usize>, replicates: usize) -> (String, String) {
-    let old = std::env::var("SMARTVLC_THREADS").ok();
-    if let Some(n) = threads {
-        std::env::set_var("SMARTVLC_THREADS", n.to_string());
-    }
-    let (json, csv, _) = suite_report(replicates);
-    match old {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    (json, csv)
+    let json = format!("{}\n", report_json(&comparisons, replicates, &snap));
+    (comparisons, json, snap.to_csv())
 }
 
 fn pct_cell(p: &Option<Percentiles>) -> (String, String, String) {
@@ -154,9 +104,20 @@ fn pct_cell(p: &Option<Percentiles>) -> (String, String, String) {
 }
 
 fn main() {
+    with_env_threads(run);
+}
+
+fn run() {
     let replicates = if full_run() { 5 } else { 2 };
 
-    let (_, _, comparisons) = suite_report(replicates);
+    // Determinism gate: the whole suite — both legs AND telemetry —
+    // serial vs 8-way, byte-identical. The serial run feeds the table and
+    // becomes the artifact, so what we print is what we checked.
+    let (comparisons, json, csv) = gate_1_vs_8(
+        "net suite",
+        || suite_run(replicates),
+        |(_, json, csv)| format!("{json}{csv}"),
+    );
     let mut rows = Vec::new();
     for c in &comparisons {
         let s = &c.off;
@@ -195,24 +156,8 @@ fn main() {
         )
     );
 
-    // Determinism gate: the whole suite — both legs AND telemetry —
-    // serial vs 8-way, byte-identical.
-    let (serial, serial_csv) = run_at(Some(1), replicates);
-    let (parallel, parallel_csv) = run_at(Some(8), replicates);
-    assert_eq!(
-        serial, parallel,
-        "net suite differs between SMARTVLC_THREADS=1 and 8"
-    );
-    assert_eq!(
-        serial_csv, parallel_csv,
-        "net telemetry CSV differs between SMARTVLC_THREADS=1 and 8"
-    );
     println!("determinism: SMARTVLC_THREADS=1 and 8 reports are byte-identical");
 
-    let path = results_dir().join("BENCH_net.json");
-    std::fs::write(&path, &serial).expect("write BENCH_net.json");
-    println!("wrote {}", path.display());
-    let csv_path = results_dir().join("TELEMETRY_net.csv");
-    std::fs::write(&csv_path, &serial_csv).expect("write TELEMETRY_net.csv");
-    println!("wrote {}", csv_path.display());
+    write_result("BENCH_net.json", json);
+    write_result("TELEMETRY_net.csv", csv);
 }

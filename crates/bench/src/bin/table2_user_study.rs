@@ -3,12 +3,16 @@
 //! and direct viewing across the three ambient conditions. Also reprints
 //! the §6.1 fth (Type-I) study that selected 250 Hz.
 
-use smartvlc_bench::results_dir;
+use smartvlc_bench::{results_dir, with_env_threads};
 use smartvlc_sim::par_map;
 use smartvlc_sim::perception::{StudyCondition, UserStudy, Viewing};
 use smartvlc_sim::report::{markdown_table, write_csv};
 
 fn main() {
+    with_env_threads(run);
+}
+
+fn run() {
     let study = UserStudy::recruit(20, 2017);
     println!("Table 2 — users' perception of flickering (20 virtual subjects)\n");
 

@@ -7,11 +7,15 @@
 //! a two-dimensional composition of Figs. 16 and 17.
 
 use desim::SimDuration;
-use smartvlc_bench::{f, full_run, results_dir};
+use smartvlc_bench::{f, full_run, results_dir, with_env_threads};
 use smartvlc_sim::report::{markdown_table, write_csv};
 use smartvlc_sim::{run_broadcast, Seat};
 
 fn main() {
+    with_env_threads(run);
+}
+
+fn run() {
     let seats = [
         (
             "desk under lamp",

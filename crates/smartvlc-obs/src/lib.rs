@@ -21,6 +21,9 @@
 //! 3. Snapshots sort metrics by key name and never include wall-clock
 //!    quantities.
 //!
+//! Every artifact, snapshot or not, is written through the one [`Json`]
+//! writer, so equal values always render to equal bytes.
+//!
 //! # Feature flag
 //!
 //! With the default `telemetry` feature enabled the full layer is compiled.
@@ -41,8 +44,8 @@
 //! });
 //! let snap = rec.snapshot();
 //! // With `telemetry` on the snapshot carries the data; with the feature
-//! // off it is empty. Either way `to_json()` is valid JSON.
-//! let _json = snap.to_json();
+//! // off it is empty. Either way it renders to valid JSON.
+//! let _json = snap.json().to_string();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,8 +73,10 @@ pub use noop::{
     with_recorder, Key, Recorder, HIST_BUCKETS, MAX_KEYS,
 };
 
+mod json;
 mod snapshot;
-pub use snapshot::{escape_json, EventSnapshot, HistogramSnapshot, Snapshot};
+pub use json::{escape_json, Json};
+pub use snapshot::{EventSnapshot, HistogramSnapshot, Snapshot};
 
 /// Marker alias documenting the disabled-telemetry mode: with the `telemetry`
 /// feature off, [`Recorder`] *is* the no-op sink.

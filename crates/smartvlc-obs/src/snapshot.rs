@@ -2,10 +2,12 @@
 //!
 //! A [`Snapshot`] is plain owned data — it is available in both telemetry
 //! modes (empty when the feature is off) so downstream binaries can
-//! serialize unconditionally. Serialization is hand-rolled with a stable
-//! field order, name-sorted metrics and shortest-roundtrip float formatting,
-//! so equal snapshots always produce byte-identical output.
+//! serialize unconditionally. Its JSON goes through the crate's one
+//! [`Json`] writer with a stable field order, name-sorted metrics and
+//! shortest-roundtrip floats, so equal snapshots always produce
+//! byte-identical output.
 
+use crate::json::Json;
 use std::fmt::Write as _;
 
 /// A serializable histogram: total `count`, total `sum`, and the non-empty
@@ -53,37 +55,6 @@ pub struct Snapshot {
     pub events_dropped: u64,
 }
 
-/// Appends `s` to `out` as the body of a JSON string literal: quotes,
-/// backslashes and control characters escaped, everything else verbatim.
-pub fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Formats an f64 the way every serializer in this workspace must: Rust's
-/// shortest-roundtrip `Display`, with non-finite values mapped to `null`
-/// (JSON has no NaN/Inf literals).
-fn fmt_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-        // "1" is a valid JSON number, so no ".0" fixup is needed; Display
-        // output for finite floats is already deterministic.
-    } else {
-        out.push_str("null");
-    }
-}
-
 impl Snapshot {
     /// True if nothing was recorded (also the no-op mode constant result).
     pub fn is_empty(&self) -> bool {
@@ -94,74 +65,49 @@ impl Snapshot {
             && self.events_dropped == 0
     }
 
-    /// Serializes to a deterministic JSON object.
+    /// The snapshot as a deterministic JSON object.
     ///
     /// Field order is fixed (`counters`, `gauges`, `histograms`, `events`,
     /// `events_dropped`); metric maps are name-sorted. Equal snapshots
-    /// serialize to byte-identical strings.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    \"");
-            escape_json(name, &mut out);
-            let _ = write!(out, "\": {v}");
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    \"");
-            escape_json(name, &mut out);
-            out.push_str("\": ");
-            fmt_f64(*v, &mut out);
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    \"");
-            escape_json(&h.name, &mut out);
-            let _ = write!(
-                out,
-                "\": {{\"count\": {}, \"sum\": {}, \"buckets\": {{",
-                h.count, h.sum
-            );
-            for (j, (b, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{b}\": {n}");
-            }
-            out.push_str("}}");
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"events\": [");
-        for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(out, "    {{\"t_ns\": {}, \"key\": \"", ev.t_ns);
-            escape_json(&ev.key, &mut out);
-            let _ = write!(out, "\", \"value\": {}}}", ev.value);
-        }
-        if !self.events.is_empty() {
-            out.push_str("\n  ");
-        }
-        let _ = write!(out, "],\n  \"events_dropped\": {}\n}}", self.events_dropped);
-        out
-    }
-
-    /// [`Snapshot::to_json`] re-indented to embed as a value inside a
-    /// two-space-indented JSON document: every line after the first
-    /// gains two spaces.
-    pub fn to_json_embedded(&self) -> String {
-        self.to_json().replace('\n', "\n  ")
+    /// render to byte-identical strings, at any nesting depth.
+    pub fn json(&self) -> Json {
+        let histogram = |h: &HistogramSnapshot| {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|(b, n)| (b.to_string(), Json::from(*n)));
+            Json::inline_obj([
+                ("count", Json::from(h.count)),
+                ("sum", Json::from(h.sum)),
+                ("buckets", Json::inline_obj(buckets)),
+            ])
+        };
+        let event = |e: &EventSnapshot| {
+            Json::inline_obj([
+                ("t_ns", Json::from(e.t_ns)),
+                ("key", Json::from(e.key.as_str())),
+                ("value", Json::from(e.value)),
+            ])
+        };
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| (k.as_str(), Json::from(*v)));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(k, v)| (k.as_str(), Json::float(*v)));
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|h| (h.name.as_str(), histogram(h)));
+        Json::obj([
+            ("counters", Json::obj(counters)),
+            ("gauges", Json::obj(gauges)),
+            ("histograms", Json::obj(histograms)),
+            ("events", Json::arr(self.events.iter().map(event))),
+            ("events_dropped", Json::from(self.events_dropped)),
+        ])
     }
 
     /// Serializes to a deterministic CSV table with columns
@@ -180,9 +126,7 @@ impl Snapshot {
             let _ = writeln!(out, "counter,{name},,{v}");
         }
         for (name, v) in &self.gauges {
-            let _ = write!(out, "gauge,{name},,");
-            fmt_f64(*v, &mut out);
-            out.push('\n');
+            let _ = writeln!(out, "gauge,{name},,{}", Json::float(*v));
         }
         for h in &self.histograms {
             let _ = writeln!(out, "hist_count,{},,{}", h.name, h.count);
@@ -223,37 +167,36 @@ mod tests {
     }
 
     #[test]
-    fn json_is_stable_and_contains_all_sections() {
-        let a = sample().to_json();
-        let b = sample().to_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"a.count\": 3"));
-        assert!(a.contains("\"a.gauge\": 1.5"));
-        assert!(a.contains("\"b.gauge\": 2"));
-        assert!(a.contains("\"count\": 2, \"sum\": 5"));
-        assert!(a.contains("\"t_ns\": 8000"));
-        assert!(a.contains("\"events_dropped\": 1"));
-    }
-
-    #[test]
-    fn embedded_json_indents_every_line_after_the_first() {
-        let flat = sample().to_json();
-        let embedded = sample().to_json_embedded();
-        let mut lines = embedded.lines();
-        let mut flat_lines = flat.lines();
-        assert_eq!(lines.next(), flat_lines.next());
-        for (e, f) in lines.zip(flat_lines) {
-            assert_eq!(e, format!("  {f}"));
-        }
-        assert_eq!(embedded.lines().count(), flat.lines().count());
+    fn json_layout_is_pinned() {
+        assert_eq!(
+            sample().json().to_string(),
+            r#"{
+  "counters": {
+    "a.count": 3,
+    "b.count": 1
+  },
+  "gauges": {
+    "a.gauge": 1.5,
+    "b.gauge": 2
+  },
+  "histograms": {
+    "a.hist": {"count": 2, "sum": 5, "buckets": {"2": 1, "3": 1}}
+  },
+  "events": [
+    {"t_ns": 8000, "key": "a.ev", "value": 7}
+  ],
+  "events_dropped": 1
+}"#
+        );
     }
 
     #[test]
     fn empty_snapshot_is_valid_json_shell() {
         let s = Snapshot::default();
         assert!(s.is_empty());
-        let json = s.to_json();
+        let json = s.json().to_string();
         assert!(json.contains("\"counters\": {}"));
+        assert!(json.contains("\"events\": []"));
         assert!(json.contains("\"events_dropped\": 0"));
     }
 

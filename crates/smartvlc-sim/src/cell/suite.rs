@@ -3,8 +3,8 @@
 //! A grid-size × user-count sweep over [`run_cell`],
 //! fanned out on the deterministic runner: the aggregate-goodput-vs-users
 //! and handover-latency curves the bench bin writes, plus the JSON
-//! encoder both the bin and the determinism tests share (so "the file is
-//! byte-identical at any `SMARTVLC_THREADS`" is asserted on exactly the
+//! sections both the bin and the determinism tests render (so "the file
+//! is byte-identical at any worker count" is asserted on exactly the
 //! bytes that get written).
 //!
 //! Two batteries live here:
@@ -15,12 +15,13 @@
 //!   32×32×1000, one replicate each, reported as the wall-clock- and
 //!   events/sec-vs-grid-size scaling curve the event-driven core exists
 //!   for. Only the event core can run these in reasonable time; the bench
-//!   bin times them and splices the (nondeterministic) wall-clock curve
-//!   into the artifact after the byte-equality gate.
+//!   bin times them and adds the (nondeterministic) wall-clock curve to
+//!   the artifact after the byte-equality gate.
 
 use super::{run_cell, CellConfig, CellReport, CellTrafficReport, CellTrafficSpec, SchedulerSpec};
 use crate::runner::{par_sweep, task_seed, TaskId};
 use crate::scenario::CellScenarioBuilder;
+use smartvlc_obs::Json;
 
 /// One point of the cell sweep: a stable name (the JSON key) plus the
 /// full run configuration, as assembled by
@@ -87,7 +88,7 @@ pub fn cell_scale_scenarios() -> Vec<CellScenario> {
 
 /// One point of the scaling curve: the deterministic outcome of a scale
 /// scenario (everything here participates in the byte-equality gate; the
-/// wall-clock side lives in the bench bin's spliced `scaling_wall` line).
+/// wall-clock side lives in the bench bin's `scaling_wall` line).
 #[derive(Clone, Debug)]
 pub struct ScalePoint {
     /// Scenario name (JSON key).
@@ -146,33 +147,25 @@ pub fn run_cell_scale(base_seed: u64) -> Vec<ScalePoint> {
         .collect()
 }
 
-/// Deterministic JSON for the scaling curve: a top-level-embeddable array
-/// (2-space base indent), one line per point, stable key order. The bench
-/// bin byte-compares this string between `SMARTVLC_THREADS=1` and `=8`
-/// before splicing it into `BENCH_cell.json`.
-pub fn cell_scale_json(points: &[ScalePoint]) -> String {
-    let mut s = String::from("[\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"grid\": [{}, {}], \"users\": {}, \"ticks\": {}, \
-             \"cells\": {}, \"events\": {}, \"queue_peak\": {}, \
-             \"aggregate_goodput_bps\": {}, \"handovers\": {}, \"outage_fraction\": {}}}{}\n",
-            p.name,
-            p.nx,
-            p.ny,
-            p.users,
-            p.ticks,
-            p.nx * p.ny,
-            p.events,
-            p.queue_peak,
-            f6(p.aggregate_goodput_bps),
-            p.handovers,
-            f6(p.outage_fraction),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]");
-    s
+/// Deterministic JSON for the scaling curve: an array with one inline
+/// object per point, stable key order. The bench bin byte-compares it
+/// between a serial and an 8-worker run before it goes into
+/// `BENCH_cell.json` as the `"scaling"` section.
+pub fn cell_scale_json(points: &[ScalePoint]) -> Json {
+    Json::arr(points.iter().map(|p| {
+        Json::inline_obj([
+            ("name", Json::from(p.name.as_str())),
+            ("grid", grid(p.nx, p.ny)),
+            ("users", Json::from(p.users)),
+            ("ticks", Json::from(p.ticks)),
+            ("cells", Json::from(p.nx * p.ny)),
+            ("events", Json::from(p.events)),
+            ("queue_peak", Json::from(p.queue_peak)),
+            ("aggregate_goodput_bps", f6(p.aggregate_goodput_bps)),
+            ("handovers", Json::from(p.handovers)),
+            ("outage_fraction", f6(p.outage_fraction)),
+        ])
+    }))
 }
 
 /// Replicate-aggregated outcome of one scenario.
@@ -312,8 +305,13 @@ fn summarize(
     }
 }
 
-pub(crate) fn f6(v: f64) -> String {
-    format!("{v:.6}")
+/// The cell artifacts' float format: six decimals.
+fn f6(v: f64) -> Json {
+    Json::fixed(v, 6)
+}
+
+fn grid(nx: usize, ny: usize) -> Json {
+    Json::inline_arr([Json::from(nx), Json::from(ny)])
 }
 
 /// One point of the **policy battery**: a reference grid run under one
@@ -438,160 +436,110 @@ pub fn run_cell_policies(base_seed: u64) -> Vec<PolicyPoint> {
         .collect()
 }
 
-/// Deterministic JSON for the policy comparison: a top-level-embeddable
-/// array (2-space base indent), one line per point, stable key order. The
-/// bench bin byte-compares this string between `SMARTVLC_THREADS=1` and
-/// `=8` before splicing it into `BENCH_cell.json`.
-pub fn cell_policy_json(points: &[PolicyPoint]) -> String {
-    let mut s = String::from("[\n");
-    for (i, p) in points.iter().enumerate() {
-        let traffic = p.traffic.as_ref().map_or("null".to_string(), |t| {
-            format!("{{{}}}", t.to_json_fragment())
-        });
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"policy\": \"{}\", \"grid\": [{}, {}], \"users\": {}, \
-             \"aggregate_goodput_bps\": {}, \"jain_fairness\": {}, \"edge_p5_goodput_bps\": {}, \
-             \"handovers\": {}, \"outage_fraction\": {}, \"coord_grants\": {}, \
-             \"coord_blocked\": {}, \"traffic\": {}}}{}\n",
-            p.name,
-            p.policy,
-            p.nx,
-            p.ny,
-            p.users,
-            f6(p.aggregate_goodput_bps),
-            f6(p.jain_fairness),
-            f6(p.edge_p5_goodput_bps),
-            p.handovers,
-            f6(p.outage_fraction),
-            p.coord_grants,
-            p.coord_blocked,
-            traffic,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]");
-    s
+/// Deterministic JSON for the policy comparison: an array with one inline
+/// object per point, stable key order. The bench bin byte-compares it
+/// between 1 and 8 workers before it goes into `BENCH_cell.json` as the
+/// `"policies"` section.
+pub fn cell_policy_json(points: &[PolicyPoint]) -> Json {
+    let traffic = |t: &CellTrafficReport| {
+        Json::inline_obj([
+            ("flows_offered", Json::from(t.flows_offered)),
+            ("flows_completed", Json::from(t.flows_completed)),
+            ("payload_bits", f6(t.payload_bits)),
+            ("fct_mean_s", t.fct_mean_s.map(f6).into()),
+            ("fct_p50_s", t.fct_p50_s.map(f6).into()),
+            ("fct_p95_s", t.fct_p95_s.map(f6).into()),
+        ])
+    };
+    Json::arr(points.iter().map(|p| {
+        Json::inline_obj([
+            ("name", Json::from(p.name.as_str())),
+            ("policy", Json::from(p.policy)),
+            ("grid", grid(p.nx, p.ny)),
+            ("users", Json::from(p.users)),
+            ("aggregate_goodput_bps", f6(p.aggregate_goodput_bps)),
+            ("jain_fairness", f6(p.jain_fairness)),
+            ("edge_p5_goodput_bps", f6(p.edge_p5_goodput_bps)),
+            ("handovers", Json::from(p.handovers)),
+            ("outage_fraction", f6(p.outage_fraction)),
+            ("coord_grants", Json::from(p.coord_grants)),
+            ("coord_blocked", Json::from(p.coord_blocked)),
+            ("traffic", p.traffic.as_ref().map(traffic).into()),
+        ])
+    }))
 }
 
-/// Deterministic JSON for the suite: stable key order, fixed float
-/// formatting, the telemetry snapshot embedded — the exact bytes
-/// `cell_suite` writes to `results/BENCH_cell.json`, so byte-equality of
-/// this string *is* the determinism contract (asserted at
-/// `SMARTVLC_THREADS=1` vs `=8` by both the bench bin and the
-/// `determinism` test suite).
-pub fn cell_suite_json(
-    summaries: &[CellSuiteSummary],
-    replicates: usize,
-    seed: u64,
-    telemetry: &smartvlc_obs::Snapshot,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"suite\": \"cell\",\n");
-    s.push_str(&format!("  \"replicates\": {replicates},\n"));
-    s.push_str(&format!("  \"base_seed\": {seed},\n"));
-    s.push_str("  \"scenarios\": [\n");
-    for (i, sm) in summaries.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", sm.scenario.name));
-        s.push_str(&format!(
-            "      \"grid\": [{}, {}],\n",
-            sm.scenario.cfg.nx, sm.scenario.cfg.ny
-        ));
-        s.push_str(&format!("      \"users\": {},\n", sm.scenario.cfg.n_users));
-        s.push_str(&format!(
-            "      \"mean_aggregate_goodput_bps\": {},\n",
-            f6(sm.mean_aggregate_goodput_bps)
-        ));
-        s.push_str(&format!(
-            "      \"min_aggregate_goodput_bps\": {},\n",
-            f6(sm.min_aggregate_goodput_bps)
-        ));
-        s.push_str(&format!(
-            "      \"mean_per_user_goodput_bps\": {},\n",
-            f6(sm.mean_per_user_goodput_bps)
-        ));
-        s.push_str(&format!("      \"handovers\": {},\n", sm.handovers));
-        s.push_str(&format!(
-            "      \"handover_rate_per_user_min\": {},\n",
-            f6(sm.handover_rate_per_user_min)
-        ));
-        match sm.mean_handover_latency_s {
-            Some(l) => s.push_str(&format!("      \"mean_handover_latency_s\": {},\n", f6(l))),
-            None => s.push_str("      \"mean_handover_latency_s\": null,\n"),
-        }
-        s.push_str(&format!(
-            "      \"outage_fraction\": {},\n",
-            f6(sm.outage_fraction)
-        ));
-        s.push_str(&format!(
-            "      \"interference_limited_fraction\": {},\n",
-            f6(sm.interference_limited_fraction)
-        ));
-        s.push_str(&format!("      \"opcache_hits\": {},\n", sm.opcache_hits));
-        s.push_str(&format!(
-            "      \"opcache_misses\": {},\n",
-            sm.opcache_misses
-        ));
+/// Deterministic JSON for the standard battery: one pretty object per
+/// scenario, stable key order, six-decimal floats. It is the
+/// `"scenarios"` section of `results/BENCH_cell.json`, byte-compared at 1
+/// vs 8 workers by the bench bin and the `determinism` tests.
+pub fn cell_suite_json(summaries: &[CellSuiteSummary]) -> Json {
+    Json::arr(summaries.iter().map(|sm| {
         let queries = sm.opcache_hits + sm.opcache_misses;
-        s.push_str(&format!(
-            "      \"opcache_hit_rate\": {},\n",
-            f6(if queries > 0 {
-                sm.opcache_hits as f64 / queries as f64
-            } else {
-                0.0
-            })
-        ));
-        s.push_str(&format!(
-            "      \"opcache_hit_rate_quantized\": {},\n",
-            f6(sm.opcache_hit_rate_quantized())
-        ));
-        s.push_str(&format!("      \"events\": {},\n", sm.events));
-        s.push_str(&format!("      \"queue_peak\": {},\n", sm.queue_peak));
-        s.push_str(&format!(
-            "      \"slots_equivalent\": {},\n",
-            f6(sm.slots_equivalent)
-        ));
-        s.push_str("      \"per_user_goodput_bps\": [");
-        let per_user: Vec<String> = sm
-            .replicates
-            .first()
-            .map(|r| r.users.iter().map(|u| f6(u.goodput_bps)).collect())
-            .unwrap_or_default();
-        s.push_str(&per_user.join(", "));
-        s.push_str("]\n");
-        s.push_str(if i + 1 < summaries.len() {
-            "    },\n"
+        let hit_rate = if queries > 0 {
+            sm.opcache_hits as f64 / queries as f64
         } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ],\n");
-    // Deterministic by construction: sim-time stamps, submission-order
-    // recorder merge — so the telemetry participates in the byte gate.
-    s.push_str(&format!(
-        "  \"telemetry\": {}\n",
-        telemetry.to_json_embedded()
-    ));
-    s.push_str("}\n");
-    s
+            0.0
+        };
+        let per_user = sm.replicates.first().map_or(&[][..], |r| &r.users[..]);
+        Json::obj([
+            ("name", Json::from(sm.scenario.name.as_str())),
+            ("grid", grid(sm.scenario.cfg.nx, sm.scenario.cfg.ny)),
+            ("users", Json::from(sm.scenario.cfg.n_users)),
+            (
+                "mean_aggregate_goodput_bps",
+                f6(sm.mean_aggregate_goodput_bps),
+            ),
+            (
+                "min_aggregate_goodput_bps",
+                f6(sm.min_aggregate_goodput_bps),
+            ),
+            (
+                "mean_per_user_goodput_bps",
+                f6(sm.mean_per_user_goodput_bps),
+            ),
+            ("handovers", Json::from(sm.handovers)),
+            (
+                "handover_rate_per_user_min",
+                f6(sm.handover_rate_per_user_min),
+            ),
+            (
+                "mean_handover_latency_s",
+                sm.mean_handover_latency_s.map(f6).into(),
+            ),
+            ("outage_fraction", f6(sm.outage_fraction)),
+            (
+                "interference_limited_fraction",
+                f6(sm.interference_limited_fraction),
+            ),
+            ("opcache_hits", Json::from(sm.opcache_hits)),
+            ("opcache_misses", Json::from(sm.opcache_misses)),
+            ("opcache_hit_rate", f6(hit_rate)),
+            (
+                "opcache_hit_rate_quantized",
+                f6(sm.opcache_hit_rate_quantized()),
+            ),
+            ("events", Json::from(sm.events)),
+            ("queue_peak", Json::from(sm.queue_peak)),
+            ("slots_equivalent", f6(sm.slots_equivalent)),
+            (
+                "per_user_goodput_bps",
+                Json::inline_arr(per_user.iter().map(|u| f6(u.goodput_bps))),
+            ),
+        ])
+    }))
 }
 
-/// One full suite run under a fresh recorder: the JSON report (with
-/// embedded telemetry) plus the telemetry CSV — the two artifacts the
-/// bench bin writes and the determinism tests byte-compare.
+/// One full suite run under a fresh recorder: the per-scenario summaries
+/// and the telemetry they recorded — what the bench bin writes and the
+/// determinism tests byte-compare.
 pub fn cell_suite_artifacts(
     replicates: usize,
     base_seed: u64,
-) -> (String, String, Vec<CellSuiteSummary>) {
+) -> (Vec<CellSuiteSummary>, smartvlc_obs::Snapshot) {
     let rec = smartvlc_obs::Recorder::new();
     let summaries = smartvlc_obs::with_recorder(&rec, || run_cell_suite(replicates, base_seed));
-    let snap = rec.snapshot();
-    (
-        cell_suite_json(&summaries, replicates, base_seed, &snap),
-        snap.to_csv(),
-        summaries,
-    )
+    (summaries, rec.snapshot())
 }
 
 #[cfg(test)]
@@ -636,9 +584,9 @@ mod tests {
             handovers: 42,
             outage_fraction: 0.0125,
         };
-        let json = cell_scale_json(&[p.clone(), p]);
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("  ]"), "embeddable at 2-space indent");
+        let json = cell_scale_json(&[p.clone(), p]).to_string();
+        assert!(json.starts_with("[\n  {\"name\""));
+        assert!(json.ends_with("}\n]"), "one point per line");
         assert!(json.contains("\"cells\": 64"));
         assert!(json.contains("\"events\": 123456"));
         assert_eq!(json.matches("\"name\"").count(), 2);
@@ -648,13 +596,12 @@ mod tests {
     fn json_is_stable_and_reports_required_fields() {
         // A tiny battery (first scenario only) through the real encoder.
         let scs = cell_scenarios();
-        let snap = smartvlc_obs::Recorder::new().snapshot();
         let reps = vec![run_cell(&scs[0].config(), 123)];
         let mut qcfg = scs[0].config();
         qcfg.sensor_res_lux = QUANTIZED_SENSOR_RES_LUX;
         let q = run_cell(&qcfg, 123);
         let sm = summarize(scs[0].clone(), reps, &q);
-        let json = cell_suite_json(&[sm], 1, 123, &snap);
+        let json = cell_suite_json(&[sm]).to_string();
         for field in [
             "\"mean_aggregate_goodput_bps\"",
             "\"handovers\"",
@@ -671,7 +618,7 @@ mod tests {
         let reps2 = vec![run_cell(&scs[0].config(), 123)];
         let q2 = run_cell(&qcfg, 123);
         let sm2 = summarize(scs[0].clone(), reps2, &q2);
-        assert_eq!(json, cell_suite_json(&[sm2], 1, 123, &snap));
+        assert_eq!(json, cell_suite_json(&[sm2]).to_string());
     }
 
     #[test]
@@ -708,13 +655,48 @@ mod tests {
             coord_blocked: 0,
             traffic: None,
         };
-        let json = cell_policy_json(&[p.clone(), p]);
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("  ]"), "embeddable at 2-space indent");
+        let with_traffic = PolicyPoint {
+            traffic: Some(crate::cell::traffic::TrafficState::new(1, 1).report()),
+            ..p.clone()
+        };
+        let json = cell_policy_json(&[p, with_traffic]).to_string();
+        assert!(json.starts_with("[\n  {\"name\""));
+        assert!(json.ends_with("}\n]"), "one point per line");
         assert!(json.contains("\"policy\": \"equal_share\""));
         assert!(json.contains("\"jain_fairness\": 0.910000"));
         assert!(json.contains("\"traffic\": null"));
+        assert!(json.contains(
+            "\"traffic\": {\"flows_offered\": 0, \"flows_completed\": 0, \
+             \"payload_bits\": 0.000000, \"fct_mean_s\": null, \"fct_p50_s\": null, \
+             \"fct_p95_s\": null}}"
+        ));
         assert_eq!(json.matches("\"name\"").count(), 2);
+    }
+
+    #[test]
+    fn scenario_names_are_escaped_in_every_section() {
+        // A builder accepts any name; the artifact must stay valid JSON.
+        let name = r#"say "hi" \ wave"#;
+        let escaped = r#""say \"hi\" \\ wave""#;
+        let sc = CellScenarioBuilder::new()
+            .grid(2, 2)
+            .users(2)
+            .name(name)
+            .build()
+            .expect("valid");
+        let r = run_cell(&sc.config(), 7);
+        let scale = cell_scale_json(&[ScalePoint::from_report(&sc, &r)]).to_string();
+        let policy = PolicyScenario {
+            name: name.into(),
+            grid_index: 0,
+            cfg: sc.cfg,
+        };
+        let policy = cell_policy_json(&[PolicyPoint::from_report(&policy, &r)]).to_string();
+        let suite = cell_suite_json(&[summarize(sc, vec![r.clone()], &r)]).to_string();
+        for json in [scale, policy, suite] {
+            assert!(json.contains(escaped), "{json}");
+            assert!(!json.contains(name), "{json}");
+        }
     }
 
     #[test]

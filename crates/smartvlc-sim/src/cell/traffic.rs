@@ -25,7 +25,6 @@
 //! and count as offered-but-not-completed; an IoT burst whose datagrams
 //! straddle a fully-drained queue is counted per contiguous fragment.
 
-use super::suite::f6;
 use desim::{DetRng, SimTime};
 use serde::{Deserialize, Serialize};
 use smartvlc_net::{WorkloadGen, WorkloadSpec};
@@ -63,24 +62,6 @@ pub struct CellTrafficReport {
     pub fct_p50_s: Option<f64>,
     /// 95th-percentile flow completion time, s.
     pub fct_p95_s: Option<f64>,
-}
-
-impl CellTrafficReport {
-    /// Deterministic JSON fragment (stable key order, fixed float
-    /// formatting) for the BENCH_cell policy section.
-    pub fn to_json_fragment(&self) -> String {
-        let opt = |v: Option<f64>| v.map_or("null".to_string(), f6);
-        format!(
-            "\"flows_offered\": {}, \"flows_completed\": {}, \"payload_bits\": {}, \
-             \"fct_mean_s\": {}, \"fct_p50_s\": {}, \"fct_p95_s\": {}",
-            self.flows_offered,
-            self.flows_completed,
-            f6(self.payload_bits),
-            opt(self.fct_mean_s),
-            opt(self.fct_p50_s),
-            opt(self.fct_p95_s),
-        )
-    }
 }
 
 /// One queued application flow (merged contiguous datagrams of one
@@ -242,12 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn json_fragment_is_stable_and_handles_empty_runs() {
+    fn empty_runs_report_no_completion_times() {
         let ts = TrafficState::new(1, 1);
         let r = ts.report();
         assert_eq!(r.flows_completed, 0);
-        let frag = r.to_json_fragment();
-        assert!(frag.contains("\"fct_mean_s\": null"), "{frag}");
-        assert!(frag.contains("\"flows_offered\": 0"), "{frag}");
+        assert_eq!((r.fct_mean_s, r.fct_p50_s, r.fct_p95_s), (None, None, None));
     }
 }

@@ -26,14 +26,26 @@
 //!    the `Arc`-shared read-mostly structures from `combinat` and
 //!    `smartvlc-core`.
 //!
-//! Thread count comes from `SMARTVLC_THREADS` (or the machine's available
-//! parallelism), and `SMARTVLC_THREADS=1` degenerates to exactly the old
-//! serial loop — same results, same order.
+//! The worker count is a scoped value, not a process-global knob:
+//! [`with_threads`] sets it for the calling thread for the duration of a
+//! closure. Outside any scope — and inside the workers themselves, so a
+//! nested fan-out never multiplies threads — [`par_map`] runs serially,
+//! exactly the old serial loop: same results, same order. The library
+//! never reads the environment; each binary that fans out parses
+//! `SMARTVLC_THREADS` once (with [`parse_thread_count`], falling back to
+//! the machine's available parallelism) and runs its `main` under
+//! [`with_threads`].
 
 use crate::stats_util::{try_summarize, Summary};
 use desim::DetRng;
 use smartvlc_obs as obs;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// This thread's worker count for [`par_map`]; 1 outside any scope.
+    static THREADS: Cell<usize> = const { Cell::new(1) };
+}
 
 /// Parses a raw `SMARTVLC_THREADS` value into a worker count.
 ///
@@ -61,23 +73,20 @@ pub fn parse_thread_count(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Worker threads to use: `SMARTVLC_THREADS` if set, otherwise the
-/// machine's available parallelism.
+/// Runs `f` with [`par_map`] fanning out on `threads` workers on this
+/// thread, restoring the outer count when `f` returns or panics.
 ///
-/// # Panics
-///
-/// Panics with a message naming the bad value if `SMARTVLC_THREADS` is set
-/// but is not a positive decimal integer (see [`parse_thread_count`]).
-pub fn thread_count() -> usize {
-    match std::env::var("SMARTVLC_THREADS") {
-        Ok(v) => match parse_thread_count(&v) {
-            Ok(n) => n,
-            Err(msg) => panic!("{msg}"),
-        },
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+/// Scopes nest: the innermost count wins. Results never depend on the
+/// count; only wall-clock time does.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREADS.with(|t| t.set(self.0));
+        }
     }
+    let _restore = Restore(THREADS.with(|t| t.replace(threads)));
+    f()
 }
 
 /// The deterministic RNG stream for task `(point_id, seed)`.
@@ -103,8 +112,9 @@ pub fn task_seed(seed: u64, point_id: u64) -> u64 {
 /// point on the work pool and return the results in submission order.
 ///
 /// `f` is called at most once per point, from an unspecified thread, in an
-/// unspecified order; the *returned vector* is always in point order. With
-/// one worker this is exactly `points.iter().enumerate().map(..)`.
+/// unspecified order; the *returned vector* is always in point order. The
+/// worker count is the calling thread's [`with_threads`] scope (1 outside
+/// any); with one worker this is exactly `points.iter().enumerate().map(..)`.
 pub fn par_map<P, R, F>(points: &[P], f: F) -> Vec<R>
 where
     P: Sync,
@@ -138,7 +148,7 @@ where
         }
     };
 
-    let threads = thread_count().min(points.len().max(1));
+    let threads = THREADS.with(Cell::get).min(points.len());
     if threads <= 1 {
         return points
             .iter()
@@ -248,27 +258,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    /// Run `f` with `SMARTVLC_THREADS` pinned to the raw string `raw`,
-    /// serializing access to the process-global env var across the test
-    /// binary.
-    fn with_threads_raw<R>(raw: &str, f: impl FnOnce() -> R) -> R {
-        static ENV_LOCK: Mutex<()> = Mutex::new(());
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let old = std::env::var("SMARTVLC_THREADS").ok();
-        std::env::set_var("SMARTVLC_THREADS", raw);
-        let out = f();
-        match old {
-            Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-            None => std::env::remove_var("SMARTVLC_THREADS"),
-        }
-        out
-    }
-
-    /// Run `f` with `SMARTVLC_THREADS` pinned to `n`.
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        with_threads_raw(&n.to_string(), f)
+    fn current() -> usize {
+        THREADS.with(Cell::get)
     }
 
     #[test]
@@ -353,12 +345,31 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_respects_env() {
-        assert_eq!(with_threads(3, thread_count), 3);
-        assert_eq!(with_threads(1, thread_count), 1);
-        // Surrounding whitespace around a valid integer is tolerated.
-        assert_eq!(with_threads_raw("  4 ", thread_count), 4);
-        assert!(thread_count() >= 1);
+    fn nested_scopes_restore_the_outer_count() {
+        assert_eq!(current(), 1, "unscoped default is serial");
+        with_threads(3, || {
+            assert_eq!(current(), 3);
+            with_threads(8, || assert_eq!(current(), 8));
+            assert_eq!(current(), 3);
+        });
+        assert_eq!(current(), 1);
+    }
+
+    #[test]
+    fn a_panic_inside_the_scope_restores_the_outer_count() {
+        with_threads(2, || {
+            let caught = std::panic::catch_unwind(|| with_threads(8, || panic!("task failed")));
+            assert!(caught.is_err());
+            assert_eq!(current(), 2);
+        });
+        assert_eq!(current(), 1);
+    }
+
+    #[test]
+    fn workers_run_unscoped() {
+        let points: Vec<u8> = (0..8).collect();
+        let seen = with_threads(4, || par_map(&points, |_, _| current()));
+        assert_eq!(seen, vec![1; 8], "a nested fan-out must run serially");
     }
 
     #[test]
@@ -388,47 +399,28 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_panics_on_invalid_env() {
-        for bad in ["abc", "0x8", "0", ""] {
-            let caught = with_threads_raw(bad, || std::panic::catch_unwind(thread_count));
-            let payload = caught.expect_err(&format!("SMARTVLC_THREADS={bad:?} must panic"));
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(
-                msg.contains("SMARTVLC_THREADS"),
-                "panic names the variable: {msg}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_map_merges_task_telemetry_in_submission_order() {
+    fn unscoped_and_eight_worker_par_map_agree_on_results_and_telemetry() {
         let points: Vec<u64> = (0..24).collect();
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                let rec = obs::Recorder::new();
-                let out = obs::with_recorder(&rec, || {
-                    par_map(&points, |i, &p| {
-                        obs::counter_add(obs::key!("test.runner.work"), p + 1);
-                        obs::event(
-                            desim::SimTime::from_nanos(p * 10),
-                            obs::key!("test.runner.ev"),
-                            i as u64,
-                        );
-                        p
-                    })
-                });
-                (out, rec.snapshot())
-            })
+        let run = || {
+            let rec = obs::Recorder::new();
+            let out = obs::with_recorder(&rec, || {
+                par_map(&points, |i, &p| {
+                    obs::counter_add(obs::key!("test.runner.work"), p + 1);
+                    obs::event(
+                        desim::SimTime::from_nanos(p * 10),
+                        obs::key!("test.runner.ev"),
+                        i as u64,
+                    );
+                    p
+                })
+            });
+            (out, rec.snapshot())
         };
-        let (out1, snap1) = run(1);
-        let (out8, snap8) = run(8);
+        let (out1, snap1) = run();
+        let (out8, snap8) = with_threads(8, run);
         assert_eq!(out1, out8);
         assert_eq!(snap1, snap8, "telemetry must not depend on thread count");
-        assert_eq!(snap1.to_json(), snap8.to_json());
+        assert_eq!(snap1.json().to_string(), snap8.json().to_string());
         #[cfg(feature = "telemetry")]
         {
             assert!(snap1

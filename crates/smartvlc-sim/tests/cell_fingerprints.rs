@@ -11,7 +11,7 @@
 //!    into delivery: under every scheduling policy a run with it on and
 //!    one with it off agree on everything but the traffic report.
 //! 3. **Thread determinism at scale** — the 8×8 × 100-user scenario,
-//!    fanned out on the work pool at `SMARTVLC_THREADS=1/2/8`, must
+//!    fanned out on the work pool at 1, 2 and 8 workers, must
 //!    produce byte-identical scaling-curve JSON and bit-identical
 //!    per-user results.
 //! 4. **Grant conservation** — proptest over random configurations
@@ -25,24 +25,8 @@ use smartvlc_sim::cell::{
     CellTrafficSpec, SchedulerSpec, UserOutcome, QUANTIZED_SENSOR_RES_LUX,
 };
 use smartvlc_sim::scenario::CellScenarioBuilder;
-use smartvlc_sim::{cell_scale_json, cell_scenarios, par_sweep, ScalePoint, TaskId};
+use smartvlc_sim::{cell_scale_json, cell_scenarios, par_sweep, with_threads, ScalePoint, TaskId};
 use std::fmt::Write as _;
-use std::sync::Mutex;
-
-/// Serialize env mutation across the test binary's threads.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let old = std::env::var("SMARTVLC_THREADS").ok();
-    std::env::set_var("SMARTVLC_THREADS", n.to_string());
-    let out = f();
-    match old {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    out
-}
 
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: &[u64]) -> u64 {
@@ -304,7 +288,7 @@ fn traffic_observer_does_not_perturb_any_policy() {
 fn scale_scenario_is_byte_identical_across_thread_counts() {
     // The 8×8 × 100-user scenario through the deterministic work pool at
     // 1, 2 and 8 threads: the scaling-curve JSON (the bytes the bench bin
-    // splices into BENCH_cell.json) and the underlying report must not
+    // writes into BENCH_cell.json) and the underlying report must not
     // move by a bit.
     let scenario = CellScenarioBuilder::new()
         .grid(8, 8)
@@ -321,7 +305,7 @@ fn scale_scenario_is_byte_identical_across_thread_counts() {
                 |sc: &smartvlc_sim::CellScenario, id: TaskId| run_cell(&sc.config(), id.seed),
             );
             let r = &reports[0][0];
-            let json = cell_scale_json(&[ScalePoint::from_report(&scenario, r)]);
+            let json = cell_scale_json(&[ScalePoint::from_report(&scenario, r)]).to_string();
             (json, fingerprint(r), r.events, r.queue_peak)
         })
     };

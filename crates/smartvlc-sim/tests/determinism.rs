@@ -1,6 +1,6 @@
 //! The runner's reproducibility contract, checked end-to-end: every
 //! experiment that fans out on the work pool must produce **bit-identical**
-//! results at any `SMARTVLC_THREADS`.
+//! results at any worker count.
 //!
 //! These tests run real simulations (short durations) at 1, 2, and 8
 //! threads and compare the outputs at the f64 *bit* level — not within an
@@ -11,36 +11,7 @@ use desim::SimDuration;
 use proptest::prelude::*;
 use smartvlc_link::SchemeKind;
 use smartvlc_sim::static_run::{run_distance_matrix, run_scheme_matrix};
-use smartvlc_sim::{par_sweep, run_broadcast, task_rng, Seat};
-use std::sync::Mutex;
-
-/// Serialize env mutation across the test binary's threads.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<R>(threads: usize, opcache: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let old_threads = std::env::var("SMARTVLC_THREADS").ok();
-    let old_opcache = std::env::var("SMARTVLC_OPCACHE").ok();
-    std::env::set_var("SMARTVLC_THREADS", threads.to_string());
-    match opcache {
-        Some(v) => std::env::set_var("SMARTVLC_OPCACHE", v),
-        None => std::env::remove_var("SMARTVLC_OPCACHE"),
-    }
-    let out = f();
-    match old_threads {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    match old_opcache {
-        Some(v) => std::env::set_var("SMARTVLC_OPCACHE", v),
-        None => std::env::remove_var("SMARTVLC_OPCACHE"),
-    }
-    out
-}
-
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    with_env(n, None, f)
-}
+use smartvlc_sim::{par_sweep, run_broadcast, task_rng, with_threads, Seat};
 
 /// A sweep result reduced to exact bits, so equality is byte equality.
 fn fingerprint(sweeps: &[Vec<smartvlc_sim::StaticPoint>]) -> Vec<(u64, u64, u64)> {
@@ -194,8 +165,8 @@ fn chaos_telemetry_snapshot_is_byte_identical_across_thread_counts() {
     let (out8, snap8) = run(8);
     assert_eq!(out1, out8);
     assert_eq!(
-        snap1.to_json(),
-        snap8.to_json(),
+        snap1.json().to_string(),
+        snap8.json().to_string(),
         "telemetry JSON differs between 1 and 8 threads"
     );
     assert_eq!(snap1.to_csv(), snap8.to_csv());
@@ -214,16 +185,20 @@ fn cell_suite_is_byte_identical_across_thread_counts() {
     // thread count. This is exactly the artifact `cell_suite` writes to
     // `results/BENCH_cell.json`, so this test is the file-level
     // determinism gate in unit-test form.
-    let run = |n: usize| with_threads(n, || smartvlc_sim::cell_suite_artifacts(1, 2026));
+    let run = |n: usize| {
+        let (sums, snap) = with_threads(n, || smartvlc_sim::cell_suite_artifacts(1, 2026));
+        let json = format!("{}\n{}", smartvlc_sim::cell_suite_json(&sums), snap.json());
+        (json, snap.to_csv(), sums)
+    };
     let (json1, csv1, sums1) = run(1);
     let (json8, csv8, sums8) = run(8);
     assert_eq!(
         json1, json8,
-        "BENCH_cell.json differs between SMARTVLC_THREADS=1 and 8"
+        "BENCH_cell.json differs between 1 and 8 workers"
     );
     assert_eq!(
         csv1, csv8,
-        "TELEMETRY_cell.csv differs between SMARTVLC_THREADS=1 and 8"
+        "TELEMETRY_cell.csv differs between 1 and 8 workers"
     );
     // Bit-level, below the 6-decimal JSON formatting: per-user delivered
     // bits and handover counters must match exactly.
@@ -243,33 +218,6 @@ fn cell_suite_is_byte_identical_across_thread_counts() {
         sums1.iter().any(|s| s.handovers > 0),
         "battery exercised no handovers — the gate would be vacuous"
     );
-}
-
-#[test]
-fn cell_suite_is_byte_identical_with_opcache_disabled() {
-    // The operating-point cache is an interning layer, not an
-    // approximation: force-disabling it (`SMARTVLC_OPCACHE=off`) must
-    // reproduce the exact artifact bytes — including the hit/miss
-    // counters, which the disabled cache still books identically.
-    let cached = with_env(1, None, || smartvlc_sim::cell_suite_artifacts(1, 2026));
-    let uncached = with_env(1, Some("off"), || {
-        smartvlc_sim::cell_suite_artifacts(1, 2026)
-    });
-    assert_eq!(
-        cached.0, uncached.0,
-        "BENCH_cell.json differs with the operating-point cache disabled"
-    );
-    assert_eq!(
-        cached.1, uncached.1,
-        "TELEMETRY_cell.csv differs with the operating-point cache disabled"
-    );
-    // The cache must actually be exercised for this gate to mean anything.
-    let queries: u64 = cached
-        .2
-        .iter()
-        .map(|s| s.opcache_hits + s.opcache_misses)
-        .sum();
-    assert!(queries > 0, "battery issued no operating-point queries");
 }
 
 #[test]

@@ -105,6 +105,9 @@ impl OperatingPointCache {
     /// environment variable (`off`/`0` disables it, see module docs);
     /// bookkeeping is identical either way.
     pub fn new() -> OperatingPointCache {
+        // The one environment read in this crate, allowed by
+        // scripts/check_no_env.sh: perfbench builds caches through this
+        // constructor, so the read goes with ROADMAP items 1 and 4.
         let enabled = !matches!(
             std::env::var("SMARTVLC_OPCACHE").as_deref(),
             Ok("off") | Ok("0")
