@@ -33,9 +33,19 @@ fn bench_channel(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("led_waveform_synthesis", |b| {
-        let led = vlc_channel::led::LedModel::philips_4w7();
-        b.iter(|| black_box(led.synthesize(black_box(&slots), 8e-6, 4)))
+    // The LED step the sampled kernel runs per slot on an LED-step memo
+    // miss (a hit reads its result from the memo instead).
+    group.bench_function("led_slot_step", |b| {
+        let step = vlc_channel::led::LedModel::philips_4w7().slot_step(8e-6, 4);
+        b.iter(|| {
+            let mut power = step.initial_power(slots[0]);
+            for &slot in black_box(&slots) {
+                power = step.walk(power, slot, |_, p| {
+                    black_box(p);
+                });
+            }
+            black_box(power)
+        })
     });
     group.finish();
 }

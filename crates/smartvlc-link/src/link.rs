@@ -32,7 +32,9 @@ use vlc_hw::wifi::SideChannel;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChannelFidelity {
     /// Full pipeline: LED dynamics → optics → photodiode → ADC samples →
-    /// slot averaging. ~12 noise draws per slot; use for validation runs.
+    /// slot averaging. One noise draw per counted ADC sample
+    /// (`samples_per_slot − 1`, 3 at the paper's rate); use for
+    /// validation runs.
     Sampled,
     /// Per-slot i.i.d. errors at the channel's analytic P1/P2 — the same
     /// statistics Eq. 3 assumes, two orders of magnitude faster. The
@@ -281,6 +283,7 @@ impl LinkSimulation {
         if cfg.full_scale_lux <= 0.0 || cfg.full_scale_lux.is_nan() {
             return Err(LinkError::Config("full_scale_lux must be positive"));
         }
+        cfg.channel.validate().map_err(LinkError::Config)?;
         let root = DetRng::seed_from_u64(cfg.seed);
         let initial_ambient = 0.0; // set properly on the first sense tick
                                    // The kill switch is read once per simulation, not per frame:
@@ -806,6 +809,27 @@ mod tests {
         let (_, smart, fixed) = *r.adaptation.last().unwrap();
         assert!(fixed > smart, "smart={smart} fixed={fixed}");
         assert!(smart > 0);
+    }
+
+    #[test]
+    fn bad_front_end_configs_are_errors_not_panics() {
+        let bad: [fn(&mut ChannelConfig); 6] = [
+            |c| c.samples_per_slot = 1,
+            |c| c.tslot_s = 0.0,
+            |c| c.tslot_s = f64::NAN,
+            |c| c.frontend.adc_bits = 0,
+            |c| c.frontend.adc_bits = 17,
+            |c| c.frontend.adc_bits = 64,
+        ];
+        for (i, f) in bad.into_iter().enumerate() {
+            let mut cfg = LinkConfig::paper_static(3.0, SchemeKind::Amppm, 1);
+            cfg.fidelity = ChannelFidelity::Sampled;
+            f(&mut cfg.channel);
+            assert!(
+                matches!(LinkSimulation::new(cfg), Err(LinkError::Config(_))),
+                "bad config {i} accepted"
+            );
+        }
     }
 
     #[test]

@@ -59,38 +59,109 @@ impl LedModel {
         self.on_power_w * (self.off_fraction + (1.0 - self.off_fraction) * level)
     }
 
-    /// Synthesize the emitted optical waveform for a slot sequence.
+    /// The slot-invariant constants of the first-order step response at
+    /// `samples_per_slot` samples per slot of duration `tslot_s`.
     ///
-    /// `samples_per_slot` points are produced per slot of duration
-    /// `tslot_s`; the output tracks the drive exponentially with the
-    /// rise/fall constants. The initial state is the first slot's target
-    /// (steady operation, not cold start).
-    pub fn synthesize(&self, slots: &[bool], tslot_s: f64, samples_per_slot: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.synthesize_into(slots, tslot_s, samples_per_slot, &mut out);
-        out
+    /// The per-sample `exp` is hoisted: each direction's `alpha` depends
+    /// only on the sample interval and its rise/fall constant.
+    pub fn slot_step(&self, tslot_s: f64, samples_per_slot: usize) -> LedSlotStep {
+        assert!(samples_per_slot >= 1, "need at least one sample per slot");
+        assert!(tslot_s > 0.0, "slot duration must be positive");
+        let dt = tslot_s / samples_per_slot as f64;
+        let alpha = |tau: f64| {
+            if tau > 0.0 {
+                1.0 - (-dt / tau).exp()
+            } else {
+                1.0
+            }
+        };
+        LedSlotStep {
+            target: [self.steady_power(0.0), self.steady_power(1.0)],
+            rise: (self.rise_tau_s, alpha(self.rise_tau_s)),
+            fall: (self.fall_tau_s, alpha(self.fall_tau_s)),
+            samples_per_slot,
+        }
     }
 
-    /// Allocation-free form of [`LedModel::synthesize`]: clears and fills
-    /// `out` in place (bit-identical output; the per-sample `exp` of the
-    /// step response is hoisted — `alpha` depends only on `dt` and the
-    /// rise/fall constant, both loop-invariant).
-    pub fn synthesize_into(
+    /// Eye-opening metric for a given slot duration: the fraction of the
+    /// ON/OFF swing reached by the end of one slot after a transition.
+    /// The paper's "not distorted too much" criterion corresponds to an
+    /// opening near 1.0; values below ~0.9 start costing SNR.
+    pub fn eye_opening(&self, tslot_s: f64) -> f64 {
+        let tau = self.rise_tau_s.max(self.fall_tau_s);
+        if tau <= 0.0 {
+            1.0
+        } else {
+            1.0 - (-tslot_s / tau).exp()
+        }
+    }
+}
+
+/// One slot of the LED's optical response, with its constants hoisted
+/// (see [`LedModel::slot_step`]).
+#[derive(Clone, Copy, Debug)]
+pub struct LedSlotStep {
+    /// Steady-state power for an OFF and an ON slot, W.
+    target: [f64; 2],
+    /// Rise time constant and its per-sample `alpha`.
+    rise: (f64, f64),
+    /// Fall time constant and its per-sample `alpha`.
+    fall: (f64, f64),
+    samples_per_slot: usize,
+}
+
+impl LedSlotStep {
+    /// The optical power at the start of a run whose first slot is `slot`
+    /// (steady operation, not cold start).
+    pub fn initial_power(&self, slot: bool) -> f64 {
+        self.target[usize::from(slot)]
+    }
+
+    /// Drive one slot `slot` from optical power `power`: calls
+    /// `sample(k, p)` with each of the slot's samples in order and
+    /// returns the power at the end of the slot, the next slot's start.
+    ///
+    /// The output tracks the drive exponentially with the rise or fall
+    /// constant. A constant of zero (an instant LED) sets every sample to
+    /// the target outright, which is not the same as `alpha = 1`:
+    /// `p + (target − p)·1` can round away from `target`.
+    #[inline]
+    pub fn walk(&self, mut power: f64, slot: bool, mut sample: impl FnMut(usize, f64)) -> f64 {
+        let target = self.target[usize::from(slot)];
+        let (tau, alpha) = if target > power { self.rise } else { self.fall };
+        for k in 0..self.samples_per_slot {
+            if tau <= 0.0 {
+                power = target;
+            } else {
+                power += (target - power) * alpha;
+            }
+            sample(k, power);
+        }
+        power
+    }
+}
+
+/// The whole-waveform synthesizer the sampled channel ran before its
+/// per-slot kernel, kept verbatim as the reference the kernel is tested
+/// against.
+#[cfg(test)]
+impl LedModel {
+    /// The emitted optical waveform for a slot sequence:
+    /// `samples_per_slot` points per slot of duration `tslot_s`, tracking
+    /// the drive exponentially with the rise/fall constants from the
+    /// first slot's steady state.
+    pub(crate) fn synthesize(
         &self,
         slots: &[bool],
         tslot_s: f64,
         samples_per_slot: usize,
-        out: &mut Vec<f64>,
-    ) {
-        assert!(samples_per_slot >= 1, "need at least one sample per slot");
-        assert!(tslot_s > 0.0, "slot duration must be positive");
+    ) -> Vec<f64> {
         let dt = tslot_s / samples_per_slot as f64;
-        out.clear();
+        let mut out = Vec::new();
         let mut power = match slots.first() {
             Some(&s) => self.steady_power(s as u8 as f64),
-            None => return,
+            None => return out,
         };
-        out.reserve(slots.len() * samples_per_slot);
         let rise_alpha = if self.rise_tau_s > 0.0 {
             1.0 - (-dt / self.rise_tau_s).exp()
         } else {
@@ -122,25 +193,26 @@ impl LedModel {
                 }
             }
         }
-    }
-
-    /// Eye-opening metric for a given slot duration: the fraction of the
-    /// ON/OFF swing reached by the end of one slot after a transition.
-    /// The paper's "not distorted too much" criterion corresponds to an
-    /// opening near 1.0; values below ~0.9 start costing SNR.
-    pub fn eye_opening(&self, tslot_s: f64) -> f64 {
-        let tau = self.rise_tau_s.max(self.fall_tau_s);
-        if tau <= 0.0 {
-            1.0
-        } else {
-            1.0 - (-tslot_s / tau).exp()
-        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The waveform the production step produces, slot after slot.
+    fn wave(led: &LedModel, slots: &[bool], tslot_s: f64, spp: usize) -> Vec<f64> {
+        let step = led.slot_step(tslot_s, spp);
+        let mut out = Vec::new();
+        if let Some(&first) = slots.first() {
+            let mut power = step.initial_power(first);
+            for &slot in slots {
+                power = step.walk(power, slot, |_, p| out.push(p));
+            }
+        }
+        out
+    }
 
     #[test]
     fn steady_power_endpoints() {
@@ -154,7 +226,7 @@ mod tests {
     #[test]
     fn ideal_led_is_square() {
         let led = LedModel::ideal(1.0);
-        let wave = led.synthesize(&[true, false, true], 8e-6, 4);
+        let wave = wave(&led, &[true, false, true], 8e-6, 4);
         assert_eq!(wave.len(), 12);
         assert!(wave[..4].iter().all(|&p| p == 1.0));
         assert!(wave[4..8].iter().all(|&p| p == 0.0));
@@ -164,7 +236,7 @@ mod tests {
     #[test]
     fn real_led_rises_exponentially() {
         let led = LedModel::philips_4w7();
-        let wave = led.synthesize(&[false, true, true], 8e-6, 8);
+        let wave = wave(&led, &[false, true, true], 8e-6, 8);
         // Monotone rise after the transition...
         let rise = &wave[8..16];
         assert!(rise.windows(2).all(|w| w[1] >= w[0]));
@@ -191,21 +263,24 @@ mod tests {
             on_power_w: 1.0,
             off_fraction: 0.0,
         };
-        let wave = led.synthesize(&[true, false], 8e-6, 8);
+        let wave = wave(&led, &[true, false], 8e-6, 8);
         // After one slot of falling with tau=10us, still above half power.
         assert!(wave[15] > 0.4, "fall too fast: {}", wave[15]);
     }
 
     #[test]
-    fn empty_slots_give_empty_waveform() {
-        let led = LedModel::philips_4w7();
-        assert!(led.synthesize(&[], 8e-6, 4).is_empty());
+    fn walk_reports_every_sample_in_order() {
+        let step = LedModel::philips_4w7().slot_step(8e-6, 4);
+        let mut seen = Vec::new();
+        let end = step.walk(step.initial_power(false), true, |k, p| seen.push((k, p)));
+        assert_eq!(seen.iter().map(|s| s.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(end.to_bits(), seen[3].1.to_bits());
     }
 
     #[test]
     fn hoisted_alpha_is_bit_identical_to_per_sample_exp() {
         // The original loop recomputed `1 - exp(-dt/tau)` per sample;
-        // synthesize_into hoists it. Pin bit-identity against a direct
+        // the slot step hoists it. Pin bit-identity against a direct
         // transcription of the per-sample form.
         let led = LedModel::philips_4w7();
         let slots: Vec<bool> = (0..257).map(|i| i % 7 < 3).collect();
@@ -226,7 +301,7 @@ mod tests {
                 reference.push(power);
             }
         }
-        let wave = led.synthesize(&slots, tslot_s, spp);
+        let wave = wave(&led, &slots, tslot_s, spp);
         assert_eq!(wave.len(), reference.len());
         for (a, b) in wave.iter().zip(&reference) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -234,22 +309,36 @@ mod tests {
     }
 
     #[test]
-    fn synthesize_into_reuses_and_clears() {
-        let led = LedModel::philips_4w7();
-        let mut buf = vec![123.0; 9];
-        led.synthesize_into(&[true, false], 8e-6, 4, &mut buf);
-        assert_eq!(buf, led.synthesize(&[true, false], 8e-6, 4));
-        led.synthesize_into(&[], 8e-6, 4, &mut buf);
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn waveform_is_deterministic() {
-        let led = LedModel::philips_4w7();
-        let slots: Vec<bool> = (0..100).map(|i| i % 3 == 0).collect();
-        assert_eq!(
-            led.synthesize(&slots, 8e-6, 4),
-            led.synthesize(&slots, 8e-6, 4)
-        );
+    fn slot_step_matches_the_reference_synthesizer() {
+        // Bit for bit, across slow, instant (the `tau <= 0` branch) and
+        // ideal LEDs and several sampling rates.
+        let slow_fall = LedModel {
+            fall_tau_s: 10e-6,
+            ..LedModel::philips_4w7()
+        };
+        let instant = LedModel {
+            rise_tau_s: 0.0,
+            fall_tau_s: 0.0,
+            ..LedModel::philips_4w7()
+        };
+        let leds = [
+            LedModel::philips_4w7(),
+            LedModel::ideal(1.4),
+            instant,
+            slow_fall,
+        ];
+        let slots: Vec<bool> = (0..300u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) >> 31 == 1)
+            .collect();
+        for led in leds {
+            for spp in [1, 2, 4, 8] {
+                for n in [0, 1, 2, slots.len()] {
+                    let a = wave(&led, &slots[..n], 8e-6, spp);
+                    let b = led.synthesize(&slots[..n], 8e-6, spp);
+                    let bits = |w: &[f64]| w.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&a), bits(&b), "{led:?} spp={spp} n={n}");
+                }
+            }
+        }
     }
 }

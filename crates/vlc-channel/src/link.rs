@@ -17,7 +17,7 @@ use crate::ambient::AmbientProfile;
 use crate::detector::{ChannelErrorProbs, SlotDetector};
 use crate::faults::ChannelFaultState;
 use crate::frontend::AnalogFrontend;
-use crate::led::LedModel;
+use crate::led::{LedModel, LedSlotStep};
 use crate::opcache::{CachedOp, OperatingPointCache};
 use crate::optics::LambertianLink;
 use crate::photodiode::{Photodiode, ELECTRON_CHARGE_C};
@@ -66,6 +66,40 @@ impl ChannelConfig {
             ambient_lux: 8080.0, // sunny office, ceiling lights off (L2)
             ambient_rin: 4.7e-3,
         }
+    }
+
+    /// Check the parameters the sampled channel relies on; `Err` names
+    /// the first one out of range.
+    ///
+    /// At least two samples per slot (the first straddles the LED
+    /// transition and is not counted); a finite positive slot; an ADC of
+    /// 1–16 bits, so codes fit the `u16` rail and a slot's code sum fits
+    /// a `u32`; and a front end whose code-to-current map increases
+    /// (positive TIA gain and ADC reference), which makes a slot's
+    /// decision a threshold on its integer code sum.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let fe = &self.frontend;
+        if self.samples_per_slot < 2 {
+            return Err("samples_per_slot must be at least 2");
+        }
+        if !(self.tslot_s.is_finite() && self.tslot_s > 0.0) {
+            return Err("tslot_s must be finite and positive");
+        }
+        if !(1..=16).contains(&fe.adc_bits) {
+            return Err("adc_bits must be in 1..=16");
+        }
+        if !(fe.tia_gain_v_per_a > 0.0 && fe.adc_vref_v > 0.0) {
+            return Err("TIA gain and ADC reference must be positive");
+        }
+        if self.max_code_sum() > u64::from(u32::MAX) {
+            return Err("samples_per_slot overflows the slot's ADC code sum");
+        }
+        Ok(())
+    }
+
+    /// The largest sum of a slot's counted ADC codes.
+    fn max_code_sum(&self) -> u64 {
+        (self.samples_per_slot as u64 - 1) * ((1u64 << self.frontend.adc_bits) - 1)
     }
 
     /// Total DC photocurrent from ambient light plus dark current, A.
@@ -175,16 +209,14 @@ impl ChannelConfig {
     }
 }
 
-/// Reusable receive-path buffers for the batched sampled pipeline.
+/// Reusable receive-path buffers for the sampled channel.
 ///
 /// One `RxScratch` threaded through [`OpticalChannel::transmit_into`] /
 /// [`OpticalChannel::transmit_and_decide_into`] is cleared and refilled in
 /// place, so steady-state frames allocate nothing.
 #[derive(Default)]
 pub struct RxScratch {
-    /// LED optical waveform, one entry per ADC sample.
-    pub optical: Vec<f64>,
-    /// Per-slot averaged current levels (the output of the sampled path).
+    /// Per-slot averaged current levels (filled by `transmit_into`).
     pub levels: Vec<f64>,
     /// Per-slot decisions (filled by `transmit_and_decide_into`).
     pub decided: Vec<bool>,
@@ -195,6 +227,120 @@ impl RxScratch {
     /// reused afterwards.
     pub fn new() -> RxScratch {
         RxScratch::default()
+    }
+}
+
+/// The bytes an [`LedStepMemo`] table may occupy (1,024 entries at the
+/// paper's four samples per slot).
+const LED_MEMO_BYTES: usize = 64 * 1024;
+
+/// The key every entry of a fresh [`LedStepMemo`] table carries.
+const EMPTY_KEY: u64 = u64::MAX;
+
+/// What one slot of the sampled channel computes before its noise draws,
+/// as a function of the slot's starting optical power and its bit: the
+/// per-frame constants of the LED step and of the noise model.
+struct SlotModel {
+    led: LedSlotStep,
+    /// Signal photocurrent per watt of emitted optical power, A/W.
+    i_per_w: f64,
+    /// Sample noise variance with the LED dark, A².
+    var_floor: f64,
+    /// Signal shot-noise variance per watt emitted, A²/W.
+    var_per_w: f64,
+}
+
+impl SlotModel {
+    /// Memoize slot `slot` starting at optical power `power` into `entry`:
+    /// the key, the power at the end of the slot, then each counted
+    /// sample's signal current and noise σ. The first sample straddles
+    /// the LED transition and is not counted.
+    fn fill(&self, entry: &mut [u64], power: f64, slot: bool) {
+        entry[0] = power.to_bits();
+        let next = self.led.walk(power, slot, |k, p| {
+            if k > 0 {
+                let sigma = (self.var_floor + self.var_per_w * p).max(0.0).sqrt();
+                entry[2 * k] = (self.i_per_w * p).to_bits();
+                entry[2 * k + 1] = sigma.to_bits();
+            }
+        });
+        entry[1] = next.to_bits();
+    }
+}
+
+/// A direct-mapped memo of [`SlotModel::fill`], keyed by the exact bits of
+/// a slot's starting optical power.
+///
+/// The LED's power at a slot boundary depends on the recent slot history
+/// only until the exponential step converges, so a frame revisits few
+/// distinct powers; a hit skips the serial LED recurrence and the square
+/// roots. The slot bit picks one of a bucket's two entries, so it never
+/// mixes into the key. The table is allocated on the first sampled frame
+/// and cleared whenever the per-frame constants (the tag) change bits.
+#[derive(Default)]
+struct LedStepMemo {
+    /// Bits of `(i_per_w, var_floor, var_per_w, dt)` the entries hold.
+    tag: [u64; 4],
+    /// Bits of the key hash that pick a bucket.
+    bucket_bits: u32,
+    /// Words per entry: key, next power, `(mean, σ)` per counted sample.
+    stride: usize,
+    /// `stride`-word entries; empty until the first sampled frame.
+    table: Vec<u64>,
+}
+
+impl LedStepMemo {
+    /// Make the table serve `model`: allocate it on first use and clear
+    /// it when `tag` differs from the entries'.
+    fn prepare(&mut self, model: &SlotModel, tag: [u64; 4], samples_per_slot: usize) {
+        if !self.table.is_empty() && self.tag == tag {
+            return;
+        }
+        if self.table.is_empty() {
+            self.stride = 2 * samples_per_slot;
+            let entries = (LED_MEMO_BYTES / (8 * self.stride)).max(4);
+            self.bucket_bits = entries.ilog2() - 1;
+            self.table = vec![0; (2 << self.bucket_bits) * self.stride];
+        }
+        self.tag = tag;
+        for entry in self.table.chunks_exact_mut(self.stride) {
+            entry[0] = EMPTY_KEY;
+        }
+        // A NaN configuration can make an all-ones power: give the two
+        // entries that power probes their true content, so no empty entry
+        // ever passes for its memo.
+        for slot in [false, true] {
+            let at = self.index(EMPTY_KEY, slot);
+            model.fill(
+                &mut self.table[at..at + self.stride],
+                f64::from_bits(EMPTY_KEY),
+                slot,
+            );
+        }
+    }
+
+    /// The first word of the entry for `key` and `slot`.
+    #[inline]
+    fn index(&self, key: u64, slot: bool) -> usize {
+        let bucket = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - self.bucket_bits);
+        ((bucket as usize) << 1 | usize::from(slot)) * self.stride
+    }
+
+    /// The entry for slot `slot` starting at `power`, computed on a miss.
+    #[inline]
+    fn entry(&mut self, model: &SlotModel, power: f64, slot: bool) -> &[u64] {
+        let at = self.index(power.to_bits(), slot);
+        let entry = &mut self.table[at..at + self.stride];
+        if entry[0] != power.to_bits() {
+            Self::miss(model, entry, power, slot);
+        }
+        entry
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn miss(model: &SlotModel, entry: &mut [u64], power: f64, slot: bool) {
+        model.fill(entry, power, slot);
     }
 }
 
@@ -216,12 +362,18 @@ pub struct OpticalChannel {
     /// `analytic_error_probs` are a pointer-free `Cell` read — no key
     /// construction, no map probe, no counters.
     op_memo: Cell<Option<CachedOp>>,
+    /// The sampled channel's LED-step memo (see [`LedStepMemo`]).
+    led_memo: LedStepMemo,
 }
 
 impl OpticalChannel {
     /// Create a channel with a deterministic noise stream.
+    ///
+    /// Panics if `cfg` fails [`ChannelConfig::validate`].
     pub fn new(cfg: ChannelConfig, rng: DetRng) -> OpticalChannel {
-        assert!(cfg.samples_per_slot >= 2, "need >= 2 samples per slot");
+        if let Err(e) = cfg.validate() {
+            panic!("invalid channel config: {e}");
+        }
         OpticalChannel {
             cfg,
             rng,
@@ -229,6 +381,7 @@ impl OpticalChannel {
             fault: ChannelFaultState::CLEAR,
             opcache: OperatingPointCache::new(),
             op_memo: Cell::new(None),
+            led_memo: LedStepMemo::default(),
         }
     }
 
@@ -334,33 +487,94 @@ impl OpticalChannel {
     /// `2qB·(i_sig + i_amb) + (rin·i_amb)² + σ_th²`, and is then quantized
     /// by the noise-free front end.
     pub fn transmit_into(&mut self, slots: &[bool], scratch: &mut RxScratch) {
-        let spp = self.cfg.samples_per_slot;
-        self.cfg
-            .led
-            .synthesize_into(slots, self.cfg.tslot_s, spp, &mut scratch.optical);
-        let slot_norm = (spp - 1) as f64;
-        scratch.levels.clear();
-        scratch.levels.reserve(slots.len());
-        // Injected saturation: the front end is pinned at the rail, every
-        // sample reads full-scale regardless of the slot waveform — and
-        // consumes no noise draws. Hoisted out of the per-sample loop so
-        // the clear path below stays branch-free.
+        let levels = &mut scratch.levels;
+        levels.clear();
         if self.fault.saturated {
-            let max_i = self
-                .cfg
-                .frontend
-                .code_to_current(((1u64 << self.cfg.frontend.adc_bits) - 1) as f64);
-            for _ in 0..slots.len() {
-                // Keep the original repeated-add average: `max_i * n / n`
-                // is not bit-identical to summing n copies.
-                let mut acc = 0.0;
-                for _ in 1..spp {
-                    acc += max_i;
-                }
-                scratch.levels.push(acc / slot_norm);
-            }
+            levels.resize(slots.len(), self.saturated_level());
             return;
         }
+        levels.resize(slots.len(), 0.0);
+        let fe = self.cfg.frontend;
+        let inv_norm = 1.0 / (self.cfg.samples_per_slot - 1) as f64;
+        self.sample_slots(slots, levels, |codes| {
+            fe.code_to_current(f64::from(codes) * inv_norm)
+        });
+    }
+
+    /// Transmit and decide with an ideal (analytically-trained) detector —
+    /// the common path for link simulations. Fills `scratch.decided` in
+    /// place and clears `scratch.levels`; the draws and decisions are
+    /// those of [`Self::transmit_into`] followed by
+    /// [`SlotDetector::decide_into`].
+    ///
+    /// A slot's level is a non-decreasing function of its integer ADC
+    /// code sum, so the detector's threshold becomes, once per frame, the
+    /// smallest code sum whose level exceeds it; each slot then decides
+    /// with one integer compare.
+    pub fn transmit_and_decide_into(&mut self, slots: &[bool], scratch: &mut RxScratch) {
+        let thr = self.analytic_detector().threshold();
+        scratch.levels.clear();
+        let decided = &mut scratch.decided;
+        decided.clear();
+        if self.fault.saturated {
+            decided.resize(slots.len(), self.saturated_level() > thr);
+            return;
+        }
+        decided.resize(slots.len(), false);
+        let k = self.threshold_code_sum(thr);
+        self.sample_slots(slots, decided, |codes| u64::from(codes) >= k);
+    }
+
+    /// The level every slot reads with the front end pinned at the rail
+    /// by an injected saturation (no noise draws).
+    fn saturated_level(&self) -> f64 {
+        let fe = &self.cfg.frontend;
+        let max_i = fe.code_to_current(((1u64 << fe.adc_bits) - 1) as f64);
+        // The repeated-add average: `max_i * n / n` is not bit-identical
+        // to summing n copies.
+        let mut acc = 0.0;
+        for _ in 1..self.cfg.samples_per_slot {
+            acc += max_i;
+        }
+        acc / (self.cfg.samples_per_slot - 1) as f64
+    }
+
+    /// The smallest slot code sum whose level exceeds `thr`, or one past
+    /// the largest possible sum if none does.
+    ///
+    /// The level `code_to_current(sum · (1/(spp−1)))` is a chain of
+    /// correctly rounded multiplications by positive constants, a
+    /// subtraction and a division by a positive gain
+    /// ([`ChannelConfig::validate`]), each monotone, so `level > thr`
+    /// holds exactly from one sum upward: a binary search finds it.
+    fn threshold_code_sum(&self, thr: f64) -> u64 {
+        let fe = &self.cfg.frontend;
+        let inv_norm = 1.0 / (self.cfg.samples_per_slot - 1) as f64;
+        let (mut lo, mut hi) = (0u64, self.cfg.max_code_sum() + 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if fe.code_to_current(mid as f64 * inv_norm) > thr {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// The sampled channel, one slot at a time: writes `per_slot` of each
+    /// slot's sum of counted ADC codes to `out`, in slot order.
+    ///
+    /// Per slot, the [`LedStepMemo`] serves the LED power at the next
+    /// slot's start and each counted sample's signal current and noise σ
+    /// (see [`Self::transmit_into`] for the noise model); the samples then
+    /// take their Gaussian draws in order and are quantized. The noise
+    /// stream is stepped in a local copy so its state stays in registers.
+    fn sample_slots<T>(&mut self, slots: &[bool], out: &mut [T], per_slot: impl Fn(u32) -> T) {
+        let Some(&first) = slots.first() else {
+            return;
+        };
+        let spp = self.cfg.samples_per_slot;
         // Per-frame constants. The noise variance is affine in the
         // sample's optical power: `var = var_floor + var_per_w · p_opt`.
         let i_per_w = self.cfg.rx_diode.responsivity_a_per_w
@@ -371,32 +585,29 @@ impl OpticalChannel {
         let shot_coeff = 2.0 * ELECTRON_CHARGE_C * (spp as f64 / self.cfg.tslot_s / 2.0);
         let rin = self.cfg.ambient_rin * i_amb;
         let th = self.cfg.frontend.thermal_noise_a_rms;
-        let var_floor = shot_coeff * i_amb + rin * rin + th * th;
-        let var_per_w = shot_coeff * i_per_w;
+        let model = SlotModel {
+            led: self.cfg.led.slot_step(self.cfg.tslot_s, spp),
+            i_per_w,
+            var_floor: shot_coeff * i_amb + rin * rin + th * th,
+            var_per_w: shot_coeff * i_per_w,
+        };
+        let dt = self.cfg.tslot_s / spp as f64;
+        let tag = [i_per_w, model.var_floor, model.var_per_w, dt].map(f64::to_bits);
+        self.led_memo.prepare(&model, tag, spp);
         let adc = self.cfg.frontend.quantizer();
-        let inv_norm = 1.0 / slot_norm;
-        for chunk in scratch.optical.chunks_exact(spp) {
+        let mut rng = self.rng.clone();
+        let mut power = model.led.initial_power(first);
+        for (out, &slot) in out.iter_mut().zip(slots) {
+            let entry = self.led_memo.entry(&model, power, slot);
+            power = f64::from_bits(entry[1]);
             let mut codes = 0u32;
-            for &p_opt in &chunk[1..] {
-                let sigma = (var_floor + var_per_w * p_opt).max(0.0).sqrt();
-                let i = i_per_w * p_opt + sigma * self.rng.next_gaussian();
-                codes += u32::from(adc.quantize(i));
+            for sample in entry[2..].chunks_exact(2) {
+                let (mean, sigma) = (f64::from_bits(sample[0]), f64::from_bits(sample[1]));
+                codes += u32::from(adc.quantize(mean + sigma * rng.next_gaussian()));
             }
-            let mean_code = f64::from(codes) * inv_norm;
-            scratch
-                .levels
-                .push(self.cfg.frontend.code_to_current(mean_code));
+            *out = per_slot(codes);
         }
-    }
-
-    /// Transmit and decide with an ideal (analytically-trained) detector —
-    /// the common path for link simulations. Fills `scratch.decided` in
-    /// place (threshold computed once per frame, detector served from the
-    /// operating-point cache).
-    pub fn transmit_and_decide_into(&mut self, slots: &[bool], scratch: &mut RxScratch) {
-        let detector = self.analytic_detector();
-        self.transmit_into(slots, scratch);
-        detector.decide_into(&scratch.levels, &mut scratch.decided);
+        self.rng = rng;
     }
 
     /// The expected detector operating point at the current configuration,
@@ -431,6 +642,7 @@ impl OpticalChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn channel(d: f64) -> OpticalChannel {
         OpticalChannel::new(ChannelConfig::paper_bench(d), DetRng::seed_from_u64(42))
@@ -680,5 +892,220 @@ mod tests {
 
     fn clean_channel_probs(d: f64) -> f64 {
         channel(d).analytic_error_probs().p_off_error
+    }
+
+    /// The two-pass sampled channel the per-slot kernel replaced, kept as
+    /// its reference: synthesize the whole LED waveform, then draw,
+    /// quantize and average it into per-slot levels.
+    fn reference_levels(ch: &mut OpticalChannel, slots: &[bool]) -> Vec<f64> {
+        let spp = ch.cfg.samples_per_slot;
+        let optical = ch.cfg.led.synthesize(slots, ch.cfg.tslot_s, spp);
+        let slot_norm = (spp - 1) as f64;
+        let mut levels = Vec::new();
+        if ch.fault.saturated {
+            let max_i = ch
+                .cfg
+                .frontend
+                .code_to_current(((1u64 << ch.cfg.frontend.adc_bits) - 1) as f64);
+            for _ in 0..slots.len() {
+                let mut acc = 0.0;
+                for _ in 1..spp {
+                    acc += max_i;
+                }
+                levels.push(acc / slot_norm);
+            }
+            return levels;
+        }
+        let i_per_w = ch.cfg.rx_diode.responsivity_a_per_w
+            * ch.cfg.geometry.path_gain()
+            * ch.blockage_gain
+            * ch.fault.gain;
+        let i_amb = ch.ambient_current();
+        let shot_coeff = 2.0 * ELECTRON_CHARGE_C * (spp as f64 / ch.cfg.tslot_s / 2.0);
+        let rin = ch.cfg.ambient_rin * i_amb;
+        let th = ch.cfg.frontend.thermal_noise_a_rms;
+        let var_floor = shot_coeff * i_amb + rin * rin + th * th;
+        let var_per_w = shot_coeff * i_per_w;
+        let adc = ch.cfg.frontend.quantizer();
+        let inv_norm = 1.0 / slot_norm;
+        for chunk in optical.chunks_exact(spp) {
+            let mut codes = 0u32;
+            for &p_opt in &chunk[1..] {
+                let sigma = (var_floor + var_per_w * p_opt).max(0.0).sqrt();
+                let i = i_per_w * p_opt + sigma * ch.rng.next_gaussian();
+                codes += u32::from(adc.quantize(i));
+            }
+            let mean_code = f64::from(codes) * inv_norm;
+            levels.push(ch.cfg.frontend.code_to_current(mean_code));
+        }
+        levels
+    }
+
+    /// The reference levels through the batch decision.
+    fn reference_decide(ch: &mut OpticalChannel, slots: &[bool]) -> Vec<bool> {
+        let detector = ch.analytic_detector();
+        let levels = reference_levels(ch, slots);
+        let mut out = Vec::new();
+        detector.decide_into(&levels, &mut out);
+        out
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Put a channel in one of the impairment states the equivalence
+    /// property cycles through.
+    fn impair(ch: &mut OpticalChannel, state: u8) {
+        let (spike, gain, saturated, blockage) = match state {
+            0 => (0.0, 1.0, false, 1.0),
+            1 => (20_000.0, 1.0, false, 1.0),
+            2 => (0.0, 1.0, false, 0.3),
+            3 => (0.0, 1.0, true, 1.0),
+            _ => (5_000.0, 0.05, false, 0.7),
+        };
+        ch.set_blockage_gain(blockage);
+        ch.set_fault_state(ChannelFaultState {
+            extra_ambient_lux: spike,
+            gain,
+            saturated,
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The per-slot kernel decides, levels and draws exactly as the
+        /// two-pass reference, frame after frame on one channel (so the
+        /// LED-step memo carries over and is re-tagged as the impairment
+        /// state changes).
+        #[test]
+        fn kernel_matches_the_two_pass_reference(
+            seed in any::<u64>(),
+            distance in 1.0f64..6.0,
+            spp in 0usize..3,
+            led in 0usize..3,
+            on_pct in 0u32..=100,
+            raw in proptest::collection::vec(any::<u32>(), 0..700),
+            short in 0u8..4,
+            states in proptest::collection::vec(0u8..5, 1..5),
+        ) {
+            let mut cfg = ChannelConfig::paper_bench(distance);
+            cfg.samples_per_slot = [2, 4, 8][spp];
+            // Philips, the ideal LED, and an instant LED with the Philips
+            // extinction ratio, whose `tau <= 0` step differs in bits
+            // from `alpha = 1`.
+            let philips = LedModel::philips_4w7();
+            cfg.led = [
+                philips,
+                LedModel::ideal(1.4),
+                LedModel { rise_tau_s: 0.0, fall_tau_s: 0.0, ..philips },
+            ][led];
+            let mut slots: Vec<bool> = raw.iter().map(|r| r % 100 < on_pct).collect();
+            slots.truncate(match short {
+                0 => 0,
+                1 => 1,
+                _ => slots.len(),
+            });
+            let mk = || OpticalChannel::new(cfg, DetRng::seed_from_u64(seed));
+            let (mut kernel, mut reference) = (mk(), mk());
+            let (mut kernel_lv, mut reference_lv) = (mk(), mk());
+            let mut scratch = RxScratch::new();
+            for &state in &states {
+                for ch in [&mut kernel, &mut reference, &mut kernel_lv, &mut reference_lv] {
+                    impair(ch, state);
+                }
+                kernel.transmit_and_decide_into(&slots, &mut scratch);
+                prop_assert_eq!(&scratch.decided, &reference_decide(&mut reference, &slots));
+                kernel_lv.transmit_into(&slots, &mut scratch);
+                let expected = reference_levels(&mut reference_lv, &slots);
+                prop_assert_eq!(bits(&scratch.levels), bits(&expected));
+            }
+            prop_assert_eq!(format!("{:?}", kernel.rng), format!("{:?}", reference.rng));
+            prop_assert_eq!(format!("{:?}", kernel_lv.rng), format!("{:?}", reference_lv.rng));
+        }
+    }
+
+    #[test]
+    fn integer_threshold_decides_every_code_sum_as_the_level_does() {
+        // Exhaustive over every possible slot code sum, across the cliff,
+        // under a saturated detector and at several sampling rates.
+        for spp in [2, 4, 8] {
+            for (d, saturated) in [
+                (1.0, false),
+                (3.6, false),
+                (4.5, false),
+                (6.0, false),
+                (2.0, true),
+            ] {
+                let mut cfg = ChannelConfig::paper_bench(d);
+                cfg.samples_per_slot = spp;
+                let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(5));
+                ch.set_fault_state(ChannelFaultState {
+                    extra_ambient_lux: 0.0,
+                    gain: 1.0,
+                    saturated,
+                });
+                let thr = ch.analytic_detector().threshold();
+                let k = ch.threshold_code_sum(thr);
+                let inv_norm = 1.0 / (spp - 1) as f64;
+                for sum in 0..=(spp as u64 - 1) * 4095 {
+                    let level = cfg.frontend.code_to_current(sum as f64 * inv_norm);
+                    assert_eq!(sum >= k, level > thr, "spp={spp} d={d} sum={sum} K={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn led_memo_is_allocated_on_the_first_sampled_frame_and_bounded() {
+        let mut ch = channel(3.0);
+        let mut scratch = RxScratch::new();
+        ch.transmit_and_decide_into(&[], &mut scratch);
+        assert!(ch.led_memo.table.is_empty());
+        ch.transmit_and_decide_into(&[true, false, true], &mut scratch);
+        assert_eq!(ch.led_memo.table.len() * 8, LED_MEMO_BYTES);
+        for spp in [2, 3, 8, 5000] {
+            let mut cfg = ChannelConfig::paper_bench(3.0);
+            cfg.samples_per_slot = spp;
+            let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(1));
+            ch.transmit_into(&[true, false], &mut scratch);
+            let bytes = ch.led_memo.table.len() * 8;
+            assert!(bytes <= LED_MEMO_BYTES.max(4 * 16 * spp), "spp={spp}");
+        }
+    }
+
+    #[test]
+    fn an_all_ones_nan_power_is_not_read_as_an_empty_entry() {
+        // An all-ones NaN emitter power makes every slot start at the
+        // empty key's power; its entries must hold its true content.
+        let mut cfg = ChannelConfig::paper_bench(3.0);
+        cfg.led.on_power_w = f64::from_bits(EMPTY_KEY);
+        assert_eq!(cfg.led.steady_power(1.0).to_bits(), EMPTY_KEY);
+        let slots = [true, true, false, true];
+        let mut kernel = OpticalChannel::new(cfg, DetRng::seed_from_u64(3));
+        let mut reference = OpticalChannel::new(cfg, DetRng::seed_from_u64(3));
+        let mut scratch = RxScratch::new();
+        kernel.transmit_into(&slots, &mut scratch);
+        assert_eq!(
+            bits(&scratch.levels),
+            bits(&reference_levels(&mut reference, &slots))
+        );
+    }
+
+    #[test]
+    fn invalid_configs_are_named() {
+        let bad = |f: fn(&mut ChannelConfig)| {
+            let mut cfg = ChannelConfig::paper_bench(3.0);
+            f(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        assert!(ChannelConfig::paper_bench(3.0).validate().is_ok());
+        assert!(bad(|c| c.samples_per_slot = 1).contains("samples_per_slot"));
+        assert!(bad(|c| c.tslot_s = 0.0).contains("tslot_s"));
+        assert!(bad(|c| c.tslot_s = f64::INFINITY).contains("tslot_s"));
+        assert!(bad(|c| c.frontend.adc_bits = 0).contains("adc_bits"));
+        assert!(bad(|c| c.frontend.adc_bits = 17).contains("adc_bits"));
+        assert!(bad(|c| c.frontend.tia_gain_v_per_a = -1.0).contains("TIA gain"));
+        assert!(bad(|c| c.samples_per_slot = 1 << 21).contains("code sum"));
     }
 }
