@@ -9,10 +9,10 @@
 //!
 //! 1. **Determinism.** Two runs with the same seed produce bit-identical
 //!    results. Events scheduled for the same instant fire in FIFO order of
-//!    scheduling (a monotone sequence number breaks ties), and all random
-//!    numbers come from explicitly seeded, splittable streams
+//!    scheduling (or in ordering-key order, FIFO within a key), and all
+//!    random numbers come from explicitly seeded, splittable streams
 //!    ([`rng::DetRng`]).
-//! 2. **Simplicity.** A single-threaded binary-heap event queue. No async,
+//! 2. **Simplicity.** A single-threaded calendar event queue. No async,
 //!    no threads, no global state — in the spirit of smoltcp's "simplicity
 //!    and robustness" design goals.
 //! 3. **Integer time.** Virtual time is integer nanoseconds

@@ -13,49 +13,43 @@
 //! deferred by a handover outage) without perturbing the delivery order
 //! of everything else at that instant — the key, not the scheduling
 //! moment, decides.
+//!
+//! The queue is a calendar: one bucket per pending instant, in a
+//! `BTreeMap` by time, each bucket a `VecDeque` kept in `(key, FIFO)`
+//! order. A push whose key is at least its bucket's last key — the
+//! common case for a simulation that schedules each instant's events in
+//! key order — is a `push_back`; any other is inserted after the last
+//! entry with a key ≤ its own. A pop is a `pop_front` of the earliest
+//! bucket; a bucket it empties leaves the map, and its allocation goes
+//! to a spare pool that the next new instant draws from.
+//!
+//! Handles name a slot in a slab of generation counters. A slot's
+//! generation is odd while its event is pending and even once it has
+//! fired or been cancelled, so `cancel` is an O(1) compare-and-bump and
+//! the calendar skips a cancelled entry (a tombstone) when it reaches it.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Opaque handle to a scheduled event, usable with [`Scheduler::cancel`].
 ///
-/// Handles are unique per scheduler instance and never reused.
+/// A handle is accepted by `cancel` at most once, and a stale handle —
+/// one whose event has fired or been cancelled — never cancels a later
+/// event, even one that reuses its slot. Slots carry a `u32` generation
+/// that advances by two per use, so a stale handle could alias a new
+/// event only after 2³¹ reuses of one slot (a 16×16-cell, 400-user run
+/// reuses each slot ~200 times).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventHandle(u64);
+pub struct EventHandle {
+    slot: u32,
+    generation: u32,
+}
 
 struct Entry<E> {
-    time: SimTime,
     key: u64,
-    seq: u64,
+    handle: EventHandle,
     payload: E,
 }
-
-// BinaryHeap is a max-heap; invert the ordering to pop the earliest event
-// first, breaking same-instant ties by key, then by scheduling order.
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.key.cmp(&self.key))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
 
 /// A deterministic future-event queue.
 ///
@@ -64,13 +58,18 @@ impl<E> Eq for Entry<E> {}
 /// event ([`Scheduler::now`]); scheduling into the past is a logic error
 /// and panics.
 pub struct Scheduler<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// One bucket per instant with entries not yet popped (pending or
+    /// cancelled), each in `(key, scheduling order)` order; a bucket
+    /// leaves the map as soon as it is emptied.
+    calendar: BTreeMap<SimTime, VecDeque<Entry<E>>>,
+    /// Emptied buckets, kept for their allocation.
+    spare: Vec<VecDeque<Entry<E>>>,
+    /// Per-slot generation: odd while the slot's event is pending.
+    generations: Vec<u32>,
+    /// Slots whose event has fired or been cancelled.
+    free: Vec<u32>,
     now: SimTime,
-    next_seq: u64,
-    /// Seqs scheduled but neither fired nor cancelled — O(1) membership
-    /// for `cancel` instead of a heap scan.
-    pending: std::collections::HashSet<u64>,
-    cancelled: std::collections::HashSet<u64>,
+    live: usize,
     high_water: usize,
 }
 
@@ -84,11 +83,12 @@ impl<E> Scheduler<E> {
     /// An empty scheduler with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Scheduler {
-            heap: BinaryHeap::new(),
+            calendar: BTreeMap::new(),
+            spare: Vec::new(),
+            generations: Vec::new(),
+            free: Vec::new(),
             now: SimTime::ZERO,
-            next_seq: 0,
-            pending: std::collections::HashSet::new(),
-            cancelled: std::collections::HashSet::new(),
+            live: 0,
             high_water: 0,
         }
     }
@@ -100,12 +100,12 @@ impl<E> Scheduler<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// The most events that were ever pending at once — the queue-depth
@@ -138,61 +138,104 @@ impl<E> Scheduler<E> {
             self.now,
             at
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            key,
-            seq,
-            payload,
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.generations.push(0);
+            u32::try_from(self.generations.len() - 1).expect("more than 2³² pending events")
         });
-        self.pending.insert(seq);
-        self.high_water = self.high_water.max(self.pending.len());
-        EventHandle(seq)
+        let generation = &mut self.generations[slot as usize];
+        *generation = generation.wrapping_add(1);
+        let handle = EventHandle {
+            slot,
+            generation: *generation,
+        };
+        let spare = &mut self.spare;
+        let bucket = self
+            .calendar
+            .entry(at)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        let entry = Entry {
+            key,
+            handle,
+            payload,
+        };
+        if bucket.back().is_none_or(|last| last.key <= key) {
+            bucket.push_back(entry);
+        } else {
+            let at = bucket.partition_point(|e| e.key <= key);
+            bucket.insert(at, entry);
+        }
+        self.live += 1;
+        self.high_water = self.high_water.max(self.live);
+        handle
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending (and is now guaranteed not to fire), `false` if it had
     /// already fired or been cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        // Pending-set membership distinguishes live events from fired,
-        // cancelled, and foreign handles in O(1); the heap entry is skipped
-        // lazily on pop via the cancelled mark.
-        if self.pending.remove(&handle.0) {
-            self.cancelled.insert(handle.0);
-            true
-        } else {
-            false
+        // Handles carry odd generations, so this matches pending slots
+        // only. The calendar entry stays behind as a tombstone.
+        let pending = self.generations.get(handle.slot as usize) == Some(&handle.generation);
+        if pending {
+            self.release(handle.slot);
+        }
+        pending
+    }
+
+    /// End a pending event's slot: its handle and calendar entry go stale.
+    fn release(&mut self, slot: u32) {
+        let generation = &mut self.generations[slot as usize];
+        *generation = generation.wrapping_add(1);
+        self.free.push(slot);
+        self.live -= 1;
+    }
+
+    /// Timestamp of the next pending event without popping it. Drops the
+    /// tombstones before it.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(mut first) = self.calendar.first_entry() {
+            let time = *first.key();
+            let bucket = first.get_mut();
+            while let Some(front) = bucket.front() {
+                if self.generations[front.handle.slot as usize] == front.handle.generation {
+                    return Some(time);
+                }
+                bucket.pop_front();
+            }
+            self.spare.push(first.remove());
+        }
+        None
+    }
+
+    /// Pop the earliest pending event if it is due by `until` (any time
+    /// when `None`), dropping the tombstones before it.
+    fn pop_due(&mut self, until: Option<SimTime>) -> Option<(SimTime, E)> {
+        loop {
+            let mut first = self.calendar.first_entry()?;
+            let time = *first.key();
+            if until.is_some_and(|u| time > u) {
+                return None;
+            }
+            let bucket = first.get_mut();
+            let entry = bucket
+                .pop_front()
+                .expect("calendar buckets are never empty");
+            if bucket.is_empty() {
+                self.spare.push(first.remove());
+            }
+            if self.generations[entry.handle.slot as usize] == entry.handle.generation {
+                self.release(entry.handle.slot);
+                debug_assert!(time >= self.now);
+                self.now = time;
+                return Some((time, entry.payload));
+            }
         }
     }
 
     /// Pop the earliest pending event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted (the clock stays put).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue; // skip cancelled
-            }
-            self.pending.remove(&entry.seq);
-            debug_assert!(entry.time >= self.now);
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
-        }
-        None
-    }
-
-    /// Timestamp of the next pending event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Lazily drain cancelled entries off the top so the answer is live.
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.seq) {
-                let seq = self.heap.pop().expect("peeked entry exists").seq;
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(top.time);
-            }
-        }
-        None
+        self.pop_due(None)
     }
 
     /// Run the simulation to completion (or until `until`, if given),
@@ -206,24 +249,13 @@ impl<E> Scheduler<E> {
         F: FnMut(&mut Scheduler<E>, SimTime, E),
     {
         let mut delivered = 0;
-        loop {
-            match self.peek_time() {
-                Some(t) if until.is_none_or(|u| t <= u) => {
-                    let (t, e) = self.pop().expect("peeked event exists");
-                    handler(self, t, e);
-                    delivered += 1;
-                }
-                _ => return delivered,
-            }
+        while let Some((t, e)) = self.pop_due(until) {
+            handler(self, t, e);
+            delivered += 1;
         }
+        delivered
     }
 }
-
-// `run_with` hands the scheduler itself to the handler, so the handler can
-// schedule follow-ups. To keep the borrow checker happy we make Scheduler
-// splittable: pop/peek only touch the heap, while the handler receives
-// `&mut self` re-borrowed after the pop completes. The implementation above
-// achieves this by finishing the pop before invoking the handler.
 
 #[cfg(test)]
 mod tests {
@@ -389,6 +421,61 @@ mod tests {
         s.pop();
         assert_eq!(s.len(), 0);
         assert_eq!(s.high_water(), 3, "high-water never decays");
+    }
+
+    #[test]
+    fn a_reused_slot_is_not_cancelled_by_a_stale_handle() {
+        let mut s = Scheduler::new();
+        let fired = s.schedule(t(1), "fired");
+        assert_eq!(s.pop(), Some((t(1), "fired")));
+        let reuse = s.schedule(t(2), "after fire");
+        assert_eq!(reuse.slot, fired.slot, "the freed slot is reused");
+        assert!(!s.cancel(fired), "a fired handle names no event");
+
+        assert!(s.cancel(reuse));
+        let again = s.schedule(t(3), "after cancel");
+        assert_eq!(again.slot, reuse.slot);
+        assert!(!s.cancel(reuse), "a cancelled handle names no event");
+        assert!(!s.cancel(fired));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.pop(), Some((t(3), "after cancel")));
+        assert_eq!(s.pop(), None);
+    }
+
+    #[test]
+    fn slab_and_spare_pool_stay_bounded() {
+        // Schedule/cancel/pop rounds with at most 8 live events: slots
+        // are recycled rather than grown, and the spare pool never holds
+        // more buckets than were ever in the calendar at once.
+        let mut s = Scheduler::new();
+        let mut rng = crate::DetRng::seed_from_u64(5);
+        let mut handles = Vec::new();
+        let mut most_buckets = 0;
+        let mut check = |s: &Scheduler<()>| {
+            most_buckets = most_buckets.max(s.calendar.len());
+            assert!(s.generations.len() <= s.high_water());
+            assert!(s.spare.len() + s.calendar.len() <= most_buckets);
+        };
+        for _ in 0..100_000 {
+            if s.len() < 8 {
+                let at = s.now() + SimDuration::nanos(rng.next_below(16));
+                handles.push(s.schedule_keyed(at, rng.next_below(3), ()));
+                check(&s);
+            }
+            if rng.chance(0.3) && !handles.is_empty() {
+                let i = rng.next_below(handles.len() as u64) as usize;
+                s.cancel(handles.swap_remove(i));
+                check(&s);
+            }
+            if rng.chance(0.5) {
+                s.pop();
+                check(&s);
+            }
+            if handles.len() > 64 {
+                handles.drain(..32);
+            }
+        }
+        assert_eq!(s.high_water(), 8);
     }
 
     #[test]

@@ -1,7 +1,72 @@
 //! Property-based tests for the discrete-event kernel.
 
-use desim::{DetRng, Scheduler, SimDuration, SimTime};
+use desim::{DetRng, EventHandle, Scheduler, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+
+/// The reference event queue: a min-heap on `(time, key, seq)` with
+/// pending and cancelled sets, cancelled entries skipped lazily. Its
+/// payload is the seq itself.
+#[derive(Default)]
+struct HeapOracle {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    pending: HashSet<u64>,
+    cancelled: HashSet<u64>,
+    next_seq: u64,
+    now: SimTime,
+    high_water: usize,
+}
+
+impl HeapOracle {
+    fn schedule_keyed(&mut self, at: SimTime, key: u64) -> u64 {
+        assert!(at >= self.now);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, key, seq)));
+        self.pending.insert(seq);
+        self.high_water = self.high_water.max(self.pending.len());
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        self.pending.remove(&seq) && self.cancelled.insert(seq)
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((at, _, seq))) = self.heap.peek() {
+            if !self.cancelled.remove(&seq) {
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.peek_time()?;
+        let Reverse((at, _, seq)) = self.heap.pop()?;
+        self.pending.remove(&seq);
+        self.now = at;
+        Some((at, seq))
+    }
+}
+
+/// Δ for a schedule, from random `bits`: 0 (the current instant), small
+/// (a handful of shared instants) or large.
+fn delta_ns(bits: u64) -> u64 {
+    match bits % 3 {
+        0 => 0,
+        1 => (bits >> 2) % 8,
+        _ => 100 + (bits >> 2) % 100_000,
+    }
+}
+
+/// The follow-up a delivery of event `id` at `run_with` schedules, if any:
+/// `(Δ, key)`. Capped so a run always terminates.
+fn follow_up(id: usize, issued: usize) -> Option<(u64, u64)> {
+    (id.is_multiple_of(3) && issued < 400).then_some(((id % 2) as u64, (id as u64 * 7) % 4))
+}
 
 /// Probabilities at the edges of `chance_threshold`'s cases.
 const CHANCE_SPECIALS: [f64; 16] = [
@@ -34,6 +99,84 @@ fn chance_probe(pick: usize, bits: u64) -> f64 {
         Some(1) => f64::from_bits(lattice.to_bits() + 1),
         Some(2) => f64::from_bits(lattice.to_bits().saturating_sub(1)),
         _ => f64::from_bits(0x3FF0_0000_0000_0000 | (bits >> 12)) - 1.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The calendar delivers exactly what the heap oracle delivers, in the
+    /// same order, under random schedules (ties at one instant and one
+    /// key, keyed schedules at the current instant), cancels of live,
+    /// fired, cancelled and slot-reused handles, pops, peeks and bounded
+    /// runs; `cancel`, `len`, `high_water` and `now` agree after every step.
+    #[test]
+    fn calendar_matches_the_heap_oracle(
+        ops in proptest::collection::vec((0u8..10, any::<u64>(), 0u64..4), 1..300),
+    ) {
+        let mut cal: Scheduler<usize> = Scheduler::new();
+        let mut heap = HeapOracle::default();
+        // Handle `i` of each side names event `i`, whose payload is `i`.
+        let mut handles: Vec<EventHandle> = Vec::new();
+        let mut seqs: Vec<u64> = Vec::new();
+        // Per op, by `kind`: 4 in 10 schedule, 2 cancel the `bits`-th
+        // handle ever issued (live, fired or cancelled), 2 pop, 1 peeks
+        // and 1 runs to `now + bits % 2000`.
+        for (kind, bits, key) in ops {
+            match kind {
+                0..=3 => {
+                    let at = cal.now() + SimDuration::nanos(delta_ns(bits));
+                    handles.push(cal.schedule_keyed(at, key, handles.len()));
+                    seqs.push(heap.schedule_keyed(at, key));
+                }
+                4 | 5 => {
+                    if !handles.is_empty() {
+                        let i = bits as usize % handles.len();
+                        prop_assert_eq!(cal.cancel(handles[i]), heap.cancel(seqs[i]));
+                    }
+                }
+                6 | 7 => {
+                    let got = cal.pop().map(|(at, id)| (at, seqs[id]));
+                    prop_assert_eq!(got, heap.pop());
+                }
+                8 => prop_assert_eq!(cal.peek_time(), heap.peek_time()),
+                _ => {
+                    // Some deliveries schedule a follow-up, often at the
+                    // current instant with a lower key.
+                    let until = cal.now() + SimDuration::nanos(bits % 2_000);
+                    let mut got = Vec::new();
+                    let delivered = cal.run_with(Some(until), |s, now, id| {
+                        got.push((now, id));
+                        if let Some((dt, key)) = follow_up(id, handles.len()) {
+                            let at = now + SimDuration::nanos(dt);
+                            handles.push(s.schedule_keyed(at, key, handles.len()));
+                        }
+                    });
+                    prop_assert_eq!(delivered, got.len() as u64);
+                    for (now, id) in got {
+                        prop_assert_eq!(heap.peek_time().filter(|&t| t <= until), Some(now));
+                        prop_assert_eq!(heap.pop(), Some((now, seqs[id])));
+                        if let Some((dt, key)) = follow_up(id, seqs.len()) {
+                            seqs.push(heap.schedule_keyed(now + SimDuration::nanos(dt), key));
+                        }
+                    }
+                    prop_assert!(heap.peek_time().is_none_or(|t| t > until));
+                }
+            }
+            prop_assert_eq!(handles.len(), seqs.len());
+            prop_assert_eq!(cal.len(), heap.pending.len());
+            prop_assert_eq!(cal.is_empty(), heap.pending.is_empty());
+            prop_assert_eq!(cal.high_water(), heap.high_water);
+            prop_assert_eq!(cal.now(), heap.now);
+        }
+        // Drain: the rest comes out in the same order too.
+        loop {
+            let got = cal.pop().map(|(at, id)| (at, seqs[id]));
+            prop_assert_eq!(got, heap.pop());
+            if got.is_none() {
+                break;
+            }
+        }
     }
 }
 

@@ -109,13 +109,12 @@ impl ChannelConfig {
 
     /// Per-sample noise σ at this operating point (input-referred, before
     /// slot averaging): thermal ⊕ ambient RIN ⊕ shot. The signal shot term
-    /// conservatively uses the clear-path received power (an attenuated
-    /// signal sheds shot noise, but ambient dominates the budget).
-    fn per_sample_sigma(&self) -> f64 {
+    /// conservatively uses `clear_rx_power_w`, the clear-path received
+    /// power of the ON level (an attenuated signal sheds shot noise, but
+    /// ambient dominates the budget).
+    fn per_sample_sigma(&self, clear_rx_power_w: f64) -> f64 {
         let i_amb = self.ambient_current();
-        let i_sig_mid = 0.5
-            * self.rx_diode.responsivity_a_per_w
-            * self.geometry.received_power_w(self.led.on_power_w);
+        let i_sig_mid = 0.5 * self.rx_diode.responsivity_a_per_w * clear_rx_power_w;
         let fs = self.samples_per_slot as f64 / self.tslot_s;
         let shot = self.rx_diode.shot_noise_std_a(i_amb + i_sig_mid, fs / 2.0);
         let rin = self.ambient_rin * i_amb;
@@ -133,7 +132,10 @@ impl ChannelConfig {
     /// simulations such as `smartvlc-sim`'s multi-cell workload) can query
     /// it per geometry without instantiating a stateful channel.
     pub fn detector_with(&self, extra_gain: f64, saturated: bool) -> SlotDetector {
-        let gain = self.geometry.path_gain() * extra_gain;
+        // One path-gain evaluation serves the levels and the shot term;
+        // `on_power_w * clear` is `received_power_w(on_power_w)` bit for bit.
+        let clear = self.geometry.path_gain();
+        let gain = clear * extra_gain;
         let r = self.rx_diode.responsivity_a_per_w;
         let mu_on = r * self.led.steady_power(1.0) * gain;
         let mu_off = r * self.led.steady_power(0.0) * gain;
@@ -149,7 +151,8 @@ impl ChannelConfig {
         } else {
             (mu_on.min(max_i), mu_off.min(max_i))
         };
-        let sigma = self.per_sample_sigma() / ((self.samples_per_slot - 1) as f64).sqrt();
+        let sigma = self.per_sample_sigma(self.led.on_power_w * clear)
+            / ((self.samples_per_slot - 1) as f64).sqrt();
         // Quantization adds lsb/sqrt(12) per sample.
         let q = self.frontend.lsb_current_a()
             / 12f64.sqrt()
