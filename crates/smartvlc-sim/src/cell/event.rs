@@ -50,6 +50,7 @@ use desim::{EventHandle, Scheduler, SimTime};
 use smartvlc_core::adaptation::{perceived, AdaptationStepper};
 use smartvlc_obs as obs;
 use vlc_channel::detector::SlotDetector;
+use vlc_channel::link::ChannelConfig;
 
 /// One typed event on the cell simulation's queue.
 ///
@@ -130,12 +131,11 @@ type OpKey = [u64; 4];
 
 /// Per-user operating-point memo: two slots per user, one for the serving
 /// cell and one for the coordination donor, each holding the last
-/// `cell_channel(..).detector_with(1.0, false)` it computed. Memory is
-/// O(users) however long the run, and a hit is bit-identical to the
-/// recompute because the key covers every varying input exactly. The
-/// memo hits when the TDMA link estimate and the grant ask for the same
-/// point in one tick, and across ticks for a user standing still under
-/// quantized sensing.
+/// detector it computed. Memory is O(users) however long the run, and a
+/// hit is bit-identical to the recompute because the key covers every
+/// varying input exactly. The memo hits when the TDMA link estimate and
+/// the grant ask for the same point in one tick, and across ticks for a
+/// user standing still under quantized sensing.
 struct OpMemo {
     slots: Vec<[Option<(OpKey, SlotDetector)>; 2]>,
     hits: u64,
@@ -200,13 +200,15 @@ struct EventEngine<'a> {
     /// the user's `Walk`, read by its link estimate and grant in the same
     /// tick (position is fixed from `Walk` on).
     gains: Vec<Vec<(usize, f64)>>,
+    /// The run's luminaire→user channel, [`cell_channel`] but for the
+    /// path gain and the ambient, which each operating point supplies.
+    channel: ChannelConfig,
     /// Horizontal range beyond which received power is exactly 0 W
     /// (FoV cutoff), padded so float rounding can only *include* cells.
     window_r_m: f64,
     /// Grid cell pitch along x/y as `ceiling_grid` computed it.
     dx_m: f64,
     dy_m: f64,
-    tslot_s: f64,
     /// The active scheduling policy (`cfg.scheduler`, built per run).
     scheduler: Box<dyn CellScheduler>,
     /// Cached `scheduler.needs_link_estimates()`.
@@ -244,6 +246,10 @@ impl<'a> EventEngine<'a> {
         } else {
             f64::INFINITY
         };
+        // `detector_for_gain` reads neither the geometry nor (once the
+        // operating point sets it) the ambient of this template.
+        let origin = Position { x_m: 0.0, y_m: 0.0 };
+        let channel = cell_channel(&cfg.optics, &parts.room, &origin, &origin, 0.0);
         EventEngine {
             cfg,
             tallies: RunTallies::new(cfg.n_users),
@@ -257,10 +263,10 @@ impl<'a> EventEngine<'a> {
             rss: vec![0.0; n_cells],
             cand: Vec::with_capacity(n_cells.min(64)),
             gains: vec![Vec::new(); cfg.n_users],
+            channel,
             window_r_m,
             dx_m: parts.room.width_m / cfg.nx as f64,
             dy_m: parts.room.depth_m / cfg.ny as f64,
-            tslot_s: vlc_channel::link::ChannelConfig::paper_bench(1.0).tslot_s,
             scheduler,
             wants_estimates,
             plan: TickPlan::new(cfg.n_users),
@@ -289,7 +295,8 @@ impl<'a> EventEngine<'a> {
 
     /// The slot detector of the path from `cell` to `user` under this
     /// tick's quantized ambient at the user, through the user's memo
-    /// `slot`.
+    /// `slot`. The path gain is the one this tick's `Walk` computed, or
+    /// the closed form's for a cell outside the user's window.
     fn operating_point(&mut self, user: usize, slot: usize, cell: usize) -> SlotDetector {
         let pos = self.parts.users[user].pos;
         let lux = self.lux_at(&pos);
@@ -299,10 +306,15 @@ impl<'a> EventEngine<'a> {
             pos.y_m.to_bits(),
             lux.to_bits(),
         ];
-        let (cfg, parts) = (self.cfg, &self.parts);
+        let (gains, parts, template) = (&self.gains[user], &self.parts, self.channel);
         self.op_memo.detector(user, slot, key, || {
-            cell_channel(&cfg.optics, &parts.room, &parts.grid[cell].pos, &pos, lux)
-                .detector_with(1.0, false)
+            let gain = match gains.binary_search_by_key(&cell, |&(i, _)| i) {
+                Ok(at) => gains[at].1,
+                Err(_) => parts.path_gain.at(&parts.grid[cell].pos, &pos),
+            };
+            let mut channel = template;
+            channel.ambient_lux = lux.max(0.0);
+            channel.detector_for_gain(gain, 1.0, false)
         })
     }
 
@@ -376,16 +388,15 @@ impl<'a> EventEngine<'a> {
         self.schedule_next(sched, CellEvent::Sense { lum });
     }
 
-    fn on_walk(&mut self, sched: &mut Scheduler<CellEvent>, t: SimTime, user: usize) {
-        let cfg = self.cfg;
-        self.parts.users[user].step(&self.parts.room, &cfg.mobility, cfg.tick_s);
+    /// RSS over the window around `user` (plus the serving cell, wherever
+    /// it is) into `rss`, candidates into `cand`: everything outside is
+    /// exactly 0 W, so the subset ranking is bit-identical to a scan of
+    /// the whole grid. The window's path gains are kept in `gains` for
+    /// this tick's link estimate and grant.
+    fn survey(&mut self, user: usize) {
         let pos = self.parts.users[user].pos;
         let serving = self.parts.assocs[user].serving;
-
-        // RSS over the window (plus the serving cell, wherever it is):
-        // everything outside is exactly 0 W, so the subset ranking is
-        // bit-identical to a scan of the whole grid. The window's path
-        // gains are kept for this tick's link estimate and grant.
+        let optics = &self.cfg.optics;
         self.fill_window(&pos);
         let gains = &mut self.gains[user];
         gains.clear();
@@ -393,13 +404,19 @@ impl<'a> EventEngine<'a> {
         for &i in &self.cand {
             let g = path.at(&self.parts.grid[i].pos, &pos);
             gains.push((i, g));
-            self.rss[i] = rss_from_gain(&cfg.optics, g, self.parts.lums[i].led);
+            self.rss[i] = rss_from_gain(optics, g, self.parts.lums[i].led);
         }
         if let Err(at) = self.cand.binary_search(&serving) {
             self.cand.insert(at, serving);
             let g = path.at(&self.parts.grid[serving].pos, &pos);
-            self.rss[serving] = rss_from_gain(&cfg.optics, g, self.parts.lums[serving].led);
+            self.rss[serving] = rss_from_gain(optics, g, self.parts.lums[serving].led);
         }
+    }
+
+    fn on_walk(&mut self, sched: &mut Scheduler<CellEvent>, t: SimTime, user: usize) {
+        let cfg = self.cfg;
+        self.parts.users[user].step(&self.parts.room, &cfg.mobility, cfg.tick_s);
+        self.survey(user);
 
         if let Some(ev) = self.parts.assocs[user].step_subset(&self.rss, &self.cand, &cfg.policy) {
             self.tallies.handovers += 1;
@@ -525,7 +542,7 @@ impl<'a> EventEngine<'a> {
             SlotDetector::from_levels(det.mu_on_a, det.mu_off_a, det.sigma_a.hypot(sigma_cci));
         let probs = noisy.error_probs();
         let p_slot = 0.5 * (probs.p_off_error + probs.p_on_error);
-        let slots_per_frame = (cfg.frame_bits / rate / self.tslot_s).max(1.0);
+        let slots_per_frame = (cfg.frame_bits / rate / self.channel.tslot_s).max(1.0);
         let p_frame_ok = (1.0 - p_slot).powf(slots_per_frame);
         let swing = 0.5 * (det.mu_on_a - det.mu_off_a);
         let sinr = swing * swing
@@ -575,7 +592,7 @@ impl<'a> EventEngine<'a> {
             let det = SlotDetector::from_levels(mu_on, det.mu_off_a, det.sigma_a.hypot(sigma_cci));
             let probs = det.error_probs();
             let p_slot = 0.5 * (probs.p_off_error + probs.p_on_error);
-            let slots_per_frame = (cfg.frame_bits / rate / self.tslot_s).max(1.0);
+            let slots_per_frame = (cfg.frame_bits / rate / self.channel.tslot_s).max(1.0);
             let p_frame_ok = (1.0 - p_slot).powf(slots_per_frame);
             achieved_bps = granted_bps * p_frame_ok;
             bits = granted_bps * p_frame_ok * cfg.tick_s;
@@ -670,7 +687,7 @@ impl<'a> EventEngine<'a> {
             duration_s,
             opcache_hits: self.op_memo.hits,
             opcache_misses: self.op_memo.misses,
-            slots_equivalent: t.served_ticks as f64 * (cfg.tick_s / self.tslot_s),
+            slots_equivalent: t.served_ticks as f64 * (cfg.tick_s / self.channel.tslot_s),
             events,
             queue_peak,
         }
@@ -797,21 +814,20 @@ mod tests {
         ]
     }
 
+    /// The detector of the path from `cell` to `user`, computed directly:
+    /// the closed-form gain through [`ChannelConfig::detector_for_gain`].
+    fn direct(eng: &EventEngine, user: usize, cell: usize) -> SlotDetector {
+        let pos = eng.parts.users[user].pos;
+        let gain = eng.parts.path_gain.at(&eng.parts.grid[cell].pos, &pos);
+        let mut channel = eng.channel;
+        channel.ambient_lux = eng.lux_at(&pos);
+        channel.detector_for_gain(gain, 1.0, false)
+    }
+
     #[test]
     fn memo_answers_are_the_direct_detector_bit_for_bit() {
         let cfg = CellConfig::standard(4, 4, 6);
         let mut eng = walked_engine(&cfg);
-        let direct = |eng: &EventEngine, user: usize, cell: usize| {
-            let pos = eng.parts.users[user].pos;
-            cell_channel(
-                &cfg.optics,
-                &eng.parts.room,
-                &eng.parts.grid[cell].pos,
-                &pos,
-                eng.lux_at(&pos),
-            )
-            .detector_with(1.0, false)
-        };
         for user in 0..cfg.n_users {
             let serving = eng.parts.assocs[user].serving;
             let donor = (serving + 1) % cfg.n_cells();
@@ -838,6 +854,7 @@ mod tests {
 
         // A moved user misses, and the fresh answer is the new point's.
         eng.parts.users[0].pos.x_m += 0.25;
+        eng.survey(0);
         let serving = eng.parts.assocs[0].serving;
         let want = bits(&direct(&eng, 0, serving));
         assert_eq!(bits(&eng.operating_point(0, SERVING_SLOT, serving)), want);
@@ -848,6 +865,42 @@ mod tests {
         let want = bits(&direct(&eng, 0, serving));
         assert_eq!(bits(&eng.operating_point(0, SERVING_SLOT, serving)), want);
         assert_eq!(eng.op_memo.misses, 2 * n + 2);
+    }
+
+    /// `a` within `tol` relative of `b`, or both exactly 0.
+    fn close(a: f64, b: f64, tol: f64) -> bool {
+        a == b || ((a - b) / b).abs() <= tol
+    }
+
+    #[test]
+    fn grant_detector_tracks_the_reference_channel() {
+        // Every user's serving cell (a gain from its walk window) and every
+        // other cell (outside the window too: the closed form's gain),
+        // against the Lambertian reference channel's detector.
+        let cfg = CellConfig::standard(4, 4, 6);
+        let mut eng = walked_engine(&cfg);
+        let mut lit = 0;
+        for user in 0..cfg.n_users {
+            let pos = eng.parts.users[user].pos;
+            for cell in 0..cfg.n_cells() {
+                let lum = eng.parts.grid[cell].pos;
+                let want = cell_channel(&cfg.optics, &eng.parts.room, &lum, &pos, eng.lux_at(&pos))
+                    .detector_with(1.0, false);
+                let got = eng.operating_point(user, SERVING_SLOT, cell);
+                lit += usize::from(want.mu_on_a > 0.0);
+                for (g, w, what) in [
+                    (got.mu_on_a, want.mu_on_a, "mu_on_a"),
+                    (got.mu_off_a, want.mu_off_a, "mu_off_a"),
+                    (got.sigma_a, want.sigma_a, "sigma_a"),
+                ] {
+                    assert!(
+                        close(g, w, 1e-12),
+                        "user {user} cell {cell} {what}: {g:e} vs reference {w:e}"
+                    );
+                }
+            }
+        }
+        assert!(lit > cfg.n_users, "too few lit paths: {lit}");
     }
 
     #[test]

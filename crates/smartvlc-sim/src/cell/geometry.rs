@@ -19,10 +19,13 @@
 //! With `θ` known only through its cosine, the Lambertian gain collapses
 //! to a closed form, `H = (m+1)·A/2π · cos θ^(m+1) / d²`, exactly 0 once
 //! `cos θ < cos FoV`; the crate builds its constants once per run.
+//! When `m + 1` is an integer order up to float noise — the office
+//! panel's 45° semi-angle gives `3.0000000000000004` — the power is a
+//! square-and-multiply chain instead of a `powf` (see `PathGain`).
 //! [`LambertianLink::path_gain`] is the reference. It round-trips `θ`
 //! through degrees, so the two agree to within 1e-12 relative (semi-angles
-//! 10–80°), not bit for bit, and make the same FoV decision except within
-//! 1e-9 relative of the FoV radius.
+//! 10–80°, and the integer orders 1–3 of `m`), not bit for bit, and make
+//! the same FoV decision except within 1e-9 relative of the FoV radius.
 //!
 //! Co-channel interference rides the same path: every *other* luminaire's
 //! light reaches the receiver through its own [`LambertianLink`] and the
@@ -194,13 +197,23 @@ pub fn received_power_w(
 /// The Lambertian path gain of every luminaire→user path in one room, in
 /// closed form: the one geometric factor inside both [`received_power_w`]
 /// and [`interference_sigma_a`]. Everything but the distance is constant
-/// per `(optics, room)`, so a run builds this once and pays a square
-/// root and a `powf` per path.
+/// per `(optics, room)`, so a run builds this once.
+///
+/// The exponent `e = m + 1` comes from `m = −ln2 / ln cos Φ½` and carries
+/// float noise: 45° gives `3.0000000000000004`, not 3. When
+/// `|e − n| ≤ 4ε·e` for an integer `1 ≤ n ≤ 16`, `new` snaps `e` to the
+/// order `n` and [`PathGain::at`] raises `cos θ` to it by
+/// square-and-multiply; any other exponent keeps `powf`. Every lit path
+/// has `cos θ ≥ cos FoV`, so the snap moves a gain by at most
+/// `|e − n|·|ln cos θ| ≤ 4ε·e·|ln cos FoV|` relative, on top of the
+/// chain's own rounding (at most `2·log₂ n` multiplications).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PathGain {
     /// Exponent of `cos θ`: `m + 1` (emission `cosᵐ` times the receiver's
     /// `cos` projection — one angle, see the module diagram).
     exponent: f64,
+    /// `exponent` snapped to its integer order, when it is one.
+    order: Option<u32>,
     /// `(m+1)·A/2π`, m².
     k: f64,
     drop_m: f64,
@@ -214,6 +227,7 @@ impl PathGain {
         let m = link.mode_number();
         PathGain {
             exponent: m + 1.0,
+            order: integer_order(m + 1.0),
             k: (m + 1.0) * link.rx_area_m2 / (2.0 * core::f64::consts::PI),
             drop_m: room.drop_m,
             cos_fov: optics.rx_fov_deg.to_radians().cos(),
@@ -230,8 +244,35 @@ impl PathGain {
         if cos < self.cos_fov {
             return 0.0;
         }
-        self.k / d2 * cos.powf(self.exponent)
+        let power = match self.order {
+            Some(n) => pow_chain(cos, n),
+            None => cos.powf(self.exponent),
+        };
+        self.k / d2 * power
     }
+}
+
+/// The integer order `n` that `exponent` is up to float noise —
+/// `|exponent − n| ≤ 4ε·exponent` with `1 ≤ n ≤ 16` — if there is one.
+fn integer_order(exponent: f64) -> Option<u32> {
+    let n = exponent.round();
+    ((1.0..=16.0).contains(&n) && (exponent - n).abs() <= 4.0 * f64::EPSILON * exponent)
+        .then_some(n as u32)
+}
+
+/// `x^n` for `n ≥ 1` by left-to-right square-and-multiply over the bits of
+/// `n`. Written out rather than `powi`, whose rounding sequence is
+/// unspecified, so debug and release builds give the same bits.
+#[inline]
+fn pow_chain(x: f64, n: u32) -> f64 {
+    let mut acc = x;
+    for bit in (0..n.ilog2()).rev() {
+        acc *= acc;
+        if n >> bit & 1 == 1 {
+            acc *= x;
+        }
+    }
+    acc
 }
 
 /// [`received_power_w`] from the path's [`PathGain`].
@@ -474,8 +515,61 @@ mod tests {
         }
     }
 
+    /// Semi-angles whose Lambertian mode `m` is an integer: 60° (m = 1),
+    /// 45° (m = 2) and `acos(2^(-1/3))` (m = 3).
+    fn integer_mode_semi_angles() -> [f64; 3] {
+        [60.0, 45.0, 2f64.powf(-1.0 / 3.0).acos().to_degrees()]
+    }
+
+    #[test]
+    fn exponent_snaps_to_its_integer_order_only_when_it_is_one() {
+        let order = |semi: f64| {
+            let optics = CellOptics {
+                semi_angle_deg: semi,
+                ..CellOptics::office_panel()
+            };
+            PathGain::new(&optics, &room()).order
+        };
+        let [m1, m2, m3] = integer_mode_semi_angles();
+        assert_eq!(order(m1), Some(2));
+        assert_eq!(order(m2), Some(3));
+        assert_eq!(order(m3), Some(4));
+        for semi in [15.0, 30.0, 44.9] {
+            assert_eq!(order(semi), None, "{semi}° must keep powf");
+        }
+        assert_eq!(integer_order(3.0000000000000004), Some(3));
+        assert_eq!(integer_order(17.0), None, "orders above 16 keep powf");
+    }
+
+    #[test]
+    fn pow_chain_is_repeated_multiplication() {
+        for x in [0.34, std::f64::consts::FRAC_1_SQRT_2, 0.999, 1.0] {
+            let mut want = 1.0;
+            for n in 1..=16 {
+                want *= x;
+                let got = pow_chain(x, n);
+                assert!(
+                    ((got - want) / want).abs() <= 1e-14,
+                    "{x}^{n}: {got} vs {want}"
+                );
+            }
+        }
+        assert_eq!(pow_chain(0.5, 3).to_bits(), 0.125f64.to_bits());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn integer_order_gain_tracks_the_reference(
+            which in 0usize..3,
+            fov in 10.0f64..=89.0,
+            drop in 0.5f64..=5.0,
+            reach in 0.0f64..=1.2,
+            phi in 0.0f64..std::f64::consts::TAU,
+        ) {
+            check_gain(integer_mode_semi_angles()[which], fov, drop, reach, phi);
+        }
 
         #[test]
         fn closed_form_gain_tracks_the_reference(

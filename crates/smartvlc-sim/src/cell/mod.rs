@@ -23,7 +23,8 @@
 //! is the sensing cadence, the control plane — adaptation deadband,
 //! stepping, planning — is the real one, and per-slot noise is replaced
 //! by the analytic error probabilities of
-//! [`vlc_channel::link::ChannelConfig::detector_with`]. Every random draw
+//! [`vlc_channel::link::ChannelConfig::detector_for_gain`], fed the path
+//! gain each user's walk computed. Every random draw
 //! comes from a keyed [`desim::DetRng`] stream per luminaire and per
 //! user, so a whole-room run is a pure function of its seed and
 //! bit-identical at any `SMARTVLC_THREADS`.

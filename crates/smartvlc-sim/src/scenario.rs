@@ -77,6 +77,13 @@ pub enum ScenarioError {
         /// What was out of range.
         reason: &'static str,
     },
+    /// A cell optics parameter is out of range (see [`CellOptics`]).
+    ///
+    /// [`CellOptics`]: crate::cell::CellOptics
+    InvalidOptics {
+        /// What was out of range.
+        reason: &'static str,
+    },
     /// A net scenario needs at least one workload flow.
     NoWorkloads,
 }
@@ -103,6 +110,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::InvalidScheduler { reason } => {
                 write!(f, "invalid scheduler: {reason}")
             }
+            ScenarioError::InvalidOptics { reason } => write!(f, "invalid optics: {reason}"),
             ScenarioError::NoWorkloads => {
                 write!(f, "net scenario needs at least one workload flow")
             }
@@ -237,6 +245,25 @@ impl CellScenarioBuilder {
         if !(cfg.sensor_res_lux.is_finite() && cfg.sensor_res_lux >= 0.0) {
             return Err(ScenarioError::InvalidSensorResolution {
                 res_lux: cfg.sensor_res_lux,
+            });
+        }
+        let optics = &cfg.optics;
+        // The cosine check catches semi-angles so small that cos rounds
+        // to 1, where the Lambertian mode number is undefined.
+        let semi = optics.semi_angle_deg;
+        if !(semi > 0.0 && semi < 90.0 && semi.to_radians().cos() < 1.0) {
+            return Err(ScenarioError::InvalidOptics {
+                reason: "luminaire semi-angle must be in (0°, 90°)",
+            });
+        }
+        if !(optics.rx_fov_deg > 0.0 && optics.rx_fov_deg <= 90.0) {
+            return Err(ScenarioError::InvalidOptics {
+                reason: "receiver FoV must be finite and in (0°, 90°]",
+            });
+        }
+        if !(optics.tx_optical_w.is_finite() && optics.tx_optical_w > 0.0) {
+            return Err(ScenarioError::InvalidOptics {
+                reason: "luminaire optical power must be finite and positive",
             });
         }
         match cfg.scheduler {
@@ -385,6 +412,7 @@ impl NetScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::CellOptics;
 
     #[test]
     fn cell_builder_defaults_and_auto_name() {
@@ -464,6 +492,63 @@ mod tests {
         }
     }
 
+    /// `build` on the default scenario with `set` applied to its optics.
+    fn build_with_optics(set: impl FnOnce(&mut CellOptics)) -> Result<CellScenario, ScenarioError> {
+        CellScenarioBuilder::new()
+            .configure(|c| set(&mut c.optics))
+            .build()
+    }
+
+    #[test]
+    fn cell_builder_rejects_a_semi_angle_outside_0_to_90_degrees() {
+        // 0°, 120°, a semi-angle whose cosine rounds to 1, NaN and ∞ used to
+        // build and then panic inside `run_cell`, at the Lambertian mode
+        // number; -10° silently ran as 10°, and 90° as a near-isotropic
+        // source.
+        for semi in [0.0, -10.0, 90.0, 120.0, 1e-9, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                build_with_optics(|o| o.semi_angle_deg = semi).unwrap_err(),
+                ScenarioError::InvalidOptics {
+                    reason: "luminaire semi-angle must be in (0°, 90°)"
+                },
+                "semi-angle {semi}"
+            );
+        }
+        for semi in [0.5, 45.0, 89.9] {
+            assert!(build_with_optics(|o| o.semi_angle_deg = semi).is_ok());
+        }
+    }
+
+    #[test]
+    fn cell_builder_rejects_a_fov_outside_0_to_90_degrees() {
+        for fov in [0.0, -5.0, 90.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                build_with_optics(|o| o.rx_fov_deg = fov).unwrap_err(),
+                ScenarioError::InvalidOptics {
+                    reason: "receiver FoV must be finite and in (0°, 90°]"
+                },
+                "FoV {fov}"
+            );
+        }
+        for fov in [10.0, 70.0, 90.0] {
+            assert!(build_with_optics(|o| o.rx_fov_deg = fov).is_ok());
+        }
+    }
+
+    #[test]
+    fn cell_builder_rejects_a_non_positive_or_non_finite_tx_power() {
+        for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                build_with_optics(|o| o.tx_optical_w = w).unwrap_err(),
+                ScenarioError::InvalidOptics {
+                    reason: "luminaire optical power must be finite and positive"
+                },
+                "tx power {w}"
+            );
+        }
+        assert!(build_with_optics(|o| o.tx_optical_w = 1e-3).is_ok());
+    }
+
     #[test]
     fn scheduler_and_traffic_setters_reach_the_config() {
         let sc = CellScenarioBuilder::new()
@@ -477,6 +562,22 @@ mod tests {
         let d = CellScenarioBuilder::new().build().unwrap();
         assert_eq!(d.cfg.scheduler, SchedulerSpec::EqualShare);
         assert_eq!(d.cfg.traffic, CellTrafficSpec::Saturated);
+    }
+
+    #[test]
+    fn the_boundary_optics_the_builder_accepts_run() {
+        for (semi, fov) in [(89.9, 90.0), (0.5, 10.0)] {
+            let sc = CellScenarioBuilder::new()
+                .horizon(5, 0.1)
+                .configure(|c| {
+                    c.optics.semi_angle_deg = semi;
+                    c.optics.rx_fov_deg = fov;
+                })
+                .build()
+                .expect("valid optics");
+            let r = crate::cell::run_cell(&sc.config(), 1);
+            assert!(r.aggregate_goodput_bps.is_finite(), "{semi}°/{fov}°");
+        }
     }
 
     #[test]

@@ -200,21 +200,21 @@ fn pinned_configs() -> Vec<(String, CellConfig)> {
 /// [`fingerprint`]).
 #[rustfmt::skip]
 const PINS: &[(&str, u64, u64)] = &[
-    ("grid2x2_users2", 0xce110000, 0xbc27216739dd936c),
-    ("grid2x2_users6", 0xce110001, 0x69ebb6816706d4d2),
-    ("grid2x2_users12", 0xce110002, 0xfffc3610ee2e07aa),
-    ("grid3x3_users2", 0xce110003, 0x067456fc3084178c),
-    ("grid3x3_users6", 0xce110004, 0xc4c13068dbdc8576),
-    ("grid3x3_users12", 0xce110005, 0x67b48282dc196926),
-    ("grid4x4_users2", 0xce110006, 0x6e6474dae86a104a),
-    ("grid4x4_users6", 0xce110007, 0x3d9a3baf25c5f117),
-    ("grid4x4_users12", 0xce110008, 0x4d1a16a22483a3b4),
-    ("quantized_3x3_users6", 0x4d, 0x6a4183d61582d519),
-    ("policy_4x4_users12_proportional_fair", 0x7ea, 0xe3257133bfd04d7a),
-    ("policy_4x4_users12_coordinated_edge", 0x7ea, 0x6c46e14bba458ad1),
-    ("chaotic_3x3_users5_dwell1_delay0", 0x1b64, 0xce384ddb5a74ccd9),
-    ("chaotic_3x3_users5_dwell1_delay3", 0x1b65, 0x82ec9bd8e6f9baf9),
-    ("chaotic_3x3_users5_dwell1_delay6", 0x1b66, 0x437856026ad467df),
+    ("grid2x2_users2", 0xce110000, 0xffae2815ce3bd193),
+    ("grid2x2_users6", 0xce110001, 0x12b96e5e27253f8e),
+    ("grid2x2_users12", 0xce110002, 0xaa14acf9606f7346),
+    ("grid3x3_users2", 0xce110003, 0xa9811fc9e33db438),
+    ("grid3x3_users6", 0xce110004, 0xcc79f6bd4f5fd205),
+    ("grid3x3_users12", 0xce110005, 0x209a718a2bbdd70f),
+    ("grid4x4_users2", 0xce110006, 0x906a76777c45cace),
+    ("grid4x4_users6", 0xce110007, 0x3210f584372373e4),
+    ("grid4x4_users12", 0xce110008, 0x562eb1b5aab4ee94),
+    ("quantized_3x3_users6", 0x4d, 0x3fb78206de17e116),
+    ("policy_4x4_users12_proportional_fair", 0x7ea, 0xce1576183219a623),
+    ("policy_4x4_users12_coordinated_edge", 0x7ea, 0x1277fdaf9928adab),
+    ("chaotic_3x3_users5_dwell1_delay0", 0x1b64, 0xd2087e3029071306),
+    ("chaotic_3x3_users5_dwell1_delay3", 0x1b65, 0x2d0983f2872a7c10),
+    ("chaotic_3x3_users5_dwell1_delay6", 0x1b66, 0xd42e76c246464ded),
     ("chaotic_2x2_users4_dwell1_delay6", 0x1b67, 0x52023464796e5ed5),
 ];
 

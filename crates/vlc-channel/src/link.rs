@@ -132,9 +132,16 @@ impl ChannelConfig {
     /// simulations such as `smartvlc-sim`'s multi-cell workload) can query
     /// it per geometry without instantiating a stateful channel.
     pub fn detector_with(&self, extra_gain: f64, saturated: bool) -> SlotDetector {
-        // One path-gain evaluation serves the levels and the shot term;
+        self.detector_for_gain(self.geometry.path_gain(), extra_gain, saturated)
+    }
+
+    /// [`ChannelConfig::detector_with`] for a caller that already holds
+    /// the clear-path gain `clear` (received W per emitted W): the
+    /// configuration's own geometry is not consulted. With
+    /// `clear = self.geometry.path_gain()` the two are bit-identical.
+    pub fn detector_for_gain(&self, clear: f64, extra_gain: f64, saturated: bool) -> SlotDetector {
+        // One path gain serves the levels and the shot term;
         // `on_power_w * clear` is `received_power_w(on_power_w)` bit for bit.
-        let clear = self.geometry.path_gain();
         let gain = clear * extra_gain;
         let r = self.rx_diode.responsivity_a_per_w;
         let mu_on = r * self.led.steady_power(1.0) * gain;
@@ -682,6 +689,24 @@ mod tests {
             "P1={}",
             probs.p_off_error
         );
+    }
+
+    #[test]
+    fn detector_for_the_geometry_gain_is_detector_with_bit_for_bit() {
+        let bits = |d: SlotDetector| [d.mu_on_a, d.mu_off_a, d.sigma_a].map(f64::to_bits);
+        for (d, off_axis, lux) in [(0.3, 0.0, 8080.0), (3.6, 12.0, 16.0), (2.0, 75.0, 500.0)] {
+            let mut cfg = ChannelConfig::paper_bench(d);
+            cfg.geometry.off_axis_deg = off_axis;
+            cfg.ambient_lux = lux;
+            let clear = cfg.geometry.path_gain();
+            for (extra, saturated) in [(1.0, false), (0.37, false), (1.0, true), (0.0, false)] {
+                assert_eq!(
+                    bits(cfg.detector_for_gain(clear, extra, saturated)),
+                    bits(cfg.detector_with(extra, saturated)),
+                    "{d} m, {off_axis}°, {lux} lx, extra {extra}, saturated {saturated}"
+                );
+            }
+        }
     }
 
     #[test]
