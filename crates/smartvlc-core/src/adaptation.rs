@@ -16,8 +16,6 @@
 //! (`ΔIm ≈ 2√Im·τp`) and, in the paper's Fig. 19(c) experiment, halves
 //! the number of adjustments.
 
-use serde::{Deserialize, Serialize};
-
 /// Measured → perceived brightness, both normalized to `[0, 1]`
 /// (`Ip = 100·√(Im/100)` in the paper's percent units).
 pub fn perceived(im: f64) -> f64 {
@@ -44,7 +42,7 @@ pub trait AdaptationStepper {
 
 /// SmartVLC's stepper: equal steps of `τp` in the *perception* domain
 /// (Fig. 10(b)).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PerceptionStepper {
     /// Perceptual step size; Table 2(b) ⇒ 0.003 is invisible to all
     /// subjects in every condition.
@@ -85,7 +83,7 @@ impl AdaptationStepper for PerceptionStepper {
 
 /// The "existing method" baseline: equal steps of `τ` in the *measured*
 /// domain (Fig. 10(a)).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FixedStepper {
     /// Measured-domain step size.
     pub tau: f64,
@@ -131,7 +129,7 @@ impl AdaptationStepper for FixedStepper {
 }
 
 /// Running tally of adaptation activity — the y-axis of Fig. 19(c).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AdaptationCounter {
     /// Total individual brightness adjustments performed.
     pub adjustments: u64,

@@ -4,11 +4,10 @@
 use crate::config::SystemConfig;
 use crate::symbol::SymbolPattern;
 use combinat::BinomialTable;
-use serde::{Deserialize, Serialize};
 
 /// A symbol pattern that survived the Step-1/Step-2 filters, with its
 /// precomputed figures of merit.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Candidate {
     /// The pattern `S(N, K/N)`.
     pub pattern: SymbolPattern,

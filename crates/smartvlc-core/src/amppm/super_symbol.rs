@@ -26,11 +26,10 @@
 use crate::modem::spread_evenly;
 use crate::symbol::SymbolPattern;
 use combinat::BinomialTable;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A super-symbol `⟨S1, m1, S2, m2⟩`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SuperSymbol {
     s1: SymbolPattern,
     m1: u16,

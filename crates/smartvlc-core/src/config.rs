@@ -6,10 +6,9 @@
 //! documented adjustment (see [`SystemConfig::ser_upper_bound`]).
 
 use crate::ser::SlotErrorProbs;
-use serde::{Deserialize, Serialize};
 
 /// Global SmartVLC parameters (paper §6.1).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Slot clock: the maximum LED toggle rate, `ftx = 1/tslot`.
     ///

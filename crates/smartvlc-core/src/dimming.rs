@@ -9,11 +9,10 @@
 //! `Isum = Iled + Iamb = const`: the LED's dimming target is whatever tops
 //! ambient light up to the user's set-point.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A validated dimming level in `[0, 1]` (fraction of full LED output).
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 pub struct DimmingLevel(f64);
 
 impl DimmingLevel {
@@ -77,7 +76,7 @@ impl fmt::Display for DimmingLevel {
 /// Computes the LED dimming level required to keep total illumination at
 /// the user's set-point given the current ambient contribution, with both
 /// quantities normalized to the LED's full-scale output.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IlluminationTarget {
     /// Desired constant total intensity `Isum`, normalized so that `1.0`
     /// equals the LED's full brightness at the area of interest.

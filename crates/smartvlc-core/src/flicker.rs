@@ -18,10 +18,9 @@
 //! at `fth`.
 
 use crate::adaptation::perceived;
-use serde::{Deserialize, Serialize};
 
 /// The flicker acceptance rules.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlickerRules {
     /// Slots per `1/fth` period (`= ftx/fth = Nmax`, Eq. 4).
     pub window_slots: usize,
@@ -49,7 +48,7 @@ impl FlickerRules {
 }
 
 /// One detected flicker violation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlickerViolation {
     /// A constant ON or OFF run longer than the `fth` period starting at
     /// this slot index (Type-I).
@@ -70,7 +69,7 @@ pub enum FlickerViolation {
 }
 
 /// Audit result for one waveform.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FlickerReport {
     /// All violations in slot order (capped at 64 to bound report size).
     pub violations: Vec<FlickerViolation>,

@@ -10,8 +10,6 @@
 //! scheme tag and explicit parameters for the fixed-pattern schemes.
 
 use crate::dimming::DimmingLevel;
-use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
 use smartvlc_fec::FecProfile;
 use std::fmt;
 
@@ -27,7 +25,7 @@ pub const MAX_PAYLOAD: usize = 4096;
 /// Wire encoding lives in the top three bits of the Length word: bit 15
 /// is the FEC flag, bits 14–13 the profile index. `Off` encodes as all
 /// zeros, so uncoded frames are bit-identical to the pre-FEC wire format.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub enum FecMode {
     /// No outer code; the CRC alone gates the frame (pre-FEC behavior).
     #[default]
@@ -105,7 +103,7 @@ impl fmt::Display for FecMode {
 
 /// Which payload modulation a frame uses, with its parameters — the
 /// 4-byte Pattern field of Table 1.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PatternDescriptor {
     /// Fixed MPPM pattern `S(n, k/n)`.
     Mppm {
@@ -279,7 +277,7 @@ impl PatternDescriptor {
 /// payload block, bits 14–13 select the [`FecMode`] profile. With FEC off
 /// all three top bits are zero and the wire bytes are unchanged from the
 /// pre-FEC format.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FrameHeader {
     /// Payload bytes (not counting the CRC).
     pub payload_len: u16,
@@ -303,10 +301,10 @@ impl FrameHeader {
     /// Serialize to wire bytes.
     pub fn to_bytes(self) -> [u8; Self::WIRE_BYTES] {
         debug_assert!(self.payload_len as usize <= MAX_PAYLOAD);
+        let word = ((self.fec.wire_bits() as u16) << FEC_SHIFT) | (self.payload_len & LEN_MASK);
         let mut out = [0u8; Self::WIRE_BYTES];
-        let mut buf = &mut out[..];
-        buf.put_u16(((self.fec.wire_bits() as u16) << FEC_SHIFT) | (self.payload_len & LEN_MASK));
-        buf.put_slice(&self.pattern.to_bytes());
+        out[..2].copy_from_slice(&word.to_be_bytes());
+        out[2..].copy_from_slice(&self.pattern.to_bytes());
         out
     }
 
@@ -314,28 +312,27 @@ impl FrameHeader {
     /// lengths beyond [`MAX_PAYLOAD`] — a header that passed the OOK
     /// prefix but declares an impossible structure is corruption, and
     /// must surface as an error rather than drive buffer sizing.
-    pub fn from_bytes(mut b: &[u8]) -> Result<FrameHeader, DescriptorError> {
+    /// Bytes past [`Self::WIRE_BYTES`] are ignored.
+    pub fn from_bytes(b: &[u8]) -> Result<FrameHeader, DescriptorError> {
         if b.len() < Self::WIRE_BYTES {
             return Err(DescriptorError::InvalidParams);
         }
-        let word = b.get_u16();
+        let word = u16::from_be_bytes([b[0], b[1]]);
         let fec = FecMode::from_wire_bits((word >> FEC_SHIFT) as u8)?;
         let payload_len = word & LEN_MASK;
         if payload_len as usize > MAX_PAYLOAD {
             return Err(DescriptorError::OversizeLength(payload_len));
         }
-        let mut pb = [0u8; 4];
-        b.copy_to_slice(&mut pb);
         Ok(FrameHeader {
             payload_len,
             fec,
-            pattern: PatternDescriptor::from_bytes(pb)?,
+            pattern: PatternDescriptor::from_bytes([b[2], b[3], b[4], b[5]])?,
         })
     }
 }
 
 /// A MAC frame: header + payload.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Frame {
     /// The header (Length + Pattern).
     pub header: FrameHeader,
@@ -457,20 +454,74 @@ mod tests {
             let bytes = h.to_bytes();
             assert_eq!(bytes.len(), 6); // Table 1: Length 2 B + Pattern 4 B
             assert_eq!(FrameHeader::from_bytes(&bytes), Ok(h), "{fec}");
+            // Whatever follows the header on the wire is not part of it.
+            let mut longer = [0xA5u8; 8];
+            longer[..6].copy_from_slice(&bytes);
+            assert_eq!(FrameHeader::from_bytes(&longer), Ok(h), "{fec}");
         }
     }
 
     #[test]
     fn fec_off_wire_bytes_unchanged_from_pre_fec_format() {
         // The legacy format put the bare payload length in the Length
-        // word; FecMode::Off must reproduce it bit-for-bit.
-        let h = FrameHeader {
-            payload_len: 128,
-            fec: FecMode::Off,
-            pattern: PatternDescriptor::OokCt { dimming_q: 512 },
-        };
-        let bytes = h.to_bytes();
-        assert_eq!(&bytes[..2], &128u16.to_be_bytes());
+        // word; FecMode::Off must reproduce it bit-for-bit. The table pins
+        // the full header bytes for every FEC mode and descriptor family.
+        let table: [(u16, FecMode, PatternDescriptor, [u8; 6]); 6] = [
+            (
+                128,
+                FecMode::Off,
+                PatternDescriptor::OokCt { dimming_q: 512 },
+                [0x00, 0x80, 0x02, 0x02, 0x00, 0x00],
+            ),
+            (
+                128,
+                FecMode::Light,
+                PatternDescriptor::Amppm {
+                    dimming_q: 300,
+                    tier: 1,
+                },
+                [0x80, 0x80, 0x03, 0x01, 0x2c, 0x01],
+            ),
+            (
+                4096,
+                FecMode::Medium,
+                PatternDescriptor::Mppm { n: 20, k: 10 },
+                [0xb0, 0x00, 0x01, 0x01, 0x40, 0x0a],
+            ),
+            (
+                1,
+                FecMode::Heavy,
+                PatternDescriptor::Amppm {
+                    dimming_q: 65535,
+                    tier: 255,
+                },
+                [0xc0, 0x01, 0x03, 0xff, 0xff, 0xff],
+            ),
+            (
+                0,
+                FecMode::Off,
+                PatternDescriptor::Mppm { n: 500, k: 250 },
+                [0x00, 0x00, 0x01, 0x1f, 0x40, 0xfa],
+            ),
+            (
+                4095,
+                FecMode::Heavy,
+                PatternDescriptor::OokCt { dimming_q: 0xBEEF },
+                [0xcf, 0xff, 0x02, 0xbe, 0xef, 0x00],
+            ),
+        ];
+        for (payload_len, fec, pattern, wire) in table {
+            let h = FrameHeader {
+                payload_len,
+                fec,
+                pattern,
+            };
+            assert_eq!(h.to_bytes(), wire, "{payload_len} {fec} {pattern:?}");
+            assert_eq!(FrameHeader::from_bytes(&wire), Ok(h));
+            if fec == FecMode::Off {
+                assert_eq!(wire[..2], payload_len.to_be_bytes());
+            }
+        }
     }
 
     #[test]

@@ -22,10 +22,9 @@
 
 use crate::symbol::SymbolPattern;
 use combinat::BinomialTable;
-use serde::{Deserialize, Serialize};
 
 /// Per-slot detection error probabilities.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SlotErrorProbs {
     /// `P1`: probability an OFF slot is decoded as ON (ambient/receiver
     /// noise pushing a dark slot over threshold). Paper measurement: 9e-5.

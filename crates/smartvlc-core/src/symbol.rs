@@ -10,11 +10,10 @@ use crate::dimming::DimmingLevel;
 use combinat::{
     decode_word, encode_word, BinomialTable, BitReader, BitWriter, CodewordError, EncodeScratch,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A symbol pattern `S(N, l = K/N)`: `N` slots, `K` of them ON.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SymbolPattern {
     n: u16,
     k: u16,

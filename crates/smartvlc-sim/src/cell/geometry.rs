@@ -32,12 +32,11 @@
 //! photodiode's responsivity, and shows up as extra photocurrent at the
 //! slot detector (see [`interference_sigma_a`]).
 
-use serde::{Deserialize, Serialize};
 use vlc_channel::link::ChannelConfig;
 use vlc_channel::optics::LambertianLink;
 
 /// A point on the receiver plane (or the ceiling), metres.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Position {
     /// Distance along the room's width axis, m.
     pub x_m: f64,
@@ -54,7 +53,7 @@ impl Position {
 
 /// The room: a rectangular floor plan with luminaires on the ceiling and
 /// receivers carried at desk/hand height.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RoomGeometry {
     /// Room extent along x, m.
     pub width_m: f64,
@@ -88,7 +87,7 @@ impl RoomGeometry {
 
 /// One ceiling luminaire: a wide-beam panel running its own SmartVLC
 /// transmitter stack.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Luminaire {
     /// Dense cell index (row-major over the grid).
     pub id: usize,
@@ -118,7 +117,7 @@ pub fn ceiling_grid(room: &RoomGeometry, nx: usize, ny: usize) -> Vec<Luminaire>
 
 /// Optical parameters of one cell downlink (as opposed to the paper's
 /// narrow bench spot).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CellOptics {
     /// Luminaire half-power semi-angle, degrees. Ceiling panels are wide
     /// (≈ 45°, Lambertian mode m ≈ 2), not the bench's 15° spot.

@@ -11,10 +11,8 @@
 //! the midline between two luminaires sees near-equal signal from both,
 //! never clears the margin, and stays put (see the tests).
 
-use serde::{Deserialize, Serialize};
-
 /// Handover tuning knobs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HandoverPolicy {
     /// A candidate must beat the serving cell by this margin, dB
     /// (received signal power ratio).
@@ -44,7 +42,7 @@ impl HandoverPolicy {
 }
 
 /// A completed handover.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HandoverEvent {
     /// Cell the user left.
     pub from: usize,

@@ -9,10 +9,9 @@
 
 use super::geometry::{Position, RoomGeometry};
 use desim::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the random-waypoint walk.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WaypointModel {
     /// Slowest leg speed, m/s.
     pub min_speed_mps: f64,

@@ -66,7 +66,6 @@ pub use traffic::{CellTrafficReport, CellTrafficSpec};
 
 use desim::DetRng;
 use geometry::{rss_from_gain, PathGain};
-use serde::{Deserialize, Serialize};
 use smartvlc_core::adaptation::PerceptionStepper;
 use smartvlc_core::dimming::IlluminationTarget;
 use smartvlc_core::{AmppmPlanner, DimmingLevel, SystemConfig};
@@ -76,7 +75,7 @@ use vlc_channel::ambient::{AmbientProfile, BlindRamp, ConstantAmbient};
 ///
 /// Selected through [`crate::scenario::CellScenarioBuilder::ambient`];
 /// [`AmbientSpec::PaperDynamic`] is the battery default.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AmbientSpec {
     /// The paper's wobbling blind pull, scaled to sweep over ~2/3 of the
     /// run ([`BlindRamp::paper_dynamic`] with the run-sized duration).
@@ -97,7 +96,7 @@ pub enum AmbientSpec {
 }
 
 /// Configuration of one multi-cell run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CellConfig {
     /// Luminaires along the room's width.
     pub nx: usize,
@@ -189,7 +188,7 @@ fn window_gain(room: &RoomGeometry, pos: &Position) -> f64 {
 }
 
 /// Per-user outcome of a run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UserOutcome {
     /// User index.
     pub id: usize,
@@ -210,7 +209,7 @@ pub struct UserOutcome {
 }
 
 /// Per-cell outcome of a run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CellOutcome {
     /// Cell (luminaire) index.
     pub id: usize,
@@ -225,7 +224,7 @@ pub struct CellOutcome {
 }
 
 /// Everything a multi-cell run reports.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CellReport {
     /// Per-user outcomes (user order).
     pub users: Vec<UserOutcome>,

@@ -71,8 +71,6 @@
 //! assert!(plan.coord(0).is_none());
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Floor on the EWMA achieved rate in the PF priority denominator, bit/s
 /// — keeps a cold-start (all-zero) history from producing infinite
 /// priorities while still letting starved users dominate the metric.
@@ -270,10 +268,10 @@ pub trait CellScheduler: Send {
     }
 }
 
-/// Serializable scheduler selection for [`CellConfig`](super::CellConfig)
-/// — the config stays `Copy`/serde-able while the policy object itself
-/// is built per run via [`SchedulerSpec::build`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// Scheduler selection for [`CellConfig`](super::CellConfig) — a plain
+/// value, so the config stays `Copy` while the policy object itself is
+/// built per run via [`SchedulerSpec::build`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum SchedulerSpec {
     /// Equal round-robin TDMA shares — the historical policy, bit-exact.
     #[default]

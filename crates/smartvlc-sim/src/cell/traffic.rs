@@ -26,13 +26,12 @@
 //! straddle a fully-drained queue is counted per contiguous fragment.
 
 use desim::{DetRng, SimTime};
-use serde::{Deserialize, Serialize};
 use smartvlc_net::{WorkloadGen, WorkloadSpec};
 use std::collections::VecDeque;
 
 /// What the cell's users download — selected through
 /// [`CellScenarioBuilder::traffic`](crate::scenario::CellScenarioBuilder::traffic).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum CellTrafficSpec {
     /// Saturated full-buffer download (the historical model; no flow
     /// accounting, [`CellReport::traffic`](super::CellReport::traffic)
@@ -46,7 +45,7 @@ pub enum CellTrafficSpec {
 }
 
 /// Flow-level outcome of a [`CellTrafficSpec::NetMix`] run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CellTrafficReport {
     /// Application flows that arrived during the run.
     pub flows_offered: u64,

@@ -7,11 +7,10 @@
 //! out of the LED-level trace: a smart luminaire spends
 //! `P_max · ∫ l(t) dt` against a dumb luminaire's `P_max · T`.
 
-use serde::{Deserialize, Serialize};
 use smartvlc_link::link::TracePoint;
 
 /// Energy summary of one scenario run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyReport {
     /// Wall-clock covered by the trace, seconds.
     pub duration_s: f64,

@@ -20,10 +20,9 @@
 //! than indirect.
 
 use desim::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Ambient conditions of the study (§6.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StudyCondition {
     /// L1: sunny day, ceiling lights on (8900–9760 lux).
     L1SunnyCeilingOn,
@@ -52,7 +51,7 @@ impl StudyCondition {
 }
 
 /// How the subject observes the LED (Fig. 18).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Viewing {
     /// Looking straight at the LED (Fig. 18(a)).
     Direct,
@@ -61,7 +60,7 @@ pub enum Viewing {
 }
 
 /// A per-condition threshold distribution.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ThresholdModel {
     /// Population mean detection threshold.
     pub mu: f64,

@@ -161,10 +161,10 @@ where
             .collect();
     }
     let cursor = AtomicUsize::new(0);
-    let mut per_worker: Vec<Vec<(usize, TaskOutput<R>)>> = crossbeam::scope(|s| {
+    let mut per_worker: Vec<Vec<(usize, TaskOutput<R>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -181,8 +181,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("runner worker panicked"))
             .collect()
-    })
-    .expect("runner scope panicked");
+    });
 
     // Reassemble in submission order; merge telemetry in the same order.
     let mut tagged: Vec<(usize, TaskOutput<R>)> = per_worker.drain(..).flatten().collect();

@@ -5,10 +5,8 @@
 //! 95% confidence intervals so the figure generators can report error
 //! bars.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean / spread summary of one sample set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,
@@ -53,7 +51,7 @@ pub fn summarize(samples: &[f64]) -> Summary {
 /// view (p50/p95/p99) the net battery reports. Nearest-rank (rank
 /// `⌈p/100·N⌉`, 1-indexed) always returns an observed sample, so the
 /// values are exactly reproducible with no interpolation-order concerns.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Percentiles {
     /// Number of samples.
     pub n: usize,

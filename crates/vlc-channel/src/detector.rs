@@ -13,10 +13,9 @@
 //! ```
 
 use desim::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Analytic per-slot error probabilities of a channel operating point.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChannelErrorProbs {
     /// Probability an OFF slot is decided ON (the paper's `P1`).
     pub p_off_error: f64,
@@ -76,7 +75,7 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Decision statistics learned from the preamble and applied per slot.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SlotDetector {
     /// Mean detected level for ON slots (input-referred current, A).
     pub mu_on_a: f64,

@@ -26,10 +26,9 @@
 //!   [`FaultKind::AckJitter`]: the ESP8266 path misbehaving.
 
 use desim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One kind of injected impairment.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
     /// Add `delta_lux` to the ambient illuminance for the event duration.
     AmbientStep {
@@ -96,7 +95,7 @@ impl FaultKind {
 }
 
 /// One scheduled impairment.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
     /// Onset time.
     pub at: SimTime,
@@ -175,7 +174,7 @@ impl Default for UplinkFaultState {
 /// The plan is immutable after construction; all queries are pure
 /// functions of time, which is what lets a chaos run fan out across
 /// threads and still produce bit-identical results.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

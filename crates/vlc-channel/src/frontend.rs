@@ -18,10 +18,8 @@
 //! LSBs, decisions collapse — this is what produces the sharp throughput
 //! cliff past 3.6 m in Fig. 16 rather than a gentle roll-off.
 
-use serde::{Deserialize, Serialize};
-
 /// TIA + ADC parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AnalogFrontend {
     /// Transimpedance gain, V/A.
     pub tia_gain_v_per_a: f64,

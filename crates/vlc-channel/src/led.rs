@@ -9,10 +9,8 @@
 //! supports, under which the transmitted signals are not distorted too
 //! much". This model reproduces exactly that trade-off.
 
-use serde::{Deserialize, Serialize};
-
 /// First-order LED optical response model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LedModel {
     /// Time constant when turning on, seconds.
     pub rise_tau_s: f64,

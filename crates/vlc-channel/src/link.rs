@@ -22,7 +22,6 @@ use crate::opcache::{CachedOp, OperatingPointCache};
 use crate::optics::LambertianLink;
 use crate::photodiode::{Photodiode, ELECTRON_CHARGE_C};
 use desim::{DetRng, SimTime};
-use serde::{Deserialize, Serialize};
 use smartvlc_obs as obs;
 use std::cell::Cell;
 
@@ -30,7 +29,7 @@ use std::cell::Cell;
 pub const CONFIG_FINGERPRINT_WORDS: usize = 25;
 
 /// All channel parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ChannelConfig {
     /// Transmit LED.
     pub led: LedModel,

@@ -17,8 +17,6 @@
 //! off-axis angle applies as both emission angle `φ` and incidence
 //! angle `ψ`.
 
-use serde::{Deserialize, Serialize};
-
 /// First-reflection diffuse (non-line-of-sight) contribution, in the
 /// integrating-sphere approximation of Kahn & Barry:
 ///
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// Distance- and orientation-independent: the room's walls glow a little
 /// for everyone. Small next to the LOS term on-axis, but it is what the
 /// receiver still sees when the direct path is lost.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiffuseReflection {
     /// Mean wall/ceiling reflectivity ρ (office: ~0.7 painted walls).
     pub reflectivity: f64,
@@ -55,7 +53,7 @@ impl DiffuseReflection {
 }
 
 /// Geometry and optics of one transmitter→receiver path.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LambertianLink {
     /// Emitter half-power semi-angle, degrees.
     pub semi_angle_deg: f64,

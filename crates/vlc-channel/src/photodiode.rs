@@ -11,13 +11,11 @@
 //! σ²_shot  = 2·q·(i_ph + i_ambient + i_dark)·B   (A², one-sided)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Elementary charge, coulombs.
 pub const ELECTRON_CHARGE_C: f64 = 1.602_176_634e-19;
 
 /// A PIN photodiode.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Photodiode {
     /// Responsivity at the LED's dominant wavelength, A/W.
     pub responsivity_a_per_w: f64,

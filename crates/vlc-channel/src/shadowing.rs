@@ -10,10 +10,9 @@
 //! beam.
 
 use desim::{DetRng, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Two-state blockage process parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ShadowingModel {
     /// Mean time between blockage events (clear dwell), seconds.
     pub mean_clear_s: f64,

@@ -18,10 +18,8 @@
 //! derives the achievable slot clock, which is what bounds the system
 //! throughput in `tableA_platform_rates`.
 
-use serde::{Deserialize, Serialize};
-
 /// How the CPU reaches the GPIO/ADC.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessMethod {
     /// `/sys/class/gpio` file writes from Linux userspace.
     SysfsFile,
@@ -54,7 +52,7 @@ impl AccessMethod {
 }
 
 /// The timing model for one access method on the BBB.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PruTimingModel {
     /// Method being modeled.
     pub method: AccessMethod,

@@ -10,11 +10,12 @@
 //!
 //! [`SharedRing`] is a bounded SPSC ring with those exact semantics. The
 //! default implementation is single-threaded (the simulation is a DES),
-//! but the structure is `parking_lot`-locked so the threaded demo in
-//! `board.rs` can share it across real threads too.
+//! but the structure sits behind a `std::sync::Mutex` so the threaded demo
+//! in `board.rs` can share it across real threads too. A poisoned lock is
+//! ignored: each critical section is one queue operation plus its
+//! counter, so a panicking peer cannot leave the ring half-updated.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Statistics for one ring.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -51,6 +52,10 @@ impl<T> Clone for SharedRing<T> {
 }
 
 impl<T> SharedRing<T> {
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Create a ring holding at most `capacity` items.
     ///
     /// The BBB's 12 KB shared RAM holds 12288 single-byte slot entries;
@@ -68,7 +73,7 @@ impl<T> SharedRing<T> {
 
     /// Push one item; returns `false` (and counts an overrun) when full.
     pub fn push(&self, item: T) -> bool {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         if g.buf.len() >= g.capacity {
             g.stats.overruns += 1;
             false
@@ -81,7 +86,7 @@ impl<T> SharedRing<T> {
 
     /// Pop one item; `None` (and an underrun) when empty.
     pub fn pop(&self) -> Option<T> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         match g.buf.pop_front() {
             Some(v) => {
                 g.stats.popped += 1;
@@ -96,7 +101,7 @@ impl<T> SharedRing<T> {
 
     /// Pop up to `n` items without counting an underrun (batch drain).
     pub fn pop_up_to(&self, n: usize) -> Vec<T> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let take = n.min(g.buf.len());
         let out: Vec<T> = g.buf.drain(..take).collect();
         g.stats.popped += out.len() as u64;
@@ -105,7 +110,7 @@ impl<T> SharedRing<T> {
 
     /// Items currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
+        self.lock().buf.len()
     }
 
     /// True when empty.
@@ -115,13 +120,13 @@ impl<T> SharedRing<T> {
 
     /// Free space remaining.
     pub fn free(&self) -> usize {
-        let g = self.inner.lock();
+        let g = self.lock();
         g.capacity - g.buf.len()
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> RingStats {
-        self.inner.lock().stats
+        self.lock().stats
     }
 }
 
