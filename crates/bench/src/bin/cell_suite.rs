@@ -116,12 +116,6 @@ fn run() {
     // deterministic sections (CI's determinism diff filters these lines).
     let slots: f64 = summaries.iter().map(|s| s.slots_equivalent).sum();
     let wall_ns_per_slot = serial_wall_s.expect("the serial leg ran") * 1e9 / slots.max(1.0);
-    let hits: u64 = summaries.iter().map(|s| s.opcache_hits).sum();
-    let misses: u64 = summaries.iter().map(|s| s.opcache_misses).sum();
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let qhits: u64 = summaries.iter().map(|s| s.opcache_hits_quantized).sum();
-    let qmisses: u64 = summaries.iter().map(|s| s.opcache_misses_quantized).sum();
-    let qhit_rate = qhits as f64 / (qhits + qmisses).max(1) as f64;
     let scaling_wall = points.iter().zip(&wall_ms).map(|(p, w)| {
         let events_per_sec = p.events as f64 / (w / 1e3).max(1e-9);
         Json::inline_obj([
@@ -177,13 +171,6 @@ fn run() {
         )
     );
     println!("determinism: SMARTVLC_THREADS=1 and 8 reports are byte-identical");
-    println!(
-        "rx hot path: {hits} op-point cache hits / {misses} misses ({:.2}% hit rate raw, \
-         {:.1}% with 50-lux sensor quantization), \
-         {wall_ns_per_slot:.0} ns per slot-equivalent (serial wall-clock)",
-        hit_rate * 100.0,
-        qhit_rate * 100.0,
-    );
 
     let mut scale_rows = Vec::new();
     for (p, w) in points.iter().zip(&wall_ms) {

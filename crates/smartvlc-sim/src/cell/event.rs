@@ -43,8 +43,8 @@ use super::geometry::{interference_var_from_gain, rss_from_gain};
 use super::sched::{CellScheduler, LinkEstimate, ScheduleContext, SchedulerSpec, TickPlan};
 use super::traffic::{CellTrafficSpec, TrafficState};
 use super::{
-    cell_channel, jain_index, quantize_lux, rate_for, sim_parts, window_gain, CellConfig,
-    CellOutcome, CellReport, Position, RunTallies, SimParts, UserOutcome,
+    cell_channel, jain_index, rate_for, sim_parts, window_gain, CellConfig, CellOutcome,
+    CellReport, Position, RunTallies, SimParts, UserOutcome,
 };
 use desim::{EventHandle, Scheduler, SimTime};
 use smartvlc_core::adaptation::{perceived, AdaptationStepper};
@@ -119,68 +119,10 @@ fn tick_time(cfg: &CellConfig, tick: u32) -> SimTime {
     SimTime::from_nanos((tick as f64 * cfg.tick_s * 1e9) as u64)
 }
 
-/// The memo slot a user's serving-cell operating point lives in.
-const SERVING_SLOT: usize = 0;
-/// The memo slot a user's coordination donor's operating point lives in.
-const DONOR_SLOT: usize = 1;
-
-/// A remembered operating point's key: the cell id and the exact bits of
-/// the user's x, y and quantized ambient lux — the only [`cell_channel`]
-/// inputs that vary within a run.
-type OpKey = [u64; 4];
-
-/// Per-user operating-point memo: two slots per user, one for the serving
-/// cell and one for the coordination donor, each holding the last
-/// detector it computed. Memory is O(users) however long the run, and a
-/// hit is bit-identical to the recompute because the key covers every
-/// varying input exactly. The memo hits when the TDMA link estimate and
-/// the grant ask for the same point in one tick, and across ticks for a
-/// user standing still under quantized sensing.
-struct OpMemo {
-    slots: Vec<[Option<(OpKey, SlotDetector)>; 2]>,
-    hits: u64,
-    misses: u64,
-}
-
-impl OpMemo {
-    fn new(n_users: usize) -> OpMemo {
-        OpMemo {
-            slots: vec![[None; 2]; n_users],
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The user's memoized detector in `slot` if its key is `key`, else
-    /// `compute()`, remembered under `key`.
-    fn detector(
-        &mut self,
-        user: usize,
-        slot: usize,
-        key: OpKey,
-        compute: impl FnOnce() -> SlotDetector,
-    ) -> SlotDetector {
-        let entry = &mut self.slots[user][slot];
-        if let Some((k, det)) = *entry {
-            if k == key {
-                self.hits += 1;
-                obs::counter_add(obs::key!("channel.opcache.hit"), 1);
-                return det;
-            }
-        }
-        let det = compute();
-        *entry = Some((key, det));
-        self.misses += 1;
-        obs::counter_add(obs::key!("channel.opcache.miss"), 1);
-        det
-    }
-}
-
 struct EventEngine<'a> {
     cfg: &'a CellConfig,
     parts: SimParts,
     tallies: RunTallies,
-    op_memo: OpMemo,
     /// This tick's shared ambient sample (set by `AmbientSample`, the
     /// first event of every tick).
     base_lux: f64,
@@ -253,7 +195,6 @@ impl<'a> EventEngine<'a> {
         EventEngine {
             cfg,
             tallies: RunTallies::new(cfg.n_users),
-            op_memo: OpMemo::new(cfg.n_users),
             base_lux: 0.0,
             tick: 0,
             next_tick: 0,
@@ -294,36 +235,25 @@ impl<'a> EventEngine<'a> {
     }
 
     /// The slot detector of the path from `cell` to `user` under this
-    /// tick's quantized ambient at the user, through the user's memo
-    /// `slot`. The path gain is the one this tick's `Walk` computed, or
-    /// the closed form's for a cell outside the user's window.
-    fn operating_point(&mut self, user: usize, slot: usize, cell: usize) -> SlotDetector {
+    /// tick's ambient at the user. The path gain is the one this tick's
+    /// `Walk` computed, or the closed form's for a cell outside the
+    /// user's window.
+    fn operating_point(&mut self, user: usize, cell: usize) -> SlotDetector {
+        self.tallies.operating_points += 1;
         let pos = self.parts.users[user].pos;
-        let lux = self.lux_at(&pos);
-        let key = [
-            cell as u64,
-            pos.x_m.to_bits(),
-            pos.y_m.to_bits(),
-            lux.to_bits(),
-        ];
-        let (gains, parts, template) = (&self.gains[user], &self.parts, self.channel);
-        self.op_memo.detector(user, slot, key, || {
-            let gain = match gains.binary_search_by_key(&cell, |&(i, _)| i) {
-                Ok(at) => gains[at].1,
-                Err(_) => parts.path_gain.at(&parts.grid[cell].pos, &pos),
-            };
-            let mut channel = template;
-            channel.ambient_lux = lux.max(0.0);
-            channel.detector_for_gain(gain, 1.0, false)
-        })
+        let gains = &self.gains[user];
+        let gain = match gains.binary_search_by_key(&cell, |&(i, _)| i) {
+            Ok(at) => gains[at].1,
+            Err(_) => self.parts.path_gain.at(&self.parts.grid[cell].pos, &pos),
+        };
+        let mut channel = self.channel;
+        channel.ambient_lux = self.lux_at(&pos);
+        channel.detector_for_gain(gain, 1.0, false)
     }
 
-    /// This tick's ambient at `pos`, quantized like the sensors.
+    /// This tick's ambient at `pos`.
     fn lux_at(&self, pos: &Position) -> f64 {
-        quantize_lux(
-            (self.base_lux * window_gain(&self.parts.room, pos)).max(0.0),
-            self.cfg.sensor_res_lux,
-        )
+        (self.base_lux * window_gain(&self.parts.room, pos)).max(0.0)
     }
 
     /// Co-channel interference σ (A) at `user` from its window's
@@ -373,10 +303,7 @@ impl<'a> EventEngine<'a> {
         let cfg = self.cfg;
         let gain = window_gain(&self.parts.room, &self.parts.grid[lum].pos);
         let st = &mut self.parts.lums[lum];
-        let lux = quantize_lux(
-            self.base_lux * gain + st.rng.next_gaussian() * cfg.sensor_noise_lux,
-            cfg.sensor_res_lux,
-        );
+        let lux = self.base_lux * gain + st.rng.next_gaussian() * cfg.sensor_noise_lux;
         let norm = (lux / cfg.full_scale_lux).clamp(0.0, 1.0);
         let target = self.parts.illum.led_level_for(norm).value();
         if (perceived(target) - perceived(st.led)).abs() >= self.parts.tau_p {
@@ -511,9 +438,8 @@ impl<'a> EventEngine<'a> {
     /// Analytic link estimate for one eligible user at the TDMA phase:
     /// the same operating-point/interference math the grant path runs,
     /// summarized into what a policy can rank on. Costs one
-    /// operating-point computation per call (it lands in the user's
-    /// serving memo slot, where the grant's own lookup then hits), which
-    /// is why policies opt in via `needs_link_estimates`.
+    /// operating-point computation per call, which is why policies opt in
+    /// via `needs_link_estimates`.
     fn link_estimate(&mut self, user: usize) -> LinkEstimate {
         let cfg = self.cfg;
         let serving = self.parts.assocs[user].serving;
@@ -521,7 +447,7 @@ impl<'a> EventEngine<'a> {
         if rate <= 0.0 {
             return LinkEstimate::default();
         }
-        let det = self.operating_point(user, SERVING_SLOT, serving);
+        let det = self.operating_point(user, serving);
         // Per-interferer contributions (ascending cell id, strict `>`:
         // dominant ties break to the lowest id). Each σ is
         // `interference_sigma_a` of that one luminaire.
@@ -568,7 +494,7 @@ impl<'a> EventEngine<'a> {
         if granted_bps > 0.0 {
             debug_assert!(rate > 0.0, "a grant implies a live serving cell");
             self.tallies.served_ticks += 1;
-            let det = self.operating_point(user, SERVING_SLOT, serving);
+            let det = self.operating_point(user, serving);
             // Co-channel luminaires within the window, id order, serving
             // (and a coordinating donor) excluded — cells beyond the
             // window contribute exact-zero variance terms, so the pruned
@@ -585,7 +511,7 @@ impl<'a> EventEngine<'a> {
                     // The donor transmits the user's symbols in phase:
                     // its swing raises the ON level instead of raising
                     // the interference floor.
-                    let det_d = self.operating_point(user, DONOR_SLOT, c.donor);
+                    let det_d = self.operating_point(user, c.donor);
                     mu_on += det_d.mu_on_a - det_d.mu_off_a;
                 }
             }
@@ -685,8 +611,8 @@ impl<'a> EventEngine<'a> {
             users: users_out,
             cells: cells_out,
             duration_s,
-            opcache_hits: self.op_memo.hits,
-            opcache_misses: self.op_memo.misses,
+            opcache_hits: 0,
+            opcache_misses: t.operating_points,
             slots_equivalent: t.served_ticks as f64 * (cfg.tick_s / self.channel.tslot_s),
             events,
             queue_peak,
@@ -825,46 +751,29 @@ mod tests {
     }
 
     #[test]
-    fn memo_answers_are_the_direct_detector_bit_for_bit() {
+    fn operating_point_is_the_direct_detector_bit_for_bit() {
         let cfg = CellConfig::standard(4, 4, 6);
         let mut eng = walked_engine(&cfg);
         for user in 0..cfg.n_users {
             let serving = eng.parts.assocs[user].serving;
             let donor = (serving + 1) % cfg.n_cells();
             let want = bits(&direct(&eng, user, serving));
-            // Miss, then hit: both are the direct computation's bits.
-            assert_eq!(
-                bits(&eng.operating_point(user, SERVING_SLOT, serving)),
-                want
-            );
-            assert_eq!(
-                bits(&eng.operating_point(user, SERVING_SLOT, serving)),
-                want
-            );
-            // The donor slot is independent of the serving slot.
+            assert_eq!(bits(&eng.operating_point(user, serving)), want);
             let want_d = bits(&direct(&eng, user, donor));
-            assert_eq!(bits(&eng.operating_point(user, DONOR_SLOT, donor)), want_d);
-            assert_eq!(
-                bits(&eng.operating_point(user, SERVING_SLOT, serving)),
-                want
-            );
+            assert_eq!(bits(&eng.operating_point(user, donor)), want_d);
         }
-        let n = cfg.n_users as u64;
-        assert_eq!((eng.op_memo.hits, eng.op_memo.misses), (2 * n, 2 * n));
 
-        // A moved user misses, and the fresh answer is the new point's.
+        // A moved user gets the new point's answer.
         eng.parts.users[0].pos.x_m += 0.25;
         eng.survey(0);
         let serving = eng.parts.assocs[0].serving;
         let want = bits(&direct(&eng, 0, serving));
-        assert_eq!(bits(&eng.operating_point(0, SERVING_SLOT, serving)), want);
-        assert_eq!(eng.op_memo.misses, 2 * n + 1);
+        assert_eq!(bits(&eng.operating_point(0, serving)), want);
 
         // So does a user standing still under a new ambient.
         eng.base_lux += 500.0;
         let want = bits(&direct(&eng, 0, serving));
-        assert_eq!(bits(&eng.operating_point(0, SERVING_SLOT, serving)), want);
-        assert_eq!(eng.op_memo.misses, 2 * n + 2);
+        assert_eq!(bits(&eng.operating_point(0, serving)), want);
     }
 
     /// `a` within `tol` relative of `b`, or both exactly 0.
@@ -886,7 +795,7 @@ mod tests {
                 let lum = eng.parts.grid[cell].pos;
                 let want = cell_channel(&cfg.optics, &eng.parts.room, &lum, &pos, eng.lux_at(&pos))
                     .detector_with(1.0, false);
-                let got = eng.operating_point(user, SERVING_SLOT, cell);
+                let got = eng.operating_point(user, cell);
                 lit += usize::from(want.mu_on_a > 0.0);
                 for (g, w, what) in [
                     (got.mu_on_a, want.mu_on_a, "mu_on_a"),

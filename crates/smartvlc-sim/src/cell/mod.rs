@@ -60,7 +60,6 @@ pub use suite::{
     cell_policy_json, cell_policy_scenarios, cell_scale_json, cell_scale_scenarios, cell_scenarios,
     cell_suite_artifacts, cell_suite_json, run_cell_policies, run_cell_scale, run_cell_suite,
     CellScenario, CellSuiteSummary, PolicyPoint, PolicyScenario, ScalePoint,
-    QUANTIZED_SENSOR_RES_LUX,
 };
 pub use traffic::{CellTrafficReport, CellTrafficSpec};
 
@@ -127,14 +126,9 @@ pub struct CellConfig {
     pub frame_bits: f64,
     /// The shared ambient field driving adaptation.
     pub ambient: AmbientSpec,
-    /// Ambient-sensor quantization resolution, lux — real sensors report
-    /// in finite steps, which makes operating points repeat and the
-    /// per-run op-point cache earn hits. `0.0` disables quantization
-    /// (the historical behaviour, and the artifact-stable default).
-    pub sensor_res_lux: f64,
     /// The TDMA scheduling policy ([`sched`]). The default,
     /// [`SchedulerSpec::EqualShare`], reproduces the historical
-    /// scheduler bit for bit — opcache accounting included.
+    /// scheduler bit for bit.
     pub scheduler: SchedulerSpec,
     /// What the users download ([`traffic`]). The default,
     /// [`CellTrafficSpec::Saturated`], is the historical full-buffer
@@ -162,7 +156,6 @@ impl CellConfig {
             sensor_noise_lux: 25.0,
             frame_bits: 2048.0,
             ambient: AmbientSpec::PaperDynamic,
-            sensor_res_lux: 0.0,
             scheduler: SchedulerSpec::EqualShare,
             traffic: CellTrafficSpec::Saturated,
         }
@@ -244,11 +237,12 @@ pub struct CellReport {
     pub interference_limited_fraction: f64,
     /// Simulated wall-clock, s.
     pub duration_s: f64,
-    /// Operating-point cache hits over the run (deterministic: the cache
-    /// is per-run, so the hit/miss sequence is a pure function of the
-    /// query sequence).
+    /// Always 0: the cell core keeps no operating-point cache. Kept only
+    /// because the benchmark reads it; the benchmark rework (ROADMAP
+    /// item 1) removes it.
     pub opcache_hits: u64,
-    /// Operating-point cache misses (= distinct operating points queried).
+    /// Operating points computed over the run (one per link estimate,
+    /// grant and joint-serve donor). Removed with `opcache_hits`.
     pub opcache_misses: u64,
     /// Slot-equivalents processed by the analytic RX path: each served
     /// user-tick covers `tick_s / tslot_s` slots of airtime. Deterministic;
@@ -285,16 +279,6 @@ pub(crate) struct LuminaireState {
     pub(crate) users_sum: f64,
     pub(crate) delivered_bits: f64,
     pub(crate) rng: DetRng,
-}
-
-/// Quantize a sensed illuminance to the sensor's reporting resolution
-/// (`res <= 0` disables — bit-exact identity).
-pub(crate) fn quantize_lux(lux: f64, res: f64) -> f64 {
-    if res > 0.0 {
-        (lux / res).round() * res
-    } else {
-        lux
-    }
 }
 
 /// Everything a run builds from `(cfg, seed)` before the first tick:
@@ -421,6 +405,8 @@ pub(crate) struct RunTallies {
     /// Coordination grants applied at delivery (always 0 under policies
     /// without coordination).
     pub(crate) coord_grants: u64,
+    /// Operating points computed (link estimates, grants, donors).
+    pub(crate) operating_points: u64,
 }
 
 impl RunTallies {
@@ -435,6 +421,7 @@ impl RunTallies {
             served_ticks: 0,
             interference_limited: 0,
             coord_grants: 0,
+            operating_points: 0,
         }
     }
 }
@@ -512,20 +499,31 @@ mod tests {
 
     #[test]
     fn opcache_accounting_is_deterministic_and_consistent() {
-        let cfg = CellConfig::standard(2, 2, 3);
-        let a = run_cell(&cfg, 17);
-        let b = run_cell(&cfg, 17);
-        assert_eq!(a.opcache_hits, b.opcache_hits);
-        assert_eq!(a.opcache_misses, b.opcache_misses);
-        assert!(a.opcache_misses > 0, "served ticks must query the cache");
-        // One query per served tick; slots_equivalent is that count scaled
-        // by the slots each tick covers.
-        let queries = (a.opcache_hits + a.opcache_misses) as f64;
-        let slots_per_tick = cfg.tick_s / 8e-6;
-        assert_eq!(
-            a.slots_equivalent.to_bits(),
-            (queries * slots_per_tick).to_bits()
-        );
+        for policy in [
+            SchedulerSpec::EqualShare,
+            SchedulerSpec::proportional_fair(),
+            SchedulerSpec::coordinated_edge(),
+        ] {
+            let mut cfg = CellConfig::standard(2, 2, 3);
+            cfg.scheduler = policy;
+            let a = run_cell(&cfg, 17);
+            let b = run_cell(&cfg, 17);
+            assert_eq!(a.opcache_hits, 0, "{}: no cache to hit", policy.name());
+            assert_eq!(a.opcache_misses, b.opcache_misses);
+            assert!(
+                a.opcache_misses > 0,
+                "served ticks compute operating points"
+            );
+            if matches!(policy, SchedulerSpec::EqualShare) {
+                // One operating point per served tick; slots_equivalent is
+                // that count scaled by the slots each tick covers.
+                let slots_per_tick = cfg.tick_s / 8e-6;
+                assert_eq!(
+                    a.slots_equivalent.to_bits(),
+                    (a.opcache_misses as f64 * slots_per_tick).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

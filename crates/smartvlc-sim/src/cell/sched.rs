@@ -202,9 +202,9 @@ pub struct ScheduleContext<'a> {
     pub eligible: &'a [bool],
     /// Per user: link estimates, or **empty** when the active policy's
     /// [`CellScheduler::needs_link_estimates`] returned `false` (the
-    /// estimates cost one operating-point query per eligible user per
-    /// tick, so the equal-share path skips them to stay bit-identical
-    /// to the historical scheduler, opcache accounting included).
+    /// estimates cost one operating point per eligible user per tick,
+    /// so the equal-share path skips them to stay bit-identical to the
+    /// historical scheduler, its operating-point count included).
     pub estimates: &'a [LinkEstimate],
 }
 
@@ -246,8 +246,8 @@ pub trait CellScheduler: Send {
     fn name(&self) -> &'static str;
 
     /// Whether [`ScheduleContext::estimates`] must be populated. The
-    /// estimates cost one operating-point query per eligible user per
-    /// tick; [`EqualShare`] declines so its opcache accounting stays
+    /// estimates cost one operating point per eligible user per tick;
+    /// [`EqualShare`] declines so its operating-point count stays
     /// bit-identical to the historical scheduler.
     fn needs_link_estimates(&self) -> bool {
         false

@@ -41,13 +41,6 @@ impl CellScenario {
     }
 }
 
-/// Sensor resolution for the quantized op-cache leg of the battery, lux.
-/// Commodity ambient-light sensors report in steps of tens of lux; at
-/// 50 lux the blind ramp revisits operating points instead of minting a
-/// fresh one every tick, so the per-run op-point cache finally earns hits
-/// (reported as `opcache_hit_rate_quantized`).
-pub const QUANTIZED_SENSOR_RES_LUX: f64 = 50.0;
-
 /// The standard battery: 2×2, 3×3 and 4×4 grids, each serving 2, 6 and
 /// 12 users — ≥ 3 grid sizes × ≥ 3 user counts, covering both the
 /// sparse regime (cells idle) and the contended one (TDMA shares thin,
@@ -189,16 +182,6 @@ pub struct CellSuiteSummary {
     pub outage_fraction: f64,
     /// Mean fraction of served ticks that were interference-limited.
     pub interference_limited_fraction: f64,
-    /// Operating-point cache hits summed across replicates (deterministic:
-    /// per-run caches, replicate-order sum).
-    pub opcache_hits: u64,
-    /// Operating-point cache misses summed across replicates.
-    pub opcache_misses: u64,
-    /// Op-cache hits of the quantized-sensing leg (replicate-0 seed rerun
-    /// with [`QUANTIZED_SENSOR_RES_LUX`]).
-    pub opcache_hits_quantized: u64,
-    /// Op-cache misses of the quantized-sensing leg.
-    pub opcache_misses_quantized: u64,
     /// Scheduler events delivered, summed across replicates.
     pub events: u64,
     /// Largest scheduler queue-depth high-water mark across replicates.
@@ -210,23 +193,9 @@ pub struct CellSuiteSummary {
     pub replicates: Vec<CellReport>,
 }
 
-impl CellSuiteSummary {
-    /// Hit rate of the quantized-sensing leg (0 when it never queried).
-    pub fn opcache_hit_rate_quantized(&self) -> f64 {
-        let q = self.opcache_hits_quantized + self.opcache_misses_quantized;
-        if q > 0 {
-            self.opcache_hits_quantized as f64 / q as f64
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Run the whole battery: `replicates` seeds per scenario on the
-/// deterministic work pool, plus one quantized-sensing rerun of each
-/// scenario's replicate-0 seed (the op-cache bugfix leg — quantization
-/// defaults off precisely so the main leg's artifacts stay byte-stable).
-/// Byte-identical output at any `SMARTVLC_THREADS`.
+/// deterministic work pool. Byte-identical output at any
+/// `SMARTVLC_THREADS`.
 pub fn run_cell_suite(replicates: usize, base_seed: u64) -> Vec<CellSuiteSummary> {
     let scenarios = cell_scenarios();
     let grouped = par_sweep(
@@ -235,26 +204,14 @@ pub fn run_cell_suite(replicates: usize, base_seed: u64) -> Vec<CellSuiteSummary
         base_seed,
         |sc: &CellScenario, id: TaskId| run_cell(&sc.config(), id.seed),
     );
-    // The quantized leg replays each scenario's replicate-0 seed with the
-    // sensor resolution on, so its hit rate is directly comparable.
-    let quantized = par_sweep(&scenarios, 1, base_seed, |sc: &CellScenario, id: TaskId| {
-        let mut cfg = sc.config();
-        cfg.sensor_res_lux = QUANTIZED_SENSOR_RES_LUX;
-        run_cell(&cfg, task_seed(base_seed, (id.point * replicates) as u64))
-    });
     scenarios
         .into_iter()
         .zip(grouped)
-        .zip(quantized)
-        .map(|((scenario, reps), q)| summarize(scenario, reps, &q[0]))
+        .map(|(scenario, reps)| summarize(scenario, reps))
         .collect()
 }
 
-fn summarize(
-    scenario: CellScenario,
-    reps: Vec<CellReport>,
-    quantized: &CellReport,
-) -> CellSuiteSummary {
+fn summarize(scenario: CellScenario, reps: Vec<CellReport>) -> CellSuiteSummary {
     let n = reps.len().max(1) as f64;
     let mean_aggregate = reps.iter().map(|r| r.aggregate_goodput_bps).sum::<f64>() / n;
     let min_aggregate = reps
@@ -293,10 +250,6 @@ fn summarize(
             .map(|r| r.interference_limited_fraction)
             .sum::<f64>()
             / n,
-        opcache_hits: reps.iter().map(|r| r.opcache_hits).sum(),
-        opcache_misses: reps.iter().map(|r| r.opcache_misses).sum(),
-        opcache_hits_quantized: quantized.opcache_hits,
-        opcache_misses_quantized: quantized.opcache_misses,
         events: reps.iter().map(|r| r.events).sum(),
         queue_peak: reps.iter().map(|r| r.queue_peak).max().unwrap_or(0),
         slots_equivalent: reps.iter().map(|r| r.slots_equivalent).sum(),
@@ -475,12 +428,6 @@ pub fn cell_policy_json(points: &[PolicyPoint]) -> Json {
 /// vs 8 workers by the bench bin and the `determinism` tests.
 pub fn cell_suite_json(summaries: &[CellSuiteSummary]) -> Json {
     Json::arr(summaries.iter().map(|sm| {
-        let queries = sm.opcache_hits + sm.opcache_misses;
-        let hit_rate = if queries > 0 {
-            sm.opcache_hits as f64 / queries as f64
-        } else {
-            0.0
-        };
         let per_user = sm.replicates.first().map_or(&[][..], |r| &r.users[..]);
         Json::obj([
             ("name", Json::from(sm.scenario.name.as_str())),
@@ -511,13 +458,6 @@ pub fn cell_suite_json(summaries: &[CellSuiteSummary]) -> Json {
             (
                 "interference_limited_fraction",
                 f6(sm.interference_limited_fraction),
-            ),
-            ("opcache_hits", Json::from(sm.opcache_hits)),
-            ("opcache_misses", Json::from(sm.opcache_misses)),
-            ("opcache_hit_rate", f6(hit_rate)),
-            (
-                "opcache_hit_rate_quantized",
-                f6(sm.opcache_hit_rate_quantized()),
             ),
             ("events", Json::from(sm.events)),
             ("queue_peak", Json::from(sm.queue_peak)),
@@ -597,10 +537,7 @@ mod tests {
         // A tiny battery (first scenario only) through the real encoder.
         let scs = cell_scenarios();
         let reps = vec![run_cell(&scs[0].config(), 123)];
-        let mut qcfg = scs[0].config();
-        qcfg.sensor_res_lux = QUANTIZED_SENSOR_RES_LUX;
-        let q = run_cell(&qcfg, 123);
-        let sm = summarize(scs[0].clone(), reps, &q);
+        let sm = summarize(scs[0].clone(), reps);
         let json = cell_suite_json(&[sm]).to_string();
         for field in [
             "\"mean_aggregate_goodput_bps\"",
@@ -608,7 +545,6 @@ mod tests {
             "\"mean_handover_latency_s\"",
             "\"grid\": [2, 2]",
             "\"users\": 2",
-            "\"opcache_hit_rate_quantized\"",
             "\"events\"",
             "\"queue_peak\"",
         ] {
@@ -616,8 +552,7 @@ mod tests {
         }
         // Stable: same inputs, same bytes.
         let reps2 = vec![run_cell(&scs[0].config(), 123)];
-        let q2 = run_cell(&qcfg, 123);
-        let sm2 = summarize(scs[0].clone(), reps2, &q2);
+        let sm2 = summarize(scs[0].clone(), reps2);
         assert_eq!(json, cell_suite_json(&[sm2]).to_string());
     }
 
@@ -692,33 +627,10 @@ mod tests {
             cfg: sc.cfg,
         };
         let policy = cell_policy_json(&[PolicyPoint::from_report(&policy, &r)]).to_string();
-        let suite = cell_suite_json(&[summarize(sc, vec![r.clone()], &r)]).to_string();
+        let suite = cell_suite_json(&[summarize(sc, vec![r])]).to_string();
         for json in [scale, policy, suite] {
             assert!(json.contains(escaped), "{json}");
             assert!(!json.contains(name), "{json}");
         }
-    }
-
-    #[test]
-    fn quantized_sensing_earns_opcache_hits() {
-        // The bugfix this column exists for: with the sensor quantized the
-        // blind ramp revisits operating points, so the hit rate climbs off
-        // the floor while the unquantized leg stays byte-identical.
-        let scs = cell_scenarios();
-        let base = run_cell(&scs[0].config(), 123);
-        let mut qcfg = scs[0].config();
-        qcfg.sensor_res_lux = QUANTIZED_SENSOR_RES_LUX;
-        let q = run_cell(&qcfg, 123);
-        let rate = |r: &CellReport| {
-            let n = r.opcache_hits + r.opcache_misses;
-            r.opcache_hits as f64 / n.max(1) as f64
-        };
-        assert!(
-            rate(&q) > rate(&base) + 0.05,
-            "quantized {} vs base {}",
-            rate(&q),
-            rate(&base)
-        );
-        assert!(rate(&q) > 0.1, "quantized leg still cold: {}", rate(&q));
     }
 }

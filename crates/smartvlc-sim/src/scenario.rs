@@ -65,12 +65,6 @@ pub enum ScenarioError {
         /// The rejected pitch, m.
         pitch_m: f64,
     },
-    /// The ambient-sensor quantization resolution must be finite and
-    /// non-negative (`0` disables quantization).
-    InvalidSensorResolution {
-        /// The rejected resolution, lux.
-        res_lux: f64,
-    },
     /// A scheduler parameter is out of range (see
     /// [`SchedulerSpec`]).
     InvalidScheduler {
@@ -103,10 +97,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::InvalidPitch { pitch_m } => {
                 write!(f, "grid pitch must be positive and finite, got {pitch_m} m")
             }
-            ScenarioError::InvalidSensorResolution { res_lux } => write!(
-                f,
-                "sensor resolution must be finite and >= 0 lux, got {res_lux}"
-            ),
             ScenarioError::InvalidScheduler { reason } => {
                 write!(f, "invalid scheduler: {reason}")
             }
@@ -191,13 +181,6 @@ impl CellScenarioBuilder {
         self
     }
 
-    /// Ambient-sensor quantization resolution, lux (`0` disables — the
-    /// artifact-stable default; see [`CellConfig::sensor_res_lux`]).
-    pub fn sensor_resolution_lux(mut self, res_lux: f64) -> Self {
-        self.cfg.sensor_res_lux = res_lux;
-        self
-    }
-
     /// The TDMA scheduling policy (default [`SchedulerSpec::EqualShare`],
     /// the historical bit-exact scheduler).
     pub fn scheduler(mut self, scheduler: SchedulerSpec) -> Self {
@@ -240,11 +223,6 @@ impl CellScenarioBuilder {
         if !(cfg.pitch_m.is_finite() && cfg.pitch_m > 0.0) {
             return Err(ScenarioError::InvalidPitch {
                 pitch_m: cfg.pitch_m,
-            });
-        }
-        if !(cfg.sensor_res_lux.is_finite() && cfg.sensor_res_lux >= 0.0) {
-            return Err(ScenarioError::InvalidSensorResolution {
-                res_lux: cfg.sensor_res_lux,
             });
         }
         let optics = &cfg.optics;
@@ -448,10 +426,6 @@ mod tests {
             (
                 CellScenarioBuilder::new().pitch_m(f64::NAN),
                 ScenarioError::InvalidPitch { pitch_m: f64::NAN },
-            ),
-            (
-                CellScenarioBuilder::new().sensor_resolution_lux(-1.0),
-                ScenarioError::InvalidSensorResolution { res_lux: -1.0 },
             ),
             (
                 CellScenarioBuilder::new().name(""),

@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use smartvlc_sim::cell::{
     cell_policy_scenarios, run_cell, CellConfig, CellOutcome, CellReport, CellTrafficReport,
-    CellTrafficSpec, SchedulerSpec, UserOutcome, QUANTIZED_SENSOR_RES_LUX,
+    CellTrafficSpec, SchedulerSpec, UserOutcome,
 };
 use smartvlc_sim::scenario::CellScenarioBuilder;
 use smartvlc_sim::{cell_scale_json, cell_scenarios, par_sweep, with_threads, ScalePoint, TaskId};
@@ -162,7 +162,6 @@ fn chaotic_cfg(
 /// Every pinned configuration, by name:
 ///
 /// * the standard battery ([`cell_scenarios`]);
-/// * the quantized-sensing leg on a 3×3 grid with 6 users;
 /// * the reference 4×4×12 grid of the policy battery under the two
 ///   non-default schedulers (NetMix traffic on, as in the battery);
 /// * four handover-heavy points (dwell 1, 0.5 dB hysteresis) whose
@@ -173,14 +172,6 @@ fn pinned_configs() -> Vec<(String, CellConfig)> {
         .into_iter()
         .map(|sc| (sc.name, sc.cfg))
         .collect();
-    let quantized = CellScenarioBuilder::new()
-        .grid(3, 3)
-        .users(6)
-        .sensor_resolution_lux(QUANTIZED_SENSOR_RES_LUX)
-        .build()
-        .expect("valid")
-        .config();
-    out.push(("quantized_3x3_users6".into(), quantized));
     out.extend(
         cell_policy_scenarios()
             .into_iter()
@@ -209,9 +200,8 @@ const PINS: &[(&str, u64, u64)] = &[
     ("grid4x4_users2", 0xce110006, 0x906a76777c45cace),
     ("grid4x4_users6", 0xce110007, 0x3210f584372373e4),
     ("grid4x4_users12", 0xce110008, 0x562eb1b5aab4ee94),
-    ("quantized_3x3_users6", 0x4d, 0x3fb78206de17e116),
-    ("policy_4x4_users12_proportional_fair", 0x7ea, 0xce1576183219a623),
-    ("policy_4x4_users12_coordinated_edge", 0x7ea, 0x1277fdaf9928adab),
+    ("policy_4x4_users12_proportional_fair", 0x7ea, 0x5a88bfde0abd53cd),
+    ("policy_4x4_users12_coordinated_edge", 0x7ea, 0x12c6c3ff7d069c8b),
     ("chaotic_3x3_users5_dwell1_delay0", 0x1b64, 0xd2087e3029071306),
     ("chaotic_3x3_users5_dwell1_delay3", 0x1b65, 0x2d0983f2872a7c10),
     ("chaotic_3x3_users5_dwell1_delay6", 0x1b66, 0xd42e76c246464ded),

@@ -6,11 +6,9 @@
 # For the root package and every crates/*/Cargo.toml, each name under
 # [dependencies] or [dev-dependencies] (with '-' read as '_') must appear
 # as `name::`, `use name` or `extern crate name` somewhere in that
-# member's src/, tests/, benches/ or examples/, or be the target of one of
-# the member's feature forwards ("name/feature"), which cargo resolves
-# through the declaration. A declared but unnamed dependency only
-# lengthens the build graph and the lockfile. Exits non-zero and lists
-# each unused edge.
+# member's src/, tests/, benches/ or examples/. A declared but unnamed
+# dependency only lengthens the build graph and the lockfile. Exits
+# non-zero and lists each unused edge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,7 +25,6 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     done
     for name in $names; do
         id=${name//-/_}
-        grep -qF "\"$name/" "$manifest" && continue
         if [ ${#roots[@]} = 0 ] || ! grep -rqE --include='*.rs' \
             "(^|[^A-Za-z0-9_])$id::|use $id\b|extern crate $id\b" "${roots[@]}"; then
             echo "UNUSED: $manifest declares $name"
