@@ -1,5 +1,5 @@
-//! Scratch-buffer codec API vs the allocating wrappers — the per-symbol
-//! hot path this PR optimised.
+//! Scratch-buffer codec API vs the allocating wrappers on the per-symbol
+//! hot path.
 //!
 //! `encode_codeword` / `decode_codeword` allocate a fresh BigUint
 //! workspace (and output vector) per symbol; `encode_codeword_into` /
@@ -17,66 +17,6 @@ use combinat::{
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-/// The pre-optimisation per-symbol walk, reconstructed as a baseline:
-/// owned `BigUint` everywhere — clone the value, materialize each
-/// sub-binomial, allocate a fresh difference per OFF slot and a fresh
-/// output vector per symbol. This is what `encode_codeword` compiled to
-/// before the u128 fast path and the scratch API existed.
-fn encode_biguint_baseline(
-    table: &BinomialTable,
-    n: usize,
-    k: usize,
-    value: &BigUint,
-) -> Vec<bool> {
-    let mut val = value.clone();
-    let mut out = Vec::with_capacity(n);
-    let mut ones_left = k;
-    for pos in 0..n {
-        let slots_left = n - pos;
-        if ones_left == 0 {
-            out.resize(n, false);
-            break;
-        }
-        if ones_left == slots_left {
-            out.resize(n, true);
-            break;
-        }
-        let on_count = table.binomial(slots_left - 1, ones_left - 1);
-        if val < on_count {
-            out.push(true);
-            ones_left -= 1;
-        } else {
-            val = val.checked_sub(&on_count).expect("val >= on_count");
-            out.push(false);
-        }
-    }
-    out
-}
-
-/// Pre-optimisation rank walk: fresh accumulator, owned sub-binomials,
-/// a new `BigUint` per addition.
-fn decode_biguint_baseline(
-    table: &BinomialTable,
-    n: usize,
-    k: usize,
-    codeword: &[bool],
-) -> BigUint {
-    let mut value = BigUint::zero();
-    let mut ones_left = k;
-    for (pos, &bit) in codeword.iter().enumerate() {
-        if ones_left == 0 {
-            break;
-        }
-        let slots_left = n - pos;
-        if bit {
-            ones_left -= 1;
-        } else {
-            value = value.add(&table.binomial(slots_left - 1, ones_left - 1));
-        }
-    }
-    value
-}
-
 fn bench_scratch_vs_alloc(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec_scratch");
     for (n, k) in [(20usize, 10usize), (31, 15), (120, 60), (500, 250)] {
@@ -86,9 +26,6 @@ fn bench_scratch_vs_alloc(c: &mut Criterion) {
             .checked_sub(&BigUint::from_u64(12345))
             .unwrap();
 
-        group.bench_function(format!("encode_biguint_baseline_{n}_{k}"), |b| {
-            b.iter(|| black_box(encode_biguint_baseline(&table, n, k, black_box(&value))))
-        });
         group.bench_function(format!("encode_alloc_{n}_{k}"), |b| {
             b.iter(|| black_box(encode_codeword(&table, n, k, black_box(&value)).unwrap()))
         });
@@ -104,9 +41,6 @@ fn bench_scratch_vs_alloc(c: &mut Criterion) {
         });
 
         let codeword = encode_codeword(&table, n, k, &value).unwrap();
-        group.bench_function(format!("decode_biguint_baseline_{n}_{k}"), |b| {
-            b.iter(|| black_box(decode_biguint_baseline(&table, n, k, black_box(&codeword))))
-        });
         group.bench_function(format!("decode_alloc_{n}_{k}"), |b| {
             b.iter(|| black_box(decode_codeword(&table, n, k, black_box(&codeword)).unwrap()))
         });

@@ -33,42 +33,8 @@ struct Timing {
     telemetry: obs::Snapshot,
 }
 
-/// The pre-optimisation per-symbol unrank walk (owned `BigUint`s, a fresh
-/// allocation per step) — the "before" for the ns/symbol record.
-fn encode_biguint_baseline(
-    table: &combinat::BinomialTable,
-    n: usize,
-    k: usize,
-    value: &combinat::BigUint,
-) -> Vec<bool> {
-    let mut val = value.clone();
-    let mut out = Vec::with_capacity(n);
-    let mut ones_left = k;
-    for pos in 0..n {
-        let slots_left = n - pos;
-        if ones_left == 0 {
-            out.resize(n, false);
-            break;
-        }
-        if ones_left == slots_left {
-            out.resize(n, true);
-            break;
-        }
-        let on_count = table.binomial(slots_left - 1, ones_left - 1);
-        if val < on_count {
-            out.push(true);
-            ones_left -= 1;
-        } else {
-            val = val.checked_sub(&on_count).expect("val >= on_count");
-            out.push(false);
-        }
-    }
-    out
-}
-
 /// Time the RX hot path before and after the speed pass, reconstructing
-/// each "before" shape in-binary from public API (the same pattern as
-/// `encode_biguint_baseline`):
+/// each "before" shape in-binary from public API:
 ///
 /// * **analytic** — the old per-frame/per-tick cost: a full
 ///   `detector_with(..).error_probs()` recompute from the channel config
@@ -358,51 +324,8 @@ fn main() {
         ]));
     }
 
-    // Per-symbol codec cost: the pre-optimisation BigUint walk vs the
-    // scratch + u128 fast-path API, at the modem's pattern sizes.
-    println!();
-    let codec_cases = [(20usize, 10usize), (31, 15), (120, 60)];
-    let mut codec = Vec::new();
-    for &(n, k) in &codec_cases {
-        let table = combinat::BinomialTable::shared(512);
-        let value = table
-            .binomial(n, k)
-            .checked_sub(&combinat::BigUint::from_u64(123))
-            .unwrap();
-        let iters = 200_000u32;
-
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(encode_biguint_baseline(&table, n, k, &value));
-        }
-        let baseline_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-
-        let mut scratch = combinat::EncodeScratch::new();
-        let mut out = Vec::with_capacity(n);
-        let t1 = Instant::now();
-        for _ in 0..iters {
-            out.clear();
-            combinat::encode_codeword_into(&table, n, k, &value, &mut scratch, &mut out).unwrap();
-            std::hint::black_box(out.len());
-        }
-        let scratch_ns = t1.elapsed().as_nanos() as f64 / iters as f64;
-
-        let ratio = baseline_ns / scratch_ns.max(1e-9);
-        println!(
-            "codec encode N={n:3} K={k:3}: baseline {baseline_ns:7.1} ns  \
-             scratch {scratch_ns:7.1} ns  ({ratio:.1}x fewer ns/symbol)"
-        );
-        codec.push(Json::inline_obj([
-            ("n", Json::from(n)),
-            ("k", Json::from(k)),
-            ("baseline_ns", Json::fixed(baseline_ns, 1)),
-            ("scratch_ns", Json::fixed(scratch_ns, 1)),
-            ("ratio", Json::fixed(ratio, 2)),
-        ]));
-    }
     let json = Json::obj([
         ("figures", Json::arr(figures)),
-        ("codec_ns_per_symbol", Json::arr(codec)),
         ("rx_ns_per_slot", rx_hot_path_section()),
     ]);
 

@@ -40,13 +40,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod process;
 pub mod rng;
 pub mod scheduler;
 pub mod time;
 mod ziggurat;
 
-pub use process::{Component, StepOutcome};
 pub use rng::DetRng;
 pub use scheduler::{EventHandle, Scheduler};
 pub use time::{Frequency, SimDuration, SimTime};

@@ -393,23 +393,6 @@ fn compensation_plan(
     ((c.round() as usize).clamp(1, cap), state)
 }
 
-/// Emit a frame with a one-off codec (convenience for tests and examples).
-pub fn emit_frame(frame: &Frame, cfg: &SystemConfig) -> Result<Vec<bool>, FrameCodecError> {
-    FrameCodec::new(cfg.clone())
-        .map_err(FrameCodecError::Plan)?
-        .emit(frame)
-}
-
-/// Parse a frame with a one-off codec (convenience for tests and examples).
-pub fn parse_frame(
-    slots: &[bool],
-    cfg: &SystemConfig,
-) -> Result<(Frame, FrameStats), FrameCodecError> {
-    FrameCodec::new(cfg.clone())
-        .map_err(FrameCodecError::Plan)?
-        .parse(slots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,16 +637,6 @@ mod tests {
         let (back, stats) = c.parse(&slots).unwrap();
         assert!(stats.crc_ok);
         assert_eq!(back.payload, Vec::<u8>::new());
-    }
-
-    #[test]
-    fn oneshot_helpers_work() {
-        let cfg = SystemConfig::default();
-        let frame = amppm_frame(0.4, 32);
-        let slots = emit_frame(&frame, &cfg).unwrap();
-        let (back, stats) = parse_frame(&slots, &cfg).unwrap();
-        assert!(stats.crc_ok);
-        assert_eq!(back, frame);
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub mod codec;
 pub mod crc;
 pub mod format;
 
-pub use codec::{emit_frame, parse_frame, FrameCodecError, FrameStats};
+pub use codec::{FrameCodecError, FrameStats};
 pub use crc::crc16_ccitt;
 pub use format::{FecMode, Frame, FrameHeader, PatternDescriptor};

@@ -637,9 +637,9 @@ fn axis_range(center: f64, r: f64, pitch: f64, n: usize) -> (usize, usize) {
 
 /// The event-core implementation behind [`super::run_cell`].
 pub(crate) fn run_cell_event(cfg: &CellConfig, seed: u64) -> CellReport {
-    assert!(cfg.n_cells() >= 1, "need at least one luminaire");
-    assert!(cfg.n_users >= 1, "need at least one user");
-    assert!(cfg.tick_s > 0.0 && cfg.ticks > 0, "need a positive horizon");
+    if let Err(err) = cfg.validate() {
+        panic!("invalid CellConfig: {err}");
+    }
     obs::counter_add(obs::key!("sim.cell.runs"), 1);
 
     let parts = sim_parts(cfg, seed);

@@ -444,6 +444,14 @@ pub fn jain_index(goodputs: &[f64]) -> f64 {
 /// every user's walk derive from keyed forks of `seed`.
 ///
 /// Executes on the [`desim::Scheduler`] event core ([`event`]).
+///
+/// # Panics
+///
+/// If `cfg` fails the checks [`CellScenarioBuilder::build`] makes, with
+/// the [`ScenarioError`] it would return.
+///
+/// [`CellScenarioBuilder::build`]: crate::scenario::CellScenarioBuilder::build
+/// [`ScenarioError`]: crate::scenario::ScenarioError
 pub fn run_cell(cfg: &CellConfig, seed: u64) -> CellReport {
     event::run_cell_event(cfg, seed)
 }

@@ -235,20 +235,12 @@ fn run_once(seed: u64, plan: FaultPlan, fec: FecMode) -> LinkReport {
     })
 }
 
-/// Run one scenario replicate: faulted + control, both from `seed`.
-///
-/// This is the ARQ-only (FEC off) battery — the legacy report, preserved
-/// bit-for-bit. For the coded leg see [`run_chaos_scenario_fec`].
-pub fn run_chaos_scenario(scenario: &ChaosScenario, seed: u64) -> ChaosOutcome {
-    run_chaos_scenario_fec(scenario, seed, FecMode::Off)
-}
-
-/// Run one scenario replicate with a nominal outer-code profile. Both the
-/// faulted run and its same-seed control carry the *same* `fec`, so
-/// "goodput retained" still compares a link to its own unperturbed twin:
-/// the parity airtime tax cancels out and the ratio isolates what the
-/// faults destroyed.
-pub fn run_chaos_scenario_fec(scenario: &ChaosScenario, seed: u64, fec: FecMode) -> ChaosOutcome {
+/// Run one scenario replicate at one FEC mode: faulted + control, both
+/// from `seed`. `FecMode::Off` is the ARQ-only battery. Both runs carry
+/// the *same* `fec`, so "goodput retained" still compares a link to its
+/// own unperturbed twin: the parity airtime tax cancels out and the
+/// ratio isolates what the faults destroyed.
+pub fn run_chaos_scenario(scenario: &ChaosScenario, seed: u64, fec: FecMode) -> ChaosOutcome {
     obs::counter_add(obs::key!("sim.chaos.replicates"), 1);
     let faulted = run_once(seed, scenario.plan(), fec);
     let control = run_once(seed, FaultPlan::default(), fec);
@@ -302,23 +294,6 @@ pub struct ChaosSummary {
     pub mean_fec_overhead: f64,
     /// The raw per-replicate outcomes (replicate order).
     pub outcomes: Vec<ChaosOutcome>,
-}
-
-/// Run the whole battery: `replicates` seeds per scenario, fanned out on
-/// the deterministic runner.
-pub fn run_chaos_suite(replicates: usize, base_seed: u64) -> Vec<ChaosSummary> {
-    let scenarios = chaos_scenarios();
-    let grouped = par_sweep(
-        &scenarios,
-        replicates,
-        base_seed,
-        |sc: &ChaosScenario, id: TaskId| run_chaos_scenario(sc, id.seed),
-    );
-    scenarios
-        .into_iter()
-        .zip(grouped)
-        .map(|(sc, outcomes)| summarize_scenario(sc, outcomes))
-        .collect()
 }
 
 fn summarize_scenario(sc: ChaosScenario, outcomes: Vec<ChaosOutcome>) -> ChaosSummary {
@@ -375,7 +350,7 @@ fn summarize_scenario(sc: ChaosScenario, outcomes: Vec<ChaosOutcome>) -> ChaosSu
 /// One scenario's ARQ-only and FEC-on summaries, same seeds.
 #[derive(Clone, Debug)]
 pub struct ChaosFecComparison {
-    /// The ARQ-only leg (identical to [`run_chaos_suite`]'s summary).
+    /// The ARQ-only leg (`FecMode::Off`).
     pub off: ChaosSummary,
     /// The coded leg at [`CHAOS_FEC_NOMINAL`], same seeds.
     pub on: ChaosSummary,
@@ -388,12 +363,13 @@ impl ChaosFecComparison {
     }
 }
 
-/// Run the whole battery twice per seed — FEC off and FEC on — so every
-/// scenario reports what the outer code buys under identical faults.
+/// Run the whole battery, `replicates` seeds per scenario fanned out on
+/// the deterministic runner, twice per seed — FEC off and FEC on — so
+/// every scenario reports what the outer code buys under identical
+/// faults.
 ///
-/// The off leg of each task is byte-identical to [`run_chaos_suite`] at
-/// the same `(replicates, base_seed)`: the seed derivation is shared and
-/// the extra coded run draws from its own simulation RNG.
+/// Each leg's outcome is exactly a [`run_chaos_scenario`] call at the
+/// task's seed: the coded run draws from its own simulation RNG.
 pub fn run_chaos_suite_fec(replicates: usize, base_seed: u64) -> Vec<ChaosFecComparison> {
     let scenarios = chaos_scenarios();
     let grouped = par_sweep(
@@ -402,8 +378,8 @@ pub fn run_chaos_suite_fec(replicates: usize, base_seed: u64) -> Vec<ChaosFecCom
         base_seed,
         |sc: &ChaosScenario, id: TaskId| {
             (
-                run_chaos_scenario_fec(sc, id.seed, FecMode::Off),
-                run_chaos_scenario_fec(sc, id.seed, CHAOS_FEC_NOMINAL),
+                run_chaos_scenario(sc, id.seed, FecMode::Off),
+                run_chaos_scenario(sc, id.seed, CHAOS_FEC_NOMINAL),
             )
         },
     );
@@ -423,6 +399,7 @@ pub fn run_chaos_suite_fec(replicates: usize, base_seed: u64) -> Vec<ChaosFecCom
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::task_seed;
 
     #[test]
     fn scenario_plans_are_valid_and_nonempty() {
@@ -443,7 +420,7 @@ mod tests {
     fn ambient_spike_retains_half_goodput() {
         // The acceptance bar for the standard scenario: ≥ 50% of the
         // fault-free goodput survives the spikes.
-        let o = run_chaos_scenario(&chaos_scenarios()[0], 42);
+        let o = run_chaos_scenario(&chaos_scenarios()[0], 42, FecMode::Off);
         assert!(o.baseline_goodput_bps > 0.0, "{o:?}");
         assert!(o.goodput_retained >= 0.5, "{o:?}");
     }
@@ -451,7 +428,7 @@ mod tests {
     #[test]
     fn occlusion_recovers_within_bound() {
         let sc = &chaos_scenarios()[1];
-        let o = run_chaos_scenario(sc, 7);
+        let o = run_chaos_scenario(sc, 7, FecMode::Off);
         // The link must come back after the blockage clears, within a
         // bounded interval (a second of wall clock ≈ a handful of frames).
         let resync = o.recovery.resync_time_s.expect("link never recovered");
@@ -462,7 +439,7 @@ mod tests {
     #[test]
     fn slip_storm_recovers_within_bound() {
         let sc = &chaos_scenarios()[3];
-        let o = run_chaos_scenario(sc, 11);
+        let o = run_chaos_scenario(sc, 11, FecMode::Off);
         let resync = o.recovery.resync_time_s.expect("link never recovered");
         assert!(resync <= 1.0, "resync took {resync} s: {o:?}");
     }
@@ -473,7 +450,7 @@ mod tests {
         // fails this test. Each scenario must also still deliver
         // *something* — the link degrades, it does not die.
         for sc in chaos_scenarios() {
-            let o = run_chaos_scenario(&sc, 3);
+            let o = run_chaos_scenario(&sc, 3, FecMode::Off);
             assert!(
                 o.goodput_bps > 0.0,
                 "{}: link died entirely: {o:?}",
@@ -489,8 +466,8 @@ mod tests {
         // the gap between ARQ-only and the fault-free control.
         let sc = &chaos_scenarios()[1];
         for seed in [7u64, 42] {
-            let off = run_chaos_scenario_fec(sc, seed, FecMode::Off);
-            let on = run_chaos_scenario_fec(sc, seed, CHAOS_FEC_NOMINAL);
+            let off = run_chaos_scenario(sc, seed, FecMode::Off);
+            let on = run_chaos_scenario(sc, seed, CHAOS_FEC_NOMINAL);
             let gate = (off.goodput_retained + 1.0) / 2.0;
             assert!(
                 on.goodput_retained >= gate,
@@ -510,8 +487,8 @@ mod tests {
         let scs = chaos_scenarios();
         let sc = scs.last().expect("battery is nonempty");
         assert_eq!(sc.name, "deep_fade", "deep_fade must stay appended last");
-        let off = run_chaos_scenario_fec(sc, 3, FecMode::Off);
-        let on = run_chaos_scenario_fec(sc, 3, CHAOS_FEC_NOMINAL);
+        let off = run_chaos_scenario(sc, 3, FecMode::Off);
+        let on = run_chaos_scenario(sc, 3, CHAOS_FEC_NOMINAL);
         // ARQ-only collapses: the fade eats more than a third of the
         // fault-free goodput despite unlimited round trips.
         assert!(
@@ -542,27 +519,29 @@ mod tests {
             assert_eq!(c.off.fec_decode_failures, 0, "{}", c.off.name);
             assert_eq!(c.off.mean_fec_overhead, 0.0, "{}", c.off.name);
         }
-        // And the off leg is exactly what the legacy suite reports.
-        let legacy = run_chaos_suite(1, 9);
-        for (c, l) in cmp.iter().zip(&legacy) {
-            assert_eq!(c.off.mean_goodput_retained, l.mean_goodput_retained);
-            assert_eq!(c.off.mean_goodput_bps, l.mean_goodput_bps);
+        // And the off leg is exactly the ARQ-only run at each task seed.
+        for (point, (c, sc)) in cmp.iter().zip(chaos_scenarios()).enumerate() {
+            let direct = run_chaos_scenario(&sc, task_seed(9, point as u64), FecMode::Off);
+            let off = &c.off.outcomes[0];
+            assert_eq!(off.goodput_bps, direct.goodput_bps, "{}", sc.name);
+            assert_eq!(off.goodput_retained, direct.goodput_retained, "{}", sc.name);
+            assert_eq!(off.recovery, direct.recovery, "{}", sc.name);
         }
     }
 
     #[test]
     fn fec_runs_are_deterministic_per_seed() {
         let sc = &chaos_scenarios()[1];
-        let a = run_chaos_scenario_fec(sc, 5, CHAOS_FEC_NOMINAL);
-        let b = run_chaos_scenario_fec(sc, 5, CHAOS_FEC_NOMINAL);
+        let a = run_chaos_scenario(sc, 5, CHAOS_FEC_NOMINAL);
+        let b = run_chaos_scenario(sc, 5, CHAOS_FEC_NOMINAL);
         assert_eq!(a.goodput_bps, b.goodput_bps);
         assert_eq!(a.recovery, b.recovery);
     }
 
     #[test]
     fn suite_is_deterministic_per_seed() {
-        let a = run_chaos_scenario(&chaos_scenarios()[4], 5);
-        let b = run_chaos_scenario(&chaos_scenarios()[4], 5);
+        let a = run_chaos_scenario(&chaos_scenarios()[4], 5, FecMode::Off);
+        let b = run_chaos_scenario(&chaos_scenarios()[4], 5, FecMode::Off);
         assert_eq!(a.goodput_bps, b.goodput_bps);
         assert_eq!(a.recovery, b.recovery);
     }

@@ -88,9 +88,8 @@ pub use cell::{
     PolicyScenario, ScalePoint, SchedulerSpec,
 };
 pub use chaos::{
-    chaos_scenarios, run_chaos_scenario, run_chaos_scenario_fec, run_chaos_suite,
-    run_chaos_suite_fec, ChaosFecComparison, ChaosOutcome, ChaosScenario, ChaosSummary,
-    CHAOS_FEC_NOMINAL,
+    chaos_scenarios, run_chaos_scenario, run_chaos_suite_fec, ChaosFecComparison, ChaosOutcome,
+    ChaosScenario, ChaosSummary, CHAOS_FEC_NOMINAL,
 };
 pub use daylong::{run_day, DayReport};
 pub use dynamic_run::{run_dynamic, DynamicOutcome};
@@ -101,14 +100,10 @@ pub use net_suite::{
 };
 pub use perception::{StudyCondition, UserStudy, Viewing};
 pub use runner::{
-    par_map, par_sweep, par_sweep_summaries, parse_thread_count, task_rng, task_seed, with_threads,
-    TaskId,
+    par_map, par_sweep, parse_thread_count, task_rng, task_seed, with_threads, TaskId,
 };
 pub use scenario::{CellScenarioBuilder, ChaosScenarioBuilder, NetScenarioBuilder, ScenarioError};
-pub use static_run::{
-    run_distance_matrix, run_distance_sweep, run_incidence_matrix, run_incidence_sweep,
-    run_scheme_comparison, run_scheme_matrix, StaticPoint,
-};
+pub use static_run::{run_distance_matrix, run_incidence_matrix, run_scheme_matrix, StaticPoint};
 pub use stats_util::{
     percentiles, summarize, try_percentile, try_percentiles, try_summarize, Percentiles, Summary,
 };

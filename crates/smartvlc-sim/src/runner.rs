@@ -36,7 +36,6 @@
 //! the machine's available parallelism) and runs its `main` under
 //! [`with_threads`].
 
-use crate::stats_util::{try_summarize, Summary};
 use desim::DetRng;
 use smartvlc_obs as obs;
 use std::cell::Cell;
@@ -236,24 +235,6 @@ where
     grouped
 }
 
-/// [`par_sweep`] for scalar measurements: returns a per-point
-/// mean ± CI [`Summary`] over the replicates.
-pub fn par_sweep_summaries<P, F>(
-    points: &[P],
-    replicates: usize,
-    base_seed: u64,
-    f: F,
-) -> Vec<Summary>
-where
-    P: Sync,
-    F: Fn(&P, TaskId) -> f64 + Sync,
-{
-    par_sweep(points, replicates, base_seed, f)
-        .iter()
-        .map(|samples| try_summarize(samples).expect("replicates >= 1"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,16 +302,6 @@ mod tests {
         assert_eq!(grouped.len(), 3);
         assert_eq!(grouped[0], vec![10.0, 11.0, 12.0]);
         assert_eq!(grouped[2], vec![30.0, 31.0, 32.0]);
-    }
-
-    #[test]
-    fn par_sweep_summaries_aggregate() {
-        let points = [100.0f64, 200.0];
-        let sums = par_sweep_summaries(&points, 4, 9, |&p, id| p + id.replicate as f64);
-        assert_eq!(sums.len(), 2);
-        assert_eq!(sums[0].n, 4);
-        assert!((sums[0].mean - 101.5).abs() < 1e-12);
-        assert!((sums[1].mean - 201.5).abs() < 1e-12);
     }
 
     #[test]

@@ -110,6 +110,80 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+impl CellConfig {
+    /// The checks [`CellScenarioBuilder::build`] makes, also run by
+    /// [`crate::cell::run_cell`] on a config built by hand.
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
+        if self.nx == 0 || self.ny == 0 {
+            return Err(ScenarioError::InvalidGrid {
+                nx: self.nx,
+                ny: self.ny,
+            });
+        }
+        if self.n_users == 0 {
+            return Err(ScenarioError::NoUsers);
+        }
+        if self.ticks == 0 {
+            return Err(ScenarioError::EmptyHorizon);
+        }
+        if !(self.tick_s.is_finite() && self.tick_s > 0.0) {
+            return Err(ScenarioError::InvalidTick {
+                tick_s: self.tick_s,
+            });
+        }
+        if !(self.pitch_m.is_finite() && self.pitch_m > 0.0) {
+            return Err(ScenarioError::InvalidPitch {
+                pitch_m: self.pitch_m,
+            });
+        }
+        let optics = &self.optics;
+        // The cosine check catches semi-angles so small that cos rounds
+        // to 1, where the Lambertian mode number is undefined.
+        let semi = optics.semi_angle_deg;
+        if !(semi > 0.0 && semi < 90.0 && semi.to_radians().cos() < 1.0) {
+            return Err(ScenarioError::InvalidOptics {
+                reason: "luminaire semi-angle must be in (0°, 90°)",
+            });
+        }
+        if !(optics.rx_fov_deg > 0.0 && optics.rx_fov_deg <= 90.0) {
+            return Err(ScenarioError::InvalidOptics {
+                reason: "receiver FoV must be finite and in (0°, 90°]",
+            });
+        }
+        if !(optics.tx_optical_w.is_finite() && optics.tx_optical_w > 0.0) {
+            return Err(ScenarioError::InvalidOptics {
+                reason: "luminaire optical power must be finite and positive",
+            });
+        }
+        match self.scheduler {
+            SchedulerSpec::EqualShare => {}
+            SchedulerSpec::ProportionalFair {
+                ewma_ticks,
+                fairness_exp,
+            } => {
+                if ewma_ticks == 0 {
+                    return Err(ScenarioError::InvalidScheduler {
+                        reason: "proportional-fair EWMA window must be at least 1 tick",
+                    });
+                }
+                if !(fairness_exp.is_finite() && fairness_exp >= 0.0) {
+                    return Err(ScenarioError::InvalidScheduler {
+                        reason: "proportional-fair fairness exponent must be finite and >= 0",
+                    });
+                }
+            }
+            SchedulerSpec::CoordinatedEdge { sinr_margin_db, .. } => {
+                if !sinr_margin_db.is_finite() {
+                    return Err(ScenarioError::InvalidScheduler {
+                        reason: "coordinated-edge SINR margin must be finite",
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Builder for one point of the cell battery: a grid of luminaires, a
 /// user population, and the knobs that shape the run.
 ///
@@ -205,70 +279,7 @@ impl CellScenarioBuilder {
     /// Validate and assemble the scenario.
     pub fn build(self) -> Result<CellScenario, ScenarioError> {
         let cfg = self.cfg;
-        if cfg.nx == 0 || cfg.ny == 0 {
-            return Err(ScenarioError::InvalidGrid {
-                nx: cfg.nx,
-                ny: cfg.ny,
-            });
-        }
-        if cfg.n_users == 0 {
-            return Err(ScenarioError::NoUsers);
-        }
-        if cfg.ticks == 0 {
-            return Err(ScenarioError::EmptyHorizon);
-        }
-        if !(cfg.tick_s.is_finite() && cfg.tick_s > 0.0) {
-            return Err(ScenarioError::InvalidTick { tick_s: cfg.tick_s });
-        }
-        if !(cfg.pitch_m.is_finite() && cfg.pitch_m > 0.0) {
-            return Err(ScenarioError::InvalidPitch {
-                pitch_m: cfg.pitch_m,
-            });
-        }
-        let optics = &cfg.optics;
-        // The cosine check catches semi-angles so small that cos rounds
-        // to 1, where the Lambertian mode number is undefined.
-        let semi = optics.semi_angle_deg;
-        if !(semi > 0.0 && semi < 90.0 && semi.to_radians().cos() < 1.0) {
-            return Err(ScenarioError::InvalidOptics {
-                reason: "luminaire semi-angle must be in (0°, 90°)",
-            });
-        }
-        if !(optics.rx_fov_deg > 0.0 && optics.rx_fov_deg <= 90.0) {
-            return Err(ScenarioError::InvalidOptics {
-                reason: "receiver FoV must be finite and in (0°, 90°]",
-            });
-        }
-        if !(optics.tx_optical_w.is_finite() && optics.tx_optical_w > 0.0) {
-            return Err(ScenarioError::InvalidOptics {
-                reason: "luminaire optical power must be finite and positive",
-            });
-        }
-        match cfg.scheduler {
-            SchedulerSpec::EqualShare => {}
-            SchedulerSpec::ProportionalFair {
-                ewma_ticks,
-                fairness_exp,
-            } => {
-                if ewma_ticks == 0 {
-                    return Err(ScenarioError::InvalidScheduler {
-                        reason: "proportional-fair EWMA window must be at least 1 tick",
-                    });
-                }
-                if !(fairness_exp.is_finite() && fairness_exp >= 0.0) {
-                    return Err(ScenarioError::InvalidScheduler {
-                        reason: "proportional-fair fairness exponent must be finite and >= 0",
-                    });
-                }
-            }
-            SchedulerSpec::CoordinatedEdge { sinr_margin_db, .. } => {
-                if !sinr_margin_db.is_finite() {
-                    return Err(ScenarioError::InvalidScheduler {
-                        reason: "coordinated-edge SINR margin must be finite",
-                    });
-                }
-            }
-        }
+        cfg.validate()?;
         let name = match self.name {
             Some(n) if n.is_empty() => return Err(ScenarioError::EmptyName),
             Some(n) => n,
@@ -521,6 +532,34 @@ mod tests {
             );
         }
         assert!(build_with_optics(|o| o.tx_optical_w = 1e-3).is_ok());
+    }
+
+    #[test]
+    fn run_cell_panics_with_the_builders_error_on_an_invalid_config() {
+        // A config built by hand skips the builder; `run_cell` must refuse
+        // it with the builder's error instead of running on it.
+        let cases: [fn(&mut CellConfig); 6] = [
+            |c| c.optics.rx_fov_deg = 0.0,
+            |c| c.optics.tx_optical_w = f64::NAN,
+            |c| c.optics.tx_optical_w = -1.0,
+            |c| c.pitch_m = 0.0,
+            |c| c.tick_s = f64::INFINITY,
+            |c| c.pitch_m = f64::NAN,
+        ];
+        for set in cases {
+            let want = CellScenarioBuilder::new()
+                .configure(set)
+                .build()
+                .unwrap_err();
+            let mut cfg = CellConfig::standard(2, 2, 2);
+            set(&mut cfg);
+            let panic = std::panic::catch_unwind(|| crate::cell::run_cell(&cfg, 1))
+                .expect_err("run_cell must reject what the builder rejects");
+            let msg = panic
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert_eq!(*msg, format!("invalid CellConfig: {want}"));
+        }
     }
 
     #[test]

@@ -58,87 +58,48 @@ fn run_point(mut cfg: LinkConfig, level: f64) -> StaticPoint {
     }
 }
 
-/// Fig. 15: goodput of a scheme across dimming levels at 3 m.
-///
-/// `levels` is typically the paper's 17 levels `0.10, 0.15, ..., 0.90`.
-pub fn run_scheme_comparison(
-    scheme: SchemeKind,
-    levels: &[f64],
-    duration: SimDuration,
-    seed: u64,
-) -> Vec<StaticPoint> {
-    par_map(levels, |_, &l| {
-        let mut cfg = LinkConfig::paper_static(3.0, scheme, seed);
-        cfg.duration = duration;
-        run_point(cfg, l)
-    })
-}
-
-/// Fig. 16: goodput vs distance at fixed dimming levels.
-pub fn run_distance_sweep(
-    scheme: SchemeKind,
-    level: f64,
-    distances_m: &[f64],
-    duration: SimDuration,
-    seed: u64,
-) -> Vec<StaticPoint> {
-    par_map(distances_m, |_, &d| {
-        let mut cfg = LinkConfig::paper_static(d, scheme, seed);
-        cfg.duration = duration;
-        run_point(cfg, level)
-    })
-}
-
-/// Fig. 17: goodput vs incidence angle at a fixed distance.
-pub fn run_incidence_sweep(
-    scheme: SchemeKind,
-    level: f64,
-    distance_m: f64,
-    angles_deg: &[f64],
-    duration: SimDuration,
-    seed: u64,
-) -> Vec<StaticPoint> {
-    par_map(angles_deg, |_, &a| {
-        let mut cfg = LinkConfig::paper_static(distance_m, scheme, seed);
-        cfg.channel.geometry.off_axis_deg = a;
-        cfg.duration = duration;
-        run_point(cfg, level)
-    })
-}
-
 /// The paper's 17 evaluation dimming levels: 0.10, 0.15, ..., 0.90.
 pub fn paper_levels() -> Vec<f64> {
     (2..=18).map(|i| i as f64 / 20.0).collect()
 }
 
-/// Fig. 15 as one flat fan-out: every `(scheme × level)` cell is an
-/// independent task on the pool, so a 3-scheme × 17-level figure keeps
-/// all workers busy instead of parallelizing one scheme at a time.
-/// Returns one sweep per scheme, in scheme order — cell values are
-/// identical to per-scheme [`run_scheme_comparison`] calls.
+/// Fans a `rows × cols` grid out as one flat batch, so a multi-series
+/// figure keeps every worker busy across series boundaries, and regroups
+/// the cells into one sweep per row. `point` gives a cell's link config
+/// and dimming level.
+fn run_grid<R: Sync, C: Sync>(
+    rows: &[R],
+    cols: &[C],
+    duration: SimDuration,
+    point: impl Fn(&R, &C) -> (LinkConfig, f64) + Sync,
+) -> Vec<Vec<StaticPoint>> {
+    let cells: Vec<(&R, &C)> = rows
+        .iter()
+        .flat_map(|r| cols.iter().map(move |c| (r, c)))
+        .collect();
+    let flat = par_map(&cells, |_, &(r, c)| {
+        let (mut cfg, level) = point(r, c);
+        cfg.duration = duration;
+        run_point(cfg, level)
+    });
+    flat.chunks(cols.len().max(1)).map(<[_]>::to_vec).collect()
+}
+
+/// Fig. 15: goodput of each scheme across dimming levels at 3 m, one
+/// sweep per scheme in scheme order. `levels` is typically the paper's
+/// 17 levels `0.10, 0.15, ..., 0.90` ([`paper_levels`]).
 pub fn run_scheme_matrix(
     schemes: &[SchemeKind],
     levels: &[f64],
     duration: SimDuration,
     seed: u64,
 ) -> Vec<Vec<StaticPoint>> {
-    let cells: Vec<(SchemeKind, f64)> = schemes
-        .iter()
-        .flat_map(|&s| levels.iter().map(move |&l| (s, l)))
-        .collect();
-    let flat = par_map(&cells, |_, &(scheme, l)| {
-        let mut cfg = LinkConfig::paper_static(3.0, scheme, seed);
-        cfg.duration = duration;
-        run_point(cfg, l)
-    });
-    flat.chunks(levels.len().max(1))
-        .map(<[_]>::to_vec)
-        .collect()
+    run_grid(schemes, levels, duration, |&scheme, &l| {
+        (LinkConfig::paper_static(3.0, scheme, seed), l)
+    })
 }
 
-/// Fig. 16 as one flat fan-out over `(level × distance)` cells; returns
-/// one distance sweep per level, matching per-level
-/// [`run_distance_sweep`] calls cell for cell.
+/// Fig. 16: goodput vs distance, one distance sweep per dimming level.
 pub fn run_distance_matrix(
     scheme: SchemeKind,
     levels: &[f64],
@@ -146,23 +107,13 @@ pub fn run_distance_matrix(
     duration: SimDuration,
     seed: u64,
 ) -> Vec<Vec<StaticPoint>> {
-    let cells: Vec<(f64, f64)> = levels
-        .iter()
-        .flat_map(|&l| distances_m.iter().map(move |&d| (l, d)))
-        .collect();
-    let flat = par_map(&cells, |_, &(l, d)| {
-        let mut cfg = LinkConfig::paper_static(d, scheme, seed);
-        cfg.duration = duration;
-        run_point(cfg, l)
-    });
-    flat.chunks(distances_m.len().max(1))
-        .map(<[_]>::to_vec)
-        .collect()
+    run_grid(levels, distances_m, duration, |&l, &d| {
+        (LinkConfig::paper_static(d, scheme, seed), l)
+    })
 }
 
-/// Fig. 17 as one flat fan-out over `(distance × angle)` cells; returns
-/// one angle sweep per distance, matching per-distance
-/// [`run_incidence_sweep`] calls cell for cell.
+/// Fig. 17: goodput vs incidence angle at a fixed dimming level, one
+/// angle sweep per distance.
 pub fn run_incidence_matrix(
     scheme: SchemeKind,
     level: f64,
@@ -171,19 +122,11 @@ pub fn run_incidence_matrix(
     duration: SimDuration,
     seed: u64,
 ) -> Vec<Vec<StaticPoint>> {
-    let cells: Vec<(f64, f64)> = distances_m
-        .iter()
-        .flat_map(|&d| angles_deg.iter().map(move |&a| (d, a)))
-        .collect();
-    let flat = par_map(&cells, |_, &(d, a)| {
+    run_grid(distances_m, angles_deg, duration, |&d, &a| {
         let mut cfg = LinkConfig::paper_static(d, scheme, seed);
         cfg.channel.geometry.off_axis_deg = a;
-        cfg.duration = duration;
-        run_point(cfg, level)
-    });
-    flat.chunks(angles_deg.len().max(1))
-        .map(<[_]>::to_vec)
-        .collect()
+        (cfg, level)
+    })
 }
 
 #[cfg(test)]
@@ -205,9 +148,10 @@ mod tests {
     #[test]
     fn fig15_shape_holds_on_spot_checks() {
         // AMPPM >= MPPM at an extreme level; OOK-CT wins slightly at 0.5.
-        let amppm = run_scheme_comparison(SchemeKind::Amppm, &[0.15, 0.5], short(), 1);
-        let mppm = run_scheme_comparison(SchemeKind::Mppm(20), &[0.15, 0.5], short(), 1);
-        let ook = run_scheme_comparison(SchemeKind::OokCt, &[0.15, 0.5], short(), 1);
+        let schemes = [SchemeKind::Amppm, SchemeKind::Mppm(20), SchemeKind::OokCt];
+        let [amppm, mppm, ook] = run_scheme_matrix(&schemes, &[0.15, 0.5], short(), 1)
+            .try_into()
+            .expect("one sweep per scheme");
         assert!(
             amppm[0].goodput_bps > mppm[0].goodput_bps,
             "amppm={} mppm={}",
@@ -230,7 +174,7 @@ mod tests {
 
     #[test]
     fn fig16_cliff_is_present() {
-        let pts = run_distance_sweep(SchemeKind::Amppm, 0.5, &[2.0, 3.0, 4.5], short(), 2);
+        let pts = &run_distance_matrix(SchemeKind::Amppm, &[0.5], &[2.0, 3.0, 4.5], short(), 2)[0];
         // Flat region then collapse.
         assert!(pts[1].goodput_bps > 0.85 * pts[0].goodput_bps, "{pts:?}");
         assert!(pts[2].goodput_bps < 0.2 * pts[0].goodput_bps, "{pts:?}");
@@ -238,8 +182,16 @@ mod tests {
 
     #[test]
     fn fig17_longer_distance_cuts_off_earlier() {
-        let near = run_incidence_sweep(SchemeKind::Amppm, 0.5, 1.3, &[0.0, 16.0], short(), 3);
-        let far = run_incidence_sweep(SchemeKind::Amppm, 0.5, 3.3, &[0.0, 16.0], short(), 3);
+        let [near, far] = run_incidence_matrix(
+            SchemeKind::Amppm,
+            0.5,
+            &[1.3, 3.3],
+            &[0.0, 16.0],
+            short(),
+            3,
+        )
+        .try_into()
+        .expect("one sweep per distance");
         // At 1.3 m the link holds through 16 degrees...
         assert!(near[1].goodput_bps > 0.8 * near[0].goodput_bps, "{near:?}");
         // ...at 3.3 m it is essentially gone there.
@@ -249,7 +201,7 @@ mod tests {
     #[test]
     fn run_point_realizes_the_requested_level() {
         // The set-point arithmetic must land the LED on the asked level.
-        let pts = run_scheme_comparison(SchemeKind::Amppm, &[0.3], short(), 9);
+        let pts = &run_scheme_matrix(&[SchemeKind::Amppm], &[0.3], short(), 9)[0];
         assert_eq!(pts[0].dimming, 0.3);
         assert!(pts[0].goodput_bps > 0.0);
     }

@@ -220,13 +220,13 @@ mod tests {
     fn multi_seed_fig15_separation() {
         // The reproduced headline survives replication: AMPPM and OOK-CT
         // at l = 0.2 separate beyond their CIs across five seeds.
-        use crate::static_run::run_scheme_comparison;
+        use crate::static_run::run_scheme_matrix;
         use desim::SimDuration;
         use smartvlc_link::SchemeKind;
         let dur = SimDuration::millis(400);
         let collect = |scheme| -> Vec<f64> {
             (0..5)
-                .map(|seed| run_scheme_comparison(scheme, &[0.2], dur, 100 + seed)[0].goodput_bps)
+                .map(|seed| run_scheme_matrix(&[scheme], &[0.2], dur, 100 + seed)[0][0].goodput_bps)
                 .collect()
         };
         let amppm = summarize(&collect(SchemeKind::Amppm));

@@ -9,9 +9,13 @@
 
 use desim::SimDuration;
 use proptest::prelude::*;
+use smartvlc_core::frame::FecMode;
 use smartvlc_link::SchemeKind;
 use smartvlc_sim::static_run::{run_distance_matrix, run_scheme_matrix};
-use smartvlc_sim::{par_sweep, run_broadcast, task_rng, with_threads, Seat};
+use smartvlc_sim::{
+    chaos_scenarios, par_sweep, run_broadcast, run_chaos_scenario, task_rng, with_threads,
+    ChaosOutcome, Seat,
+};
 
 /// A sweep result reduced to exact bits, so equality is byte equality.
 fn fingerprint(sweeps: &[Vec<smartvlc_sim::StaticPoint>]) -> Vec<(u64, u64, u64)> {
@@ -114,6 +118,14 @@ fn sweep_replicates_are_bit_identical_across_thread_counts() {
     assert_eq!(run(8), serial);
 }
 
+/// The ARQ-only chaos battery: `replicates` seeds per scenario, grouped
+/// by scenario.
+fn chaos_battery(replicates: usize, base_seed: u64) -> Vec<Vec<ChaosOutcome>> {
+    par_sweep(&chaos_scenarios(), replicates, base_seed, |sc, id| {
+        run_chaos_scenario(sc, id.seed, FecMode::Off)
+    })
+}
+
 #[test]
 fn chaos_suite_is_bit_identical_across_thread_counts() {
     // The chaos battery exercises every self-healing path (sync loss,
@@ -121,10 +133,10 @@ fn chaos_suite_is_bit_identical_across_thread_counts() {
     // dependence in those paths would surface here as diverging bits.
     let run = |n: usize| {
         with_threads(n, || {
-            smartvlc_sim::run_chaos_suite(2, 1234)
+            chaos_battery(2, 1234)
                 .iter()
-                .flat_map(|s| {
-                    s.outcomes.iter().map(|o| {
+                .flat_map(|outcomes| {
+                    outcomes.iter().map(|o| {
                         (
                             o.goodput_bps.to_bits(),
                             o.baseline_goodput_bps.to_bits(),
@@ -153,9 +165,9 @@ fn chaos_telemetry_snapshot_is_byte_identical_across_thread_counts() {
         with_threads(n, || {
             let rec = obs::Recorder::new();
             let out = obs::with_recorder(&rec, || {
-                smartvlc_sim::run_chaos_suite(2, 77)
+                chaos_battery(2, 77)
                     .iter()
-                    .flat_map(|s| s.outcomes.iter().map(|o| o.goodput_bps.to_bits()))
+                    .flat_map(|outcomes| outcomes.iter().map(|o| o.goodput_bps.to_bits()))
                     .collect::<Vec<_>>()
             });
             (out, rec.snapshot())

@@ -143,13 +143,6 @@ impl SlotDetector {
         level_a > self.threshold()
     }
 
-    /// Decide a whole slot-level vector.
-    pub fn decide_all(&self, levels: &[f64]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(levels.len());
-        self.decide_into(levels, &mut out);
-        out
-    }
-
     /// Allocation-free batch decision: clears and fills `out`. The
     /// threshold is computed once per call (not once per slot as
     /// `decide` does) and the comparison loop is branch-free, so the
@@ -233,7 +226,6 @@ mod tests {
         d.decide_into(&levels, &mut out);
         let expected: Vec<bool> = levels.iter().map(|&v| d.decide(v)).collect();
         assert_eq!(out, expected);
-        assert_eq!(out, d.decide_all(&levels));
     }
 
     #[test]
@@ -241,7 +233,9 @@ mod tests {
         let d = SlotDetector::from_levels(1.0, 0.0, 0.1);
         assert!(d.decide(0.9));
         assert!(!d.decide(0.1));
-        assert_eq!(d.decide_all(&[0.9, 0.1, 0.6]), vec![true, false, true]);
+        let mut out = Vec::new();
+        d.decide_into(&[0.9, 0.1, 0.6], &mut out);
+        assert_eq!(out, vec![true, false, true]);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod prelude {
         ChannelFidelity, LinkConfig, LinkSimulation, Receiver, RxEvent, SchemeKind, Transmitter,
     };
     pub use smartvlc_sim::{
-        energy_from_trace, run_broadcast, run_day, run_dynamic, run_scheme_comparison, summarize,
+        energy_from_trace, run_broadcast, run_day, run_dynamic, run_scheme_matrix, summarize,
         UserStudy,
     };
     pub use vlc_channel::ambient::{AmbientProfile, BlindRamp, ConstantAmbient, DiurnalProfile};

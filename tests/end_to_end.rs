@@ -82,7 +82,8 @@ fn sample_level_receive_chain_recovers_frames() {
     let lock = find_slot_phase(&samples, spp, &detector, 20).expect("phase found");
     assert_eq!(lock.phase, 3, "clock offset recovered");
     let levels = decimate(&samples, spp, lock.phase, usize::MAX);
-    let decided = detector.decide_all(&levels);
+    let mut decided = Vec::new();
+    detector.decide_into(&levels, &mut decided);
     let (back, stats) = codec.parse(&decided).unwrap();
     assert!(stats.crc_ok);
     assert_eq!(back.payload, b"sample-level pipeline");

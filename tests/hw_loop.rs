@@ -97,7 +97,8 @@ fn full_prototype_loop_recovers_a_frame() {
     let lock = find_slot_phase(&currents, spp, &detector, 20).expect("phase lock");
     assert_eq!(lock.phase, 2, "clock offset recovered");
     let levels = decimate(&currents, spp, lock.phase, usize::MAX);
-    let decided = detector.decide_all(&levels);
+    let mut decided = Vec::new();
+    detector.decide_into(&levels, &mut decided);
 
     let mut rx = Receiver::new(cfg).unwrap();
     let events = rx.push_slots(&decided);

@@ -8,7 +8,7 @@
 use desim::SimDuration;
 use smartvlc::prelude::*;
 use smartvlc::sim::static_run::paper_levels;
-use smartvlc::sim::{run_distance_sweep, run_dynamic, run_scheme_comparison};
+use smartvlc::sim::{run_distance_matrix, run_dynamic, run_scheme_matrix};
 
 fn dur() -> SimDuration {
     SimDuration::millis(600)
@@ -20,9 +20,10 @@ fn dur() -> SimDuration {
 #[test]
 fn fig15_amppm_dominates_the_baselines() {
     let levels = paper_levels();
-    let amppm = run_scheme_comparison(SchemeKind::Amppm, &levels, dur(), 40);
-    let mppm = run_scheme_comparison(SchemeKind::Mppm(20), &levels, dur(), 40);
-    let ook = run_scheme_comparison(SchemeKind::OokCt, &levels, dur(), 40);
+    let schemes = [SchemeKind::Amppm, SchemeKind::Mppm(20), SchemeKind::OokCt];
+    let [amppm, mppm, ook] = run_scheme_matrix(&schemes, &levels, dur(), 40)
+        .try_into()
+        .expect("one sweep per scheme");
     let mut ook_wins = Vec::new();
     for i in 0..levels.len() {
         assert!(
@@ -52,8 +53,10 @@ fn fig15_amppm_dominates_the_baselines() {
 #[test]
 fn fig15_average_gains_are_positive_and_peak_at_extremes() {
     let levels = paper_levels();
-    let amppm = run_scheme_comparison(SchemeKind::Amppm, &levels, dur(), 41);
-    let ook = run_scheme_comparison(SchemeKind::OokCt, &levels, dur(), 41);
+    let schemes = [SchemeKind::Amppm, SchemeKind::OokCt];
+    let [amppm, ook] = run_scheme_matrix(&schemes, &levels, dur(), 41)
+        .try_into()
+        .expect("one sweep per scheme");
     let sum =
         |pts: &[smartvlc::sim::StaticPoint]| -> f64 { pts.iter().map(|p| p.goodput_bps).sum() };
     assert!(sum(&amppm) > 1.15 * sum(&ook), "average gain under 15%");
@@ -74,8 +77,9 @@ fn fig15_average_gains_are_positive_and_peak_at_extremes() {
 fn fig16_reach_is_3_6m_and_level_independent() {
     let distances = [3.0, 3.5, 4.75];
     let mut reaches = Vec::new();
-    for level in [0.18, 0.5, 0.7] {
-        let pts = run_distance_sweep(SchemeKind::Amppm, level, &distances, dur(), 42);
+    let levels = [0.18, 0.5, 0.7];
+    let sweeps = run_distance_matrix(SchemeKind::Amppm, &levels, &distances, dur(), 42);
+    for (level, pts) in levels.into_iter().zip(sweeps) {
         // Peak held through 3.5 m...
         assert!(
             pts[1].goodput_bps > 0.8 * pts[0].goodput_bps,
