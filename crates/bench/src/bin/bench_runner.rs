@@ -339,7 +339,11 @@ fn main() {
     let tele = Json::obj(timings.iter().map(|t| (t.figure, t.telemetry.json())));
     write_result("TELEMETRY_runner.json", format!("{tele}\n"));
     if threads == 1 {
-        println!("note: this machine exposes 1 CPU; speedups ~1.0x are expected here.");
+        let why = match std::env::var_os("SMARTVLC_THREADS") {
+            Some(_) => "SMARTVLC_THREADS=1 runs the parallel leg on one worker",
+            None => "this machine exposes 1 CPU (available_parallelism)",
+        };
+        println!("note: {why}; speedups ~1.0x are expected here.");
         println!("      The determinism cross-check (identical: true) is the load-bearing result;");
         println!("      scaling shows up on multi-core hosts.");
     }

@@ -11,7 +11,7 @@
 pub use crate::tx::SchemeKind;
 
 use crate::error::LinkError;
-use crate::mac::{AckTracker, MacHeader};
+use crate::mac::{AckTracker, DedupWindow, MacHeader};
 use crate::rx::{Receiver, RxEvent};
 use crate::stats::{LinkStats, ThroughputRecorder};
 use crate::tx::Transmitter;
@@ -364,7 +364,7 @@ impl LinkSimulation {
         let mut recorder = ThroughputRecorder::new(SimDuration::secs(1));
         let mut trace = Vec::new();
         let mut adaptation = Vec::new();
-        let mut delivered_seqs: std::collections::HashSet<u16> = Default::default();
+        let mut delivered = DedupWindow::default();
         let chaos = !self.cfg.faults.is_empty();
         // Recovery clock: the instant the last downlink fault clears.
         let recovery_from = self.cfg.faults.last_downlink_fault_end();
@@ -579,7 +579,7 @@ impl LinkSimulation {
                             // plan may drop, duplicate, or delay — on top
                             // of the channel's own loss and jitter).
                             self.send_ack(rx_done, hdr.seq);
-                            if delivered_seqs.insert(hdr.seq) {
+                            if delivered.insert(hdr.seq) {
                                 stats.payload_bytes_acked += body.len() as u64;
                                 recorder.record(rx_done, body.len() as u64 * 8);
                                 src.on_delivered(rx_done, body);

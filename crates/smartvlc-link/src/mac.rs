@@ -87,6 +87,70 @@ impl TimeoutScan {
     }
 }
 
+/// Sequence numbers a [`DedupWindow`] remembers behind the newest one.
+///
+/// A duplicate reaches the receiver when an ACK is lost or late and the
+/// sender retransmits; by then the sender has moved on by at most the
+/// frames it airs within a frame's retry span. At the default 30 ms ACK
+/// timeout and 3 retries (deadlines T, 2T, 4T, each with up to a quarter
+/// of jitter) that span is under 0.3 s, a few hundred frames even at a
+/// millisecond of airtime each; 8,192 leaves a wide margin and stays
+/// under the 32,768 that serial arithmetic can order.
+pub(crate) const DEDUP_WINDOW: u16 = 8192;
+
+/// The receiver's duplicate filter over 16-bit MAC sequence numbers.
+///
+/// A sliding window anchored at the newest number seen: numbers are
+/// ordered by RFC 1982 serial arithmetic, and one bit per number records
+/// the last [`DEDUP_WINDOW`] of them, in the style of the IPsec
+/// anti-replay window (RFC 4303 §3.4.3). Unlike a set of every number
+/// ever seen, it keeps working after the sequence space wraps. A number
+/// older than the window counts as a duplicate.
+#[derive(Clone, Debug)]
+pub(crate) struct DedupWindow {
+    /// The newest number seen, if any.
+    newest: Option<u16>,
+    /// Bit `seq % DEDUP_WINDOW` is set when `seq` was seen.
+    seen: [u64; DEDUP_WINDOW as usize / 64],
+}
+
+impl Default for DedupWindow {
+    fn default() -> Self {
+        DedupWindow {
+            newest: None,
+            seen: [0; DEDUP_WINDOW as usize / 64],
+        }
+    }
+}
+
+impl DedupWindow {
+    /// Record a delivery of `seq`; `true` when it is the first one.
+    pub(crate) fn insert(&mut self, seq: u16) -> bool {
+        let newest = *self.newest.get_or_insert(seq);
+        let ahead = seq.wrapping_sub(newest);
+        if ahead != 0 && ahead < 0x8000 {
+            // Slide forward, forgetting what the uncovered bits held a
+            // window ago.
+            for n in 1..=ahead.min(DEDUP_WINDOW) {
+                self.flip(newest.wrapping_add(n), false);
+            }
+            self.newest = Some(seq);
+        } else if newest.wrapping_sub(seq) >= DEDUP_WINDOW {
+            return false;
+        }
+        !self.flip(seq, true)
+    }
+
+    /// Set `seq`'s bit to `on`; returns its previous value.
+    fn flip(&mut self, seq: u16, on: bool) -> bool {
+        let bit = seq % DEDUP_WINDOW;
+        let (word, mask) = (&mut self.seen[usize::from(bit / 64)], 1u64 << (bit % 64));
+        let was = *word & mask != 0;
+        *word = if on { *word | mask } else { *word & !mask };
+        was
+    }
+}
+
 /// Transmit-side ARQ bookkeeping.
 pub struct AckTracker {
     timeout: SimDuration,
@@ -316,6 +380,40 @@ impl AckTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dedup_window_credits_each_number_once_across_wraps() {
+        let mut w = DedupWindow::default();
+        // Four passes over the 16-bit space, each number twice in a row
+        // and once more 100 numbers later (a late retransmission).
+        let mut fresh = 0u32;
+        for i in 0..4 * 65_536u32 {
+            let seq = i as u16;
+            fresh += u32::from(w.insert(seq));
+            assert!(!w.insert(seq), "repeat of {seq} at step {i}");
+            if i >= 100 {
+                assert!(!w.insert(seq.wrapping_sub(100)), "late repeat at step {i}");
+            }
+        }
+        assert_eq!(fresh, 4 * 65_536);
+    }
+
+    #[test]
+    fn dedup_window_accepts_out_of_order_numbers_inside_it() {
+        let mut w = DedupWindow::default();
+        assert!(w.insert(10));
+        assert!(w.insert(7), "older but unseen, inside the window");
+        assert!(!w.insert(7));
+        assert!(w.insert(65_530), "16 behind across the wrap");
+        assert!(w.insert(10 + DEDUP_WINDOW - 1));
+        assert!(!w.insert(10), "seen, still inside the window");
+        assert!(w.insert(10 + DEDUP_WINDOW), "the newest");
+        assert!(!w.insert(10), "now older than the window");
+        // A jump of more than a window forgets everything behind it.
+        assert!(w.insert(40_000));
+        assert!(w.insert(40_000 - 3));
+        assert!(!w.insert(40_000 - 3));
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)

@@ -51,8 +51,10 @@ impl ChannelErrorProbs {
 
 /// The Gaussian tail function `Q(x) = P(N(0,1) > x)`.
 ///
-/// Computed via Abramowitz–Stegun 7.1.26 erfc approximation (|ε| < 1.5e-7),
-/// accurate far into the tail for our purposes.
+/// Computed via the Abramowitz–Stegun 7.1.26 erfc approximation
+/// (|ε| < 1.5e-7 on erfc). Against an exact `Q`: absolute error under
+/// 7e-8 everywhere; relative error at most 0.36% for `Q ≥ 1e-9`, growing
+/// into the tail to ~1% near `1e-16` and ~3% near `1e-29`.
 pub fn q_function(x: f64) -> f64 {
     0.5 * erfc(x / core::f64::consts::SQRT_2)
 }

@@ -104,6 +104,21 @@ impl Quantizer {
         // and truncates, which is `floor` for the non-negative range.
         ((i_ac_a * self.codes_per_a + self.bias_codes) as u16).min(self.max_code)
     }
+
+    /// ADC codes per ampere of input current (the LSB's reciprocal).
+    pub(crate) fn codes_per_a(&self) -> f64 {
+        self.codes_per_a
+    }
+
+    /// The code offset of zero input current (the mid-scale bias).
+    pub(crate) fn bias_codes(&self) -> f64 {
+        self.bias_codes
+    }
+
+    /// The top rail, `2^bits − 1`.
+    pub(crate) fn max_code(&self) -> u16 {
+        self.max_code
+    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@
 //! the throughput cliff of Fig. 16.
 
 use crate::ambient::AmbientProfile;
-use crate::detector::{ChannelErrorProbs, SlotDetector};
+use crate::detector::{q_function, ChannelErrorProbs, SlotDetector};
 use crate::faults::ChannelFaultState;
-use crate::frontend::AnalogFrontend;
+use crate::frontend::{AnalogFrontend, Quantizer};
 use crate::led::{LedModel, LedSlotStep};
 use crate::opcache::{CachedOp, OperatingPointCache};
 use crate::optics::LambertianLink;
@@ -24,6 +24,8 @@ use crate::photodiode::{Photodiode, ELECTRON_CHARGE_C};
 use desim::{DetRng, SimTime};
 use smartvlc_obs as obs;
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Number of `u64` words in a [`ChannelConfig::fingerprint`].
 pub const CONFIG_FINGERPRINT_WORDS: usize = 25;
@@ -239,117 +241,349 @@ impl RxScratch {
     }
 }
 
-/// The bytes an [`LedStepMemo`] table may occupy (1,024 entries at the
-/// paper's four samples per slot).
-const LED_MEMO_BYTES: usize = 64 * 1024;
+/// The most states an [`LedAutomaton`] holds; interning one more clears
+/// the table first.
+const MAX_LED_STATES: usize = 4096;
 
-/// The key every entry of a fresh [`LedStepMemo`] table carries.
-const EMPTY_KEY: u64 = u64::MAX;
+/// [`Edge::next`] of an edge whose transition is not built yet.
+const UNBUILT: u32 = u32::MAX;
 
-/// What one slot of the sampled channel computes before its noise draws,
-/// as a function of the slot's starting optical power and its bit: the
-/// per-frame constants of the LED step and of the noise model.
+/// [`DetRng::chance_threshold`] of a certain event.
+const CERTAIN: u64 = 1 << 53;
+
+/// [`Edge::thr`] of an edge whose decision takes the per-sample draws:
+/// the closed-form law does not cover it (see [`SlotModel::threshold`]).
+const PER_SAMPLE: u64 = CERTAIN + 1;
+
+/// [`Edge::thr`] of an edge not priced at the current [`SlotModel`].
+const UNPRICED: u64 = u64::MAX;
+
+/// The most decision probability the ADC's clamps may move on an edge
+/// that decides by the law (2⁻⁵³, one step of
+/// [`DetRng::chance_threshold`]).
+const RAIL_MASS: f64 = 1.0 / CERTAIN as f64;
+
+/// The smallest per-sample noise σ, in ADC codes, for which the law
+/// treats a sample's quantization error as uniform and independent of it.
+const MIN_SIGMA_CODES: f64 = 1.0;
+
+/// The per-frame constants that price an [`LedAutomaton`] edge.
 struct SlotModel {
-    led: LedSlotStep,
     /// Signal photocurrent per watt of emitted optical power, A/W.
     i_per_w: f64,
     /// Sample noise variance with the LED dark, A².
     var_floor: f64,
     /// Signal shot-noise variance per watt emitted, A²/W.
     var_per_w: f64,
+    /// The ADC transfer.
+    adc: Quantizer,
+    /// The smallest code sum decided ON; `None` on the levels path,
+    /// which reads only the moments.
+    k: Option<u64>,
+    /// The largest code sum.
+    max_sum: u64,
+    /// The distance from a rail, in σ, beyond which the counted samples'
+    /// summed mass is under `RAIL_MASS / 16` (by `Q(z) ≤ ½·e^(−z²/2)`).
+    z_far: f64,
 }
 
 impl SlotModel {
-    /// Memoize slot `slot` starting at optical power `power` into `entry`:
-    /// the key, the power at the end of the slot, then each counted
-    /// sample's signal current and noise σ. The first sample straddles
-    /// the LED transition and is not counted.
-    fn fill(&self, entry: &mut [u64], power: f64, slot: bool) {
-        entry[0] = power.to_bits();
-        let next = self.led.walk(power, slot, |k, p| {
-            if k > 0 {
-                let sigma = (self.var_floor + self.var_per_w * p).max(0.0).sqrt();
-                entry[2 * k] = (self.i_per_w * p).to_bits();
-                entry[2 * k + 1] = sigma.to_bits();
+    /// The bits an edge's price depends on beyond the channel's fixed
+    /// configuration.
+    fn tag(&self) -> [u64; 4] {
+        [
+            self.i_per_w.to_bits(),
+            self.var_floor.to_bits(),
+            self.var_per_w.to_bits(),
+            self.k.unwrap_or(u64::MAX),
+        ]
+    }
+
+    /// A counted sample's signal current and noise σ at optical power `p`.
+    fn moments(&self, p: f64) -> (f64, f64) {
+        let sigma = (self.var_floor + self.var_per_w * p).max(0.0).sqrt();
+        (self.i_per_w * p, sigma)
+    }
+
+    /// An edge's decision as a [`DetRng::chance_threshold`], from its
+    /// counted samples' `(mean, σ)` pairs in amperes.
+    ///
+    /// In code units sample `i` is `N(μ_i, s_i²)` floored, so the code
+    /// sum has mean `Σμ_i − n/2` and variance `Σs_i² + n/12` (Sheppard's
+    /// correction), and `P(sum ≥ K) = Q((K − ½ − mean)/sd)`.
+    ///
+    /// The law ignores the ADC's clamps at code 0 and at `max_code`. A
+    /// clamp moves a decision only when its sample is beyond a rail and
+    /// the other samples alone reach `K` (bottom rail) or miss it by a
+    /// full scale (top rail); with two samples beyond rails, anything
+    /// goes. An edge where that mass may exceed [`RAIL_MASS`], or whose
+    /// noise is under [`MIN_SIGMA_CODES`], gets [`PER_SAMPLE`]. `K = 0`
+    /// and `K` past the largest sum are exact.
+    ///
+    /// The mass is bounded from the sample nearest each rail: with `z`
+    /// its distance in σ, `n·Q(z)` bounds the mass beyond the rail, and
+    /// the others' sum is taken at its largest (bottom) or smallest (top)
+    /// mean with the largest σ any one left-out sample leaves.
+    fn threshold(&self, moments: &[f64]) -> u64 {
+        let Some(k) = self.k else {
+            return 0;
+        };
+        if k == 0 {
+            return CERTAIN;
+        }
+        if k > self.max_sum {
+            return 0;
+        }
+        let k = k as f64;
+        let cpa = self.adc.codes_per_a();
+        let top = f64::from(self.adc.max_code()) + 1.0;
+        let (mut mean, mut var) = (0.0, 0.0);
+        let (mut mu_min, mut mu_max, mut var_min) =
+            (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY);
+        let (mut z_lo, mut z_hi) = (f64::INFINITY, f64::INFINITY);
+        for m in moments.chunks_exact(2) {
+            let (mu, s) = (m[0] * cpa + self.adc.bias_codes(), m[1] * cpa);
+            if !(mu.is_finite() && s.is_finite() && s >= MIN_SIGMA_CODES) {
+                return PER_SAMPLE;
             }
-        });
-        entry[1] = next.to_bits();
+            let v = s * s + 1.0 / 12.0;
+            mean += mu - 0.5;
+            var += v;
+            (mu_min, mu_max, var_min) = (mu_min.min(mu), mu_max.max(mu), var_min.min(v));
+            (z_lo, z_hi) = (z_lo.min(mu / s), z_hi.min((top - mu) / s));
+        }
+        let n = (moments.len() / 2) as f64;
+        let tail = |z: f64| {
+            if z >= self.z_far {
+                RAIL_MASS / 16.0
+            } else {
+                n * q_function(z)
+            }
+        };
+        let (below, above) = (tail(z_lo), tail(z_hi));
+        // P(the others' sum ≥ K) and P(it ≤ K − top), each taken as 1
+        // where its rail's mass alone is negligible.
+        let sd = (var - var_min).max(0.0).sqrt();
+        let others = |z: f64| if z > 0.0 { q_function(z / sd) } else { 1.0 };
+        let (mut reach, mut miss) = (1.0, 1.0);
+        if n == 1.0 {
+            (reach, miss) = (0.0, if k >= top { 1.0 } else { 0.0 });
+        } else {
+            if below > RAIL_MASS / 4.0 {
+                reach = others(k - 0.5 - (mean - (mu_min - 0.5)));
+            }
+            if above > RAIL_MASS / 4.0 {
+                miss = others(mean - (mu_max - 0.5) - (k - top + 0.5));
+            }
+        }
+        let moved = below * reach + above * miss + (below + above) * (below + above) / 2.0;
+        if moved > RAIL_MASS {
+            return PER_SAMPLE;
+        }
+        DetRng::chance_threshold(q_function((k - 0.5 - mean) / var.sqrt()))
     }
 }
 
-/// A direct-mapped memo of [`SlotModel::fill`], keyed by the exact bits of
-/// a slot's starting optical power.
+/// One slot of an [`LedAutomaton`]: a state and the slot's bit.
+#[derive(Clone, Copy)]
+struct Edge {
+    /// The state the next slot starts in, or [`UNBUILT`].
+    next: u32,
+    /// The slot decides ON when the top 53 bits of one uniform draw fall
+    /// below this [`DetRng::chance_threshold`]; or [`PER_SAMPLE`], or
+    /// [`UNPRICED`].
+    thr: u64,
+}
+
+/// The index of edge `(id, bit)`. A state's id is the index of its OFF
+/// edge, so the next slot's edge is one add away from the last's
+/// [`Edge::next`].
+#[inline]
+fn edge(id: u32, bit: bool) -> usize {
+    id as usize + usize::from(bit)
+}
+
+/// Decide `slots` into `out` from state `*id` while every edge is priced
+/// by the law: one uniform draw and an integer compare per slot. Returns
+/// the slots decided, stopping before the first other edge.
 ///
-/// The LED's power at a slot boundary depends on the recent slot history
-/// only until the exponential step converges, so a frame revisits few
-/// distinct powers; a hit skips the serial LED recurrence and the square
-/// roots. The slot bit picks one of a bucket's two entries, so it never
-/// mixes into the key. The table is allocated on the first sampled frame
-/// and cleared whenever the per-frame constants (the tag) change bits.
-#[derive(Default)]
-struct LedStepMemo {
-    /// Bits of `(i_per_w, var_floor, var_per_w, dt)` the entries hold.
-    tag: [u64; 4],
-    /// Bits of the key hash that pick a bucket.
-    bucket_bits: u32,
-    /// Words per entry: key, next power, `(mean, σ)` per counted sample.
-    stride: usize,
-    /// `stride`-word entries; empty until the first sampled frame.
-    table: Vec<u64>,
+/// The stream is stepped in a local copy so its state stays in registers
+/// across the loop.
+#[inline]
+fn priced_run(
+    edges: &[Edge],
+    slots: &[bool],
+    out: &mut [bool],
+    id: &mut u32,
+    rng: &mut DetRng,
+) -> usize {
+    let mut local = rng.clone();
+    let mut state = *id;
+    let mut done = 0;
+    for (out, &bit) in out.iter_mut().zip(slots) {
+        let Edge { next, thr } = edges[edge(state, bit)];
+        if thr > CERTAIN {
+            break;
+        }
+        *out = (local.next_u64() >> 11) < thr;
+        state = next;
+        done += 1;
+    }
+    *id = state;
+    *rng = local;
+    done
 }
 
-impl LedStepMemo {
-    /// Make the table serve `model`: allocate it on first use and clear
-    /// it when `tag` differs from the entries'.
-    fn prepare(&mut self, model: &SlotModel, tag: [u64; 4], samples_per_slot: usize) {
-        if !self.table.is_empty() && self.tag == tag {
-            return;
-        }
-        if self.table.is_empty() {
-            self.stride = 2 * samples_per_slot;
-            let entries = (LED_MEMO_BYTES / (8 * self.stride)).max(4);
-            self.bucket_bits = entries.ilog2() - 1;
-            self.table = vec![0; (2 << self.bucket_bits) * self.stride];
-        }
-        self.tag = tag;
-        for entry in self.table.chunks_exact_mut(self.stride) {
-            entry[0] = EMPTY_KEY;
-        }
-        // A NaN configuration can make an all-ones power: give the two
-        // entries that power probes their true content, so no empty entry
-        // ever passes for its memo.
-        for slot in [false, true] {
-            let at = self.index(EMPTY_KEY, slot);
-            model.fill(
-                &mut self.table[at..at + self.stride],
-                f64::from_bits(EMPTY_KEY),
-                slot,
-            );
+/// A one-multiply hash of a `u64` key (Fibonacci hashing, folded so the
+/// low bits mix too), for the automaton's power bit patterns.
+#[derive(Default)]
+struct BitsHasher(u64);
+
+impl Hasher for BitsHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
         }
     }
 
-    /// The first word of the entry for `key` and `slot`.
+    fn write_u64(&mut self, x: u64) {
+        let h = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// The sampled channel's LED-state automaton.
+///
+/// A state is a distinct slot-start optical power (by exact bits),
+/// interned once as a dense (even) id; edge `(state, bit)` holds the next
+/// state's id, the counted samples' `(mean, σ)` and the slot's decision
+/// threshold. The LED's power converges within a few slots, so a frame
+/// visits few states. Transitions depend only on the LED step, which is
+/// fixed for a channel's life; a frame whose [`SlotModel::tag`] differs
+/// from the edges' marks every edge [`UNPRICED`], and each is re-priced
+/// on its next visit. Nothing is allocated before the first sampled
+/// frame.
+#[derive(Default)]
+struct LedAutomaton {
+    /// The LED step the transitions follow; set on the first sampled frame.
+    step: Option<LedSlotStep>,
+    /// Counted samples per slot (`spp − 1`).
+    counted: usize,
+    /// State id by the exact bits of its slot-start power.
+    ids: HashMap<u64, u32, BuildHasherDefault<BitsHasher>>,
+    /// Slot-start power per state (state `id` at `id / 2`), W.
+    powers: Vec<f64>,
+    /// Edges, indexed by [`edge`].
+    edges: Vec<Edge>,
+    /// Per edge, a `(mean, σ)` pair in amperes per counted sample.
+    moments: Vec<f64>,
+    /// [`SlotModel::tag`] of the priced edges.
+    tag: [u64; 4],
+}
+
+impl LedAutomaton {
+    /// Serve `model` for a frame whose first slot is `first`; returns the
+    /// frame's start state.
+    fn start(&mut self, cfg: &ChannelConfig, model: &SlotModel, first: bool) -> u32 {
+        let step = *self
+            .step
+            .get_or_insert_with(|| cfg.led.slot_step(cfg.tslot_s, cfg.samples_per_slot));
+        self.counted = cfg.samples_per_slot - 1;
+        let tag = model.tag();
+        if self.tag != tag {
+            self.tag = tag;
+            for e in &mut self.edges {
+                e.thr = UNPRICED;
+            }
+        }
+        self.state(step.initial_power(first))
+    }
+
+    /// The id of the state at `power`, interned if new (clearing the
+    /// table first when it is full).
+    fn state(&mut self, power: f64) -> u32 {
+        if let Some(&id) = self.ids.get(&power.to_bits()) {
+            return id;
+        }
+        if self.powers.len() == MAX_LED_STATES {
+            self.clear();
+        }
+        let id = 2 * self.powers.len() as u32;
+        self.ids.insert(power.to_bits(), id);
+        self.powers.push(power);
+        self.edges.extend(
+            [Edge {
+                next: UNBUILT,
+                thr: UNPRICED,
+            }; 2],
+        );
+        self.moments
+            .resize(self.moments.len() + 4 * self.counted, 0.0);
+        id
+    }
+
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.powers.clear();
+        self.edges.clear();
+        self.moments.clear();
+    }
+
+    /// Edge `e`'s `(mean, σ)` pairs.
     #[inline]
-    fn index(&self, key: u64, slot: bool) -> usize {
-        let bucket = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - self.bucket_bits);
-        ((bucket as usize) << 1 | usize::from(slot)) * self.stride
+    fn moments(&self, e: usize) -> &[f64] {
+        let n = 2 * self.counted;
+        &self.moments[n * e..n * (e + 1)]
     }
 
-    /// The entry for slot `slot` starting at `power`, computed on a miss.
+    /// Edge `e`'s counted samples drawn from `rng` and quantized, summed.
     #[inline]
-    fn entry(&mut self, model: &SlotModel, power: f64, slot: bool) -> &[u64] {
-        let at = self.index(power.to_bits(), slot);
-        let entry = &mut self.table[at..at + self.stride];
-        if entry[0] != power.to_bits() {
-            Self::miss(model, entry, power, slot);
-        }
-        entry
+    fn code_sum(&self, e: usize, adc: &Quantizer, rng: &mut DetRng) -> u32 {
+        self.moments(e)
+            .chunks_exact(2)
+            .map(|m| u32::from(adc.quantize(m[0] + m[1] * rng.next_gaussian())))
+            .sum()
     }
 
+    /// Build and price edge `(id, bit)` at `model`; returns its index.
+    /// Interning the next state into a full table clears it and
+    /// re-interns state `id` first, so `id` may change.
     #[cold]
     #[inline(never)]
-    fn miss(model: &SlotModel, entry: &mut [u64], power: f64, slot: bool) {
-        model.fill(entry, power, slot);
+    fn ready(&mut self, model: &SlotModel, id: &mut u32, bit: bool) -> usize {
+        let power = self.powers[*id as usize / 2];
+        let mut e = edge(*id, bit);
+        let next = self.price(model, e, power, bit);
+        if self.edges[e].next == UNBUILT {
+            if !self.ids.contains_key(&next.to_bits()) && self.powers.len() == MAX_LED_STATES {
+                self.clear();
+                *id = self.state(power);
+                e = edge(*id, bit);
+                self.price(model, e, power, bit);
+            }
+            self.edges[e].next = self.state(next);
+        }
+        e
+    }
+
+    /// Price edge `e`, slot `bit` from `power`, at `model`; returns the
+    /// power the next slot starts from.
+    fn price(&mut self, model: &SlotModel, e: usize, power: f64, bit: bool) -> f64 {
+        let step = self.step.expect("the automaton was started");
+        let n = 2 * self.counted;
+        let moments = &mut self.moments[n * e..n * (e + 1)];
+        // The first sample straddles the LED transition and is not counted.
+        let next = step.walk(power, bit, |k, p| {
+            if k > 0 {
+                (moments[2 * k - 2], moments[2 * k - 1]) = model.moments(p);
+            }
+        });
+        self.edges[e].thr = model.threshold(moments);
+        next
     }
 }
 
@@ -371,8 +605,8 @@ pub struct OpticalChannel {
     /// `analytic_error_probs` are a pointer-free `Cell` read — no key
     /// construction, no map probe, no counters.
     op_memo: Cell<Option<CachedOp>>,
-    /// The sampled channel's LED-step memo (see [`LedStepMemo`]).
-    led_memo: LedStepMemo,
+    /// The sampled channel's state table (see [`LedAutomaton`]).
+    led_auto: LedAutomaton,
 }
 
 impl OpticalChannel {
@@ -390,7 +624,7 @@ impl OpticalChannel {
             fault: ChannelFaultState::CLEAR,
             opcache: OperatingPointCache::new(),
             op_memo: Cell::new(None),
-            led_memo: LedStepMemo::default(),
+            led_auto: LedAutomaton::default(),
         }
     }
 
@@ -503,23 +737,44 @@ impl OpticalChannel {
             return;
         }
         levels.resize(slots.len(), 0.0);
+        let Some(&first) = slots.first() else {
+            return;
+        };
         let fe = self.cfg.frontend;
+        let adc = fe.quantizer();
         let inv_norm = 1.0 / (self.cfg.samples_per_slot - 1) as f64;
-        self.sample_slots(slots, levels, |codes| {
-            fe.code_to_current(f64::from(codes) * inv_norm)
-        });
+        let model = self.slot_model(None);
+        let auto = &mut self.led_auto;
+        let mut id = auto.start(&self.cfg, &model, first);
+        // The stream is stepped in a local copy so its state stays in
+        // registers.
+        let mut rng = self.rng.clone();
+        for (level, &bit) in levels.iter_mut().zip(slots) {
+            let mut e = edge(id, bit);
+            if auto.edges[e].thr == UNPRICED {
+                e = auto.ready(&model, &mut id, bit);
+            }
+            let codes = auto.code_sum(e, &adc, &mut rng);
+            *level = fe.code_to_current(f64::from(codes) * inv_norm);
+            id = auto.edges[e].next;
+        }
+        self.rng = rng;
     }
 
     /// Transmit and decide with an ideal (analytically-trained) detector —
     /// the common path for link simulations. Fills `scratch.decided` in
-    /// place and clears `scratch.levels`; the draws and decisions are
-    /// those of [`Self::transmit_into`] followed by
-    /// [`SlotDetector::decide_into`].
+    /// place and clears `scratch.levels`.
     ///
     /// A slot's level is a non-decreasing function of its integer ADC
     /// code sum, so the detector's threshold becomes, once per frame, the
-    /// smallest code sum whose level exceeds it; each slot then decides
-    /// with one integer compare.
+    /// smallest code sum `K` whose level exceeds it. Given the LED state
+    /// and `K`, a slot's decision is a Bernoulli trial: its edge of the
+    /// channel's LED-state automaton holds the probability as a
+    /// [`DetRng::chance_threshold`], and the slot takes one uniform draw
+    /// and an integer compare. It decides as [`Self::transmit_into`]
+    /// followed by [`SlotDetector::decide_into`] in distribution, not draw
+    /// for draw; an edge near an ADC rail keeps that path's per-sample
+    /// draws.
     pub fn transmit_and_decide_into(&mut self, slots: &[bool], scratch: &mut RxScratch) {
         let thr = self.analytic_detector().threshold();
         scratch.levels.clear();
@@ -530,8 +785,40 @@ impl OpticalChannel {
             return;
         }
         decided.resize(slots.len(), false);
+        let Some(&first) = slots.first() else {
+            return;
+        };
         let k = self.threshold_code_sum(thr);
-        self.sample_slots(slots, decided, |codes| u64::from(codes) >= k);
+        let adc = self.cfg.frontend.quantizer();
+        let model = self.slot_model(Some(k));
+        let auto = &mut self.led_auto;
+        let mut id = auto.start(&self.cfg, &model, first);
+        let mut rng = self.rng.clone();
+        let mut i = 0;
+        while i < slots.len() {
+            i += priced_run(
+                &auto.edges,
+                &slots[i..],
+                &mut decided[i..],
+                &mut id,
+                &mut rng,
+            );
+            // The edge the run stopped at: unpriced, or per-sample.
+            let Some(&bit) = slots.get(i) else {
+                break;
+            };
+            let mut e = edge(id, bit);
+            if auto.edges[e].thr == UNPRICED {
+                e = auto.ready(&model, &mut id, bit);
+            }
+            decided[i] = match auto.edges[e].thr {
+                PER_SAMPLE => u64::from(auto.code_sum(e, &adc, &mut rng)) >= k,
+                thr => (rng.next_u64() >> 11) < thr,
+            };
+            id = auto.edges[e].next;
+            i += 1;
+        }
+        self.rng = rng;
     }
 
     /// The level every slot reads with the front end pinned at the rail
@@ -571,21 +858,13 @@ impl OpticalChannel {
         lo
     }
 
-    /// The sampled channel, one slot at a time: writes `per_slot` of each
-    /// slot's sum of counted ADC codes to `out`, in slot order.
+    /// The per-frame constants that price the sampled channel's edges;
+    /// `k` is the frame's threshold code sum on the decision path.
     ///
-    /// Per slot, the [`LedStepMemo`] serves the LED power at the next
-    /// slot's start and each counted sample's signal current and noise σ
-    /// (see [`Self::transmit_into`] for the noise model); the samples then
-    /// take their Gaussian draws in order and are quantized. The noise
-    /// stream is stepped in a local copy so its state stays in registers.
-    fn sample_slots<T>(&mut self, slots: &[bool], out: &mut [T], per_slot: impl Fn(u32) -> T) {
-        let Some(&first) = slots.first() else {
-            return;
-        };
+    /// The noise variance is affine in a sample's optical power,
+    /// `var = var_floor + var_per_w · p_opt`.
+    fn slot_model(&self, k: Option<u64>) -> SlotModel {
         let spp = self.cfg.samples_per_slot;
-        // Per-frame constants. The noise variance is affine in the
-        // sample's optical power: `var = var_floor + var_per_w · p_opt`.
         let i_per_w = self.cfg.rx_diode.responsivity_a_per_w
             * self.cfg.geometry.path_gain()
             * self.blockage_gain
@@ -594,29 +873,15 @@ impl OpticalChannel {
         let shot_coeff = 2.0 * ELECTRON_CHARGE_C * (spp as f64 / self.cfg.tslot_s / 2.0);
         let rin = self.cfg.ambient_rin * i_amb;
         let th = self.cfg.frontend.thermal_noise_a_rms;
-        let model = SlotModel {
-            led: self.cfg.led.slot_step(self.cfg.tslot_s, spp),
+        SlotModel {
             i_per_w,
             var_floor: shot_coeff * i_amb + rin * rin + th * th,
             var_per_w: shot_coeff * i_per_w,
-        };
-        let dt = self.cfg.tslot_s / spp as f64;
-        let tag = [i_per_w, model.var_floor, model.var_per_w, dt].map(f64::to_bits);
-        self.led_memo.prepare(&model, tag, spp);
-        let adc = self.cfg.frontend.quantizer();
-        let mut rng = self.rng.clone();
-        let mut power = model.led.initial_power(first);
-        for (out, &slot) in out.iter_mut().zip(slots) {
-            let entry = self.led_memo.entry(&model, power, slot);
-            power = f64::from_bits(entry[1]);
-            let mut codes = 0u32;
-            for sample in entry[2..].chunks_exact(2) {
-                let (mean, sigma) = (f64::from_bits(sample[0]), f64::from_bits(sample[1]));
-                codes += u32::from(adc.quantize(mean + sigma * rng.next_gaussian()));
-            }
-            *out = per_slot(codes);
+            adc: self.cfg.frontend.quantizer(),
+            k,
+            max_sum: self.cfg.max_code_sum(),
+            z_far: (2.0 * (8.0 * (spp - 1) as f64 / RAIL_MASS).ln()).sqrt(),
         }
-        self.rng = rng;
     }
 
     /// The expected detector operating point at the current configuration,
@@ -1001,10 +1266,13 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// The per-slot kernel decides, levels and draws exactly as the
-        /// two-pass reference, frame after frame on one channel (so the
-        /// LED-step memo carries over and is re-tagged as the impairment
-        /// state changes).
+        /// The per-slot kernel levels and draws exactly as the two-pass
+        /// reference, frame after frame on one channel (so the automaton
+        /// carries over and is re-priced as the impairment state
+        /// changes). Its decisions depend on the channel state and the
+        /// stream alone: a fresh channel put in the same state and handed
+        /// the same stream decides the same bits and leaves the same
+        /// stream behind.
         #[test]
         fn kernel_matches_the_two_pass_reference(
             seed in any::<u64>(),
@@ -1034,21 +1302,24 @@ mod tests {
                 _ => slots.len(),
             });
             let mk = || OpticalChannel::new(cfg, DetRng::seed_from_u64(seed));
-            let (mut kernel, mut reference) = (mk(), mk());
-            let (mut kernel_lv, mut reference_lv) = (mk(), mk());
-            let mut scratch = RxScratch::new();
+            let (mut kernel, mut reference, mut decider) = (mk(), mk(), mk());
+            let (mut scratch, mut again) = (RxScratch::new(), RxScratch::new());
             for &state in &states {
-                for ch in [&mut kernel, &mut reference, &mut kernel_lv, &mut reference_lv] {
+                for ch in [&mut kernel, &mut reference, &mut decider] {
                     impair(ch, state);
                 }
-                kernel.transmit_and_decide_into(&slots, &mut scratch);
-                prop_assert_eq!(&scratch.decided, &reference_decide(&mut reference, &slots));
-                kernel_lv.transmit_into(&slots, &mut scratch);
-                let expected = reference_levels(&mut reference_lv, &slots);
+                kernel.transmit_into(&slots, &mut scratch);
+                let expected = reference_levels(&mut reference, &slots);
                 prop_assert_eq!(bits(&scratch.levels), bits(&expected));
+                let mut fresh = mk();
+                impair(&mut fresh, state);
+                fresh.rng = decider.rng.clone();
+                decider.transmit_and_decide_into(&slots, &mut scratch);
+                fresh.transmit_and_decide_into(&slots, &mut again);
+                prop_assert_eq!(&scratch.decided, &again.decided);
+                prop_assert_eq!(format!("{:?}", decider.rng), format!("{:?}", fresh.rng));
             }
             prop_assert_eq!(format!("{:?}", kernel.rng), format!("{:?}", reference.rng));
-            prop_assert_eq!(format!("{:?}", kernel_lv.rng), format!("{:?}", reference_lv.rng));
         }
     }
 
@@ -1084,39 +1355,248 @@ mod tests {
     }
 
     #[test]
-    fn led_memo_is_allocated_on_the_first_sampled_frame_and_bounded() {
+    fn led_automaton_is_built_on_the_first_sampled_frame_and_bounded() {
         let mut ch = channel(3.0);
         let mut scratch = RxScratch::new();
         ch.transmit_and_decide_into(&[], &mut scratch);
-        assert!(ch.led_memo.table.is_empty());
+        let auto = &ch.led_auto;
+        assert!(auto.step.is_none() && auto.ids.capacity() == 0 && auto.edges.capacity() == 0);
         ch.transmit_and_decide_into(&[true, false, true], &mut scratch);
-        assert_eq!(ch.led_memo.table.len() * 8, LED_MEMO_BYTES);
-        for spp in [2, 3, 8, 5000] {
-            let mut cfg = ChannelConfig::paper_bench(3.0);
-            cfg.samples_per_slot = spp;
-            let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(1));
-            ch.transmit_into(&[true, false], &mut scratch);
-            let bytes = ch.led_memo.table.len() * 8;
-            assert!(bytes <= LED_MEMO_BYTES.max(4 * 16 * spp), "spp={spp}");
-        }
+        assert!(ch.led_auto.step.is_some() && !ch.led_auto.edges.is_empty());
+
+        // An LED far slower than its slot never settles, so every slot
+        // starts at a new power: the table fills to the cap, clears and
+        // refills within each frame, and both paths carry on across it.
+        let mut cfg = ChannelConfig::paper_bench(3.0);
+        cfg.led.rise_tau_s = 1e-3;
+        cfg.led.fall_tau_s = 1e-3;
+        let mut gen = DetRng::seed_from_u64(8);
+        let slots: Vec<bool> = (0..3 * MAX_LED_STATES + 100)
+            .map(|_| gen.chance(0.5))
+            .collect();
+        let mk = || OpticalChannel::new(cfg, DetRng::seed_from_u64(9));
+        let (mut kernel, mut reference) = (mk(), mk());
+        kernel.transmit_into(&slots, &mut scratch);
+        assert_eq!(
+            bits(&scratch.levels),
+            bits(&reference_levels(&mut reference, &slots))
+        );
+        let states = kernel.led_auto.powers.len();
+        assert!(states <= MAX_LED_STATES && states < slots.len() - 2 * MAX_LED_STATES);
+        kernel.transmit_and_decide_into(&slots, &mut scratch);
+        assert_eq!(scratch.decided.len(), slots.len());
+        assert!(kernel.led_auto.powers.len() <= MAX_LED_STATES);
     }
 
     #[test]
-    fn an_all_ones_nan_power_is_not_read_as_an_empty_entry() {
-        // An all-ones NaN emitter power makes every slot start at the
-        // empty key's power; its entries must hold its true content.
+    fn an_all_ones_nan_power_gets_its_true_entry() {
+        // An all-ones NaN emitter power makes every slot start at that
+        // bit pattern; its state holds its true content, and its edges
+        // (outside the law) decide with the reference's per-sample draws.
         let mut cfg = ChannelConfig::paper_bench(3.0);
-        cfg.led.on_power_w = f64::from_bits(EMPTY_KEY);
-        assert_eq!(cfg.led.steady_power(1.0).to_bits(), EMPTY_KEY);
+        cfg.led.on_power_w = f64::from_bits(u64::MAX);
+        assert_eq!(cfg.led.steady_power(1.0).to_bits(), u64::MAX);
         let slots = [true, true, false, true];
-        let mut kernel = OpticalChannel::new(cfg, DetRng::seed_from_u64(3));
-        let mut reference = OpticalChannel::new(cfg, DetRng::seed_from_u64(3));
+        let mk = || OpticalChannel::new(cfg, DetRng::seed_from_u64(3));
+        let (mut kernel, mut reference) = (mk(), mk());
         let mut scratch = RxScratch::new();
         kernel.transmit_into(&slots, &mut scratch);
         assert_eq!(
             bits(&scratch.levels),
             bits(&reference_levels(&mut reference, &slots))
         );
+        assert!(kernel.led_auto.ids.contains_key(&u64::MAX));
+        kernel.transmit_and_decide_into(&slots, &mut scratch);
+        assert_eq!(scratch.decided, reference_decide(&mut reference, &slots));
+    }
+
+    #[test]
+    fn a_railed_edge_takes_the_per_sample_draws() {
+        // No bias: a dark ideal LED sits on the bottom rail, where the
+        // clamp folds half of every sample's mass onto code 0. Its edge
+        // keeps the reference's draws, decision for decision.
+        let mut cfg = ChannelConfig::paper_bench(6.0);
+        cfg.led = LedModel::ideal(1.4);
+        cfg.frontend.bias_v = 0.0;
+        let mk = || OpticalChannel::new(cfg, DetRng::seed_from_u64(4));
+        let (mut kernel, mut reference) = (mk(), mk());
+        let slots = vec![false; 5_000];
+        let mut scratch = RxScratch::new();
+        kernel.transmit_and_decide_into(&slots, &mut scratch);
+        let auto = &kernel.led_auto;
+        assert_eq!(auto.edges.len(), 2);
+        assert_eq!(auto.edges[edge(0, false)].thr, PER_SAMPLE);
+        assert_eq!(scratch.decided, reference_decide(&mut reference, &slots));
+        assert!(scratch.decided.contains(&true) && scratch.decided.contains(&false));
+        assert_eq!(format!("{:?}", kernel.rng), format!("{:?}", reference.rng));
+        // The paper's bench, 20,000 lx brighter, reaches the rails too.
+        let mut ch = channel(3.0);
+        ch.set_ambient_lux(28_080.0);
+        ch.transmit_and_decide_into(&[false, true, false], &mut scratch);
+        assert!(ch.led_auto.edges.iter().any(|e| e.thr == PER_SAMPLE));
+    }
+
+    /// `a` and `b`, each `(hits, trials)`, within 5σ of one binomial
+    /// rate: the pooled variance is floored at one hit and each side gets
+    /// one hit of slack, so rare events are not held to a normal tail.
+    fn same_rate(a: (u64, u64), b: (u64, u64)) -> bool {
+        let (na, nb) = (a.1 as f64, b.1 as f64);
+        let pooled = ((a.0 + b.0) as f64 / (na + nb)).max(1.0 / (na + nb));
+        let sd = (pooled * (1.0 - pooled) * (1.0 / na + 1.0 / nb)).sqrt();
+        (a.0 as f64 / na - b.0 as f64 / nb).abs() <= 5.0 * sd + 1.0 / na + 1.0 / nb
+    }
+
+    /// `hits` of `n` trials within 5σ of a binomial with probability `p`,
+    /// with the same floor and slack as [`same_rate`].
+    fn matches_p(hits: u64, n: u64, p: f64) -> bool {
+        let n = n as f64;
+        (hits as f64 - n * p).abs() <= 5.0 * (n * p.max(1.0 / n) * (1.0 - p)).sqrt() + 1.0
+    }
+
+    /// The decision law's operating points: 2, 4 and 8 samples per slot,
+    /// the Philips and the ideal LED, and both sides of the Fig. 16 cliff
+    /// under the bench's 8,080 lx.
+    fn law_points() -> Vec<ChannelConfig> {
+        let philips = LedModel::philips_4w7();
+        let ideal = LedModel::ideal(1.4);
+        [
+            (2, philips, 2.5),
+            (2, ideal, 3.3),
+            (4, philips, 3.6),
+            (4, philips, 4.25),
+            (4, ideal, 3.6),
+            (4, ideal, 4.25),
+            (8, philips, 4.0),
+            (8, ideal, 4.5),
+            (8, philips, 4.8),
+        ]
+        .into_iter()
+        .map(|(spp, led, d)| {
+            let mut cfg = ChannelConfig::paper_bench(d);
+            cfg.samples_per_slot = spp;
+            cfg.led = led;
+            cfg
+        })
+        .collect()
+    }
+
+    /// The statistical gate on [`OpticalChannel::transmit_and_decide_into`]
+    /// at one operating point: `total` fair random slots, in 1,000-slot
+    /// frames, through the automaton and through the per-sample
+    /// reference. Per slot bit, the error rates; per edge seen at least
+    /// 1,000 times, the ON rates; and per law-priced edge seen at all,
+    /// its probability against `draws` draws of the per-sample reference
+    /// law, must agree within [`same_rate`] / [`matches_p`]. Returns the
+    /// failures and a one-line summary.
+    fn decision_law(
+        cfg: ChannelConfig,
+        total: usize,
+        draws: u64,
+        seed: u64,
+    ) -> (Vec<String>, String) {
+        const FRAME: usize = 1_000;
+        let mut kernel = OpticalChannel::new(cfg, DetRng::seed_from_u64(seed));
+        let mut reference = OpticalChannel::new(cfg, DetRng::seed_from_u64(!seed));
+        let mut gen = DetRng::seed_from_u64(seed ^ 0x51a7);
+        let mut scratch = RxScratch::new();
+        // Per edge: slots, ONs decided by the kernel and by the reference.
+        let mut per_edge: Vec<[u64; 3]> = Vec::new();
+        // Per slot bit: slots, kernel errors, reference errors.
+        let mut per_bit = [[0u64; 3]; 2];
+        for _ in 0..total / FRAME {
+            let slots: Vec<bool> = (0..FRAME).map(|_| gen.chance(0.5)).collect();
+            kernel.transmit_and_decide_into(&slots, &mut scratch);
+            let expected = reference_decide(&mut reference, &slots);
+            let auto = &kernel.led_auto;
+            assert!(
+                auto.powers.len() < MAX_LED_STATES / 2,
+                "the tallies need one table"
+            );
+            let start = auto.step.expect("started").initial_power(slots[0]);
+            let mut id = auto.ids[&start.to_bits()];
+            per_edge.resize(auto.edges.len(), [0; 3]);
+            for ((&bit, &got), &want) in slots.iter().zip(&scratch.decided).zip(&expected) {
+                let e = edge(id, bit);
+                let t = &mut per_edge[e];
+                (t[0], t[1], t[2]) = (t[0] + 1, t[1] + u64::from(got), t[2] + u64::from(want));
+                let b = &mut per_bit[usize::from(bit)];
+                (b[0], b[1], b[2]) = (
+                    b[0] + 1,
+                    b[1] + u64::from(got != bit),
+                    b[2] + u64::from(want != bit),
+                );
+                id = auto.edges[e].next;
+            }
+        }
+        let mut failures = Vec::new();
+        for (bit, b) in per_bit.iter().enumerate() {
+            if !same_rate((b[1], b[0]), (b[2], b[0])) {
+                failures.push(format!(
+                    "bit {bit}: errors {} vs reference {} of {}",
+                    b[1], b[2], b[0]
+                ));
+            }
+        }
+        let busy = per_edge.iter().filter(|t| t[0] >= 1_000).count();
+        for (e, t) in per_edge.iter().enumerate().filter(|(_, t)| t[0] >= 1_000) {
+            if !same_rate((t[1], t[0]), (t[2], t[0])) {
+                failures.push(format!(
+                    "edge {e}: ON {} vs reference {} of {}",
+                    t[1], t[2], t[0]
+                ));
+            }
+        }
+        let k = kernel.threshold_code_sum(kernel.analytic_detector().threshold());
+        let adc = cfg.frontend.quantizer();
+        let auto = &kernel.led_auto;
+        let mut mc = DetRng::seed_from_u64(seed ^ 0x3c);
+        let (mut priced, mut per_sample) = (0, 0);
+        for (e, _) in per_edge.iter().enumerate().filter(|(_, t)| t[0] > 0) {
+            let thr = auto.edges[e].thr;
+            if thr == PER_SAMPLE {
+                // It draws the reference law itself.
+                per_sample += 1;
+                continue;
+            }
+            priced += 1;
+            let p = thr as f64 / CERTAIN as f64;
+            let hits = (0..draws)
+                .filter(|_| u64::from(auto.code_sum(e, &adc, &mut mc)) >= k)
+                .count() as u64;
+            if !matches_p(hits, draws, p) {
+                failures.push(format!("edge {e}: p {p:.3e} vs {hits} of {draws} draws"));
+            }
+        }
+        let [on, off] = [per_bit[1], per_bit[0]].map(|b| b[1] as f64 / b[0] as f64);
+        let summary = format!(
+            "spp {} {:.2} m: {} slots, ON errors {on:.3e}, OFF errors {off:.3e}, \
+             {busy} edges >= 1,000 slots, {priced} priced and {per_sample} per-sample edges seen",
+            cfg.samples_per_slot, cfg.geometry.distance_m, total
+        );
+        (failures, summary)
+    }
+
+    #[test]
+    fn sampled_decision_law_at_small_scale() {
+        // The gate below, scaled down for debug builds.
+        for (i, cfg) in law_points().into_iter().enumerate() {
+            let (failures, summary) = decision_law(cfg, 20_000, 2_000, 100 + i as u64);
+            assert!(failures.is_empty(), "{summary}: {failures:?}");
+        }
+    }
+
+    /// The statistical gate that replaced the decision path's bit gate:
+    /// 10⁷ slots per operating point and 10⁶ Monte Carlo draws per
+    /// priced edge. Run it in release:
+    /// `cargo test --release -p vlc-channel -- --ignored sampled_decision_law`.
+    #[test]
+    #[ignore = "release-mode statistical gate; see the doc comment"]
+    fn sampled_decision_law() {
+        for (i, cfg) in law_points().into_iter().enumerate() {
+            let (failures, summary) = decision_law(cfg, 10_000_000, 1_000_000, 1 + i as u64);
+            println!("{summary}");
+            assert!(failures.is_empty(), "{summary}: {failures:?}");
+        }
     }
 
     #[test]
