@@ -45,8 +45,6 @@ struct Timing {
 /// * **sampled** — the `transmit_and_decide_into` frame pipeline in
 ///   ns/slot, after checking that two channels on the same seed produce
 ///   identical decisions.
-/// * **decide** — threshold recomputed per slot (`decide` in a loop) vs.
-///   the batch `decide_into`.
 fn rx_hot_path_section() -> Json {
     let ch_cfg = ChannelConfig::paper_bench(2.5);
 
@@ -127,28 +125,6 @@ fn rx_hot_path_section() -> Json {
     }
     let sampled_ns = t2.elapsed().as_nanos() as f64 / (frames as f64 * frame_slots as f64);
 
-    // Batch decision: per-slot threshold recompute vs. decide_into.
-    let det = ch_a.analytic_detector();
-    ch_a.transmit_into(&slots, &mut scratch);
-    let levels = scratch.levels;
-    let reps = 100_000u32;
-    let decide_norm = reps as f64 * frame_slots as f64;
-    let t4 = Instant::now();
-    for _ in 0..reps {
-        let out: Vec<bool> = levels.iter().map(|&v| det.decide(v)).collect();
-        std::hint::black_box(out.as_slice());
-    }
-    let decide_baseline_ns = t4.elapsed().as_nanos() as f64 / decide_norm;
-
-    let mut decided = Vec::new();
-    let t5 = Instant::now();
-    for _ in 0..reps {
-        det.decide_into(&levels, &mut decided);
-        std::hint::black_box(decided.as_slice());
-    }
-    let decide_into_ns = t5.elapsed().as_nanos() as f64 / decide_norm;
-    let decide_ratio = decide_baseline_ns / decide_into_ns.max(1e-9);
-
     println!();
     println!(
         "rx analytic op-point: recompute {analytic_baseline_ns:7.1} ns/call  \
@@ -157,10 +133,6 @@ fn rx_hot_path_section() -> Json {
     println!(
         "rx sampled frame ({frame_slots} slots): {sampled_ns:6.1} ns/slot  \
          (same-seed channels bit-identical)"
-    );
-    println!(
-        "rx decide: per-slot-threshold {decide_baseline_ns:5.2} ns/slot  \
-         decide_into {decide_into_ns:5.2} ns/slot  ({decide_ratio:.2}x)"
     );
 
     let baseline_per_slot = analytic_baseline_ns / frame_slots as f64;
@@ -182,14 +154,6 @@ fn rx_hot_path_section() -> Json {
             Json::inline_obj([
                 ("ns_per_slot", Json::fixed(sampled_ns, 2)),
                 ("bit_identical", Json::from(true)),
-            ]),
-        ),
-        (
-            "decide",
-            Json::inline_obj([
-                ("baseline_ns_per_slot", Json::fixed(decide_baseline_ns, 3)),
-                ("into_ns_per_slot", Json::fixed(decide_into_ns, 3)),
-                ("ratio", Json::fixed(decide_ratio, 2)),
             ]),
         ),
         ("headline_ratio", Json::fixed(analytic_ratio, 2)),

@@ -105,6 +105,15 @@ impl Quantizer {
         ((i_ac_a * self.codes_per_a + self.bias_codes) as u16).min(self.max_code)
     }
 
+    /// The exact bits of the transfer's constants.
+    pub(crate) fn bits(&self) -> [u64; 3] {
+        [
+            self.codes_per_a.to_bits(),
+            self.bias_codes.to_bits(),
+            u64::from(self.max_code),
+        ]
+    }
+
     /// ADC codes per ampere of input current (the LSB's reciprocal).
     pub(crate) fn codes_per_a(&self) -> f64 {
         self.codes_per_a

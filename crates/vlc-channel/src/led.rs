@@ -109,6 +109,19 @@ pub struct LedSlotStep {
 }
 
 impl LedSlotStep {
+    /// The exact bits of every constant [`LedSlotStep::walk`] reads.
+    pub(crate) fn bits(&self) -> [u64; 7] {
+        [
+            self.target[0].to_bits(),
+            self.target[1].to_bits(),
+            self.rise.0.to_bits(),
+            self.rise.1.to_bits(),
+            self.fall.0.to_bits(),
+            self.fall.1.to_bits(),
+            self.samples_per_slot as u64,
+        ]
+    }
+
     /// The optical power at the start of a run whose first slot is `slot`
     /// (steady operation, not cold start).
     pub fn initial_power(&self, slot: bool) -> f64 {

@@ -26,6 +26,8 @@ use smartvlc_obs as obs;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Number of `u64` words in a [`ChannelConfig::fingerprint`].
 pub const CONFIG_FINGERPRINT_WORDS: usize = 25;
@@ -267,7 +269,7 @@ const RAIL_MASS: f64 = 1.0 / CERTAIN as f64;
 /// treats a sample's quantization error as uniform and independent of it.
 const MIN_SIGMA_CODES: f64 = 1.0;
 
-/// The per-frame constants that price an [`LedAutomaton`] edge.
+/// The per-frame constants that price an [`LedTable`] edge.
 struct SlotModel {
     /// Signal photocurrent per watt of emitted optical power, A/W.
     i_per_w: f64,
@@ -288,14 +290,30 @@ struct SlotModel {
 }
 
 impl SlotModel {
-    /// The bits an edge's price depends on beyond the channel's fixed
-    /// configuration.
-    fn tag(&self) -> [u64; 4] {
+    /// The key of the edges priced at this model for an automaton that
+    /// walks `step` with `counted` counted samples: the exact bits of
+    /// everything [`LedTable::price`] reads.
+    fn key(&self, step: &LedSlotStep, counted: usize) -> LedKey {
+        let [s0, s1, s2, s3, s4, s5, s6] = step.bits();
+        let [q0, q1, q2] = self.adc.bits();
         [
+            s0,
+            s1,
+            s2,
+            s3,
+            s4,
+            s5,
+            s6,
+            counted as u64,
             self.i_per_w.to_bits(),
             self.var_floor.to_bits(),
             self.var_per_w.to_bits(),
             self.k.unwrap_or(u64::MAX),
+            q0,
+            q1,
+            q2,
+            self.max_sum,
+            self.z_far.to_bits(),
         ]
     }
 
@@ -456,21 +474,26 @@ impl Hasher for BitsHasher {
     }
 }
 
-/// The sampled channel's LED-state automaton.
+/// Words of an [`LedKey`].
+const LED_KEY_WORDS: usize = 17;
+
+/// The exact bits of everything that prices an [`LedTable`]'s edges (see
+/// [`SlotModel::key`]).
+type LedKey = [u64; LED_KEY_WORDS];
+
+/// The most states the [`LedStore`] keeps that no channel holds: one full
+/// automaton's worth across all its tables.
+const LED_STORE_STATES: usize = MAX_LED_STATES;
+
+/// An [`LedAutomaton`]'s states, transitions and prices.
 ///
 /// A state is a distinct slot-start optical power (by exact bits),
 /// interned once as a dense (even) id; edge `(state, bit)` holds the next
 /// state's id, the counted samples' `(mean, σ)` and the slot's decision
-/// threshold. The LED's power converges within a few slots, so a frame
-/// visits few states. Transitions depend only on the LED step, which is
-/// fixed for a channel's life; a frame whose [`SlotModel::tag`] differs
-/// from the edges' marks every edge [`UNPRICED`], and each is re-priced
-/// on its next visit. Nothing is allocated before the first sampled
-/// frame.
-#[derive(Default)]
-struct LedAutomaton {
-    /// The LED step the transitions follow; set on the first sampled frame.
-    step: Option<LedSlotStep>,
+/// threshold. Every entry is a pure function of the table's [`LedKey`],
+/// so tables of one key may be swapped for one another at any frame.
+#[derive(Clone, Default)]
+struct LedTable {
     /// Counted samples per slot (`spp − 1`).
     counted: usize,
     /// State id by the exact bits of its slot-start power.
@@ -481,28 +504,9 @@ struct LedAutomaton {
     edges: Vec<Edge>,
     /// Per edge, a `(mean, σ)` pair in amperes per counted sample.
     moments: Vec<f64>,
-    /// [`SlotModel::tag`] of the priced edges.
-    tag: [u64; 4],
 }
 
-impl LedAutomaton {
-    /// Serve `model` for a frame whose first slot is `first`; returns the
-    /// frame's start state.
-    fn start(&mut self, cfg: &ChannelConfig, model: &SlotModel, first: bool) -> u32 {
-        let step = *self
-            .step
-            .get_or_insert_with(|| cfg.led.slot_step(cfg.tslot_s, cfg.samples_per_slot));
-        self.counted = cfg.samples_per_slot - 1;
-        let tag = model.tag();
-        if self.tag != tag {
-            self.tag = tag;
-            for e in &mut self.edges {
-                e.thr = UNPRICED;
-            }
-        }
-        self.state(step.initial_power(first))
-    }
-
+impl LedTable {
     /// The id of the state at `power`, interned if new (clearing the
     /// table first when it is full).
     fn state(&mut self, power: f64) -> u32 {
@@ -549,31 +553,16 @@ impl LedAutomaton {
             .sum()
     }
 
-    /// Build and price edge `(id, bit)` at `model`; returns its index.
-    /// Interning the next state into a full table clears it and
-    /// re-interns state `id` first, so `id` may change.
-    #[cold]
-    #[inline(never)]
-    fn ready(&mut self, model: &SlotModel, id: &mut u32, bit: bool) -> usize {
-        let power = self.powers[*id as usize / 2];
-        let mut e = edge(*id, bit);
-        let next = self.price(model, e, power, bit);
-        if self.edges[e].next == UNBUILT {
-            if !self.ids.contains_key(&next.to_bits()) && self.powers.len() == MAX_LED_STATES {
-                self.clear();
-                *id = self.state(power);
-                e = edge(*id, bit);
-                self.price(model, e, power, bit);
-            }
-            self.edges[e].next = self.state(next);
-        }
-        e
-    }
-
-    /// Price edge `e`, slot `bit` from `power`, at `model`; returns the
-    /// power the next slot starts from.
-    fn price(&mut self, model: &SlotModel, e: usize, power: f64, bit: bool) -> f64 {
-        let step = self.step.expect("the automaton was started");
+    /// Price edge `e`, slot `bit` from `power` under `step`, at `model`;
+    /// returns the power the next slot starts from.
+    fn price(
+        &mut self,
+        step: &LedSlotStep,
+        model: &SlotModel,
+        e: usize,
+        power: f64,
+        bit: bool,
+    ) -> f64 {
         let n = 2 * self.counted;
         let moments = &mut self.moments[n * e..n * (e + 1)];
         // The first sample straddles the LED transition and is not counted.
@@ -584,6 +573,163 @@ impl LedAutomaton {
         });
         self.edges[e].thr = model.threshold(moments);
         next
+    }
+}
+
+/// The process's priced [`LedTable`]s, one per [`LedKey`], oldest first.
+///
+/// Like the planner's intern list, it sits behind one static lock that
+/// guards only the list: pricing runs outside it, and a linear scan on
+/// the key finds a table without hashing floats. The tables no channel
+/// holds stay within [`LED_STORE_STATES`] states, the oldest evicted
+/// first; evicting a table a channel still holds would free nothing.
+struct LedStore {
+    tables: Vec<(LedKey, Arc<LedTable>)>,
+}
+
+static LED_TABLES: Mutex<LedStore> = Mutex::new(LedStore { tables: Vec::new() });
+
+impl LedStore {
+    /// The stored table for `key`, if any.
+    fn adopt(&self, key: &LedKey) -> Option<Arc<LedTable>> {
+        self.tables
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, t)| Arc::clone(t))
+    }
+
+    /// Store `table` as the newest for `key`, then evict to the bound.
+    fn publish(&mut self, key: LedKey, table: Arc<LedTable>) {
+        self.tables.retain(|(k, _)| *k != key);
+        self.tables.push((key, table));
+        let mut states = self.unheld_states();
+        let mut i = 0;
+        while states > LED_STORE_STATES && i < self.tables.len() {
+            let t = &self.tables[i].1;
+            if Arc::strong_count(t) == 1 {
+                states -= t.powers.len();
+                self.tables.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// States in the tables no channel holds.
+    fn unheld_states(&self) -> usize {
+        self.tables
+            .iter()
+            .filter(|(_, t)| Arc::strong_count(t) == 1)
+            .map(|(_, t)| t.powers.len())
+            .sum()
+    }
+}
+
+/// The sampled channel's LED-state automaton: an [`LedTable`] priced at
+/// one [`LedKey`].
+///
+/// The LED power converges within a few slots, so a frame visits few
+/// states. Transitions depend only on the LED step, which is fixed for a
+/// channel's life; prices depend on the whole key. A frame whose key
+/// differs from the table's, a fresh channel's first sampled frame
+/// included, adopts the [`LedStore`]'s table for the new key; without
+/// one, it keeps its own table and marks every edge [`UNPRICED`], and
+/// each is re-priced on its next visit. A table that priced new edges is
+/// published back to the store at the next frame's start, in the same
+/// lock as any adoption: one lock per frame at most, none per slot.
+/// Nothing but an empty shared table is allocated before the first
+/// sampled frame.
+#[derive(Default)]
+struct LedAutomaton {
+    /// The LED step the transitions follow; set on the first sampled frame.
+    step: Option<LedSlotStep>,
+    /// The key the table's edges are priced at.
+    key: LedKey,
+    /// Shared with the store and other channels until this one prices an
+    /// edge (copy on write).
+    table: Arc<LedTable>,
+    /// Whether the table priced edges since it was adopted or published.
+    priced: bool,
+}
+
+impl Deref for LedAutomaton {
+    type Target = LedTable;
+
+    #[inline]
+    fn deref(&self) -> &LedTable {
+        &self.table
+    }
+}
+
+impl LedAutomaton {
+    /// Serve `model` for a frame whose first slot is `first`; returns the
+    /// frame's start state.
+    fn start(&mut self, cfg: &ChannelConfig, model: &SlotModel, first: bool) -> u32 {
+        let step = *self
+            .step
+            .get_or_insert_with(|| cfg.led.slot_step(cfg.tslot_s, cfg.samples_per_slot));
+        let counted = cfg.samples_per_slot - 1;
+        let key = model.key(&step, counted);
+        if self.key != key || self.priced {
+            self.sync(key, counted);
+        }
+        let power = step.initial_power(first);
+        match self.ids.get(&power.to_bits()) {
+            Some(&id) => id,
+            None => Arc::make_mut(&mut self.table).state(power),
+        }
+    }
+
+    /// Trade tables with the store under one lock: publish this one if it
+    /// priced edges, and on a key change adopt the stored table for `key`
+    /// (or, with none stored, unprice this one's edges).
+    fn sync(&mut self, key: LedKey, counted: usize) {
+        // Every update leaves the list whole, so a lock poisoned by a
+        // panic elsewhere is taken as it stands.
+        let mut store = LED_TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if std::mem::take(&mut self.priced) {
+            store.publish(self.key, Arc::clone(&self.table));
+        }
+        if self.key == key {
+            return;
+        }
+        let stored = store.adopt(&key);
+        drop(store);
+        self.key = key;
+        match stored {
+            Some(table) => self.table = table,
+            None => {
+                let table = Arc::make_mut(&mut self.table);
+                table.counted = counted;
+                for e in &mut table.edges {
+                    e.thr = UNPRICED;
+                }
+            }
+        }
+    }
+
+    /// Build and price edge `(id, bit)` at `model`; returns its index.
+    /// Interning the next state into a full table clears it and
+    /// re-interns state `id` first, so `id` may change.
+    #[cold]
+    #[inline(never)]
+    fn ready(&mut self, model: &SlotModel, id: &mut u32, bit: bool) -> usize {
+        let step = self.step.expect("the automaton was started");
+        self.priced = true;
+        let table = Arc::make_mut(&mut self.table);
+        let power = table.powers[*id as usize / 2];
+        let mut e = edge(*id, bit);
+        let next = table.price(&step, model, e, power, bit);
+        if table.edges[e].next == UNBUILT {
+            if !table.ids.contains_key(&next.to_bits()) && table.powers.len() == MAX_LED_STATES {
+                table.clear();
+                *id = table.state(power);
+                e = edge(*id, bit);
+                table.price(&step, model, e, power, bit);
+            }
+            table.edges[e].next = table.state(next);
+        }
+        e
     }
 }
 
@@ -1434,6 +1580,171 @@ mod tests {
         ch.set_ambient_lux(28_080.0);
         ch.transmit_and_decide_into(&[false, true, false], &mut scratch);
         assert!(ch.led_auto.edges.iter().any(|e| e.thr == PER_SAMPLE));
+    }
+
+    /// Frames through a cold channel, then the same frames through a
+    /// channel on the same seed that finds the cold one's tables in the
+    /// store: decisions, level bits and the stream left behind agree
+    /// frame for frame. Frames alternate the decision and the levels
+    /// path (which key apart) under `states`' impairments; no key recurs,
+    /// so the cold channel prices every table itself.
+    /// Returns the cold channel's table after its first frame, held so
+    /// the store cannot evict it, and the warm channel's after its own.
+    fn cold_then_warm(
+        cfg: ChannelConfig,
+        frames: &[Vec<bool>],
+        states: &[u8],
+    ) -> (Arc<LedTable>, Arc<LedTable>) {
+        let mk = || OpticalChannel::new(cfg, DetRng::seed_from_u64(21));
+        let (mut cold, mut warm) = (mk(), mk());
+        let mut first = Vec::new();
+        let mut runs: Vec<(Vec<bool>, Vec<u64>, String)> = Vec::new();
+        let mut scratch = RxScratch::new();
+        for (ch, is_cold) in [(&mut cold, true), (&mut warm, false)] {
+            let mut run = Vec::new();
+            for (i, (slots, &state)) in frames.iter().zip(states).enumerate() {
+                impair(ch, state);
+                if i % 2 == 0 {
+                    ch.transmit_and_decide_into(slots, &mut scratch);
+                } else {
+                    ch.transmit_into(slots, &mut scratch);
+                }
+                if i == 0 {
+                    first.push(Arc::clone(&ch.led_auto.table));
+                }
+                run.push((
+                    scratch.decided.clone(),
+                    bits(&scratch.levels),
+                    format!("{:?}", ch.rng),
+                ));
+            }
+            if is_cold {
+                runs = run;
+            } else {
+                for (i, (got, want)) in run.iter().zip(&runs).enumerate() {
+                    assert!(got == want, "frame {i} differs warm from cold");
+                }
+            }
+        }
+        let warm_first = first.pop().expect("two runs");
+        (first.pop().expect("two runs"), warm_first)
+    }
+
+    #[test]
+    fn a_warm_store_changes_no_bit() {
+        // Distances no other test uses, so the cold channel prices every
+        // table itself.
+        let mut gen = DetRng::seed_from_u64(12);
+        let fair = |gen: &mut DetRng, n: usize| (0..n).map(|_| gen.chance(0.5)).collect();
+        let states = [0, 0, 2, 2, 4, 4, 1, 1];
+
+        // The paper's bench, across four impairment states.
+        let frames: Vec<Vec<bool>> = (0..states.len()).map(|_| fair(&mut gen, 3_000)).collect();
+        let (cold, warm) = cold_then_warm(ChannelConfig::paper_bench(2.9137), &frames, &states);
+        assert!(
+            Arc::ptr_eq(&cold, &warm),
+            "the warm channel adopted the stored table"
+        );
+        assert!(cold
+            .edges
+            .iter()
+            .all(|e| e.thr != UNPRICED || e.next == UNBUILT));
+
+        // A railed (per-sample) edge: a dark ideal LED without bias.
+        let mut cfg = ChannelConfig::paper_bench(5.9173);
+        cfg.led = LedModel::ideal(1.4);
+        cfg.frontend.bias_v = 0.0;
+        let frames: Vec<Vec<bool>> = (0..states.len())
+            .map(|i| {
+                let mut slots = vec![false; 2_000];
+                slots.extend(fair(&mut gen, 500 * i));
+                slots
+            })
+            .collect();
+        let (cold, warm) = cold_then_warm(cfg, &frames, &states);
+        assert!(Arc::ptr_eq(&cold, &warm));
+        assert!(cold.edges.iter().any(|e| e.thr == PER_SAMPLE));
+
+        // An LED that never settles: every frame clears the full table.
+        let mut cfg = ChannelConfig::paper_bench(3.1579);
+        cfg.led.rise_tau_s = 1e-3;
+        cfg.led.fall_tau_s = 1e-3;
+        let frames: Vec<Vec<bool>> = (0..4)
+            .map(|_| fair(&mut gen, 2 * MAX_LED_STATES + 100))
+            .collect();
+        let (cold, _) = cold_then_warm(cfg, &frames, &states[..4]);
+        assert!(cold.powers.len() < MAX_LED_STATES, "the table cleared");
+    }
+
+    #[test]
+    fn a_one_ulp_change_to_any_key_field_misses_the_store() {
+        let ch = channel(3.0);
+        let model = ch.slot_model(Some(40));
+        let step = ch
+            .cfg
+            .led
+            .slot_step(ch.cfg.tslot_s, ch.cfg.samples_per_slot);
+        let key = model.key(&step, 3);
+        let mut store = LedStore { tables: Vec::new() };
+        store.publish(key, Arc::default());
+        assert!(store.adopt(&key).is_some());
+        for i in 0..LED_KEY_WORDS {
+            let mut near = key;
+            near[i] = near[i].wrapping_add(1);
+            assert!(store.adopt(&near).is_none(), "word {i}");
+        }
+        // And the key reads every field of the model.
+        fn ulp(x: f64) -> f64 {
+            f64::from_bits(x.to_bits() + 1)
+        }
+        let moved: [fn(&mut SlotModel); 6] = [
+            |m| m.i_per_w = ulp(m.i_per_w),
+            |m| m.var_floor = ulp(m.var_floor),
+            |m| m.var_per_w = ulp(m.var_per_w),
+            |m| m.k = m.k.map(|k| k + 1),
+            |m| m.max_sum += 1,
+            |m| m.z_far = ulp(m.z_far),
+        ];
+        for (i, f) in moved.iter().enumerate() {
+            let mut m = ch.slot_model(Some(40));
+            f(&mut m);
+            assert_ne!(m.key(&step, 3), key, "field {i}");
+        }
+        assert_ne!(model.key(&step, 4), key);
+        assert_ne!(ch.slot_model(None).key(&step, 3), key);
+    }
+
+    #[test]
+    fn the_store_keeps_its_bound_and_evicts_the_oldest() {
+        let mut gen = DetRng::seed_from_u64(13);
+        let slots: Vec<bool> = (0..3_000).map(|_| gen.chance(0.5)).collect();
+        let mut store = LedStore { tables: Vec::new() };
+        let mut keys = Vec::new();
+        let mut held = None;
+        let mut scratch = RxScratch::new();
+        for i in 0..60 {
+            let mut ch = channel(1.0 + 0.05 * f64::from(i));
+            ch.transmit_and_decide_into(&slots, &mut scratch);
+            let table = Arc::clone(&ch.led_auto.table);
+            keys.push(ch.led_auto.key);
+            drop(ch);
+            if i == 0 {
+                held = Some(Arc::clone(&table));
+            }
+            store.publish(*keys.last().unwrap(), table);
+            assert!(store.unheld_states() <= LED_STORE_STATES, "after {i}");
+        }
+        let kept: Vec<LedKey> = store.tables.iter().map(|(k, _)| *k).collect();
+        assert!(kept.len() < keys.len(), "the store evicted");
+        // The held table survives; the rest are the newest, oldest first.
+        assert_eq!(kept[0], keys[0]);
+        assert_eq!(kept[1..], keys[keys.len() + 1 - kept.len()..]);
+        drop(held);
+        // Republishing makes a table the newest.
+        let (key, table) = store.tables[1].clone();
+        store.publish(key, table);
+        assert_eq!(store.tables.last().map(|(k, _)| *k), Some(key));
+        assert!(store.unheld_states() <= LED_STORE_STATES);
     }
 
     /// `a` and `b`, each `(hits, trials)`, within 5σ of one binomial
