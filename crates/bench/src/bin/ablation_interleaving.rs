@@ -63,7 +63,7 @@ fn main() {
             }
             slots
         };
-        let interleaved = build(&ss.symbol_sequence(), &table);
+        let interleaved = build(&ss.symbols().collect::<Vec<_>>(), &table);
         let mut concat_seq = vec![ss.s1(); ss.m1() as usize];
         concat_seq.extend(vec![ss.s2(); ss.m2() as usize]);
         let concatenated = build(&concat_seq, &table);

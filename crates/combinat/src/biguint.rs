@@ -2,7 +2,8 @@
 //!
 //! Only the operations the enumerative codec needs are implemented:
 //! construction, comparison, addition, checked subtraction, left shifts
-//! (for assembling wide data words), and bit-level accessors. Limbs are
+//! (for assembling wide data words), multiplication and division by a
+//! `u64` (for building binomial rows), and bit-level accessors. Limbs are
 //! `u64`, little-endian, and the representation is always *normalized*
 //! (no trailing zero limbs), so `==` on the limb vector is value equality.
 
@@ -201,6 +202,33 @@ impl BigUint {
         Some(r)
     }
 
+    /// In-place `self *= m`.
+    pub(crate) fn mul_small_assign(&mut self, m: u64) {
+        let mut carry = 0u64;
+        for limb in &mut self.limbs {
+            let p = u128::from(*limb) * u128::from(m) + u128::from(carry);
+            *limb = p as u64;
+            carry = (p >> 64) as u64;
+        }
+        if carry > 0 {
+            self.limbs.push(carry);
+        }
+        self.normalize();
+    }
+
+    /// In-place `self /= d`, returning the remainder. Panics if `d == 0`.
+    pub(crate) fn div_small_assign(&mut self, d: u64) -> u64 {
+        assert!(d > 0, "division by zero");
+        let mut rem = 0u64;
+        for limb in self.limbs.iter_mut().rev() {
+            let cur = u128::from(rem) << 64 | u128::from(*limb);
+            *limb = (cur / u128::from(d)) as u64;
+            rem = (cur % u128::from(d)) as u64;
+        }
+        self.normalize();
+        rem
+    }
+
     /// `self << k`, for any `k`.
     pub fn shl_small(&self, k: u32) -> BigUint {
         if self.is_zero() || k == 0 {
@@ -392,6 +420,36 @@ mod tests {
         let mut x = BigUint::from_u128(u128::MAX);
         x.add_assign(&BigUint::one());
         assert_eq!(x.bit_length(), 129);
+    }
+
+    #[test]
+    fn small_mul_and_div_match_u128() {
+        let cases = [
+            (0u128, 7u64),
+            (1, 1),
+            (u64::MAX as u128, u64::MAX),
+            (1 << 100, 3),
+            (u128::MAX / 5, 4),
+        ];
+        for (a, m) in cases {
+            let mut x = BigUint::from_u128(a);
+            x.mul_small_assign(m);
+            if let Some(p) = a.checked_mul(u128::from(m)) {
+                assert_eq!(x.to_u128(), Some(p), "{a} * {m}");
+            }
+            assert_eq!(x.div_small_assign(m), 0, "{a} * {m} / {m}");
+            assert_eq!(x.to_u128(), Some(a), "{a} * {m} / {m}");
+        }
+        let mut x = BigUint::from_u128((1 << 100) + 17);
+        assert_eq!(
+            u128::from(x.div_small_assign(10)),
+            ((1u128 << 100) + 17) % 10
+        );
+        assert_eq!(x.to_u128(), Some(((1 << 100) + 17) / 10));
+        // Multiplying by zero leaves a normalized zero.
+        let mut z = BigUint::from_u128(u128::MAX);
+        z.mul_small_assign(0);
+        assert_eq!(z, BigUint::zero());
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Exact binomial coefficients, precomputed and shareable.
+//! Exact binomial coefficients, shareable across threads.
 //!
 //! The AMPPM planner queries `C(N,K)` (and `⌊log2 C(N,K)⌋`, the
 //! bits-per-symbol of pattern `S(N, K/N)` from Eq. 2 of the paper) for many
 //! `(N,K)` pairs while filtering candidates and walking the rate envelope,
 //! and the codec's inner loop compares a running value against
-//! `C(N-iN, K-iK)` once per slot. A [`BinomialTable`] holds every Pascal
-//! row up to its `max_n` — computed once at construction — and serves
-//! values through three read-only views:
+//! `C(N-iN, K-iK)` once per slot. A [`BinomialTable`] answers for every
+//! row up to its `max_n` through three read-only views:
 //!
 //! * [`BinomialTable::binomial_u128`] — `C(n,k)` as `u128` when it fits
 //!   128 bits (everything up to `N = 128` does): the rank walk for rows
@@ -17,31 +16,41 @@
 //!   the value.
 //!
 //! Rows `0..=min(max_n, 67)`, the last whose entries all fit a `u64`, are
-//! also kept as a flat `u64` triangle (`C(n,k)` at `n(n+1)/2 + k`). That
-//! is the codec hot path: the walks of every pattern with `N ≤ 67` index
-//! it directly, one load per slot with no `BigUint` and no `Option`, and
-//! for those rows `binomial_u128` and `bits_per_symbol` (`63 − lzcnt` of
-//! the entry) answer from it too, so the codec's once-per-symbol metadata
-//! never reads a `BigUint` either.
+//! built at construction as a flat `u64` triangle (`C(n,k)` at
+//! `n(n+1)/2 + k`, 18 KB in full) by Pascal's recursion. That is the codec
+//! hot path: the walks of every pattern with `N ≤ 67` index it directly,
+//! one load per slot with no `BigUint` and no `Option`, and for those rows
+//! `binomial_u128` and `bits_per_symbol` (`63 − lzcnt` of the entry)
+//! answer from it too, so the codec's once-per-symbol metadata never reads
+//! a `BigUint` either.
 //!
-//! Because the table is immutable after construction, one instance can be
+//! The `BigUint` half-row of `n` is built the first time a read needs it,
+//! on its own (`C(n,k) = C(n,k−1)·(n−k+1)/k`), and kept. The default
+//! calibration plans no pattern past the word triangle, so a planner
+//! normally builds no row at all; a garbage MPPM header at `N = 500` costs
+//! that one ~20 KB row, not every row below it.
+//! [`BinomialTable::rows_built`] counts the rows built so far.
+//!
+//! Values never change and each row fills in once, so one instance can be
 //! shared across every planner, codec, and sweep worker thread:
 //! [`BinomialTable::shared`] interns tables per `max_n` behind `Arc`s, so
-//! parallel experiment runners pay the Pascal build exactly once per
-//! process instead of once per link endpoint.
+//! parallel experiment runners build the word triangle once per process
+//! instead of once per link endpoint, and a row once for all of them.
 
 use crate::biguint::BigUint;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Precomputed Pascal's triangle up to a maximum row; immutable after
-/// construction, so freely shareable across threads.
+/// Exact binomial coefficients up to a maximum row: an eager `u64` word
+/// triangle and `BigUint` rows built on first read. Values never change,
+/// so the table is freely shareable across threads.
 ///
-/// Only the first half of each row is stored (`C(n,k) = C(n,n-k)`).
+/// Only the first half of each `BigUint` row is stored
+/// (`C(n,k) = C(n,n-k)`).
 pub struct BinomialTable {
     max_n: usize,
-    /// `rows[n][k]` = C(n,k) for k <= n/2.
-    rows: Vec<Vec<BigUint>>,
+    /// `rows[n]` holds C(n,k) for k <= n/2 once row `n` has been read.
+    rows: Box<[OnceLock<Box<[BigUint]>>]>,
     /// Rows `0..=min(max_n, WORD_ROWS_MAX_N)` as a flat `u64` triangle:
     /// `C(n,k)` at `n(n+1)/2 + k`, every `k <= n`.
     words: Vec<u64>,
@@ -58,58 +67,44 @@ fn word_row_start(n: usize) -> usize {
 }
 
 impl BinomialTable {
-    /// Build a table supporting `0 <= n <= max_n`. All rows are computed
-    /// eagerly — `max_n = 512` (covering the paper's `Nmax = 500` flicker
-    /// bound, Eq. 4) builds in single-digit milliseconds and costs a few
-    /// MB.
+    /// A table supporting `0 <= n <= max_n`. Only the `u64` word
+    /// triangle is built here (rows up to 67, 18 KB, microseconds); each
+    /// `BigUint` row is built when first read.
     pub fn new(max_n: usize) -> Self {
-        let mut rows: Vec<Vec<BigUint>> = Vec::with_capacity(max_n + 1);
-        rows.push(vec![BigUint::one()]);
-        for n in 1..=max_n {
-            let prev = &rows[n - 1];
-            let half = n / 2;
-            let mut row = Vec::with_capacity(half + 1);
-            row.push(BigUint::one()); // C(n,0)
-            for k in 1..=half {
-                // C(n,k) = C(n-1,k-1) + C(n-1,k); fetch both from the
-                // stored half-row using symmetry.
-                let a = fetch_half(prev, n - 1, k - 1);
-                let b = fetch_half(prev, n - 1, k);
-                row.push(a.add(b));
-            }
-            rows.push(row);
-        }
         let word_rows = max_n.min(WORD_ROWS_MAX_N) + 1;
         let mut words = Vec::with_capacity(word_row_start(word_rows));
-        for (n, row) in rows.iter().take(word_rows).enumerate() {
-            words.extend((0..=n).map(|k| {
-                fetch_half(row, n, k)
-                    .to_u128()
-                    .and_then(|c| u64::try_from(c).ok())
-                    .expect("rows up to WORD_ROWS_MAX_N fit a u64")
-            }));
+        for n in 0..word_rows {
+            let prev = word_row_start(n.saturating_sub(1));
+            for k in 0..=n {
+                let c = if k == 0 || k == n {
+                    1
+                } else {
+                    words[prev + k - 1] + words[prev + k]
+                };
+                words.push(c);
+            }
         }
-        BinomialTable { max_n, rows, words }
+        BinomialTable {
+            max_n,
+            rows: (0..=max_n).map(|_| OnceLock::new()).collect(),
+            words,
+        }
     }
 
     /// A process-wide shared table for `max_n`, built on first use.
     ///
     /// Tables are interned per `max_n`: every planner/codec asking for the
     /// same size gets the same `Arc`, so worker threads in a parallel
-    /// sweep never rebuild (or lock) Pascal rows on the hot path — the
-    /// mutex below guards only the intern map, not lookups.
+    /// sweep never rebuild a row, and never lock on the hot path — the
+    /// mutex below guards only the intern map, not lookups. Construction
+    /// builds only the word triangle, so it runs under the lock.
     pub fn shared(max_n: usize) -> Arc<BinomialTable> {
-        static TABLES: OnceLock<Mutex<HashMap<usize, Arc<BinomialTable>>>> = OnceLock::new();
-        let map = TABLES.get_or_init(|| Mutex::new(HashMap::new()));
-        // Fast path: already interned.
-        if let Some(t) = map.lock().expect("intern map poisoned").get(&max_n) {
-            return Arc::clone(t);
-        }
-        // Build outside the lock so a slow construction does not serialize
-        // unrelated sizes; a racing builder just wastes one build.
-        let built = Arc::new(BinomialTable::new(max_n));
-        let mut guard = map.lock().expect("intern map poisoned");
-        Arc::clone(guard.entry(max_n).or_insert(built))
+        static TABLES: Mutex<BTreeMap<usize, Arc<BinomialTable>>> = Mutex::new(BTreeMap::new());
+        let mut map = TABLES.lock().expect("intern map poisoned");
+        Arc::clone(
+            map.entry(max_n)
+                .or_insert_with(|| Arc::new(BinomialTable::new(max_n))),
+        )
     }
 
     /// The largest supported `n`.
@@ -117,8 +112,14 @@ impl BinomialTable {
         self.max_n
     }
 
-    /// Borrowed exact `C(n,k)` — the allocation-free hot path. Returns a
-    /// reference to zero for `k > n`.
+    /// How many `BigUint` rows have been built so far (a diagnostic: the
+    /// word triangle is not counted).
+    pub fn rows_built(&self) -> usize {
+        self.rows.iter().filter(|r| r.get().is_some()).count()
+    }
+
+    /// Borrowed exact `C(n,k)`, allocation-free once row `n` is built.
+    /// Returns a reference to zero for `k > n`.
     #[inline]
     pub fn binomial_ref(&self, n: usize, k: usize) -> &BigUint {
         static ZERO: BigUint = BigUint::ZERO;
@@ -126,7 +127,8 @@ impl BinomialTable {
             return &ZERO;
         }
         assert!(n <= self.max_n, "n={n} exceeds table max {}", self.max_n);
-        fetch_half(&self.rows[n], n, k)
+        let row = self.rows[n].get_or_init(|| half_row(n));
+        &row[k.min(n - k)]
     }
 
     /// Exact `C(n,k)` as an owned value. Returns 0 for `k > n`.
@@ -188,9 +190,19 @@ impl BinomialTable {
     }
 }
 
-fn fetch_half(row: &[BigUint], n: usize, k: usize) -> &BigUint {
-    let k = k.min(n - k);
-    &row[k]
+/// `C(n,k)` for `k <= n/2`, each entry from the one before:
+/// `C(n,k) = C(n,k−1)·(n−k+1)/k`, where the division is exact.
+fn half_row(n: usize) -> Box<[BigUint]> {
+    let mut row = Vec::with_capacity(n / 2 + 1);
+    let mut c = BigUint::one();
+    for k in 1..=n / 2 {
+        row.push(c.clone());
+        c.mul_small_assign((n - k + 1) as u64);
+        let rem = c.div_small_assign(k as u64);
+        debug_assert_eq!(rem, 0, "C({n},{k}) division is exact");
+    }
+    row.push(c);
+    row.into_boxed_slice()
 }
 
 /// Exact `C(n,k)` without a table, via the multiplicative formula in
@@ -363,6 +375,73 @@ mod tests {
         assert!(t.word_rows(41).is_none());
         assert!(t.word_rows(WORD_ROWS_MAX_N).is_none());
         assert_eq!(t.binomial_u128(40, 20), Some(137_846_528_820));
+    }
+
+    /// Full Pascal rows `0..=max_n` by the recursion
+    /// `C(n,k) = C(n-1,k-1) + C(n-1,k)`.
+    fn pascal(max_n: usize) -> Vec<Vec<BigUint>> {
+        let mut rows = vec![vec![BigUint::one()]];
+        for n in 1..=max_n {
+            let prev = &rows[n - 1];
+            let row = (0..=n)
+                .map(|k| match k {
+                    0 => BigUint::one(),
+                    k if k == n => BigUint::one(),
+                    k => prev[k - 1].add(&prev[k]),
+                })
+                .collect();
+            rows.push(row);
+        }
+        rows
+    }
+
+    #[test]
+    fn lazy_rows_equal_the_pascal_recursion() {
+        let t = BinomialTable::new(512);
+        assert_eq!(t.rows_built(), 0);
+        for (n, row) in pascal(512).iter().enumerate() {
+            for (k, c) in row.iter().enumerate() {
+                assert_eq!(t.binomial_ref(n, k), c, "C({n},{k})");
+            }
+            assert_eq!(t.rows_built(), n + 1);
+        }
+    }
+
+    #[test]
+    fn racing_threads_read_equal_rows() {
+        // A max_n no other test interns, so the race is on a cold row.
+        let t = BinomialTable::shared(333);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (t, start) = (Arc::clone(&t), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..=300).map(|k| t.binomial(300, k)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let rows: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(rows[0], rows[1]);
+        assert_eq!(rows[0], pascal(300)[300]);
+        assert_eq!(t.rows_built(), 1);
+    }
+
+    #[test]
+    fn the_word_triangle_builds_no_row() {
+        let t = BinomialTable::new(512);
+        for n in 0..=WORD_ROWS_MAX_N {
+            for k in 0..=n + 1 {
+                t.binomial_u128(n, k);
+                t.bits_per_symbol(n, k);
+            }
+        }
+        assert_eq!(t.rows_built(), 0);
+        // Past the triangle, one read builds only its own row.
+        assert_eq!(t.bits_per_symbol(500, 250), Some(495));
+        assert_eq!(t.rows_built(), 1);
+        assert!(t.binomial_u128(100, 50).is_some());
+        assert_eq!(t.rows_built(), 2);
     }
 
     #[test]

@@ -100,22 +100,33 @@ impl BitWriter {
         self.partial = (self.partial + 1) % 8;
     }
 
-    /// Append the low `n <= 128` bits of `v`, MSB-first. Moves up to a
-    /// byte per step.
-    pub fn write_word(&mut self, v: u128, n: usize) {
+    /// Append the low `n <= 128` bits of `v`, MSB-first, in chunks of up
+    /// to 56 bits, most significant chunk first.
+    pub fn write_word(&mut self, v: u128, mut n: usize) {
         assert!(n <= 128, "write_word supports at most 128 bits");
-        let mut left = n;
-        while left > 0 {
-            if self.partial == 0 {
-                self.bytes.push(0);
-            }
-            let free = 8 - self.partial as usize;
-            let take = free.min(left);
-            left -= take;
-            let chunk = (v >> left) as u8 & (0xFF >> (8 - take));
-            *self.bytes.last_mut().expect("pushed above") |= chunk << (free - take);
-            self.partial = ((self.partial as usize + take) % 8) as u8;
+        while n > 56 {
+            n -= 56;
+            self.write_chunk((v >> n) as u64, 56);
         }
+        self.write_chunk(v as u64, n);
+    }
+
+    /// Append the low `n <= 56` bits of `v` in one step: the partial last
+    /// byte's bits, then the chunk, left-aligned in a `u64` (at most
+    /// 7 + 56 = 63 bits).
+    fn write_chunk(&mut self, v: u64, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let used = self.partial as usize;
+        let mut acc = (v & (u64::MAX >> (64 - n))) << (64 - used - n);
+        if used > 0 {
+            acc |= u64::from(self.bytes.pop().expect("partial byte")) << 56;
+        }
+        let total = used + n;
+        self.bytes
+            .extend_from_slice(&acc.to_be_bytes()[..total.div_ceil(8)]);
+        self.partial = (total % 8) as u8;
     }
 
     /// Finish, zero-padding the final partial byte. Returns the bytes and

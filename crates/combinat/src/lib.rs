@@ -11,12 +11,13 @@
 //! * [`biguint::BigUint`] — arbitrary-precision unsigned integers, because
 //!   a super-symbol may span up to `Nmax = 500` slots and `C(500,250)` has
 //!   ~498 bits.
-//! * [`binomial::BinomialTable`] — exact precomputed binomial
-//!   coefficients: immutable after construction so one table (interned
-//!   behind `Arc` via [`BinomialTable::shared`]) serves every planner,
-//!   codec, and sweep worker thread, with a flat `u64` triangle of rows
-//!   `0..=67` for the codec walks at the sizes the modem actually uses,
-//!   a `u128` view up to `N = 128`, and borrowed `BigUint` lookups.
+//! * [`binomial::BinomialTable`] — exact binomial coefficients whose
+//!   values never change, so one table (interned behind `Arc` via
+//!   [`BinomialTable::shared`]) serves every planner, codec, and sweep
+//!   worker thread: a flat `u64` triangle of rows `0..=67`, built up
+//!   front, for the codec walks at the sizes the modem actually uses, a
+//!   `u128` view up to `N = 128`, and borrowed `BigUint` lookups whose
+//!   rows are built on first read.
 //! * [`bits::BitReader`] / [`bits::BitWriter`] — MSB-first bit streams over
 //!   bytes, used to slice the upper-layer payload into per-symbol data
 //!   words of up to 128 bits at a time.

@@ -137,6 +137,26 @@ proptest! {
         prop_assert_eq!(word.finish(), reference.finish());
     }
 
+    /// A sequence of `write_word` calls, with widths on both sides of the
+    /// 56-bit chunk, equals writing the same bits one at a time: the same
+    /// bytes and the same `len_bits` after every word.
+    #[test]
+    fn write_word_sequence_matches_per_bit_writes(
+        words in proptest::collection::vec((any::<u128>(), 0usize..=128, any::<bool>()), 0..60),
+    ) {
+        let mut word = BitWriter::new();
+        let mut reference = BitWriter::new();
+        for &(v, n, narrow) in &words {
+            let n = if narrow { n % 57 } else { n };
+            word.write_word(v, n);
+            for i in (0..n).rev() {
+                reference.write_bit((v >> i) & 1 == 1);
+            }
+            prop_assert_eq!(word.len_bits(), reference.len_bits());
+        }
+        prop_assert_eq!(word.finish(), reference.finish());
+    }
+
     /// The word codec equals the value-level `BigUint` codec for random
     /// `(N ≤ 128, K)`: the same slots on encode, and on decode the same
     /// word, or a symbol error (zeros, no panic) exactly when the received

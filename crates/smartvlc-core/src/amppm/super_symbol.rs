@@ -109,10 +109,10 @@ impl SuperSymbol {
 
     /// The deterministic transmission order of constituent symbols: `m1`
     /// copies of `S1` spread evenly among `m2` copies of `S2`.
-    pub fn symbol_sequence(&self) -> Vec<SymbolPattern> {
-        spread_evenly(self.m1 as usize, (self.m1 + self.m2) as usize)
-            .map(|first| if first { self.s1 } else { self.s2 })
-            .collect()
+    pub fn symbols(&self) -> impl Iterator<Item = SymbolPattern> + Clone {
+        let (s1, s2) = (self.s1, self.s2);
+        let order = spread_evenly(self.m1 as usize, (self.m1 + self.m2) as usize);
+        order.map(move |first| if first { s1 } else { s2 })
     }
 }
 
@@ -136,7 +136,7 @@ mod tests {
     fn encode_super(ss: &SuperSymbol, t: &BinomialTable, reader: &mut BitReader<'_>) -> Vec<bool> {
         let mut slots = Vec::new();
         let mut scratch = EncodeScratch::new();
-        for p in ss.symbol_sequence() {
+        for p in ss.symbols() {
             p.encode_word(t, reader, &mut scratch, &mut slots);
         }
         slots
@@ -152,7 +152,7 @@ mod tests {
     ) -> Result<u32, CodewordError> {
         let mut scratch = EncodeScratch::new();
         let (mut offset, mut failures) = (0, 0);
-        for p in ss.symbol_sequence() {
+        for p in ss.symbols() {
             let end = (offset + p.n() as usize).min(slots.len());
             failures += p.decode_word(t, &slots[offset..end], &mut scratch, writer)? as u32;
             offset = end;
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn sequence_has_exact_multiplicities_and_is_spread() {
         let ss = SuperSymbol::new(s(10, 1), 3, s(12, 2), 9).unwrap();
-        let seq = ss.symbol_sequence();
+        let seq: Vec<_> = ss.symbols().collect();
         assert_eq!(seq.len(), 12);
         assert_eq!(seq.iter().filter(|&&p| p == s(10, 1)).count(), 3);
         // Evenly spread: no two S1 adjacent when m2 >= 2*m1.
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn sequence_is_deterministic() {
         let ss = SuperSymbol::new(s(11, 3), 5, s(13, 7), 8).unwrap();
-        assert_eq!(ss.symbol_sequence(), ss.symbol_sequence());
+        assert!(ss.symbols().eq(ss.symbols()));
     }
 
     #[test]
@@ -219,7 +219,7 @@ mod tests {
         let ss = SuperSymbol::uniform(s(20, 10), 4).unwrap();
         assert_eq!(ss.n_super(), 80);
         assert_eq!(ss.dimming(), 0.5);
-        assert_eq!(ss.symbol_sequence().len(), 4);
+        assert_eq!(ss.symbols().count(), 4);
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub trait SlotModem {
 /// slots, AMPPM's tail filler and symbol order, the idle filler — so it
 /// must stay bit-exact. It steps a remainder `i·m mod n` instead of
 /// dividing: adding `m` crosses `n` at most once because `m ≤ n`.
-pub fn spread_evenly(m: usize, n: usize) -> impl Iterator<Item = bool> {
+pub fn spread_evenly(m: usize, n: usize) -> impl Iterator<Item = bool> + Clone {
     assert!(m <= n, "cannot spread {m} of {n}");
     let mut acc = 0;
     (0..n).map(move |_| {

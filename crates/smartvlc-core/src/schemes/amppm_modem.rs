@@ -42,40 +42,60 @@ impl AmppmModem {
         self.super_symbol
     }
 
-    /// The symbol patterns that cover `n_bytes`, cycling the
-    /// super-symbol's sequence and truncating after the last needed
-    /// symbol.
-    fn symbol_walk(&self, table: &BinomialTable, n_bytes: usize) -> Vec<SymbolPattern> {
-        let seq = self.super_symbol.symbol_sequence();
-        let per_super: u32 = seq.iter().map(|p| p.bits_per_symbol(table)).sum();
-        assert!(
-            per_super > 0,
-            "super-symbol carries no data: {:?}",
-            self.super_symbol
+    /// Where the walk over an `n_bytes` block ends, derived from the
+    /// super-symbol's sequence without listing it: whole passes over the
+    /// sequence, then the shortest prefix of it (at least one symbol)
+    /// whose bits cover the rest.
+    fn layout(&self, table: &BinomialTable, n_bytes: usize) -> Layout {
+        let ss = self.super_symbol;
+        let (s1, s2) = (ss.s1(), ss.s2());
+        let (b1, b2) = (
+            u64::from(s1.bits_per_symbol(table)),
+            u64::from(s2.bits_per_symbol(table)),
         );
+        let per_super = u64::from(ss.m1()) * b1 + u64::from(ss.m2()) * b2;
+        assert!(per_super > 0, "super-symbol carries no data: {ss:?}");
         let needed = bits_for(n_bytes) as u64;
-        let mut out = Vec::new();
-        let mut covered = 0u64;
-        'outer: loop {
-            for &p in &seq {
-                out.push(p);
-                covered += p.bits_per_symbol(table) as u64;
-                if covered >= needed {
-                    break 'outer;
-                }
+        let passes = needed.saturating_sub(1) / per_super;
+        let mut covered = passes * per_super;
+        let (mut n1, mut n2) = (passes * u64::from(ss.m1()), passes * u64::from(ss.m2()));
+        let mut partial = 0;
+        for p in ss.symbols() {
+            partial += 1;
+            if p == s1 {
+                n1 += 1;
+                covered += b1;
+            } else {
+                n2 += 1;
+                covered += b2;
+            }
+            if covered >= needed {
+                break;
             }
         }
-        out
+        let slots = n1 * u64::from(s1.n()) + n2 * u64::from(s2.n());
+        let ones = n1 * u64::from(s1.k()) + n2 * u64::from(s2.k());
+        let (filler, filler_ones) = self.tail_filler(slots, ones);
+        Layout {
+            symbols: (passes * (u64::from(ss.m1()) + u64::from(ss.m2()))) as usize + partial,
+            slots: slots as usize,
+            filler,
+            filler_ones,
+        }
+    }
+
+    /// The symbol patterns of a layout's walk, in transmission order.
+    fn walk(&self, layout: &Layout) -> impl Iterator<Item = SymbolPattern> {
+        self.super_symbol.symbols().cycle().take(layout.symbols)
     }
 
     /// The truncated walk's partial super-symbol skews the block's duty
     /// away from `lsuper` (its two patterns differ in dimming). A short
     /// data-free filler restores the exact ratio so frame tails don't
     /// produce Type-II brightness dips/bumps: `filler_len` slots of which
-    /// `filler_ones` are ON, both pure functions of the walk.
-    fn tail_filler(&self, walk: &[SymbolPattern]) -> (usize, usize) {
-        let slots: u64 = walk.iter().map(|p| p.n() as u64).sum();
-        let ones: u64 = walk.iter().map(|p| p.k() as u64).sum();
+    /// `filler_ones` are ON, both pure functions of the walk's `slots`
+    /// and `ones`.
+    fn tail_filler(&self, slots: u64, ones: u64) -> (usize, usize) {
         let l = self.super_symbol.dimming();
         // Find the smallest filler that brings the total within half a
         // slot of the target ratio. Capped defensively; typical lengths
@@ -92,27 +112,36 @@ impl AmppmModem {
     }
 }
 
+/// The slot layout of one payload block.
+struct Layout {
+    /// Symbols in the walk.
+    symbols: usize,
+    /// Slots the walk's symbols occupy.
+    slots: usize,
+    /// Data-free tail filler: its slots, and how many of them are ON.
+    filler: usize,
+    filler_ones: usize,
+}
+
 impl SlotModem for AmppmModem {
     fn dimming(&self) -> DimmingLevel {
         DimmingLevel::clamped(self.super_symbol.dimming())
     }
 
     fn slots_for_payload(&self, table: &BinomialTable, n_bytes: usize) -> usize {
-        let walk = self.symbol_walk(table, n_bytes);
-        let (filler, _) = self.tail_filler(&walk);
-        walk.iter().map(|p| p.n() as usize).sum::<usize>() + filler
+        let layout = self.layout(table, n_bytes);
+        layout.slots + layout.filler
     }
 
     fn modulate(&self, table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
-        let walk = self.symbol_walk(table, bytes.len());
-        let (filler, filler_ones) = self.tail_filler(&walk);
+        let layout = self.layout(table, bytes.len());
         let mut reader = BitReader::new(bytes);
-        let mut slots = Vec::new();
+        let mut slots = Vec::with_capacity(layout.slots + layout.filler);
         let mut scratch = EncodeScratch::new();
-        for pattern in walk {
+        for pattern in self.walk(&layout) {
             pattern.encode_word(table, &mut reader, &mut scratch, &mut slots);
         }
-        slots.extend(spread_evenly(filler_ones, filler));
+        slots.extend(spread_evenly(layout.filler_ones, layout.filler));
         slots
     }
 
@@ -122,9 +151,8 @@ impl SlotModem for AmppmModem {
         slots: &[bool],
         n_bytes: usize,
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
-        let walk = self.symbol_walk(table, n_bytes);
-        let (filler, _) = self.tail_filler(&walk);
-        let expected: usize = walk.iter().map(|p| p.n() as usize).sum::<usize>() + filler;
+        let layout = self.layout(table, n_bytes);
+        let expected = layout.slots + layout.filler;
         if slots.len() != expected {
             return Err(DemodError::LengthMismatch {
                 expected,
@@ -135,7 +163,7 @@ impl SlotModem for AmppmModem {
         let mut stats = DemodStats::default();
         let mut scratch = EncodeScratch::new();
         let mut offset = 0usize;
-        for pattern in walk {
+        for pattern in self.walk(&layout) {
             let n = pattern.n() as usize;
             stats.symbols += 1;
             let symbol = &slots[offset..offset + n];
@@ -193,10 +221,54 @@ mod tests {
         let slots = m.slots_for_payload(&t, n_bytes);
         assert!(slots < ss.n_super() as usize, "padded to a whole super");
         // Covered bits within one symbol of the requirement.
-        let walk = m.symbol_walk(&t, n_bytes);
-        let walk_bits: u32 = walk.iter().map(|p| p.bits_per_symbol(&t)).sum();
+        let walk = m.walk(&m.layout(&t, n_bytes));
+        let walk_bits: u32 = walk.map(|p| p.bits_per_symbol(&t)).sum();
         assert!(walk_bits >= 128);
         assert!(walk_bits < 128 + 19, "walk_bits={walk_bits}");
+    }
+
+    #[test]
+    fn layout_equals_the_listed_walk() {
+        let t = table();
+        let supers = [
+            SuperSymbol::new(s(21, 11), 2, s(10, 4), 3).unwrap(),
+            SuperSymbol::new(s(21, 11), 10, s(20, 10), 10).unwrap(),
+            SuperSymbol::new(s(10, 3), 0, s(12, 5), 4).unwrap(),
+            SuperSymbol::new(s(9, 1), 7, s(3, 1), 1).unwrap(),
+            SuperSymbol::new(s(31, 30), 1, s(30, 29), 5).unwrap(),
+            SuperSymbol::uniform(s(10, 5), 3).unwrap(),
+        ];
+        for ss in supers {
+            let m = AmppmModem::new(ss);
+            let seq: Vec<_> = ss.symbols().collect();
+            for n_bytes in 0..300 {
+                // The walk listed symbol by symbol: cycle the sequence and
+                // stop once the block's bits are covered.
+                let needed = bits_for(n_bytes) as u64;
+                let (mut walk, mut covered) = (Vec::new(), 0u64);
+                for &p in seq.iter().cycle() {
+                    walk.push(p);
+                    covered += u64::from(p.bits_per_symbol(&t));
+                    if covered >= needed {
+                        break;
+                    }
+                }
+                let slots: u64 = walk.iter().map(|p| u64::from(p.n())).sum();
+                let ones: u64 = walk.iter().map(|p| u64::from(p.k())).sum();
+                let layout = m.layout(&t, n_bytes);
+                assert_eq!(
+                    m.walk(&layout).collect::<Vec<_>>(),
+                    walk,
+                    "{ss:?} {n_bytes} B"
+                );
+                assert_eq!(layout.slots as u64, slots, "{ss:?} {n_bytes} B");
+                assert_eq!(
+                    (layout.filler, layout.filler_ones),
+                    m.tail_filler(slots, ones),
+                    "{ss:?} {n_bytes} B"
+                );
+            }
+        }
     }
 
     #[test]

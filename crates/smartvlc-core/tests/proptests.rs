@@ -84,14 +84,14 @@ proptest! {
         let mut reader = BitReader::new(&data);
         let mut scratch = EncodeScratch::new();
         let mut slots = Vec::new();
-        for p in ss.symbol_sequence() {
+        for p in ss.symbols() {
             p.encode_word(&table, &mut reader, &mut scratch, &mut slots);
         }
         prop_assert_eq!(slots.len() as u32, ss.n_super());
         prop_assert_eq!(slots.iter().filter(|&&b| b).count() as u32, ss.ones());
         let mut writer = BitWriter::new();
         let mut offset = 0;
-        for p in ss.symbol_sequence() {
+        for p in ss.symbols() {
             let n = p.n() as usize;
             let failed = p.decode_word(&table, &slots[offset..offset + n], &mut scratch, &mut writer);
             prop_assert_eq!(failed, Ok(false));

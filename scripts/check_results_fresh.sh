@@ -7,8 +7,8 @@
 # Run from the repository root. Exits non-zero if any committed artifact
 # does not reproduce, or if a bin writes a file that is not committed.
 # Only the wall-clock-bearing outputs are exempt, each named below:
-#   - bench_runner is not rerun: BENCH_runner.json and
-#     TELEMETRY_runner.json are timing reports;
+#   - BENCH_runner.json is a timing report (bench_runner's other output,
+#     TELEMETRY_runner.json, is byte-compared like every other file);
 #   - ablation_codec.csv: the enum_ns, tab_ns and speedup columns are
 #     timings, so only the pattern and table_ram columns are compared;
 #   - BENCH_cell.json: the wall_ns_per_slot and scaling_wall lines.
@@ -21,7 +21,6 @@ cargo build --release --offline -q -p smartvlc-bench --bins
 
 for src in crates/bench/src/bin/*.rs; do
     bin=$(basename "$src" .rs)
-    [ "$bin" = bench_runner ] && continue
     SMARTVLC_RESULTS="$fresh" "${CARGO_TARGET_DIR:-target}/release/$bin" > /dev/null
 done
 
@@ -34,7 +33,7 @@ for committed in results/*; do
     name=$(basename "$committed")
     out="$fresh/$name"
     case "$name" in
-    BENCH_runner.json | TELEMETRY_runner.json) continue ;;
+    BENCH_runner.json) continue ;;
     esac
     if [ ! -f "$out" ]; then
         echo "STALE: results/$name is produced by no bin"
