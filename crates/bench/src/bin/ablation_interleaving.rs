@@ -10,7 +10,7 @@
 //! levels. Same data, same rate, same length — strictly less
 //! low-frequency ripple.
 
-use combinat::{BinomialTable, BitReader, EncodeScratch};
+use combinat::{encode_words, BinomialTable, BitReader, EncodeScratch};
 use smartvlc_bench::{f, results_dir};
 use smartvlc_core::{AmppmPlanner, DimmingLevel, SystemConfig};
 use smartvlc_sim::report::{markdown_table, write_csv};
@@ -53,14 +53,13 @@ fn main() {
         // Build both waveforms from the same data bits.
         let build = |patterns: &[smartvlc_core::SymbolPattern], table: &BinomialTable| {
             let mut reader = BitReader::new(&payload);
-            let mut scratch = EncodeScratch::new();
             let mut slots = Vec::new();
-            for _ in 0..4 {
-                // four super-symbols worth
-                for &p in patterns {
-                    p.encode_word(table, &mut reader, &mut scratch, &mut slots);
-                }
-            }
+            // four super-symbols worth
+            let walk = patterns.iter().cycle().take(4 * patterns.len());
+            let walk = walk.map(|&p| p.into());
+            let mut scratch = EncodeScratch::new();
+            encode_words(table, walk, &mut reader, &mut scratch, &mut slots)
+                .expect("invariant k<=n");
             slots
         };
         let interleaved = build(&ss.symbols().collect::<Vec<_>>(), &table);

@@ -16,10 +16,14 @@
 //!   the value.
 //!
 //! Rows `0..=min(max_n, 67)`, the last whose entries all fit a `u64`, are
-//! built at construction as a flat `u64` triangle (`C(n,k)` at
-//! `n(n+1)/2 + k`, 18 KB in full) by Pascal's recursion. That is the codec
-//! hot path: the walks of every pattern with `N ≤ 67` index it directly,
-//! one load per slot with no `BigUint` and no `Option`, and for those rows
+//! built at construction as a flat `u64` triangle by Pascal's recursion,
+//! each row led by one zero: row `n` is `[0, C(n,0), …, C(n,n)]`, so
+//! `C(n,k)` sits at `n(n+3)/2 + 1 + k` (19 KB in full). The pad is
+//! `C(n,−1) = 0`, which lets the unrank walk read `C(m, r−1)` at
+//! `row(m) + r` even once no ON is left (`r = 0`) and so run every slot
+//! with no exit. That is the codec hot path: the walks of every pattern
+//! with `N ≤ 67` index it directly, one load per slot with no `BigUint`
+//! and no `Option`, and for those rows
 //! `binomial_u128` and `bits_per_symbol` (`63 − lzcnt` of the entry)
 //! answer from it too, so the codec's once-per-symbol metadata never reads
 //! a `BigUint` either.
@@ -51,8 +55,9 @@ pub struct BinomialTable {
     max_n: usize,
     /// `rows[n]` holds C(n,k) for k <= n/2 once row `n` has been read.
     rows: Box<[OnceLock<Box<[BigUint]>>]>,
-    /// Rows `0..=min(max_n, WORD_ROWS_MAX_N)` as a flat `u64` triangle:
-    /// `C(n,k)` at `n(n+1)/2 + k`, every `k <= n`.
+    /// Rows `0..=min(max_n, WORD_ROWS_MAX_N)` as a flat `u64` triangle,
+    /// each row led by a zero pad: `C(n,k)` at `word_row_start(n) + 1 + k`,
+    /// every `k <= n`.
     words: Vec<u64>,
 }
 
@@ -60,26 +65,30 @@ pub struct BinomialTable {
 /// `C(67,33) < 2⁶⁴ ≤ C(68,34)`.
 pub(crate) const WORD_ROWS_MAX_N: usize = 67;
 
-/// Start of row `n` in the flat word triangle.
+/// Start of row `n` in the flat word triangle: rows `0..n` hold
+/// `m + 2` entries each (the pad and `C(m,0..=m)`).
 #[inline]
-fn word_row_start(n: usize) -> usize {
-    n * (n + 1) / 2
+pub(crate) fn word_row_start(n: usize) -> usize {
+    n * (n + 3) / 2
 }
 
 impl BinomialTable {
     /// A table supporting `0 <= n <= max_n`. Only the `u64` word
-    /// triangle is built here (rows up to 67, 18 KB, microseconds); each
+    /// triangle is built here (rows up to 67, 19 KB, microseconds); each
     /// `BigUint` row is built when first read.
     pub fn new(max_n: usize) -> Self {
         let word_rows = max_n.min(WORD_ROWS_MAX_N) + 1;
         let mut words = Vec::with_capacity(word_row_start(word_rows));
         for n in 0..word_rows {
+            // C(n,k) = C(n−1,k−1) + C(n−1,k); the pad stands in for
+            // C(n−1,−1) and a pushed 0 for C(n−1,n).
             let prev = word_row_start(n.saturating_sub(1));
+            words.push(0);
             for k in 0..=n {
-                let c = if k == 0 || k == n {
+                let c = if n == 0 {
                     1
                 } else {
-                    words[prev + k - 1] + words[prev + k]
+                    words[prev + k] + if k < n { words[prev + 1 + k] } else { 0 }
                 };
                 words.push(c);
             }
@@ -136,9 +145,10 @@ impl BinomialTable {
         self.binomial_ref(n, k).clone()
     }
 
-    /// Rows `0..=n` of the `u64` triangle (`C(m,k)` at `m(m+1)/2 + k`),
-    /// or `None` when row `n` is not stored: past `max_n` or past
-    /// `WORD_ROWS_MAX_N`. The codec walks run on these rows.
+    /// Rows `0..=n` of the zero-padded `u64` triangle (`C(m,k)` at
+    /// `word_row_start(m) + 1 + k`), or `None` when row `n` is not stored:
+    /// past `max_n` or past `WORD_ROWS_MAX_N`. The codec walks run on
+    /// these rows.
     #[inline]
     pub(crate) fn word_rows(&self, n: usize) -> Option<&[u64]> {
         if n > self.max_n.min(WORD_ROWS_MAX_N) {
@@ -157,7 +167,7 @@ impl BinomialTable {
         Some(if k > n {
             0
         } else {
-            self.words[word_row_start(n) + k]
+            self.words[word_row_start(n) + 1 + k]
         })
     }
 
@@ -339,10 +349,11 @@ mod tests {
     fn word_rows_equal_the_biguint_rows() {
         let t = BinomialTable::new(128);
         let words = t.word_rows(WORD_ROWS_MAX_N).unwrap();
-        assert_eq!(words.len(), 2346);
+        assert_eq!(words.len(), 2346 + 68);
         for n in 0..=WORD_ROWS_MAX_N {
+            assert_eq!(words[word_row_start(n)], 0, "row {n}'s pad");
             for k in 0..=n {
-                let c = words[word_row_start(n) + k];
+                let c = words[word_row_start(n) + 1 + k];
                 assert_eq!(BigUint::from_u64(c), t.binomial(n, k), "C({n},{k})");
             }
         }

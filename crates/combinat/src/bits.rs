@@ -46,22 +46,38 @@ impl<'a> BitReader<'a> {
         Some(bit)
     }
 
-    /// Read the next `n <= 128` bits as an integer, MSB-first. Once the
-    /// buffer runs dry the word is zero-padded on the right, so the final
-    /// data word of a payload needs no special case. Moves up to a byte
-    /// per step.
-    pub fn read_word(&mut self, n: usize) -> u128 {
+    /// Read the next `n <= 128` bits as an integer, MSB-first, in chunks
+    /// of up to 56 bits, most significant chunk first. Once the buffer
+    /// runs dry the word is zero-padded on the right, so the final data
+    /// word of a payload needs no special case.
+    pub fn read_word(&mut self, mut n: usize) -> u128 {
         assert!(n <= 128, "read_word supports at most 128 bits");
-        let end = self.pos + n;
-        let stop = end.min(self.total_bits());
         let mut v = 0u128;
-        while self.pos < stop {
-            let off = self.pos % 8;
-            let take = (8 - off).min(stop - self.pos);
-            v = (v << take) | ((self.bytes[self.pos / 8] << off) >> (8 - take)) as u128;
-            self.pos += take;
+        while n > 56 {
+            n -= 56;
+            v = (v << 56) | u128::from(self.read_chunk(56));
         }
-        v.checked_shl((end - stop) as u32).unwrap_or(0)
+        (v << n) | u128::from(self.read_chunk(n))
+    }
+
+    /// Read the next `n <= 56` bits in one step: the eight bytes from the
+    /// cursor's byte as one big-endian `u64` (zeros past the end), shifted
+    /// past the bits already read (at most 7 + 56 = 63 bits).
+    fn read_chunk(&mut self, n: usize) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let i = self.pos / 8;
+        let word = match self.bytes.get(i..i + 8) {
+            Some(eight) => u64::from_be_bytes(eight.try_into().expect("eight bytes")),
+            None => self.bytes[i..]
+                .iter()
+                .enumerate()
+                .fold(0, |w, (j, &b)| w | u64::from(b) << (56 - 8 * j)),
+        };
+        let chunk = (word << (self.pos % 8)) >> (64 - n);
+        self.pos = (self.pos + n).min(self.total_bits());
+        chunk
     }
 }
 

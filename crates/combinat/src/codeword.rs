@@ -25,26 +25,33 @@
 //! per slot and how its data word gets in and out of the walk. Four
 //! layers keep that off the heap:
 //!
-//! * a **`u64` word-row unrank walk**: when row `N` of the table's flat
-//!   `u64` triangle is stored (`BinomialTable::word_rows`, every
-//!   `N ≤ 67`, which covers every pattern the planner emits under the
-//!   default calibration and MPPM(20)) each slot is one indexed load, one
-//!   compare and a branch-free update. Rows 68–128 run the same walk on
-//!   `u128`, looking each coefficient up through
-//!   [`BinomialTable::binomial_u128`];
+//! * a **run unrank walk** on the table's zero-padded `u64` triangle: when
+//!   row `N` is stored (`BinomialTable::word_rows`, every `N ≤ 67`, which
+//!   covers every pattern the planner emits under the default calibration
+//!   and MPPM(20)) each slot is one indexed load, one compare and a
+//!   branch-free update. With `r` ONs left the slot reads `C(m, r−1)` at
+//!   `row(m) + r`, and `r = 0` reads the row's zero pad, so the walk has
+//!   no run-out exit: exactly `N` steps, no data-dependent branch. One
+//!   symbol's walk is a chain of dependent loads, but a block's symbols
+//!   are independent, so [`encode_words`] walks four symbols of one `N`
+//!   together (their `K` may differ) and their loads overlap. Rows 68–128
+//!   walk on `u128`, looking each coefficient up through
+//!   [`BinomialTable::binomial_u128`], with the paper's early exits;
 //! * a **packed rank** for `N ≤ 64`: the received slots become one `u64`
 //!   (eight slots per multiply), the weight check is a `popcount`, and
 //!   the rank sums one triangle entry per OFF slot before the last ON,
 //!   each term computed from its own slot index and visit count rather
 //!   than carried from the previous slot. Rows 65–128 rank with the
 //!   slot-serial `u128` walk;
-//! * a **word-level stream codec**, [`encode_word`]/[`decode_word`]: the
+//! * a **word-level stream codec**, [`encode_words`]/[`decode_word`]: the
 //!   modems read each data word from the payload as one `u128`
-//!   ([`BitReader::read_word`]) and write it back the same way
-//!   ([`BitWriter::write_word`]). The per-symbol metadata (bits per
-//!   symbol, whether `C(N,K)` fits 128 bits) comes from the word triangle
-//!   for rows ≤ 67, so a symbol on the machine-integer paths allocates
-//!   nothing and never reads or builds a `BigUint`;
+//!   ([`BitReader::read_word`], one `u64` load per 56 bits) and write it
+//!   back the same way ([`BitWriter::write_word`]); a block's symbols go
+//!   through one `encode_words` call and are ranked one by one. The
+//!   per-symbol metadata (bits per symbol, whether `C(N,K)` fits 128
+//!   bits) comes from the word triangle for rows ≤ 67, so a symbol on the
+//!   machine-integer paths allocates nothing and never reads or builds a
+//!   `BigUint`;
 //! * an **[`EncodeScratch`] reusable workspace** for the `BigUint` slow
 //!   path (`C(N,K) ≥ 2^128`): the residual value and decode accumulator
 //!   live in scratch buffers that are `clone_from`-refilled. The slow path
@@ -54,10 +61,10 @@
 //! a `BigUint` and so convert on every call, and the plain
 //! [`encode_codeword`]/[`decode_codeword`] entry points also allocate
 //! their output; they keep their historical signatures and route through
-//! the same walks.
+//! the same walks (a word-triangle row as the one-chain run walk).
 
 use crate::biguint::BigUint;
-use crate::binomial::BinomialTable;
+use crate::binomial::{word_row_start, BinomialTable};
 use crate::bits::{BitReader, BitWriter};
 use core::fmt;
 
@@ -110,7 +117,8 @@ impl fmt::Display for CodewordError {
 
 impl std::error::Error for CodewordError {}
 
-/// Reusable big-integer workspace for the codec's `BigUint` slow path.
+/// Reusable workspace for the codec: the `BigUint` slow path's residual
+/// and [`encode_words`]' pending groups.
 ///
 /// One scratch per stream (transmitter, receiver, or sweep worker) turns
 /// the per-symbol `BigUint` clone/alloc churn into amortized-zero
@@ -120,6 +128,20 @@ impl std::error::Error for CodewordError {}
 pub struct EncodeScratch {
     /// Residual value during encode; rank accumulator during decode.
     val: BigUint,
+    /// [`encode_words`]' symbols on word-triangle rows that wait, one
+    /// group per length `N`, for three more of their length.
+    groups: Vec<Group>,
+}
+
+/// Up to four read symbols of one length `n`, not yet walked: symbol `j`
+/// unranks `v[j]` with `k[j]` ONs into the slots at `at[j]`.
+#[derive(Clone, Copy, Default)]
+struct Group {
+    n: usize,
+    len: usize,
+    k: [usize; 4],
+    v: [u64; 4],
+    at: [usize; 4],
 }
 
 impl EncodeScratch {
@@ -193,38 +215,50 @@ pub fn encode_codeword_into(
 }
 
 /// The unrank walk on machine integers (caller guarantees `v < C(n,k)`
-/// and that `C(n,k)` fits `u128`): on `u64` word rows when row `n` is
-/// stored, else on `u128`.
+/// and that `C(n,k)` fits `u128`): the one-chain run walk when row `n`
+/// is in the word triangle, else the walk on `u128`.
 fn encode_walk_u128(table: &BinomialTable, n: usize, k: usize, v: u128, out: &mut Vec<bool>) {
     out.reserve(n);
     let base = out.len();
     match table.word_rows(n) {
-        Some(words) => encode_walk_u64(words, n, k, v as u64, out),
+        Some(words) => {
+            out.resize(base + n, false);
+            unrank_run(words, n, [k], [v as u64], [base], out);
+        }
         None => encode_walk_wide(table, n, k, v, out),
     }
     debug_assert_eq!(out.len() - base, n);
 }
 
-/// The unrank walk over the `u64` triangle `words` (rows `0..=n`). The
-/// per-slot ON/OFF decision is branch-free; only the run-out of ONs or
-/// OFFs ends the walk early.
-fn encode_walk_u64(words: &[u64], n: usize, k: usize, mut v: u64, out: &mut Vec<bool>) {
-    let end = out.len() + n;
-    let mut ones_left = k;
+/// Algorithm 1 on `W` symbols of one length `n` at once, over the
+/// zero-padded `u64` triangle `words` (rows `0..=n`): symbol `j` unranks
+/// `v[j] < C(n, k[j])` into `out[at[j]..at[j] + n]`.
+///
+/// At slot `pos`, with `r` ONs left, the `C(m, r−1)` codewords that put
+/// ON there (`m = n − 1 − pos`) sit at `row(m) + r`; once `r = 0` that is
+/// the row's zero pad, so the slot reads OFF and the walk needs no
+/// run-out exit: exactly `n` steps, no data-dependent branch. The chains
+/// share the row and nothing else, so their loads overlap where one
+/// chain alone would wait on each.
+fn unrank_run<const W: usize>(
+    words: &[u64],
+    n: usize,
+    mut k: [usize; W],
+    mut v: [u64; W],
+    at: [usize; W],
+    out: &mut [bool],
+) {
     for pos in 0..n {
-        let slots_left = n - pos;
-        if ones_left == 0 || ones_left == slots_left {
-            out.resize(end, ones_left != 0);
-            break;
+        let row = &words[word_row_start(n - 1 - pos)..];
+        for j in 0..W {
+            let c = row[k[j]];
+            let on = v[j] < c;
+            v[j] -= if on { 0 } else { c };
+            k[j] -= on as usize;
+            out[at[j] + pos] = on;
         }
-        // C(slots_left-1, ones_left-1): row slots_left-1 starts at m(m+1)/2.
-        let m = slots_left - 1;
-        let c = words[m * (m + 1) / 2 + ones_left - 1];
-        let on = v < c;
-        v -= if on { 0 } else { c };
-        ones_left -= on as usize;
-        out.push(on);
     }
+    debug_assert!(k == [0; W] && v == [0; W], "every chain placed its ONs");
 }
 
 /// The unrank walk in `u128`, for rows past the word triangle.
@@ -379,8 +413,7 @@ fn rank_packed(words: &[u64], n: usize, k: usize, word: u64) -> u64 {
     let mut j = 0;
     while off != 0 {
         let i = off.trailing_zeros() as usize;
-        let m = n - 1 - i;
-        value += words[m * (m + 1) / 2 + k + j - i - 1];
+        value += words[word_row_start(n - 1 - i) + k + j - i];
         off &= off - 1;
         j += 1;
     }
@@ -439,14 +472,51 @@ pub fn decode_codeword(
     decode_codeword_with(table, n, k, codeword, &mut scratch)
 }
 
-/// Algorithm 1 on the next data word of a payload stream: read
-/// `b = ⌊log2 C(n,k)⌋` bits from `reader` (zero-padded once it runs dry),
-/// unrank them into `n` slots and append the slots to `out`.
+/// Algorithm 1 on a run of symbols: for each `(n, k)` of `patterns`, in
+/// order, read the next `b = ⌊log2 C(n,k)⌋` bits from `reader`
+/// (zero-padded once it runs dry), unrank them into `n` slots and append
+/// the slots to `out`.
 ///
-/// This is the modems' per-symbol path. When `C(n,k)` fits 128 bits the
-/// word goes from the payload bytes to the slots as one `u128` and the
-/// symbol allocates nothing; only larger patterns assemble a `BigUint`.
-pub fn encode_word(
+/// This is the modems' block path. Symbols on rows of the word triangle
+/// (`n ≤ 67`) are held back until four of one length are read, wherever
+/// they sit in the run, and walked together (their `k` may differ); each
+/// is written at its own slot offset, and the symbols still held at the
+/// end are walked one by one. The chains are independent, so their loads
+/// overlap. Longer rows are walked as they are read:
+/// in `u128` while `C(n,k)` fits, else on a `BigUint` assembled from
+/// 128-bit reads. Besides `scratch`'s list of groups, one per length, a
+/// symbol allocates nothing unless it takes that last path. On an error
+/// (`k > n`) `out` is truncated to its old length.
+pub fn encode_words<I>(
+    table: &BinomialTable,
+    patterns: I,
+    reader: &mut BitReader<'_>,
+    scratch: &mut EncodeScratch,
+    out: &mut Vec<bool>,
+) -> Result<(), CodewordError>
+where
+    I: IntoIterator<Item = (usize, usize)>,
+{
+    let base = out.len();
+    scratch.groups.clear();
+    for (n, k) in patterns {
+        if let Err(e) = encode_next(table, n, k, reader, scratch, out) {
+            out.truncate(base);
+            return Err(e);
+        }
+    }
+    for g in &scratch.groups {
+        let words = table.word_rows(g.n).expect("grouped rows are stored");
+        for j in 0..g.len {
+            unrank_run(words, g.n, [g.k[j]], [g.v[j]], [g.at[j]], out);
+        }
+    }
+    Ok(())
+}
+
+/// One symbol of [`encode_words`]: read its word, then walk it, or hold
+/// it in its length's group and walk the group once it is full.
+fn encode_next(
     table: &BinomialTable,
     n: usize,
     k: usize,
@@ -457,8 +527,29 @@ pub fn encode_word(
     let bits = table
         .bits_per_symbol(n, k)
         .ok_or(CodewordError::InvalidPattern { n, k })? as usize;
+    if let Some(words) = table.word_rows(n) {
+        let at = out.len();
+        out.resize(at + n, false);
+        let v = reader.read_word(bits) as u64;
+        let groups = &mut scratch.groups;
+        let i = groups.iter().position(|g| g.n == n).unwrap_or_else(|| {
+            groups.push(Group {
+                n,
+                ..Group::default()
+            });
+            groups.len() - 1
+        });
+        let g = &mut groups[i];
+        (g.k[g.len], g.v[g.len], g.at[g.len]) = (k, v, at);
+        g.len += 1;
+        if g.len == 4 {
+            unrank_run(words, n, g.k, g.v, g.at, out);
+            g.len = 0;
+        }
+        return Ok(());
+    }
     if table.binomial_u128(n, k).is_some() {
-        encode_walk_u128(table, n, k, reader.read_word(bits), out);
+        encode_walk_wide(table, n, k, reader.read_word(bits), out);
         return Ok(());
     }
     let mut value = BigUint::zero();
@@ -566,6 +657,7 @@ pub fn enumerate_codewords(n: usize, k: usize) -> Vec<Vec<bool>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn table() -> BinomialTable {
         BinomialTable::new(512)
@@ -690,7 +782,7 @@ mod tests {
             let mut reader = BitReader::new(&payload);
             let mut scratch = EncodeScratch::new();
             let mut slots = Vec::new();
-            encode_word(&t, n, k, &mut reader, &mut scratch, &mut slots).unwrap();
+            encode_words(&t, [(n, k)], &mut reader, &mut scratch, &mut slots).unwrap();
             assert_eq!(slots.len(), n);
             assert_eq!(slots.iter().filter(|&&b| b).count(), k);
             // The same slots as the value-level codec on the same word.
@@ -1001,5 +1093,152 @@ mod tests {
                 Some(i as u64)
             );
         }
+    }
+
+    /// Algorithm 1 one symbol at a time, as the modems ran it before the
+    /// run encoder: read the `⌊log2 C(n,k)⌋`-bit word, then walk with the
+    /// paper's early exits (a run-out of ONs or OFFs fills the rest), on
+    /// exact coefficients, so no word-triangle layout is involved.
+    fn oracle_encode_word(
+        t: &BinomialTable,
+        n: usize,
+        k: usize,
+        reader: &mut BitReader<'_>,
+        out: &mut Vec<bool>,
+    ) {
+        let mut left = t.bits_per_symbol(n, k).unwrap() as usize;
+        let mut v = BigUint::zero();
+        while left > 0 {
+            let take = left.min(128);
+            v = v.shl_small(take as u32);
+            v.add_assign(&BigUint::from_u128(reader.read_word(take)));
+            left -= take;
+        }
+        let mut ones_left = k;
+        for pos in 0..n {
+            let slots_left = n - pos;
+            if ones_left == 0 || ones_left == slots_left {
+                out.resize(out.len() + slots_left, ones_left != 0);
+                return;
+            }
+            let c = t.binomial_ref(slots_left - 1, ones_left - 1);
+            let on = &v < c;
+            if !on {
+                v = v.checked_sub(c).unwrap();
+            }
+            ones_left -= on as usize;
+            out.push(on);
+        }
+    }
+
+    /// A pattern row from one of four classes: short rows (`n = 1`
+    /// included), the word triangle's edge (60–67), the `u128` walk
+    /// (68–128), and `BigUint` rows (132–140 at `k = n/2`). `k` is 0 or
+    /// `n` a quarter of the time.
+    fn pattern(class: u8, n_seed: u64, k_sel: u8, k_seed: u64) -> (usize, usize) {
+        let n = match class % 4 {
+            0 => 1 + n_seed % 30,
+            1 => 60 + n_seed % 8,
+            2 => 68 + n_seed % 61,
+            _ => 132 + n_seed % 9,
+        } as usize;
+        let k = match k_sel % 8 {
+            0 => 0,
+            1 => n,
+            _ if class % 4 == 3 => n / 2,
+            _ => (k_seed % (n as u64 + 1)) as usize,
+        };
+        (n, k)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The run encoder equals the oracle symbol by symbol, slot for
+        /// slot, on runs of 1–9 symbols mixing two patterns of equal or
+        /// unequal length, appended after existing content, with the
+        /// reader left at the same position.
+        #[test]
+        fn encode_words_matches_the_per_symbol_oracle(
+            classes in (0u8..4, 0u8..4),
+            n_seeds in (any::<u64>(), any::<u64>()),
+            k_sels in (0u8..8, 0u8..8),
+            k_seeds in (any::<u64>(), any::<u64>()),
+            same_n in any::<bool>(),
+            run in proptest::collection::vec(any::<bool>(), 1..=9),
+            prefix in proptest::collection::vec(any::<bool>(), 0..5),
+            skip in 0usize..8,
+            data in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            let t = BinomialTable::new(140);
+            let a = pattern(classes.0, n_seeds.0, k_sels.0, k_seeds.0);
+            let b = if same_n {
+                let k = (k_seeds.1 % (a.0 as u64 + 1)) as usize;
+                (a.0, if classes.0 % 4 == 3 { a.1 } else { k })
+            } else {
+                pattern(classes.1, n_seeds.1, k_sels.1, k_seeds.1)
+            };
+            let walk: Vec<_> = run.iter().map(|&first| if first { a } else { b }).collect();
+
+            let mut reader = BitReader::new(&data);
+            reader.read_word(skip);
+            let mut expect = prefix.clone();
+            for &(n, k) in &walk {
+                oracle_encode_word(&t, n, k, &mut reader, &mut expect);
+            }
+
+            let mut got_reader = BitReader::new(&data);
+            got_reader.read_word(skip);
+            let mut got = prefix;
+            let mut scratch = EncodeScratch::new();
+            encode_words(&t, walk.iter().copied(), &mut got_reader, &mut scratch, &mut got)
+                .unwrap();
+            prop_assert_eq!(&got, &expect, "{:?}", walk);
+            prop_assert_eq!(got_reader.position(), reader.position());
+        }
+    }
+
+    #[test]
+    fn encode_words_groups_lengths_across_the_run() {
+        // Two lengths interleaved, as AMPPM's two-N levels send them: each
+        // length fills a group of four with the other's symbols between.
+        let t = table();
+        let walk = [
+            (24, 5),
+            (25, 5),
+            (24, 5),
+            (25, 5),
+            (24, 5),
+            (25, 5),
+            (24, 5),
+            (25, 5),
+            (24, 3),
+        ];
+        let payload: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(73) ^ 0xA5).collect();
+        let mut reader = BitReader::new(&payload);
+        let mut expect = Vec::new();
+        for &(n, k) in &walk {
+            oracle_encode_word(&t, n, k, &mut reader, &mut expect);
+        }
+        let mut got = Vec::new();
+        let mut scratch = EncodeScratch::new();
+        let mut got_reader = BitReader::new(&payload);
+        encode_words(&t, walk, &mut got_reader, &mut scratch, &mut got).unwrap();
+        assert_eq!(got, expect);
+        assert_eq!(got_reader.position(), reader.position());
+    }
+
+    #[test]
+    fn encode_words_rejects_an_invalid_pattern_and_keeps_out() {
+        let t = table();
+        let mut out = vec![true, false];
+        let mut scratch = EncodeScratch::new();
+        let mut reader = BitReader::new(&[0xFF; 8]);
+        let walk = [(5, 2), (6, 3), (3, 5)];
+        assert_eq!(
+            encode_words(&t, walk, &mut reader, &mut scratch, &mut out),
+            Err(CodewordError::InvalidPattern { n: 3, k: 5 })
+        );
+        assert_eq!(out, [true, false]);
     }
 }

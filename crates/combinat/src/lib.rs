@@ -23,10 +23,11 @@
 //!   words of up to 128 bits at a time.
 //! * [`codeword`] — Algorithm 1 (encode = unrank) and Algorithm 2
 //!   (decode = rank), plus an exhaustive-enumeration reference used by the
-//!   property tests. The per-symbol stream codec
-//!   [`encode_word`]/[`decode_word`] moves data words between the payload
-//!   and the walk as `u128`s, so a symbol whose `C(N,K)` fits 128 bits
-//!   allocates nothing; larger patterns fall back to `BigUint`, with an
+//!   property tests. The stream codec moves data words between the
+//!   payload and the walks as `u128`s: [`encode_words`] unranks a block's
+//!   run of symbols, four chains at a time, and [`decode_word`] ranks one
+//!   received symbol. A symbol whose `C(N,K)` fits 128 bits allocates
+//!   nothing; larger patterns fall back to `BigUint`, with an
 //!   [`EncodeScratch`] workspace reused across symbols.
 //!
 //! The crate is dependency-free and `forbid(unsafe_code)`.
@@ -62,6 +63,6 @@ pub use binomial::BinomialTable;
 pub use bits::{BitReader, BitWriter};
 pub use codeword::{
     decode_codeword, decode_codeword_with, decode_word, encode_codeword, encode_codeword_into,
-    encode_word, CodewordError, EncodeScratch,
+    encode_words, CodewordError, EncodeScratch,
 };
 pub use tabulated::{table_memory_bytes, TabulatedCodec};

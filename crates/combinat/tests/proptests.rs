@@ -2,7 +2,7 @@
 
 use combinat::{
     binomial::binomial_u128_direct, decode_codeword, decode_codeword_with, decode_word,
-    encode_codeword, encode_codeword_into, encode_word, BigUint, BinomialTable, BitReader,
+    encode_codeword, encode_codeword_into, encode_words, BigUint, BinomialTable, BitReader,
     BitWriter, EncodeScratch,
 };
 use proptest::prelude::*;
@@ -117,6 +117,27 @@ proptest! {
         prop_assert_eq!(r.position(), reference.position());
     }
 
+    /// A sequence of `read_word` calls, with widths on both sides of the
+    /// 56-bit chunk, equals reading the same bits one at a time, past the
+    /// end of the buffer included: the same words and the same position
+    /// after every word.
+    #[test]
+    fn read_word_sequence_matches_per_bit_reads(
+        bytes in proptest::collection::vec(any::<u8>(), 0..40),
+        widths in proptest::collection::vec((0usize..=128, any::<bool>()), 1..12),
+    ) {
+        let mut words = BitReader::new(&bytes);
+        let mut bits = BitReader::new(&bytes);
+        for &(n, narrow) in &widths {
+            let n = if narrow { n % 57 } else { n };
+            let expect = (0..n).fold(0u128, |v, _| {
+                (v << 1) | bits.read_bit().unwrap_or(false) as u128
+            });
+            prop_assert_eq!(words.read_word(n), expect, "{}-bit word", n);
+            prop_assert_eq!(words.position(), bits.position());
+        }
+    }
+
     /// `write_word` equals n per-bit writes at every bit offset.
     #[test]
     fn write_word_matches_per_bit_reference(
@@ -182,7 +203,8 @@ proptest! {
         w.write_word(v, bits);
         let (bytes, _) = w.finish();
         let mut word_slots = Vec::new();
-        encode_word(&t, n, k, &mut BitReader::new(&bytes), &mut scratch, &mut word_slots).unwrap();
+        let mut reader = BitReader::new(&bytes);
+        encode_words(&t, [(n, k)], &mut reader, &mut scratch, &mut word_slots).unwrap();
         let mut big_slots = Vec::new();
         encode_codeword_into(&t, n, k, &BigUint::from_u128(v), &mut scratch, &mut big_slots)
             .unwrap();

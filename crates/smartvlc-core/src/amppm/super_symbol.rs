@@ -125,20 +125,18 @@ impl fmt::Debug for SuperSymbol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use combinat::{BitReader, BitWriter, CodewordError, EncodeScratch};
+    use combinat::{encode_words, BitReader, BitWriter, CodewordError, EncodeScratch};
 
     fn table() -> BinomialTable {
         BinomialTable::new(512)
     }
 
-    /// One super-symbol's waveform: each constituent symbol in order
-    /// through the per-symbol word codec, as the AMPPM modem sends it.
+    /// One super-symbol's waveform: its constituent symbols in order
+    /// through the run encoder, as the AMPPM modem sends it.
     fn encode_super(ss: &SuperSymbol, t: &BinomialTable, reader: &mut BitReader<'_>) -> Vec<bool> {
         let mut slots = Vec::new();
-        let mut scratch = EncodeScratch::new();
-        for p in ss.symbols() {
-            p.encode_word(t, reader, &mut scratch, &mut slots);
-        }
+        let walk = ss.symbols().map(Into::into);
+        encode_words(t, walk, reader, &mut EncodeScratch::new(), &mut slots).unwrap();
         slots
     }
 

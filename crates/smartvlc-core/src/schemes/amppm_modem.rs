@@ -16,7 +16,7 @@ use crate::amppm::super_symbol::SuperSymbol;
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, spread_evenly, DemodError, DemodStats, SlotModem};
 use crate::symbol::SymbolPattern;
-use combinat::{BinomialTable, BitReader, BitWriter, EncodeScratch};
+use combinat::{encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
 
 /// A modem that repeats one AMPPM super-symbol over the payload block.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -137,10 +137,9 @@ impl SlotModem for AmppmModem {
         let layout = self.layout(table, bytes.len());
         let mut reader = BitReader::new(bytes);
         let mut slots = Vec::with_capacity(layout.slots + layout.filler);
+        let walk = self.walk(&layout).map(Into::into);
         let mut scratch = EncodeScratch::new();
-        for pattern in self.walk(&layout) {
-            pattern.encode_word(table, &mut reader, &mut scratch, &mut slots);
-        }
+        encode_words(table, walk, &mut reader, &mut scratch, &mut slots).expect("invariant k<=n");
         slots.extend(spread_evenly(layout.filler_ones, layout.filler));
         slots
     }

@@ -8,7 +8,7 @@
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, div_ceil, DemodError, DemodStats, SlotModem};
 use crate::symbol::SymbolPattern;
-use combinat::{BinomialTable, BitReader, BitWriter, EncodeScratch};
+use combinat::{encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
 
 /// A fixed-pattern MPPM modem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,11 +54,9 @@ impl SlotModem for MppmModem {
         let symbols = self.symbols_for(table, bytes.len());
         let mut reader = BitReader::new(bytes);
         let mut slots = Vec::with_capacity(symbols * self.pattern.n() as usize);
+        let walk = std::iter::repeat_n(self.pattern.into(), symbols);
         let mut scratch = EncodeScratch::new();
-        for _ in 0..symbols {
-            self.pattern
-                .encode_word(table, &mut reader, &mut scratch, &mut slots);
-        }
+        encode_words(table, walk, &mut reader, &mut scratch, &mut slots).expect("invariant k<=n");
         slots
     }
 

@@ -7,9 +7,7 @@
 //! enumerative codec in the `combinat` crate.
 
 use crate::dimming::DimmingLevel;
-use combinat::{
-    decode_word, encode_word, BinomialTable, BitReader, BitWriter, CodewordError, EncodeScratch,
-};
+use combinat::{decode_word, BinomialTable, BitWriter, CodewordError, EncodeScratch};
 use std::fmt;
 
 /// A symbol pattern `S(N, l = K/N)`: `N` slots, `K` of them ON.
@@ -66,21 +64,6 @@ impl SymbolPattern {
         self.bits_per_symbol(table) as f64 / self.n as f64
     }
 
-    /// Encode the next `bits_per_symbol` data bits of `reader` (zero
-    /// padded once it runs dry) into this pattern's slots, appended to
-    /// `out` (Algorithm 1). The modems' per-symbol path: no allocation
-    /// when `C(N,K)` fits 128 bits.
-    pub fn encode_word(
-        self,
-        table: &BinomialTable,
-        reader: &mut BitReader<'_>,
-        scratch: &mut EncodeScratch,
-        out: &mut Vec<bool>,
-    ) {
-        let (n, k) = (self.n as usize, self.k as usize);
-        encode_word(table, n, k, reader, scratch, out).expect("invariant k<=n");
-    }
-
     /// Decode one received symbol and append its data word to `writer`
     /// (Algorithm 2). `Ok(true)` is a symbol error — lost weight, or a rank
     /// beyond the data window — and appends zeros to keep alignment; a
@@ -94,6 +77,14 @@ impl SymbolPattern {
     ) -> Result<bool, CodewordError> {
         let (n, k) = (self.n as usize, self.k as usize);
         decode_word(table, n, k, slots, scratch, writer)
+    }
+}
+
+/// The pattern as the `(N, K)` pair the codec walks take
+/// ([`combinat::encode_words`] reads a run of them).
+impl From<SymbolPattern> for (usize, usize) {
+    fn from(p: SymbolPattern) -> (usize, usize) {
+        (p.n as usize, p.k as usize)
     }
 }
 
@@ -112,6 +103,7 @@ impl fmt::Display for SymbolPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use combinat::{encode_words, BitReader};
 
     fn table() -> BinomialTable {
         BinomialTable::new(512)
@@ -163,7 +155,8 @@ mod tests {
             w.write_word(v, 18);
             let (bytes, _) = w.finish();
             let mut slots = Vec::new();
-            s.encode_word(&t, &mut BitReader::new(&bytes), &mut scratch, &mut slots);
+            let mut reader = BitReader::new(&bytes);
+            encode_words(&t, [s.into()], &mut reader, &mut scratch, &mut slots).unwrap();
             assert_eq!(slots.len(), 21);
             assert_eq!(slots.iter().filter(|&&b| b).count(), 11);
             let mut w = BitWriter::new();

@@ -1,6 +1,6 @@
 //! Property-based tests for the modulation core.
 
-use combinat::{BinomialTable, BitReader, BitWriter, EncodeScratch};
+use combinat::{encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
 use proptest::prelude::*;
 use smartvlc_core::adaptation::{measured, perceived};
 use smartvlc_core::amppm::SuperSymbol;
@@ -84,9 +84,8 @@ proptest! {
         let mut reader = BitReader::new(&data);
         let mut scratch = EncodeScratch::new();
         let mut slots = Vec::new();
-        for p in ss.symbols() {
-            p.encode_word(&table, &mut reader, &mut scratch, &mut slots);
-        }
+        let walk = ss.symbols().map(Into::into);
+        encode_words(&table, walk, &mut reader, &mut scratch, &mut slots).unwrap();
         prop_assert_eq!(slots.len() as u32, ss.n_super());
         prop_assert_eq!(slots.iter().filter(|&&b| b).count() as u32, ss.ones());
         let mut writer = BitWriter::new();
