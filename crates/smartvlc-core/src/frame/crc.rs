@@ -27,13 +27,7 @@ fn table() -> &'static [u16; 256] {
 
 /// Compute CRC-16/CCITT-FALSE over `data`.
 pub fn crc16_ccitt(data: &[u8]) -> u16 {
-    let t = table();
-    let mut crc: u16 = 0xFFFF;
-    for &b in data {
-        let idx = ((crc >> 8) ^ b as u16) as usize & 0xFF;
-        crc = (crc << 8) ^ t[idx];
-    }
-    crc
+    Crc16::new().update(data).finish()
 }
 
 /// Incremental CRC builder, for streaming over header + payload without

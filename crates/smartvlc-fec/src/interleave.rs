@@ -16,9 +16,25 @@
 //!
 //! The coded length is `len + c·p`, computable by both ends from the
 //! header alone — no length field is spent on the code.
+//!
+//! Both ends walk the block once, in wire order, stepping one packed LFSR
+//! register per codeword ([`ReedSolomon`]'s layout); no codeword is ever
+//! gathered into a buffer of its own. The decoder folds the received
+//! parity into those registers, so a codeword whose register ends at
+//! zero arrived clean, and only the others are decoded.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
 
 use crate::profile::FecProfile;
-use crate::rs::ReedSolomon;
+use crate::rs::{register_byte, xor_byte, ReedSolomon};
 use std::sync::OnceLock;
 
 /// Result of decoding one interleaved block.
@@ -39,6 +55,10 @@ pub struct FecDecode {
 
 /// The profile's code, built once per process and shared by every
 /// encoder and decoder.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "FecProfile::index is below FecProfile::ALL.len()"
+)]
 fn code(profile: FecProfile) -> &'static ReedSolomon {
     static CODES: [OnceLock<ReedSolomon>; FecProfile::ALL.len()] =
         [const { OnceLock::new() }; FecProfile::ALL.len()];
@@ -50,18 +70,16 @@ pub fn encode(profile: FecProfile, data: &[u8]) -> Vec<u8> {
     let c = profile.codewords_for(data.len());
     let p = profile.parity();
     let rs = code(profile);
+    let mut regs = vec![0u64; c * rs.words()];
+    rs.encode_lanes(data, &mut regs);
     let mut out = Vec::with_capacity(data.len() + c * p);
     out.extend_from_slice(data);
-    out.resize(data.len() + c * p, 0);
-    let mut lane = Vec::new();
-    let mut parity = Vec::new();
-    for j in 0..c {
-        lane.clear();
-        lane.extend(data.iter().skip(j).step_by(c));
-        rs.encode(&lane, &mut parity);
-        for (slot, &b) in out[data.len() + j..].iter_mut().step_by(c).zip(&parity) {
-            *slot = b;
-        }
+    // Parity row r is symbol r of every codeword, in codeword order.
+    for r in 0..p {
+        out.extend(
+            regs.chunks_exact(rs.words())
+                .map(|reg| register_byte(reg, r)),
+        );
     }
     out
 }
@@ -72,38 +90,48 @@ pub fn encode(profile: FecProfile, data: &[u8]) -> Vec<u8> {
 pub fn decode(profile: FecProfile, coded: &[u8], data_len: usize) -> FecDecode {
     let c = profile.codewords_for(data_len);
     let p = profile.parity();
-    let expected = profile.coded_len(data_len);
-    if coded.len() != expected {
-        let mut data = vec![0u8; data_len];
-        let take = data_len.min(coded.len());
-        data[..take].copy_from_slice(&coded[..take]);
+    let Some((head, parity)) = coded
+        .split_at_checked(data_len)
+        .filter(|(_, parity)| parity.len() == c * p)
+    else {
+        let mut data: Vec<u8> = coded.iter().copied().take(data_len).collect();
+        data.resize(data_len, 0);
         return FecDecode {
             data,
             corrected: 0,
             failed_codewords: c as u32,
             ok: false,
         };
-    }
+    };
     let rs = code(profile);
-    let mut data = coded[..data_len].to_vec();
+    let words = rs.words();
+    let mut regs = vec![0u64; c * words];
+    rs.encode_lanes(head, &mut regs);
+    // Fold in the received parity: each register becomes its codeword's
+    // remainder, zero exactly when the codeword is clean. (Only an empty
+    // block has c = 0, and it has no parity rows.)
+    for (r, row) in parity.chunks_exact(c.max(1)).enumerate() {
+        for (reg, &b) in regs.chunks_exact_mut(words).zip(row) {
+            xor_byte(reg, r, b);
+        }
+    }
+    let mut data = head.to_vec();
     let mut corrected = 0u32;
     let mut failed = 0u32;
-    let mut cw = Vec::new();
-    for j in 0..c {
-        cw.clear();
-        cw.extend(data.iter().skip(j).step_by(c));
-        let lane_len = cw.len();
-        cw.extend((0..p).map(|r| coded[data_len + r * c + j]));
-        match rs.correct(&mut cw) {
-            Ok(n) => {
-                corrected += n;
-                if n > 0 {
-                    // Scatter the corrected lane back into block order.
-                    for (k, &b) in cw[..lane_len].iter().enumerate() {
-                        data[j + k * c] = b;
-                    }
-                }
+    for (j, rem) in regs.chunks_exact(words).enumerate() {
+        if rem.iter().all(|&w| w == 0) {
+            continue;
+        }
+        let lane_len = (data_len - j).div_ceil(c);
+        // Codeword symbol k < lane_len is block byte j + k·c; the parity
+        // symbols past it map beyond the data.
+        let fixed = rs.locate(&rs.remainder_syndromes(rem), lane_len + p, |k, e| {
+            if let Some(b) = data.get_mut(j + k * c) {
+                *b ^= e;
             }
+        });
+        match fixed {
+            Ok(n) => corrected += n,
             Err(_) => failed += 1,
         }
     }
@@ -172,6 +200,38 @@ mod tests {
             assert!(out.ok, "{profile:?} burst={burst}");
             assert_eq!(out.corrected, burst as u32);
             assert_eq!(out.data, data);
+        }
+    }
+
+    #[test]
+    fn largest_block_roundtrips_and_spreads_bursts() {
+        use crate::reference::MAX_BLOCK;
+        assert_eq!(FecProfile::Medium.codewords_for(MAX_BLOCK), 18);
+        for profile in FecProfile::ALL {
+            for len in [0usize, 1, MAX_BLOCK] {
+                let data = block(len);
+                let coded = encode(profile, &data);
+                assert_eq!(coded.len(), profile.coded_len(len), "{profile:?} len={len}");
+                let out = decode(profile, &coded, len);
+                assert!(out.ok, "{profile:?} len={len}");
+                assert_eq!(out.corrected, 0);
+                assert_eq!(out.data, data);
+            }
+            // c·t consecutive bytes hit every codeword exactly t times,
+            // whether they fall in the data or in the parity rows.
+            let data = block(MAX_BLOCK);
+            let c = profile.codewords_for(MAX_BLOCK);
+            let burst = c * profile.t();
+            for start in [1000, MAX_BLOCK + 3] {
+                let mut coded = encode(profile, &data);
+                for b in coded.iter_mut().skip(start).take(burst) {
+                    *b ^= 0xa5;
+                }
+                let out = decode(profile, &coded, MAX_BLOCK);
+                assert!(out.ok, "{profile:?} start={start}");
+                assert_eq!(out.corrected, burst as u32, "{profile:?} start={start}");
+                assert_eq!(out.data, data, "{profile:?} start={start}");
+            }
         }
     }
 

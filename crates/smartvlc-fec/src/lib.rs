@@ -43,6 +43,8 @@
 pub mod gf256;
 pub mod interleave;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod rs;
 
 pub use interleave::{decode, encode, FecDecode};

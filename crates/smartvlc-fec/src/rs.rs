@@ -1,22 +1,53 @@
-//! Shortened Reed–Solomon(255, k) over GF(256): systematic LFSR
-//! encoding, and decoding via syndromes → Berlekamp–Massey → Chien
-//! search → a Vandermonde solve for the error magnitudes.
+//! Shortened Reed–Solomon(255, k) over GF(256): systematic LFSR encoding
+//! on a packed register, and decoding via syndromes → Berlekamp–Massey →
+//! Chien search → Forney's formula for the error magnitudes.
 //!
 //! A codeword of `n = data + parity ≤ 255` bytes corrects up to
 //! `t = parity / 2` byte errors anywhere in the codeword. Shortening is
 //! implicit: the omitted leading data bytes are zeros on both ends, so no
 //! padding ever travels on the wire.
 //!
+//! **The packed register.** The encoder's `parity`-byte LFSR register is
+//! `⌈parity / 8⌉` `u64` words: byte `j`, the coefficient of
+//! `x^(parity-1-j)`, sits at bits `8·(j mod 8)` of word `j / 8`. One data
+//! byte costs one feedback-byte extract, a one-byte shift across the
+//! words and one XOR with the packed row of generator products for that
+//! feedback byte. The code holds 256 such rows: `256 · 8 · ⌈parity / 8⌉`
+//! bytes (8 KB at 32 parity symbols).
+//!
+//! **Clean check.** The generator is `g(x) = ∏ (x − αⁱ)`, so all syndromes
+//! are zero exactly when `g` divides the received word, i.e. when the
+//! parity re-encoded from the received data equals the received parity.
+//! Their XOR is the received word's remainder mod `g`, and a dirty word's
+//! syndromes come from it alone: `Sᵢ = rem(αⁱ)`, O(parity²) rather than
+//! O(n · parity).
+//!
 //! Decoding never panics on any input — a received block that is beyond
 //! correction (or that Berlekamp–Massey mis-locates under overwhelming
 //! corruption) comes back as [`RsError::Unrecoverable`] and the caller
 //! falls back to the outer CRC + ARQ.
 
-use crate::gf256::{alpha_pow, alpha_pow_neg, div, inv, mul, poly_eval_low_first, pow};
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
+
+use crate::gf256::{alpha_pow, alpha_pow_neg, div, mul, poly_eval_low_first, pow};
 use std::fmt;
 
 /// Largest codeword the field supports.
 pub const MAX_CODEWORD: usize = 255;
+
+/// Words in the widest packed register (254 parity symbols).
+const MAX_WORDS: usize = (MAX_CODEWORD - 1).div_ceil(8);
+
+/// Most errors any code here corrects (`t` at 254 parity symbols).
+const MAX_T: usize = (MAX_CODEWORD - 1) / 2;
 
 /// Decoding failure: more corruption than `parity/2` symbols can carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,29 +67,34 @@ impl fmt::Display for RsError {
 impl std::error::Error for RsError {}
 
 /// A Reed–Solomon code with a fixed parity-symbol count.
-///
-/// The per-byte kernels (encode and syndromes) are table-driven: the code
-/// holds one 256-byte GF(256) multiply row per generator coefficient and
-/// per syndrome root, so each step is one indexed load and one XOR. That
-/// is `2 · parity · 256` bytes per code (16 KB at 32 parity symbols).
 #[derive(Clone, Debug)]
 pub struct ReedSolomon {
     parity: usize,
-    /// `gen_mul[j][x] = x · g_{j+1}`, where `g` is the generator
-    /// polynomial `∏_{i=0}^{parity-1} (x - αⁱ)` with coefficients
-    /// highest-degree first (`g_0 = 1` is implicit).
-    gen_mul: Vec<[u8; 256]>,
-    /// `root_mul[i][x] = x · αⁱ`: one Horner step of syndrome `i`.
-    root_mul: Vec<[u8; 256]>,
+    /// Words per packed register, `⌈parity / 8⌉`.
+    words: usize,
+    /// 256 rows of `words` words. Row `f` is the packed register holding
+    /// `f · g_{j+1}` at byte `j`, where `g` is the generator polynomial
+    /// `∏_{i=0}^{parity-1} (x - αⁱ)` with coefficients highest-degree
+    /// first (`g_0 = 1` is implicit). Bytes past `parity` are zero.
+    rows: Vec<u64>,
 }
 
-/// The 256-entry row `x ↦ x · c`.
-fn mul_row(c: u8) -> [u8; 256] {
-    let mut row = [0u8; 256];
-    for (x, r) in row.iter_mut().enumerate() {
-        *r = mul(x as u8, c);
+/// Byte `j` of a packed register.
+pub(crate) fn register_byte(reg: &[u64], j: usize) -> u8 {
+    reg.get(j / 8).map_or(0, |&w| (w >> (8 * (j % 8))) as u8)
+}
+
+/// XOR `b` into byte `j` of a packed register.
+pub(crate) fn xor_byte(reg: &mut [u64], j: usize, b: u8) {
+    if let Some(w) = reg.get_mut(j / 8) {
+        *w ^= u64::from(b) << (8 * (j % 8));
     }
-    row
+}
+
+/// The generator products for feedback byte `coef`.
+#[expect(clippy::indexing_slicing, reason = "a u8 index into a 256-row table")]
+fn row<const W: usize>(rows: &[[u64; W]; 256], coef: u8) -> &[u64; W] {
+    &rows[usize::from(coef)]
 }
 
 impl ReedSolomon {
@@ -72,17 +108,26 @@ impl ReedSolomon {
         for i in 0..parity {
             // gen *= (x + α^i)  (addition is XOR, so -α^i = α^i).
             let root = alpha_pow(i);
-            let mut next = vec![0u8; gen.len() + 1];
-            for (j, &g) in gen.iter().enumerate() {
-                next[j] ^= g;
-                next[j + 1] ^= mul(g, root);
+            let mut next = gen.clone();
+            next.push(0);
+            for (n, &g) in next.iter_mut().skip(1).zip(&gen) {
+                *n ^= mul(g, root);
             }
             gen = next;
         }
+        let rows = (0..=u8::MAX)
+            .flat_map(|f| {
+                let taps: Vec<u8> = gen.iter().skip(1).map(|&g| mul(g, f)).collect();
+                // Eight taps per word, the first in the lowest byte.
+                taps.chunks(8)
+                    .map(|w| w.iter().rev().fold(0, |acc, &b| (acc << 8) | u64::from(b)))
+                    .collect::<Vec<u64>>()
+            })
+            .collect();
         ReedSolomon {
             parity,
-            gen_mul: gen[1..].iter().map(|&g| mul_row(g)).collect(),
-            root_mul: (0..parity).map(|i| mul_row(alpha_pow(i))).collect(),
+            words: parity.div_ceil(8),
+            rows,
         }
     }
 
@@ -96,6 +141,11 @@ impl ReedSolomon {
         self.parity / 2
     }
 
+    /// Words per packed register.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
     /// Systematic encode: compute the `parity` check symbols for `data`
     /// (`data.len() + parity ≤ 255`) into `parity_out`.
     pub fn encode(&self, data: &[u8], parity_out: &mut Vec<u8>) {
@@ -103,19 +153,49 @@ impl ReedSolomon {
             data.len() + self.parity <= MAX_CODEWORD,
             "codeword exceeds 255 symbols"
         );
+        let mut buf = [0u64; MAX_WORDS];
+        let reg = buf.get_mut(..self.words).unwrap_or_default();
+        self.encode_lanes(data, reg);
         parity_out.clear();
-        parity_out.resize(self.parity, 0);
-        // LFSR division of data(x)·x^parity by the generator: shift the
-        // register one symbol and add coef·g, one table row per tap.
-        let p = &mut parity_out[..];
-        let taps = &self.gen_mul[..p.len()];
-        let last = p.len() - 1;
-        for &d in data {
-            let coef = (d ^ p[0]) as usize;
-            for j in 0..last {
-                p[j] = p[j + 1] ^ taps[j][coef];
+        parity_out.extend(reg.iter().flat_map(|w| w.to_le_bytes()).take(self.parity));
+    }
+
+    /// LFSR division of each lane's data by the generator, every lane in
+    /// one pass: `regs` holds one packed register per lane, and byte `i` of
+    /// `data` steps lane `i mod lanes`. A lane's register ends as its
+    /// parity (starting from zero), or as its remainder once the received
+    /// parity is XORed in.
+    pub(crate) fn encode_lanes(&self, data: &[u8], regs: &mut [u64]) {
+        // One kernel, compiled once per register width so that a step's
+        // words unroll; `words` is always in 1..=MAX_WORDS.
+        macro_rules! at_width {
+            ($($w:literal)*) => {
+                match self.words {
+                    $($w => self.encode_lanes_at::<$w>(data, regs),)*
+                    _ => {}
+                }
+            };
+        }
+        at_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+    }
+
+    fn encode_lanes_at<const W: usize>(&self, data: &[u8], regs: &mut [u64]) {
+        let Ok(rows) = <&[[u64; W]; 256]>::try_from(self.rows.as_chunks::<W>().0) else {
+            return;
+        };
+        let regs = regs.as_chunks_mut::<W>().0;
+        // With no lanes there is no data either (`chunks` needs a width).
+        for chunk in data.chunks(regs.len().max(1)) {
+            for (reg, &d) in regs.iter_mut().zip(chunk) {
+                // Shift the register one symbol and add coef·g.
+                let coef = reg.first().map_or(0, |&w| w as u8) ^ d;
+                let mut carry = 0;
+                for (w, &tap) in reg.iter_mut().zip(row(rows, coef)).rev() {
+                    let out = *w << 56;
+                    *w = ((*w >> 8) | carry) ^ tap;
+                    carry = out;
+                }
             }
-            p[last] = taps[last][coef];
         }
     }
 
@@ -125,143 +205,158 @@ impl ReedSolomon {
     /// codeword). On [`RsError::Unrecoverable`] the codeword is left
     /// exactly as received.
     pub fn correct(&self, codeword: &mut [u8]) -> Result<u32, RsError> {
-        let n = codeword.len();
+        let synd = self.syndromes(codeword);
+        self.locate(&synd, codeword.len(), |pos, e| {
+            if let Some(b) = codeword.get_mut(pos) {
+                *b ^= e;
+            }
+        })
+    }
+
+    /// `S_i = c(αⁱ)` for `i < parity` (entries past `parity` stay 0), read
+    /// off the remainder of a codeword of at least `parity` symbols.
+    /// Nothing here touches the heap.
+    fn syndromes(&self, codeword: &[u8]) -> [u8; MAX_CODEWORD] {
+        let (data, parity) = codeword.split_at(codeword.len().saturating_sub(self.parity));
+        let mut buf = [0u64; MAX_WORDS];
+        let rem = buf.get_mut(..self.words).unwrap_or_default();
+        self.encode_lanes(data, rem);
+        for (j, &b) in parity.iter().enumerate() {
+            xor_byte(rem, j, b);
+        }
+        self.remainder_syndromes(rem)
+    }
+
+    /// `S_i = rem(αⁱ)` for `i < parity` from a packed remainder register.
+    pub(crate) fn remainder_syndromes(&self, rem: &[u64]) -> [u8; MAX_CODEWORD] {
+        let mut s = [0u8; MAX_CODEWORD];
+        if rem.iter().all(|&w| w == 0) {
+            return s;
+        }
+        for (i, si) in s.iter_mut().take(self.parity).enumerate() {
+            let root = alpha_pow(i);
+            let bytes = rem.iter().flat_map(|w| w.to_le_bytes()).take(self.parity);
+            *si = bytes.fold(0, |acc, b| mul(acc, root) ^ b);
+        }
+        s
+    }
+
+    /// The error pattern of an `n`-symbol word with syndromes `synd`:
+    /// none for zero syndromes, else Berlekamp–Massey, Chien search and
+    /// Forney's formula, accepted only if it zeroes every syndrome. Each
+    /// accepted error goes to `fix(codeword index, magnitude)`, and the
+    /// result is their count; a refused word calls `fix` never.
+    pub(crate) fn locate(
+        &self,
+        synd: &[u8; MAX_CODEWORD],
+        n: usize,
+        mut fix: impl FnMut(usize, u8),
+    ) -> Result<u32, RsError> {
         if n <= self.parity || n > MAX_CODEWORD {
             return Err(RsError::Unrecoverable);
         }
-        let all = self.syndromes(codeword);
-        let synd = &all[..self.parity];
+        let synd = synd.get(..self.parity).unwrap_or_default();
         if synd.iter().all(|&s| s == 0) {
             return Ok(0);
         }
 
         // Berlekamp–Massey: shortest LFSR (error locator σ, coefficients
         // lowest-degree first, σ[0] = 1) consistent with the syndromes.
-        let sigma = berlekamp_massey(synd);
-        let nu = sigma.len() - 1;
+        let (sigma, nu) = berlekamp_massey(synd);
+        let sigma = sigma.get(..=nu).unwrap_or_default();
         if nu == 0 || nu > self.t() {
             return Err(RsError::Unrecoverable);
         }
 
-        // Chien search: coefficient degrees j where σ(α^{-j}) = 0.
-        let mut degrees = Vec::with_capacity(nu);
-        for j in 0..n {
-            if poly_eval_low_first(&sigma, alpha_pow_neg(j)) == 0 {
-                degrees.push(j);
-            }
+        // Chien search: the degrees j where σ(α^{-j}) = 0, held in the
+        // position slots of `at` until the magnitudes are known.
+        let mut at = [(0u8, 0u8); MAX_T];
+        let roots = (0..n).filter(|&j| poly_eval_low_first(sigma, alpha_pow_neg(j)) == 0);
+        let mut found = 0;
+        for (slot, j) in at.iter_mut().zip(roots) {
+            slot.0 = j as u8;
+            found += 1;
         }
-        if degrees.len() != nu {
+        if found != nu {
             return Err(RsError::Unrecoverable);
         }
+        let at = at.get_mut(..nu).unwrap_or_default();
 
-        // Magnitudes: solve the ν×ν Vandermonde system
-        // Σ_k e_k·X_k^i = S_i with X_k = α^{degree_k}.
-        let mut a = vec![vec![0u8; nu + 1]; nu];
-        for (i, row) in a.iter_mut().enumerate() {
-            for (k, &deg) in degrees.iter().enumerate() {
-                row[k] = pow(alpha_pow(deg), i);
-            }
-            row[nu] = synd[i];
+        // Forney: Ω = S·σ mod x^ν reads only S_0..S_{ν-1}, and
+        // e = X·Ω(X⁻¹)/σ'(X⁻¹) at each X = α^j is the unique solution of
+        // Σ_k e_k·X_k^i = S_i for i < ν. σ' keeps σ's odd terms, and it is
+        // non-zero at each of σ's ν distinct roots.
+        let mut omega = [0u8; MAX_T];
+        for (i, o) in omega.iter_mut().take(nu).enumerate() {
+            let terms = sigma.iter().zip(synd.iter().take(i + 1).rev());
+            *o = terms.fold(0, |acc, (&l, &s)| acc ^ mul(l, s));
         }
-        let magnitudes = solve(&mut a).ok_or(RsError::Unrecoverable)?;
+        let omega = omega.get(..nu).unwrap_or_default();
+        for slot in at.iter_mut() {
+            let j = usize::from(slot.0);
+            let x_inv = alpha_pow_neg(j);
+            let odd = sigma.iter().enumerate().skip(1).step_by(2);
+            let deriv = odd.fold(0, |acc, (i, &c)| acc ^ mul(c, pow(x_inv, i - 1)));
+            let e = mul(alpha_pow(j), div(poly_eval_low_first(omega, x_inv), deriv));
+            *slot = ((n - 1 - j) as u8, e);
+        }
 
-        // Apply, then verify: a mis-located solution must not leak out as
-        // a "corrected" codeword.
-        for (&deg, &e) in degrees.iter().zip(&magnitudes) {
-            codeword[n - 1 - deg] ^= e;
-        }
-        if self.syndromes(codeword).iter().any(|&s| s != 0) {
-            for (&deg, &e) in degrees.iter().zip(&magnitudes) {
-                codeword[n - 1 - deg] ^= e; // roll back
-            }
+        // Verify: correcting adds Σ_k e_k·X_k^i to S_i, and a mis-located
+        // solution must not leak out as a "corrected" codeword.
+        let zeroed = synd.iter().enumerate().all(|(i, &s)| {
+            let x = |pos: u8| pow(alpha_pow(n - 1 - usize::from(pos)), i);
+            at.iter().fold(s, |acc, &(pos, e)| acc ^ mul(e, x(pos))) == 0
+        });
+        if !zeroed {
             return Err(RsError::Unrecoverable);
+        }
+        for &(pos, e) in at.iter() {
+            fix(usize::from(pos), e);
         }
         Ok(nu as u32)
     }
-
-    /// `S_i = c(αⁱ)` for `i < parity` (entries past `parity` stay 0),
-    /// every Horner chain advanced together in one pass over the
-    /// codeword. The array lives on the stack, so a clean codeword never
-    /// touches the heap.
-    fn syndromes(&self, codeword: &[u8]) -> [u8; MAX_CODEWORD] {
-        let mut s = [0u8; MAX_CODEWORD];
-        for &c in codeword {
-            for (si, row) in s.iter_mut().zip(&self.root_mul) {
-                *si = row[*si as usize] ^ c;
-            }
-        }
-        s
-    }
 }
 
-/// Berlekamp–Massey over GF(256); returns the error locator polynomial,
-/// coefficients lowest-degree first.
-fn berlekamp_massey(synd: &[u8]) -> Vec<u8> {
-    let mut sigma = vec![1u8];
-    let mut prev = vec![1u8];
+/// Berlekamp–Massey over GF(256): the error locator polynomial
+/// (coefficients lowest-degree first, zero past its degree) and its
+/// degree.
+fn berlekamp_massey(synd: &[u8]) -> ([u8; MAX_CODEWORD + 1], usize) {
+    let mut sigma = [0u8; MAX_CODEWORD + 1];
+    sigma[0] = 1;
+    let mut prev = sigma;
     let mut l = 0usize;
     let mut m = 1usize;
     let mut prev_delta = 1u8;
     for (idx, &s) in synd.iter().enumerate() {
-        let mut delta = s;
-        for i in 1..=l.min(sigma.len() - 1) {
-            delta ^= mul(sigma[i], synd[idx - i]);
-        }
+        let history = sigma
+            .iter()
+            .skip(1)
+            .take(l)
+            .zip(synd.iter().take(idx).rev());
+        let delta = history.fold(s, |acc, (&c, &sy)| acc ^ mul(c, sy));
         if delta == 0 {
             m += 1;
-        } else if 2 * l <= idx {
-            let snapshot = sigma.clone();
-            let coef = div(delta, prev_delta);
-            if sigma.len() < prev.len() + m {
-                sigma.resize(prev.len() + m, 0);
-            }
-            for (i, &p) in prev.iter().enumerate() {
-                sigma[i + m] ^= mul(coef, p);
-            }
+            continue;
+        }
+        // σ -= (Δ / Δ_prev)·x^m·prev. Neither polynomial ever has degree
+        // above the syndrome count, so the terms past it are all zero.
+        let snapshot = sigma;
+        let coef = div(delta, prev_delta);
+        let shifted = prev.iter().take((synd.len() + 1).saturating_sub(m));
+        for (c, &b) in sigma.iter_mut().skip(m).zip(shifted) {
+            *c ^= mul(coef, b);
+        }
+        if 2 * l <= idx {
             l = idx + 1 - l;
             prev = snapshot;
             prev_delta = delta;
             m = 1;
         } else {
-            let coef = div(delta, prev_delta);
-            if sigma.len() < prev.len() + m {
-                sigma.resize(prev.len() + m, 0);
-            }
-            for (i, &p) in prev.iter().enumerate() {
-                sigma[i + m] ^= mul(coef, p);
-            }
             m += 1;
         }
     }
-    // Trim trailing zeros so sigma.len()-1 is the true degree.
-    while sigma.len() > 1 && *sigma.last().unwrap() == 0 {
-        sigma.pop();
-    }
-    sigma
-}
-
-/// Gaussian elimination on an augmented ν×(ν+1) system over GF(256).
-/// Returns `None` when the matrix is singular.
-fn solve(a: &mut [Vec<u8>]) -> Option<Vec<u8>> {
-    let n = a.len();
-    for col in 0..n {
-        let pivot = (col..n).find(|&r| a[r][col] != 0)?;
-        a.swap(col, pivot);
-        let piv_inv = inv(a[col][col]);
-        for v in a[col].iter_mut() {
-            *v = mul(*v, piv_inv);
-        }
-        let pivot_row = a[col].clone();
-        for (r, row) in a.iter_mut().enumerate() {
-            if r != col && row[col] != 0 {
-                let factor = row[col];
-                for (dst, &src) in row.iter_mut().zip(&pivot_row).skip(col) {
-                    *dst ^= mul(factor, src);
-                }
-            }
-        }
-    }
-    Some(a.iter().map(|row| row[n]).collect())
+    let degree = sigma.iter().rposition(|&c| c != 0).unwrap_or(0);
+    (sigma, degree)
 }
 
 #[cfg(test)]
