@@ -63,6 +63,17 @@ fn run() {
         |(scenarios, _, snap)| format!("{scenarios}\n{}\n{}", snap.json(), snap.to_csv()),
     );
 
+    // Every run checks grant conservation itself and counts breaches
+    // in a counter that the telemetry holds only when it is nonzero.
+    assert!(
+        !telemetry
+            .counters
+            .iter()
+            .any(|(k, _)| k == "sim.cell.invariant_violations"),
+        "cell suite breached grant conservation: {:?}",
+        telemetry.counters
+    );
+
     // Scale battery: each scenario run serially (timed — the wall-clock
     // curve is the point), reproducing the pool's per-scenario seeds so
     // the 8-worker pool leg below must match byte-for-byte.

@@ -52,6 +52,47 @@ impl HeapOracle {
     }
 }
 
+/// The plainest reference queue: every pending event in one `Vec` kept
+/// sorted by `(time, key, seq)`, a cancel a removal by seq. Its payload
+/// is the seq itself.
+#[derive(Default)]
+struct SortedVecOracle {
+    pending: Vec<(SimTime, u64, u64)>,
+    next_seq: u64,
+    now: SimTime,
+    high_water: usize,
+}
+
+impl SortedVecOracle {
+    fn schedule_keyed(&mut self, at: SimTime, key: u64) -> u64 {
+        assert!(at >= self.now);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let i = self.pending.partition_point(|&e| e < (at, key, seq));
+        self.pending.insert(i, (at, key, seq));
+        self.high_water = self.high_water.max(self.pending.len());
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        let i = self.pending.iter().position(|e| e.2 == seq);
+        i.map(|i| self.pending.remove(i)).is_some()
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending.first().map(|e| e.0)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (at, _, seq) = self.pending.remove(0);
+        self.now = at;
+        Some((at, seq))
+    }
+}
+
 /// Δ for a schedule, from random `bits`: 0 (the current instant), small
 /// (a handful of shared instants) or large.
 fn delta_ns(bits: u64) -> u64 {
@@ -173,6 +214,75 @@ proptest! {
         loop {
             let got = cal.pop().map(|(at, id)| (at, seqs[id]));
             prop_assert_eq!(got, heap.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The calendar against the sorted-`Vec` oracle, on interleavings
+    /// built to hit its lazy sort: most pushes land on one of four
+    /// instants from `now` on (`now` itself included, so a bucket that is
+    /// already due takes pushes) with keys that often fall below the
+    /// bucket's last key — a descending run, the cell core's pre-placed
+    /// late-phase grant, or a random key — and cancels leave tombstones
+    /// in sorted and unsorted buckets alike. Every pop, peek, cancel,
+    /// `len`, `high_water` and `now` must agree.
+    #[test]
+    fn calendar_matches_a_sorted_vec_oracle(
+        ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..400),
+    ) {
+        let mut cal: Scheduler<usize> = Scheduler::new();
+        let mut oracle = SortedVecOracle::default();
+        let mut handles: Vec<EventHandle> = Vec::new();
+        let mut seqs: Vec<u64> = Vec::new();
+        let mut descending = 64u64;
+        // Per op, by `kind`: 6 in 12 schedule (one of them plain FIFO),
+        // 2 cancel the `bits`-th handle ever issued, 3 pop and 1 peeks.
+        for (kind, bits) in ops {
+            match kind {
+                0..=5 => {
+                    let at = cal.now() + SimDuration::nanos(if bits & 0x30 == 0 { 9 + bits % 50 } else { bits % 4 });
+                    let key = match kind {
+                        0 => 0,
+                        1 | 2 => {
+                            descending = descending.checked_sub(1).unwrap_or(64);
+                            descending
+                        }
+                        3 => (4 << 40) | ((bits >> 8) % 8),
+                        _ => (bits >> 8) % 6,
+                    };
+                    let h = if kind == 0 {
+                        cal.schedule(at, handles.len())
+                    } else {
+                        cal.schedule_keyed(at, key, handles.len())
+                    };
+                    handles.push(h);
+                    seqs.push(oracle.schedule_keyed(at, key));
+                }
+                6 | 7 => {
+                    if !handles.is_empty() {
+                        let i = bits as usize % handles.len();
+                        prop_assert_eq!(cal.cancel(handles[i]), oracle.cancel(seqs[i]));
+                    }
+                }
+                8..=10 => {
+                    let got = cal.pop().map(|(at, id)| (at, seqs[id]));
+                    prop_assert_eq!(got, oracle.pop());
+                }
+                _ => prop_assert_eq!(cal.peek_time(), oracle.peek_time()),
+            }
+            prop_assert_eq!(cal.len(), oracle.pending.len());
+            prop_assert_eq!(cal.high_water(), oracle.high_water);
+            prop_assert_eq!(cal.now(), oracle.now);
+        }
+        loop {
+            let got = cal.pop().map(|(at, id)| (at, seqs[id]));
+            prop_assert_eq!(got, oracle.pop());
             if got.is_none() {
                 break;
             }

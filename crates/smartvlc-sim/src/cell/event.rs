@@ -119,6 +119,93 @@ fn tick_time(cfg: &CellConfig, tick: u32) -> SimTime {
     SimTime::from_nanos((tick as f64 * cfg.tick_s * 1e9) as u64)
 }
 
+/// Horizontal range beyond which received power is exactly 0 W (the FoV
+/// cutoff), padded so float rounding can only *include* cells; infinite
+/// from 89° on, where the window is the whole grid.
+fn window_radius(cfg: &CellConfig, drop_m: f64) -> f64 {
+    // Beyond drop·tan(FoV) the path's cos θ = drop/d falls below cos FoV
+    // and `PathGain::at` returns exactly 0.0; the padding absorbs
+    // rounding at the boundary (inclusion is always safe — an included
+    // far cell just contributes exact zeros).
+    let fov = cfg.optics.rx_fov_deg;
+    if fov < 89.0 {
+        drop_m * fov.to_radians().tan() * (1.0 + 1e-9) + 1e-6
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The luminaire window along one grid axis.
+#[derive(Clone, Copy)]
+struct Axis {
+    /// `1 / pitch`.
+    inv_pitch: f64,
+    /// `r / pitch + 0.5` and `r / pitch − 0.5`, for window radius `r`: the
+    /// reach below and above a position, in cell indices.
+    lo_reach: f64,
+    hi_reach: f64,
+    /// The last cell index.
+    last: usize,
+    /// The most cells [`Axis::range`] can span.
+    cap: usize,
+}
+
+impl Axis {
+    fn new(r: f64, pitch: f64, n: usize) -> Axis {
+        let reach = r / pitch;
+        Axis {
+            inv_pitch: 1.0 / pitch,
+            lo_reach: reach + 0.5,
+            hi_reach: reach - 0.5,
+            last: n - 1,
+            // `range` spans at most ⌊2r/pitch⌋ + 1 cells; one more
+            // absorbs the rounding of its two sums.
+            cap: ((2.0 * reach).min(n as f64) as usize + 2).min(n),
+        }
+    }
+
+    /// Index range along the axis holding every cell whose center
+    /// `(i + 0.5) · pitch` lies within the window radius of `center`,
+    /// clamped to the grid. `ceil` and `floor` are libm calls on the
+    /// baseline x86-64 target, so they are a truncating cast (plus one
+    /// where it truncated, for `ceil`), and the division a reciprocal: a
+    /// bound can then move by a cell whose center sits within rounding of
+    /// the padded radius, and the padding (1e-6 m) dwarfs that rounding,
+    /// so such a cell lies beyond the FoV radius — an exact zero either
+    /// way.
+    #[inline]
+    fn range(&self, center: f64) -> (usize, usize) {
+        let u = center * self.inv_pitch;
+        let hi = ((u + self.hi_reach) as usize).min(self.last);
+        let lo = u - self.lo_reach;
+        let lo_cells = lo as usize;
+        let lo_cells = lo_cells + usize::from((lo_cells as f64) < lo);
+        (lo_cells.min(hi), hi)
+    }
+}
+
+/// The luminaire window around one user: grid columns `x0..x0 + w` and
+/// rows `y0..y0 + h`.
+#[derive(Clone, Copy, Default)]
+struct Window {
+    x0: usize,
+    y0: usize,
+    w: usize,
+    h: usize,
+}
+
+impl Window {
+    /// Position of `cell` in the window's row-major order, if inside.
+    #[inline]
+    fn index(&self, cell: usize, nx: usize) -> Option<usize> {
+        let (col, row) = (
+            (cell % nx).wrapping_sub(self.x0),
+            (cell / nx).wrapping_sub(self.y0),
+        );
+        (col < self.w && row < self.h).then(|| row * self.w + col)
+    }
+}
+
 struct EventEngine<'a> {
     cfg: &'a CellConfig,
     parts: SimParts,
@@ -129,28 +216,42 @@ struct EventEngine<'a> {
     /// The tick currently being delivered; advanced by `AmbientSample`.
     tick: u32,
     next_tick: u32,
+    /// The timestamp of tick `tick + 1`, set by `AmbientSample`.
+    next_time: SimTime,
     /// Per-user handle of the pending `Grant` event, if one is queued.
     grant: Vec<Option<EventHandle>>,
     /// First tick at which each user's current outage has fully elapsed.
     outage_until: Vec<u32>,
     members: Vec<u32>,
-    rss: Vec<f64>,
-    /// Scratch: ascending ids of the luminaires inside the window.
-    cand: Vec<usize>,
-    /// Per user: `(cell, path gain)` for every luminaire in the window
-    /// around the user's current position, ascending cell id — written by
-    /// the user's `Walk`, read by its link estimate and grant in the same
-    /// tick (position is fixed from `Walk` on).
-    gains: Vec<Vec<(usize, f64)>>,
+    /// Per user: the luminaire window around the user's current
+    /// position, as its last `Walk` surveyed it.
+    windows: Vec<Window>,
+    /// Per user, `stride` slots of path gains: its window's, row-major
+    /// (ascending cell id) — written by the user's `Walk`, read by its
+    /// link estimate and grant in the same tick (position is fixed from
+    /// `Walk` on). Allocated once, at the most cells a window can hold.
+    gains: Vec<f64>,
+    stride: usize,
     /// The run's luminaire→user channel, [`cell_channel`] but for the
     /// path gain and the ambient, which each operating point supplies.
     channel: ChannelConfig,
-    /// Horizontal range beyond which received power is exactly 0 W
-    /// (FoV cutoff), padded so float rounding can only *include* cells.
-    window_r_m: f64,
-    /// Grid cell pitch along x/y as `ceiling_grid` computed it.
-    dx_m: f64,
-    dy_m: f64,
+    /// The window along x and along y.
+    axes: [Axis; 2],
+    /// The luminaires' x per grid column and y per grid row.
+    col_x: Vec<f64>,
+    row_y: Vec<f64>,
+    /// Scratch: `dx²` per window column.
+    dx2: Vec<f64>,
+    /// [`PathGain::cull_d2`](super::geometry::PathGain::cull_d2) and
+    /// `drop²` of the run's path gain.
+    cull_d2: f64,
+    drop_sq: f64,
+    /// `cfg.policy.hysteresis_ratio()`, a `powf`.
+    hysteresis: f64,
+    /// Grant-conservation violations: a user eligible at the TDMA phase
+    /// with no grant queued, or, at the end, a user whose grant and
+    /// outage ticks do not add up to the run.
+    violations: u64,
     /// The active scheduling policy (`cfg.scheduler`, built per run).
     scheduler: Box<dyn CellScheduler>,
     /// Cached `scheduler.needs_link_estimates()`.
@@ -178,16 +279,21 @@ impl<'a> EventEngine<'a> {
             CellTrafficSpec::Saturated => None,
             CellTrafficSpec::NetMix => Some(TrafficState::new(cfg.n_users, seed)),
         };
-        // Beyond drop·tan(FoV) the path's cos θ = drop/d falls below
-        // cos FoV and `PathGain::at` returns exactly 0.0; the padding
-        // absorbs rounding at the boundary (inclusion is always safe —
-        // an included far cell just contributes exact zeros).
-        let fov = cfg.optics.rx_fov_deg;
-        let window_r_m = if fov < 89.0 {
-            parts.room.drop_m * fov.to_radians().tan() * (1.0 + 1e-9) + 1e-6
-        } else {
-            f64::INFINITY
-        };
+        let r = window_radius(cfg, parts.room.drop_m);
+        let axes = [
+            Axis::new(r, parts.room.width_m / cfg.nx as f64, cfg.nx),
+            Axis::new(r, parts.room.depth_m / cfg.ny as f64, cfg.ny),
+        ];
+        let stride = axes[0].cap * axes[1].cap;
+        // `ceiling_grid` computes a luminaire's x from its column alone
+        // and its y from its row alone.
+        let col_x = parts.grid[..cfg.nx].iter().map(|l| l.pos.x_m).collect();
+        let row_y = parts
+            .grid
+            .iter()
+            .step_by(cfg.nx)
+            .map(|l| l.pos.y_m)
+            .collect();
         // `detector_for_gain` reads neither the geometry nor (once the
         // operating point sets it) the ambient of this template.
         let origin = Position { x_m: 0.0, y_m: 0.0 };
@@ -198,16 +304,22 @@ impl<'a> EventEngine<'a> {
             base_lux: 0.0,
             tick: 0,
             next_tick: 0,
+            next_time: SimTime::ZERO,
             grant: vec![None; cfg.n_users],
             outage_until: vec![0; cfg.n_users],
             members: vec![0; n_cells],
-            rss: vec![0.0; n_cells],
-            cand: Vec::with_capacity(n_cells.min(64)),
-            gains: vec![Vec::new(); cfg.n_users],
+            windows: vec![Window::default(); cfg.n_users],
+            gains: vec![0.0; cfg.n_users * stride],
+            stride,
             channel,
-            window_r_m,
-            dx_m: parts.room.width_m / cfg.nx as f64,
-            dy_m: parts.room.depth_m / cfg.ny as f64,
+            axes,
+            col_x,
+            row_y,
+            dx2: vec![0.0; axes[0].cap],
+            cull_d2: parts.path_gain.cull_d2(),
+            drop_sq: parts.path_gain.drop_sq(),
+            hysteresis: cfg.policy.hysteresis_ratio(),
+            violations: 0,
             scheduler,
             wants_estimates,
             plan: TickPlan::new(cfg.n_users),
@@ -220,32 +332,57 @@ impl<'a> EventEngine<'a> {
         }
     }
 
-    /// Ascending ids of every luminaire whose center lies within the
-    /// FoV window box around `pos` — a superset of all cells with
-    /// nonzero received power, read straight off the regular grid.
-    fn fill_window(&mut self, pos: &Position) {
-        self.cand.clear();
-        let (ix_lo, ix_hi) = axis_range(pos.x_m, self.window_r_m, self.dx_m, self.cfg.nx);
-        let (iy_lo, iy_hi) = axis_range(pos.y_m, self.window_r_m, self.dy_m, self.cfg.ny);
-        for j in iy_lo..=iy_hi {
-            for i in ix_lo..=ix_hi {
-                self.cand.push(j * self.cfg.nx + i);
+    /// The window around `pos`: every luminaire whose center lies
+    /// within the FoV radius, and so every cell with nonzero received
+    /// power, read straight off the regular grid.
+    fn window_at(&self, pos: &Position) -> Window {
+        let (x0, x1) = self.axes[0].range(pos.x_m);
+        let (y0, y1) = self.axes[1].range(pos.y_m);
+        Window {
+            x0,
+            y0,
+            w: x1 - x0 + 1,
+            h: y1 - y0 + 1,
+        }
+    }
+
+    /// `user`'s slice of `gains`: its window's path gains, row-major.
+    fn window_gains(&self, user: usize) -> &[f64] {
+        let win = &self.windows[user];
+        &self.gains[user * self.stride..][..win.w * win.h]
+    }
+
+    /// `user`'s window row by row: each row's first cell id and its
+    /// gains, so cell ids ascend along a row and from row to row. Callers
+    /// walk a row with a plain `zip`, which compiles to a tighter loop
+    /// than one flattened iterator over the window.
+    fn window_rows(&self, user: usize) -> impl Iterator<Item = (usize, &[f64])> + '_ {
+        let win = self.windows[user];
+        let nx = self.cfg.nx;
+        self.window_gains(user)
+            .chunks_exact(win.w)
+            .zip(win.y0..)
+            .map(move |(row, y)| (y * nx + win.x0, row))
+    }
+
+    /// The path gain from `cell` to `user`: the one this tick's `Walk`
+    /// computed, or the closed form's for a cell outside the window.
+    fn gain(&self, user: usize, cell: usize) -> f64 {
+        match self.windows[user].index(cell, self.cfg.nx) {
+            Some(at) => self.window_gains(user)[at],
+            None => {
+                let pos = &self.parts.users[user].pos;
+                self.parts.path_gain.at(&self.parts.grid[cell].pos, pos)
             }
         }
     }
 
     /// The slot detector of the path from `cell` to `user` under this
-    /// tick's ambient at the user. The path gain is the one this tick's
-    /// `Walk` computed, or the closed form's for a cell outside the
-    /// user's window.
+    /// tick's ambient at the user.
     fn operating_point(&mut self, user: usize, cell: usize) -> SlotDetector {
         self.tallies.operating_points += 1;
         let pos = self.parts.users[user].pos;
-        let gains = &self.gains[user];
-        let gain = match gains.binary_search_by_key(&cell, |&(i, _)| i) {
-            Ok(at) => gains[at].1,
-            Err(_) => self.parts.path_gain.at(&self.parts.grid[cell].pos, &pos),
-        };
+        let gain = self.gain(user, cell);
         let mut channel = self.channel;
         channel.ambient_lux = self.lux_at(&pos);
         channel.detector_for_gain(gain, 1.0, false)
@@ -261,11 +398,15 @@ impl<'a> EventEngine<'a> {
     /// [`super::interference_sigma_a`] over the same cells, in id order,
     /// from the path gains this tick's `Walk` computed.
     fn sigma_cci(&self, user: usize, skip: impl Fn(usize) -> bool) -> f64 {
-        let var: f64 = self.gains[user]
-            .iter()
-            .filter(|&&(i, _)| !skip(i))
-            .map(|&(i, g)| interference_var_from_gain(&self.cfg.optics, g, self.parts.lums[i].led))
-            .sum();
+        // Folded from -0.0 in id order, as `Iterator::sum` folds.
+        let mut var = -0.0;
+        for (first, row) in self.window_rows(user) {
+            for (i, &g) in (first..).zip(row) {
+                if !skip(i) {
+                    var += interference_var_from_gain(&self.cfg.optics, g, self.parts.lums[i].led);
+                }
+            }
+        }
         var.sqrt()
     }
 
@@ -274,9 +415,8 @@ impl<'a> EventEngine<'a> {
         sched: &mut Scheduler<CellEvent>,
         ev: CellEvent,
     ) -> Option<EventHandle> {
-        let next = self.tick + 1;
-        if next < self.cfg.ticks {
-            Some(sched.schedule_keyed(tick_time(self.cfg, next), ev.order_key(), ev))
+        if self.tick + 1 < self.cfg.ticks {
+            Some(sched.schedule_keyed(self.next_time, ev.order_key(), ev))
         } else {
             None
         }
@@ -295,6 +435,7 @@ impl<'a> EventEngine<'a> {
     fn on_ambient(&mut self, sched: &mut Scheduler<CellEvent>, t: SimTime) {
         self.tick = self.next_tick;
         self.next_tick += 1;
+        self.next_time = tick_time(self.cfg, self.next_tick);
         self.base_lux = self.parts.ambient.lux_at(t);
         self.schedule_next(sched, CellEvent::AmbientSample);
     }
@@ -315,37 +456,73 @@ impl<'a> EventEngine<'a> {
         self.schedule_next(sched, CellEvent::Sense { lum });
     }
 
-    /// RSS over the window around `user` (plus the serving cell, wherever
-    /// it is) into `rss`, candidates into `cand`: everything outside is
-    /// exactly 0 W, so the subset ranking is bit-identical to a scan of
-    /// the whole grid. The window's path gains are kept in `gains` for
-    /// this tick's link estimate and grant.
-    fn survey(&mut self, user: usize) {
+    /// The walk's survey, one pass over the window around `user`: every
+    /// path gain into the user's slice of `gains`, and the handover slate
+    /// `(best, best RSS, serving RSS)` — `best` the RSS argmax over the
+    /// window, lowest id on ties.
+    ///
+    /// Cells outside the window, the serving cell among them, are exactly
+    /// 0 W. So whenever `best` beats 0 W it is the argmax of a scan of the
+    /// whole grid, and whenever it does not, no handover can clear the
+    /// margin whichever cell it names: `Association::step` decides the
+    /// same, bit for bit. So are the gains:
+    /// `d²` sums a per-column `dx²`, a per-row `dy²` and `drop²` in
+    /// `PathGain::at`'s order, and a path past `cull_d2` is the exact 0.0
+    /// that `at` returns beyond the FoV, without its square root and
+    /// divisions.
+    fn survey(&mut self, user: usize) -> (usize, f64, f64) {
         let pos = self.parts.users[user].pos;
-        let serving = self.parts.assocs[user].serving;
-        let optics = &self.cfg.optics;
-        self.fill_window(&pos);
-        let gains = &mut self.gains[user];
-        gains.clear();
+        let win = self.window_at(&pos);
+        self.windows[user] = win;
+        let (x1, y1) = (win.x0 + win.w, win.y0 + win.h);
+        for (d, &x) in self.dx2.iter_mut().zip(&self.col_x[win.x0..x1]) {
+            let dx = x - pos.x_m;
+            *d = dx * dx;
+        }
+        let (optics, nx) = (&self.cfg.optics, self.cfg.nx);
         let path = self.parts.path_gain;
-        for &i in &self.cand {
-            let g = path.at(&self.parts.grid[i].pos, &pos);
-            gains.push((i, g));
-            self.rss[i] = rss_from_gain(optics, g, self.parts.lums[i].led);
+        let gains = &mut self.gains[user * self.stride..][..win.w * win.h];
+        // Every RSS is ≥ 0, so a cell at 0 W never displaces an earlier
+        // one: starting from the window's first cell at 0 W ranks as a
+        // scan of every cell does.
+        let mut best = (win.y0 * nx + win.x0, 0.0);
+        for ((y, &ly), row) in (win.y0..)
+            .zip(&self.row_y[win.y0..y1])
+            .zip(gains.chunks_exact_mut(win.w))
+        {
+            let dy = ly - pos.y_m;
+            let dy2 = dy * dy;
+            for ((i, &dx2), g) in (y * nx + win.x0..).zip(&self.dx2[..win.w]).zip(row) {
+                let d2 = dx2 + dy2 + self.drop_sq;
+                *g = if d2 > self.cull_d2 {
+                    0.0
+                } else {
+                    path.at_d2(d2)
+                };
+                if *g > 0.0 {
+                    let p = rss_from_gain(optics, *g, self.parts.lums[i].led);
+                    if p > best.1 {
+                        best = (i, p);
+                    }
+                }
+            }
         }
-        if let Err(at) = self.cand.binary_search(&serving) {
-            self.cand.insert(at, serving);
-            let g = path.at(&self.parts.grid[serving].pos, &pos);
-            self.rss[serving] = rss_from_gain(optics, g, self.parts.lums[serving].led);
-        }
+        let serving = self.parts.assocs[user].serving;
+        let serving_w = rss_from_gain(
+            optics,
+            self.gain(user, serving),
+            self.parts.lums[serving].led,
+        );
+        (best.0, best.1, serving_w)
     }
 
     fn on_walk(&mut self, sched: &mut Scheduler<CellEvent>, t: SimTime, user: usize) {
         let cfg = self.cfg;
         self.parts.users[user].step(&self.parts.room, &cfg.mobility, cfg.tick_s);
-        self.survey(user);
+        let (best, best_w, serving_w) = self.survey(user);
 
-        if let Some(ev) = self.parts.assocs[user].step_subset(&self.rss, &self.cand, &cfg.policy) {
+        let assoc = &mut self.parts.assocs[user];
+        if let Some(ev) = assoc.step_ranked(best, best_w, serving_w, self.hysteresis, &cfg.policy) {
             self.tallies.handovers += 1;
             self.tallies.user_handovers[user] += 1;
             self.tallies.latency_ticks_sum += ev.latency_ticks as u64;
@@ -361,7 +538,9 @@ impl<'a> EventEngine<'a> {
                 // Account the whole outage window now (overlapping
                 // handovers extend it, never double-count) and move the
                 // user's grant past it.
-                let until_new = self.tick + delay;
+                // Saturating: the builder accepts any `u32` delay, and
+                // an outage past the run's end ends with it.
+                let until_new = self.tick.saturating_add(delay);
                 let lo = self.outage_until[user].max(self.tick);
                 let hi = until_new.min(cfg.ticks);
                 let add = hi.saturating_sub(lo) as u64;
@@ -407,7 +586,9 @@ impl<'a> EventEngine<'a> {
             // doesn't hold — during an outage the re-scheduled grant's
             // handle is already live for a future tick.)
             self.eligible[u] = self.outage_until[u] <= self.tick;
-            debug_assert!(!self.eligible[u] || self.grant[u].is_some());
+            if self.eligible[u] && self.grant[u].is_none() {
+                self.violations += 1;
+            }
         }
         if self.wants_estimates {
             for u in 0..self.cfg.n_users {
@@ -453,14 +634,16 @@ impl<'a> EventEngine<'a> {
         // `interference_sigma_a` of that one luminaire.
         let mut var = 0.0;
         let mut dominant: Option<(usize, f64)> = None;
-        for &(i, g) in &self.gains[user] {
-            if i == serving {
-                continue;
-            }
-            let sig = interference_var_from_gain(&cfg.optics, g, self.parts.lums[i].led).sqrt();
-            var += sig * sig;
-            if sig > 0.0 && dominant.is_none_or(|(_, s)| sig > s) {
-                dominant = Some((i, sig));
+        for (first, row) in self.window_rows(user) {
+            for (i, &g) in (first..).zip(row) {
+                if i == serving {
+                    continue;
+                }
+                let sig = interference_var_from_gain(&cfg.optics, g, self.parts.lums[i].led).sqrt();
+                var += sig * sig;
+                if sig > 0.0 && dominant.is_none_or(|(_, s)| sig > s) {
+                    dominant = Some((i, sig));
+                }
             }
         }
         let sigma_cci = var.sqrt();
@@ -538,6 +721,14 @@ impl<'a> EventEngine<'a> {
     fn finish(self, events: u64, queue_peak: u64) -> CellReport {
         let cfg = self.cfg;
         let t = &self.tallies;
+        // Grant conservation: every user-tick is a grant or an outage.
+        let unbalanced = (t.user_grants.iter().zip(&t.user_outage))
+            .filter(|&(g, o)| g + o != u64::from(cfg.ticks))
+            .count() as u64;
+        let violations = self.violations + unbalanced;
+        if violations > 0 {
+            obs::counter_add(obs::key!("sim.cell.invariant_violations"), violations);
+        }
         let coord_blocked = self.scheduler.stats().coord_blocked;
         // New policies get their own counter namespace; the legacy
         // equal-share path emits exactly the legacy telemetry so existing
@@ -620,21 +811,6 @@ impl<'a> EventEngine<'a> {
     }
 }
 
-/// Index window along one grid axis: every cell whose center coordinate
-/// `(i + 0.5) · pitch` lies within `r` of `center`, clamped to the grid.
-fn axis_range(center: f64, r: f64, pitch: f64, n: usize) -> (usize, usize) {
-    let lo = ((center - r) / pitch - 0.5).ceil().max(0.0);
-    let hi = ((center + r) / pitch - 0.5).floor().min((n - 1) as f64);
-    if hi < lo {
-        // Can only happen for degenerate optics (FoV window narrower
-        // than half a pitch); an empty window means every cell is at
-        // exactly 0 W, which the handover machine treats as "stay put".
-        (0, 0)
-    } else {
-        (lo as usize, hi as usize)
-    }
-}
-
 /// The event-core implementation behind [`super::run_cell`].
 pub(crate) fn run_cell_event(cfg: &CellConfig, seed: u64) -> CellReport {
     if let Err(err) = cfg.validate() {
@@ -676,7 +852,8 @@ pub(crate) fn run_cell_event(cfg: &CellConfig, seed: u64) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::received_power_w;
+    use crate::cell::{received_power_w, Association, HandoverPolicy};
+    use proptest::prelude::*;
 
     #[test]
     fn order_keys_follow_the_phase_order() {
@@ -702,18 +879,50 @@ mod tests {
         );
     }
 
+    /// Index window along one grid axis, as the per-cell survey built it:
+    /// every cell whose center `(i + 0.5) · pitch` lies within `r` of
+    /// `center`, clamped to the grid.
+    fn axis_range(center: f64, r: f64, pitch: f64, n: usize) -> (usize, usize) {
+        let lo = ((center - r) / pitch - 0.5).ceil().max(0.0);
+        let hi = ((center + r) / pitch - 0.5).floor().min((n - 1) as f64);
+        if hi < lo {
+            (0, 0)
+        } else {
+            (lo as usize, hi as usize)
+        }
+    }
+
     #[test]
     fn axis_range_covers_the_window_and_clamps_to_the_grid() {
         // 8 cells at 2.5 m pitch, centers at 1.25, 3.75, ..., 18.75.
-        let (lo, hi) = axis_range(10.0, 6.05, 2.5, 8);
-        assert_eq!((lo, hi), (2, 5)); // centers 6.25..=13.75 within ±6.05
-        let (lo, hi) = axis_range(0.0, 6.05, 2.5, 8);
-        assert_eq!((lo, hi), (0, 1));
-        let (lo, hi) = axis_range(20.0, 6.05, 2.5, 8);
-        assert_eq!((lo, hi), (6, 7));
+        let axis = Axis::new(6.05, 2.5, 8);
+        assert_eq!(axis.cap, 6);
+        assert_eq!(axis.range(10.0), (2, 5)); // centers 6.25..=13.75
+        assert_eq!(axis.range(0.0), (0, 1));
+        assert_eq!(axis.range(20.0), (6, 7));
         // A window wider than the room covers everything.
-        let (lo, hi) = axis_range(5.0, f64::INFINITY, 2.5, 8);
-        assert_eq!((lo, hi), (0, 7));
+        let all = Axis::new(f64::INFINITY, 2.5, 8);
+        assert_eq!((all.range(5.0), all.cap), ((0, 7), 8));
+        // Every center, a grid of radii: the range is the reference's but
+        // where a bound lands within rounding of a cell, spans at most
+        // `cap` cells, and stays in the grid.
+        for n in 1..=12 {
+            for r in [0.1, 1.2, 2.5, 3.7, 6.05, 12.5, 40.0] {
+                let axis = Axis::new(r, 2.5, n);
+                for k in 0..=(n * 40) {
+                    let c = k as f64 * 2.5 * n as f64 / (n * 40) as f64;
+                    let (lo, hi) = axis.range(c);
+                    let (rlo, rhi) = axis_range(c, r, 2.5, n);
+                    assert!(lo <= hi && hi < n, "n {n} r {r} c {c}: {lo}..={hi}");
+                    assert!(hi - lo < axis.cap, "n {n} r {r} c {c}: {lo}..={hi}");
+                    let (a, b) = ((c - r) / 2.5 - 0.5, (c + r) / 2.5 - 0.5);
+                    let empty = b.floor().min((n - 1) as f64) < a.ceil().max(0.0);
+                    let edge = |x: f64| (x - x.round()).abs() < 1e-9;
+                    let same = (lo, hi) == (rlo, rhi);
+                    assert!(same || empty || edge(a) || edge(b), "n {n} r {r} c {c}");
+                }
+            }
+        }
     }
 
     /// An engine at tick 0 of a 4×4 × 6-user run, every user walked once
@@ -818,21 +1027,22 @@ mod tests {
         let mut eng = walked_engine(&cfg);
         let mut sched = Scheduler::new();
         for user in 0..cfg.n_users {
-            // `rss` is scratch shared by all users: check it right after
-            // this user's walk.
             eng.on_walk(&mut sched, tick_time(&cfg, 1), user);
             let (optics, room) = (&cfg.optics, &eng.parts.room);
             let pos = eng.parts.users[user].pos;
             let serving = eng.parts.assocs[user].serving;
-            let window = &eng.gains[user];
+            let window: Vec<(usize, f64)> = eng
+                .window_rows(user)
+                .flat_map(|(first, row)| (first..).zip(row.iter().copied()))
+                .collect();
             assert!(window.len() > 1, "user {user} sees one luminaire");
-            for &(i, _) in window {
+            for &(i, g) in &window {
                 let lum = &eng.parts.grid[i].pos;
                 let led = eng.parts.lums[i].led;
                 let want = received_power_w(optics, room, lum, &pos, led);
-                assert_eq!(eng.rss[i].to_bits(), want.to_bits(), "rss of cell {i}");
+                let got = rss_from_gain(optics, g, led);
+                assert_eq!(got.to_bits(), want.to_bits(), "rss of cell {i}");
                 // The link estimate's per-interferer σ.
-                let g = window.iter().find(|w| w.0 == i).unwrap().1;
                 let one = interference_var_from_gain(optics, g, led).sqrt();
                 let want = super::super::interference_sigma_a(optics, room, &[(*lum, led)], &pos);
                 assert_eq!(one.to_bits(), want.to_bits(), "σ of cell {i}");
@@ -859,7 +1069,7 @@ mod tests {
         for fov in [20.0, 45.0, 70.0, 80.0] {
             let mut cfg = CellConfig::standard(9, 7, 1);
             cfg.optics.rx_fov_deg = fov;
-            let mut eng = EventEngine::new(&cfg, sim_parts(&cfg, 3), 3);
+            let eng = EventEngine::new(&cfg, sim_parts(&cfg, 3), 3);
             let room = eng.parts.room;
             let edge = room.drop_m * f64::to_radians(fov).tan();
             let mut spots: Vec<Position> = (0..500)
@@ -883,14 +1093,14 @@ mod tests {
             // the window's padding.
             let mut edge_lit = 0;
             for pos in &spots {
-                eng.fill_window(pos);
+                let window = eng.window_at(pos);
                 for lum in &eng.parts.grid {
                     if eng.parts.path_gain.at(&lum.pos, pos) > 0.0 {
                         if lum.pos.horizontal_distance(pos) > edge * (1.0 - 1e-9) {
                             edge_lit += 1;
                         }
                         assert!(
-                            eng.cand.contains(&lum.id),
+                            window.index(lum.id, cfg.nx).is_some(),
                             "fov {fov}: cell {} lit at {pos:?} but outside the window",
                             lum.id
                         );
@@ -914,5 +1124,186 @@ mod tests {
         assert!(a.events <= ticks * 12, "{}", a.events);
         assert!(a.events >= ticks * 9, "{}", a.events);
         assert!(a.queue_peak >= 12, "{}", a.queue_peak);
+    }
+
+    /// The per-cell survey the one-pass [`EventEngine::survey`] replaced,
+    /// kept as its reference: the ceil/floor window as a candidate list,
+    /// [`PathGain::at`](super::super::geometry::PathGain::at) per cell, the
+    /// serving cell merged in, and an RSS slate over every cell for
+    /// [`Association::step_subset`]. Returns the window's `(cell, gain)`
+    /// pairs, the slate and the candidates.
+    fn reference_survey(
+        eng: &EventEngine,
+        user: usize,
+    ) -> (Vec<(usize, f64)>, Vec<f64>, Vec<usize>) {
+        let (cfg, room) = (eng.cfg, &eng.parts.room);
+        let r = window_radius(cfg, room.drop_m);
+        let pos = eng.parts.users[user].pos;
+        let (ix_lo, ix_hi) = axis_range(pos.x_m, r, room.width_m / cfg.nx as f64, cfg.nx);
+        let (iy_lo, iy_hi) = axis_range(pos.y_m, r, room.depth_m / cfg.ny as f64, cfg.ny);
+        let mut cand: Vec<usize> = (iy_lo..=iy_hi)
+            .flat_map(|j| (ix_lo..=ix_hi).map(move |i| j * cfg.nx + i))
+            .collect();
+        let path = eng.parts.path_gain;
+        let rss_of = |i: usize| {
+            let g = path.at(&eng.parts.grid[i].pos, &pos);
+            (g, rss_from_gain(&cfg.optics, g, eng.parts.lums[i].led))
+        };
+        let mut rss = vec![0.0; cfg.n_cells()];
+        let mut gains = Vec::new();
+        for &i in &cand {
+            let (g, p) = rss_of(i);
+            gains.push((i, g));
+            rss[i] = p;
+        }
+        let serving = eng.parts.assocs[user].serving;
+        if let Err(at) = cand.binary_search(&serving) {
+            cand.insert(at, serving);
+            rss[serving] = rss_of(serving).1;
+        }
+        (gains, rss, cand)
+    }
+
+    /// One survey-and-decide step of user 0 of `eng`, by the one-pass
+    /// survey and by the reference, from the same association state:
+    /// both must agree bit for bit on every gain, the RSS slate and the
+    /// handover decision, and the window must hold every lit path.
+    fn check_survey(eng: &mut EventEngine) {
+        let cfg = eng.cfg;
+        let (gains_ref, rss_ref, cand) = reference_survey(eng, 0);
+        let mut assoc_ref = eng.parts.assocs[0].clone();
+        let ev_ref = assoc_ref.step_subset(&rss_ref, &cand, &cfg.policy);
+        let best_ref = cand
+            .iter()
+            .fold(cand[0], |b, &i| if rss_ref[i] > rss_ref[b] { i } else { b });
+
+        let (best, best_w, serving_w) = eng.survey(0);
+        let ev =
+            eng.parts.assocs[0].step_ranked(best, best_w, serving_w, eng.hysteresis, &cfg.policy);
+        prop_assert_eq!(ev, ev_ref);
+        prop_assert_eq!(&eng.parts.assocs[0], &assoc_ref);
+        prop_assert_eq!(best_w.to_bits(), rss_ref[best_ref].to_bits());
+        if best_w > 0.0 {
+            prop_assert_eq!(best, best_ref);
+        }
+        // The RSS of the cell that served the user during the survey.
+        let served = ev.map_or(assoc_ref.serving, |e| e.from);
+        prop_assert_eq!(serving_w.to_bits(), rss_ref[served].to_bits());
+        for &(i, g) in &gains_ref {
+            prop_assert_eq!(eng.gain(0, i).to_bits(), g.to_bits(), "cell {}", i);
+        }
+        let pos = eng.parts.users[0].pos;
+        let window = eng.windows[0];
+        for lum in &eng.parts.grid {
+            let want = eng.parts.path_gain.at(&lum.pos, &pos);
+            prop_assert_eq!(
+                eng.gain(0, lum.id).to_bits(),
+                want.to_bits(),
+                "cell {}",
+                lum.id
+            );
+            if want > 0.0 {
+                // A lit path: inside the window, and not culled.
+                prop_assert!(
+                    window.index(lum.id, cfg.nx).is_some(),
+                    "lit cell {} outside",
+                    lum.id
+                );
+                let (dx, dy) = (lum.pos.x_m - pos.x_m, lum.pos.y_m - pos.y_m);
+                prop_assert!(
+                    dx * dx + dy * dy + eng.drop_sq <= eng.cull_d2,
+                    "lit cell {} culled",
+                    lum.id
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass survey against the per-cell reference: FoV from
+        /// 20° to 89° (the whole grid), several pitches, random duties
+        /// (some dark), hysteresis from −3 dB (a tie with the serving cell
+        /// clears it) to 6 dB, and the user anywhere in the room, within
+        /// a few ulps of a luminaire's FoV radius (where the cull and the
+        /// window's padding decide), or on a grid corner under equal
+        /// duties, served by one of the up to four cells it ties.
+        #[test]
+        fn survey_matches_the_per_cell_reference(
+            (nx, ny) in (1usize..=9, 1usize..=9),
+            pitch in 0usize..4,
+            (whole_grid, fov) in (0u8..8, 20.0f64..89.0),
+            hysteresis_db in -3.0f64..6.0,
+            (serving, lum, place) in (any::<usize>(), any::<usize>(), 0u8..3),
+            (ulps, phi) in (-4i64..5, 0.0f64..std::f64::consts::TAU),
+            (fx, fy) in (0.0f64..=1.0, 0.0f64..=1.0),
+            duty_seed in any::<u64>(),
+        ) {
+            let mut cfg = CellConfig::standard(nx, ny, 1);
+            cfg.pitch_m = [1.5, 2.5, 3.3, 4.0][pitch];
+            cfg.optics.rx_fov_deg = if whole_grid == 0 { 89.0 } else { fov };
+            cfg.policy = HandoverPolicy { hysteresis_db, dwell_ticks: 1, assoc_delay_ticks: 3 };
+            let mut eng = EventEngine::new(&cfg, sim_parts(&cfg, 3), 3);
+            let room = eng.parts.room;
+            let mut duty = desim::DetRng::seed_from_u64(duty_seed);
+            for st in &mut eng.parts.lums {
+                st.led = match place {
+                    2 => 0.5,
+                    _ if duty.chance(0.2) => 0.0,
+                    _ => duty.next_f64(),
+                };
+            }
+            let n = cfg.n_cells();
+            let center = eng.parts.grid[lum % n].pos;
+            let (pos, serving) = match place {
+                0 => (Position { x_m: fx * room.width_m, y_m: fy * room.depth_m }, serving % n),
+                1 => {
+                    let edge = room.drop_m * cfg.optics.rx_fov_deg.to_radians().tan();
+                    let r = edge * (1.0 + ulps as f64 * f64::EPSILON);
+                    let at = Position { x_m: center.x_m + r * phi.cos(), y_m: center.y_m + r * phi.sin() };
+                    (room.clamp(at), serving % n)
+                }
+                _ => {
+                    // The corner above and right of `lum`'s cell, served
+                    // by `lum` or a neighbour.
+                    let corner = Position { x_m: center.x_m + cfg.pitch_m / 2.0, y_m: center.y_m + cfg.pitch_m / 2.0 };
+                    let near = [0, 1, cfg.nx, cfg.nx + 1][serving % 4];
+                    (room.clamp(corner), (lum % n + near) % n)
+                }
+            };
+            eng.parts.users[0].pos = pos;
+            eng.parts.assocs[0] = Association::new(serving);
+            check_survey(&mut eng);
+        }
+    }
+
+    #[test]
+    fn grant_conservation_violations_are_counted() {
+        // A walked engine queued no grants, so every user is eligible at
+        // the TDMA phase with none pending, and at the end no user's
+        // grant and outage ticks add up to the run.
+        let cfg = CellConfig::standard(2, 2, 3);
+        let mut eng = walked_engine(&cfg);
+        eng.on_tdma(&mut Scheduler::new());
+        assert_eq!(eng.violations, 3);
+        let rec = obs::Recorder::new();
+        obs::with_recorder(&rec, || eng.finish(0, 0));
+        let counted = rec
+            .snapshot()
+            .counters
+            .into_iter()
+            .find(|(k, _)| k == "sim.cell.invariant_violations");
+        let want = cfg!(feature = "telemetry").then(|| ("sim.cell.invariant_violations".into(), 6));
+        assert_eq!(counted, want);
+
+        // A whole run keeps the law, so the counter is never emitted.
+        let rec = obs::Recorder::new();
+        obs::with_recorder(&rec, || run_cell_event(&cfg, 5));
+        let snap = rec.snapshot();
+        assert!(!snap
+            .counters
+            .iter()
+            .any(|(k, _)| k == "sim.cell.invariant_violations"));
     }
 }

@@ -238,7 +238,34 @@ impl PathGain {
     #[inline]
     pub(crate) fn at(&self, lum: &Position, user: &Position) -> f64 {
         let (dx, dy) = (lum.x_m - user.x_m, lum.y_m - user.y_m);
-        let d2 = dx * dx + dy * dy + self.drop_m * self.drop_m;
+        self.at_d2(dx * dx + dy * dy + self.drop_sq())
+    }
+
+    /// The vertical drop squared, the last term of `d²`.
+    pub(crate) fn drop_sq(&self) -> f64 {
+        self.drop_m * self.drop_m
+    }
+
+    /// A bound on `d²` beyond which [`PathGain::at_d2`] is exactly 0.0:
+    /// the FoV edge's `d²`, `(drop / cos FoV)²`, padded by 1e-9 relative,
+    /// which dwarfs the few ulps of rounding in `cos θ = drop/√d²`. Any
+    /// `d²` above it has `cos θ < cos FoV` by ~5e-10 relative, so a
+    /// caller that skips those paths skips only exact zeros. Infinite
+    /// for a 90° FoV, where no path is cut off.
+    pub(crate) fn cull_d2(&self) -> f64 {
+        if self.cos_fov > 0.0 {
+            let edge = self.drop_m / self.cos_fov;
+            edge * edge * (1.0 + 1e-9)
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// The gain of a path whose squared length is `d2 = r² + drop²`,
+    /// with `r` the horizontal distance: [`PathGain::at`] once it has
+    /// summed `d²`.
+    #[inline]
+    pub(crate) fn at_d2(&self, d2: f64) -> f64 {
         let cos = self.drop_m / d2.sqrt();
         if cos < self.cos_fov {
             return 0.0;

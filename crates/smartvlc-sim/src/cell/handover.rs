@@ -54,7 +54,7 @@ pub struct HandoverEvent {
 }
 
 /// Per-user association state machine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Association {
     /// Currently associated cell.
     pub serving: usize,
@@ -94,7 +94,8 @@ impl Association {
                 best = i;
             }
         }
-        self.decide(rss_w, best, policy)
+        let ratio = policy.hysteresis_ratio();
+        self.decide(best, rss_w[best], rss_w[self.serving], ratio, policy)
     }
 
     /// Like [`Association::step`], but ranks only the cells in
@@ -126,7 +127,26 @@ impl Association {
                 best = i;
             }
         }
-        self.decide(rss_w, best, policy)
+        let ratio = policy.hysteresis_ratio();
+        self.decide(best, rss_w[best], rss_w[self.serving], ratio, policy)
+    }
+
+    /// Like [`Association::step`], from a slate already ranked: `best` is
+    /// the RSS argmax over every cell, lowest id on ties (any cell when
+    /// none beats 0 W: a 0 W argmax never clears the margin), `best_w`
+    /// and `serving_w` are its and the serving cell's RSS, and `ratio` is
+    /// `policy.hysteresis_ratio()`, which the caller computes once per
+    /// run. Reaches [`Association::step`]'s decision bit for bit.
+    pub(crate) fn step_ranked(
+        &mut self,
+        best: usize,
+        best_w: f64,
+        serving_w: f64,
+        ratio: f64,
+        policy: &HandoverPolicy,
+    ) -> Option<HandoverEvent> {
+        self.tick_outage();
+        self.decide(best, best_w, serving_w, ratio, policy)
     }
 
     fn tick_outage(&mut self) {
@@ -137,12 +157,13 @@ impl Association {
 
     fn decide(
         &mut self,
-        rss_w: &[f64],
         best: usize,
+        best_w: f64,
+        serving_w: f64,
+        ratio: f64,
         policy: &HandoverPolicy,
     ) -> Option<HandoverEvent> {
-        let clears_margin =
-            best != self.serving && rss_w[best] > rss_w[self.serving] * policy.hysteresis_ratio();
+        let clears_margin = best != self.serving && best_w > serving_w * ratio;
         if !clears_margin {
             self.candidate = None;
             return None;
@@ -160,7 +181,11 @@ impl Association {
         let ev = HandoverEvent {
             from: self.serving,
             to: best,
-            latency_ticks: policy.dwell_ticks.max(1) + policy.assoc_delay_ticks,
+            // Saturating: the builder accepts any `u32` delay.
+            latency_ticks: policy
+                .dwell_ticks
+                .max(1)
+                .saturating_add(policy.assoc_delay_ticks),
         };
         self.serving = best;
         self.candidate = None;
@@ -294,6 +319,21 @@ mod tests {
             assert_eq!(sub.step_subset(&[0.0; 5], &[2, 3, 4], &p), None);
             assert_eq!(sub.serving, 3);
         }
+    }
+
+    #[test]
+    fn latency_saturates_at_the_largest_delay() {
+        let p = HandoverPolicy {
+            assoc_delay_ticks: u32::MAX,
+            ..policy()
+        };
+        let mut assoc = Association::new(0);
+        let rss = [1.0e-6, 4.0e-6];
+        let ev = (0..p.dwell_ticks)
+            .find_map(|_| assoc.step(&rss, &p))
+            .expect("handover must fire");
+        assert_eq!(ev.latency_ticks, u32::MAX);
+        assert!(assoc.in_outage());
     }
 
     #[test]

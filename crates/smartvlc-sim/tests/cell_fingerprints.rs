@@ -17,12 +17,17 @@
 //! 4. **Grant conservation** — proptest over random configurations
 //!    (including aggressive handover policies that cancel and
 //!    re-schedule grants constantly): every user-tick is exactly one of
-//!    {grant, outage}, so a grant is never lost or duplicated.
+//!    {grant, outage}, so a grant is never lost or duplicated. The run
+//!    checks the same law itself and counts breaches in
+//!    `sim.cell.invariant_violations`, which no run here may emit — nor
+//!    one whose association delay is `u32::MAX`, the largest the
+//!    builder accepts.
 
 use proptest::prelude::*;
+use smartvlc_obs as obs;
 use smartvlc_sim::cell::{
     cell_policy_scenarios, run_cell, CellConfig, CellOutcome, CellReport, CellTrafficReport,
-    CellTrafficSpec, SchedulerSpec, UserOutcome,
+    CellTrafficSpec, HandoverPolicy, SchedulerSpec, UserOutcome,
 };
 use smartvlc_sim::scenario::CellScenarioBuilder;
 use smartvlc_sim::{cell_scale_json, cell_scenarios, par_sweep, with_threads, ScalePoint, TaskId};
@@ -187,6 +192,20 @@ fn pinned_configs() -> Vec<(String, CellConfig)> {
     out
 }
 
+/// `run_cell` under its own recorder, with the run's count of
+/// grant-conservation violations (absent from the telemetry when 0).
+fn run_counting_violations(cfg: &CellConfig, seed: u64) -> (CellReport, u64) {
+    let rec = obs::Recorder::new();
+    let report = obs::with_recorder(&rec, || run_cell(cfg, seed));
+    let violations = rec
+        .snapshot()
+        .counters
+        .iter()
+        .find(|(k, _)| k == "sim.cell.invariant_violations")
+        .map_or(0, |c| c.1);
+    (report, violations)
+}
+
 /// One row per pinned run: (configuration name, seed, the report's
 /// [`fingerprint`]).
 #[rustfmt::skip]
@@ -219,7 +238,9 @@ fn run_cell_matches_the_pinned_fingerprints() {
             .find(|(name, _)| name == run)
             .unwrap_or_else(|| panic!("pinned run {run} has no configuration"))
             .1;
-        let hash = fingerprint(&run_cell(&cfg, seed));
+        let (report, violations) = run_counting_violations(&cfg, seed);
+        assert_eq!(violations, 0, "{run}: grant conservation breached");
+        let hash = fingerprint(&report);
         if hash != pinned {
             mismatches.push(run);
         }
@@ -337,7 +358,8 @@ proptest! {
             let mut pcfg = cfg;
             pcfg.scheduler = policy;
             pcfg.traffic = traffic;
-            let r = run_cell(&pcfg, seed);
+            let (r, violations) = run_counting_violations(&pcfg, seed);
+            prop_assert_eq!(violations, 0);
             for u in &r.users {
                 prop_assert_eq!(
                     u.grant_ticks + u.outage_ticks,
@@ -349,4 +371,38 @@ proptest! {
             }
         }
     }
+}
+
+/// The largest association delay the builder accepts: the first handover
+/// puts its user in outage for the rest of the run. `tick + delay` and
+/// the handover latency saturate instead of wrapping, so the run neither
+/// panics (debug overflow, or scheduling into the past in release) nor
+/// loses a grant.
+#[test]
+fn largest_association_delay_runs_to_the_end() {
+    let cfg = CellScenarioBuilder::new()
+        .grid(4, 4)
+        .users(20)
+        .horizon(60, 0.1)
+        .policy(HandoverPolicy {
+            assoc_delay_ticks: u32::MAX,
+            ..HandoverPolicy::standard()
+        })
+        .build()
+        .expect("the builder accepts any delay")
+        .cfg;
+    let (r, violations) = run_counting_violations(&cfg, 1);
+    assert!(r.handovers > 0, "no handover: the delay path never ran");
+    assert_eq!(violations, 0);
+    for u in &r.users {
+        assert_eq!(u.grant_ticks + u.outage_ticks, 60, "user {}", u.id);
+        if u.handovers > 0 {
+            assert!(
+                u.outage_ticks > 0,
+                "user {} handed over without outage",
+                u.id
+            );
+        }
+    }
+    assert_eq!(r.mean_handover_latency_s, Some(u32::MAX as f64 * 0.1));
 }
