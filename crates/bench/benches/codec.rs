@@ -6,7 +6,8 @@
 //! flicker-bound extreme.
 
 use combinat::{
-    decode_codeword, decode_word, encode_codeword, BigUint, BinomialTable, BitWriter, EncodeScratch,
+    decode_codeword, decode_words, encode_codeword, BigUint, BinomialTable, BitWriter,
+    EncodeScratch,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use desim::DetRng;
@@ -39,10 +40,10 @@ fn bench_codeword(c: &mut Criterion) {
     group.finish();
 }
 
-/// The receiver's per-symbol path: `decode_word` over a stream of random
-/// S(29, 14) symbols (a pattern the AMPPM planner emits), each ranked on
-/// a packed word and appended to one reused `BitWriter`.
-fn bench_decode_word_stream(c: &mut Criterion) {
+/// The receiver's block path: one `decode_words` call over a stream of
+/// random S(29, 14) symbols (a pattern the AMPPM planner emits), packed
+/// once and ranked into one `BitWriter`.
+fn bench_decode_words_stream(c: &mut Criterion) {
     const SYMBOLS: usize = 1024;
     let (n, k) = (29usize, 14usize);
     let table = BinomialTable::new(512);
@@ -55,16 +56,14 @@ fn bench_decode_word_stream(c: &mut Criterion) {
         })
         .collect();
     let mut scratch = EncodeScratch::new();
-    let mut group = c.benchmark_group("decode_word_stream");
+    let mut group = c.benchmark_group("decode_words_stream");
     group.throughput(Throughput::Elements(SYMBOLS as u64));
     group.bench_function(format!("s{n}_{k}_x{SYMBOLS}"), |b| {
         b.iter(|| {
             let mut writer = BitWriter::new();
-            let mut failures = 0u32;
-            for symbol in black_box(&slots).chunks_exact(n) {
-                failures +=
-                    decode_word(&table, n, k, symbol, &mut scratch, &mut writer).unwrap() as u32;
-            }
+            let walk = std::iter::repeat_n((n, k), SYMBOLS);
+            let failures =
+                decode_words(&table, walk, black_box(&slots), &mut scratch, &mut writer).unwrap();
             black_box((writer.len_bits(), failures))
         })
     });
@@ -86,7 +85,7 @@ fn bench_table(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_codeword,
-    bench_decode_word_stream,
+    bench_decode_words_stream,
     bench_table
 );
 criterion_main!(benches);

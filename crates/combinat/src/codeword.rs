@@ -37,31 +37,44 @@
 //!   together (their `K` may differ) and their loads overlap. Rows 68–128
 //!   walk on `u128`, looking each coefficient up through
 //!   [`BinomialTable::binomial_u128`], with the paper's early exits;
-//! * a **packed rank** for `N ≤ 64`: the received slots become one `u64`
-//!   (eight slots per multiply), the weight check is a `popcount`, and
-//!   the rank sums one triangle entry per OFF slot before the last ON,
-//!   each term computed from its own slot index and visit count rather
-//!   than carried from the previous slot. Rows 65–128 rank with the
-//!   slot-serial `u128` walk;
-//! * a **word-level stream codec**, [`encode_words`]/[`decode_word`]: the
-//!   modems read each data word from the payload as one `u128`
-//!   ([`BitReader::read_word`], one `u64` load per 56 bits) and write it
-//!   back the same way ([`BitWriter::write_word`]); a block's symbols go
-//!   through one `encode_words` call and are ranked one by one. The
-//!   per-symbol metadata (bits per symbol, whether `C(N,K)` fits 128
-//!   bits) comes from the word triangle for rows ≤ 67, so a symbol on the
-//!   machine-integer paths allocates nothing and never reads or builds a
-//!   `BigUint`;
-//! * an **[`EncodeScratch`] reusable workspace** for the `BigUint` slow
-//!   path (`C(N,K) ≥ 2^128`): the residual value and decode accumulator
-//!   live in scratch buffers that are `clone_from`-refilled. The slow path
-//!   still assembles each data word as a fresh `BigUint`.
+//! * a **run rank** for `N ≤ 64`: [`decode_words`] packs a block's
+//!   received slots into `u64` words once (eight slots per multiply),
+//!   funnel-shifts each symbol's `N` bits out of them, checks the weight
+//!   with a `popcount`, and ranks from the symbol's sparser side: over its
+//!   `K` ON slots when `2K ≤ N`, else over the OFF slots below its last
+//!   ON. Each term is one triangle entry computed from its own slot index
+//!   and visit count, not carried from the previous slot. Rows 65–128
+//!   rank with the slot-serial `u128` walk;
+//! * a **word-level stream codec**, [`encode_words`]/[`decode_words`]:
+//!   the modems read each data word from the payload as one `u128`
+//!   ([`BitReader::read_word`], one `u64` load per 56 bits) and a block's
+//!   symbols go through one call each way. The rank side gathers its data
+//!   words in one `u64` and hands them to [`BitWriter::write_word`] once
+//!   the next would take it past 56 bits. The per-pattern metadata (bits
+//!   per symbol, which walk serves the row) is looked up once per call,
+//!   so a symbol on the machine-integer paths allocates nothing and never
+//!   reads or builds a `BigUint`;
+//! * an **[`EncodeScratch`] reusable workspace**: the packed block, the
+//!   pending unrank groups, and for the `BigUint` slow path
+//!   (`C(N,K) ≥ 2^128`) the residual value and rank accumulator, all
+//!   refilled in place. The slow path still assembles each data word as a
+//!   fresh `BigUint`.
 //!
 //! The value-level [`encode_codeword_into`]/[`decode_codeword_with`] take
 //! a `BigUint` and so convert on every call, and the plain
 //! [`encode_codeword`]/[`decode_codeword`] entry points also allocate
 //! their output; they keep their historical signatures and route through
 //! the same walks (a word-triangle row as the one-chain run walk).
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
 
 use crate::biguint::BigUint;
 use crate::binomial::{word_row_start, BinomialTable};
@@ -117,13 +130,14 @@ impl fmt::Display for CodewordError {
 
 impl std::error::Error for CodewordError {}
 
-/// Reusable workspace for the codec: the `BigUint` slow path's residual
-/// and [`encode_words`]' pending groups.
+/// Reusable workspace for the codec: the `BigUint` slow path's residual,
+/// [`encode_words`]' pending groups, and [`decode_words`]' packed block
+/// and pattern constants.
 ///
 /// One scratch per stream (transmitter, receiver, or sweep worker) turns
 /// the per-symbol `BigUint` clone/alloc churn into amortized-zero
-/// allocations: the buffers grow to the largest pattern seen and are
-/// refilled in place afterwards.
+/// allocations: the buffers grow to the largest pattern or block seen and
+/// are refilled in place afterwards.
 #[derive(Default)]
 pub struct EncodeScratch {
     /// Residual value during encode; rank accumulator during decode.
@@ -131,17 +145,35 @@ pub struct EncodeScratch {
     /// [`encode_words`]' symbols on word-triangle rows that wait, one
     /// group per length `N`, for three more of their length.
     groups: Vec<Group>,
+    /// [`decode_words`]' received block, slot `i` at bit `i % 64` of word
+    /// `i / 64`.
+    packed: Vec<u64>,
+    /// [`decode_words`]' patterns met so far in the call.
+    patterns: Vec<RankPattern>,
 }
 
-/// Up to four read symbols of one length `n`, not yet walked: symbol `j`
-/// unranks `v[j]` with `k[j]` ONs into the slots at `at[j]`.
+/// One pending symbol of an unrank group: its ON count, its value, and
+/// the offset of its slots.
+type Chain = (usize, u64, usize);
+
+/// Up to four read symbols of one length `n`, not yet walked: the first
+/// `len` of `chains`.
 #[derive(Clone, Copy, Default)]
 struct Group {
     n: usize,
     len: usize,
-    k: [usize; 4],
-    v: [u64; 4],
-    at: [usize; 4],
+    chains: [Chain; 4],
+}
+
+impl Group {
+    /// Queue `chain`; returns whether the group is now full.
+    fn push(&mut self, chain: Chain) -> bool {
+        if let Some(slot) = self.chains.get_mut(self.len) {
+            *slot = chain;
+            self.len += 1;
+        }
+        self.len == self.chains.len()
+    }
 }
 
 impl EncodeScratch {
@@ -210,7 +242,7 @@ pub fn encode_codeword_into(
         }
     }
     debug_assert_eq!(out.len() - base, n);
-    debug_assert_eq!(out[base..].iter().filter(|&&b| b).count(), k);
+    debug_assert_eq!(out.iter().skip(base).filter(|&&b| b).count(), k);
     Ok(())
 }
 
@@ -240,6 +272,11 @@ fn encode_walk_u128(table: &BinomialTable, n: usize, k: usize, v: u128, out: &mu
 /// run-out exit: exactly `n` steps, no data-dependent branch. The chains
 /// share the row and nothing else, so their loads overlap where one
 /// chain alone would wait on each.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rows 0..=n are stored and r ≤ m + 1 ONs are left at every slot, so row(m) + r \
+              stays in row m; every chain's n slots lie in out"
+)]
 fn unrank_run<const W: usize>(
     words: &[u64],
     n: usize,
@@ -261,6 +298,19 @@ fn unrank_run<const W: usize>(
     debug_assert!(k == [0; W] && v == [0; W], "every chain placed its ONs");
 }
 
+/// `C(m, j)` in `u128`, read by a walk over a pattern whose `C(n, k)`
+/// fits: each coefficient such a walk reads is `C(s − 1, r − 1)` with
+/// `s ≤ n` slots and `r ≤ k` ONs left, at most `C(n, k)`.
+#[expect(
+    clippy::expect_used,
+    reason = "a walk only reads coefficients at most C(n, k), which fits u128"
+)]
+fn sub_binomial(table: &BinomialTable, m: usize, j: usize) -> u128 {
+    table
+        .binomial_u128(m, j)
+        .expect("sub-binomial fits if C(n,k) fits")
+}
+
 /// The unrank walk in `u128`, for rows past the word triangle.
 fn encode_walk_wide(table: &BinomialTable, n: usize, k: usize, mut v: u128, out: &mut Vec<bool>) {
     let base = out.len();
@@ -275,9 +325,7 @@ fn encode_walk_wide(table: &BinomialTable, n: usize, k: usize, mut v: u128, out:
             out.resize(base + n, true);
             break;
         }
-        let on_count = table
-            .binomial_u128(slots_left - 1, ones_left - 1)
-            .expect("sub-binomial fits if C(n,k) fits");
+        let on_count = sub_binomial(table, slots_left - 1, ones_left - 1);
         if v < on_count {
             out.push(true);
             ones_left -= 1;
@@ -331,23 +379,17 @@ fn check_received(n: usize, k: usize, codeword: &[bool]) -> Result<(), CodewordE
     if k > n {
         return Err(CodewordError::InvalidPattern { n, k });
     }
-    check_length(n, codeword)?;
+    if codeword.len() != n {
+        return Err(CodewordError::WrongLength {
+            expected: n,
+            got: codeword.len(),
+        });
+    }
     let weight = codeword.iter().filter(|&&b| b).count();
     if weight != k {
         return Err(CodewordError::WrongWeight {
             expected: k,
             got: weight,
-        });
-    }
-    Ok(())
-}
-
-/// `WrongLength` unless the received word has `n` slots.
-fn check_length(n: usize, codeword: &[bool]) -> Result<(), CodewordError> {
-    if codeword.len() != n {
-        return Err(CodewordError::WrongLength {
-            expected: n,
-            got: codeword.len(),
         });
     }
     Ok(())
@@ -377,23 +419,52 @@ fn packed_rows(table: &BinomialTable, n: usize) -> Option<&[u64]> {
 /// products share a bit, so nothing carries.
 fn pack_slots(slots: &[bool]) -> u64 {
     const GATHER: u64 = 0x0102_0408_1020_4080;
-    let mut chunks = slots.chunks_exact(8);
+    let (eights, rest) = slots.as_chunks::<8>();
     let mut word = 0u64;
     let mut shift = 0;
-    for chunk in &mut chunks {
-        let eight: [bool; 8] = chunk.try_into().expect("chunks of eight");
+    for eight in eights {
         let bytes = u64::from_le_bytes(eight.map(u8::from));
         word |= (bytes.wrapping_mul(GATHER) >> 56) << shift;
         shift += 8;
     }
-    for (j, &s) in chunks.remainder().iter().enumerate() {
+    for (j, &s) in rest.iter().enumerate() {
         word |= u64::from(s) << (shift + j);
     }
     word
 }
 
+/// A block of slots packed into `packed` (cleared first), slot `i` at
+/// bit `i % 64` of word `i / 64`.
+fn pack_block(slots: &[bool], packed: &mut Vec<u64>) {
+    let (words, rest) = slots.as_chunks::<64>();
+    packed.clear();
+    packed.extend(words.iter().map(|w| pack_slots(w)));
+    packed.push(pack_slots(rest));
+}
+
+/// The 64 slots from slot `at` of a packed block, slot `at + i` at bit
+/// `i`: two neighbouring words funnel-shifted together. Slots past the
+/// block read OFF.
+fn symbol_word(packed: &[u64], at: usize) -> u64 {
+    let (w, s) = (at / 64, at % 64);
+    let lo = packed.get(w).copied().unwrap_or(0) >> s;
+    let hi = packed.get(w + 1).copied().unwrap_or(0) << 1 << (63 - s);
+    lo | hi
+}
+
 /// Algorithm 2 on a packed symbol (slot `i` at bit `i` of `word`, weight
-/// `k` already checked) over the `u64` triangle `words` (rows `0..=n`).
+/// `k` already checked) over the `u64` triangle `words` (rows `0..=n`),
+/// walked over the sparser side: the ON slots when `2k ≤ n`, else the
+/// OFF slots below the last ON. Both walks give the same rank.
+fn rank_packed(words: &[u64], n: usize, k: usize, word: u64) -> u64 {
+    if 2 * k <= n {
+        rank_on(words, n, k, word)
+    } else {
+        rank_off(words, n, k, word)
+    }
+}
+
+/// The rank as a sum over the OFF slots below the last ON.
 ///
 /// The walk adds, at each OFF slot `i`, the `C(n−1−i, r−1)` codewords
 /// that put ON there, where `r` is the ONs still to place: `k` less the
@@ -403,7 +474,12 @@ fn pack_slots(slots: &[bool]) -> u64 {
 /// exactly `i − j` ONs before it, so `r = k + j − i`: every term comes
 /// from its own slot index and visit count, with no per-slot dependency
 /// chain and no data-dependent branch but the loop's end.
-fn rank_packed(words: &[u64], n: usize, k: usize, word: u64) -> u64 {
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rows 0..=n are stored; the j-th OFF slot i reads C(m, r − 1), m = n − 1 − i, \
+              with 1 ≤ r ≤ m ONs left, so the read stays in row m"
+)]
+fn rank_off(words: &[u64], n: usize, k: usize, word: u64) -> u64 {
     if word == 0 {
         return 0; // k = 0: the only codeword
     }
@@ -420,6 +496,34 @@ fn rank_packed(words: &[u64], n: usize, k: usize, word: u64) -> u64 {
     value
 }
 
+/// The rank as `C(n,k) − 1` less the codewords that follow it, a sum over
+/// the ON slots.
+///
+/// A codeword follows this one exactly when it agrees up to one of its ON
+/// slots `p_j` (the `j`-th, 0-based) and is OFF there: its other `k − j`
+/// ONs then fall anywhere in the `n − 1 − p_j` slots after it, so
+/// `rank = C(n,k) − 1 − Σⱼ C(n−1−p_j, k−j)`. Each term reads row
+/// `m = n − 1 − p_j` at `k − j ≤ m + 1` (the ONs after `p_j` fit the slots
+/// after it); only the last ON can reach `m + 1`, where the read lands on
+/// row `m + 1`'s zero pad and adds nothing, so the walk needs no guard.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rows 0..=n are stored; the j-th ON at p reads row(m) + 1 + k − j with m = n − 1 − p \
+              and k − j ≤ m + 1, so the read stays in row m or lands on row m + 1's pad"
+)]
+fn rank_on(words: &[u64], n: usize, k: usize, word: u64) -> u64 {
+    let mut on = word;
+    let mut after = 0u64;
+    let mut j = 0;
+    while on != 0 {
+        let p = on.trailing_zeros() as usize;
+        after += words[word_row_start(n - 1 - p) + 1 + k - j];
+        on &= on - 1;
+        j += 1;
+    }
+    words[word_row_start(n) + 1 + k] - 1 - after
+}
+
 /// The rank walk in `u128`, for rows a packed word cannot hold (N > 64).
 fn rank_wide(table: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> u128 {
     let mut value = 0u128;
@@ -432,9 +536,7 @@ fn rank_wide(table: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> u1
         if bit {
             ones_left -= 1;
         } else {
-            value += table
-                .binomial_u128(slots_left - 1, ones_left - 1)
-                .expect("sub-binomial fits if C(n,k) fits");
+            value += sub_binomial(table, slots_left - 1, ones_left - 1);
         }
     }
     value
@@ -499,16 +601,30 @@ where
 {
     let base = out.len();
     scratch.groups.clear();
-    for (n, k) in patterns {
-        if let Err(e) = encode_next(table, n, k, reader, scratch, out) {
-            out.truncate(base);
-            return Err(e);
-        }
+    let run = patterns
+        .into_iter()
+        .try_for_each(|(n, k)| encode_next(table, n, k, reader, scratch, out))
+        .and_then(|()| walk_held(table, &scratch.groups, out));
+    if run.is_err() {
+        out.truncate(base);
     }
-    for g in &scratch.groups {
-        let words = table.word_rows(g.n).expect("grouped rows are stored");
-        for j in 0..g.len {
-            unrank_run(words, g.n, [g.k[j]], [g.v[j]], [g.at[j]], out);
+    run
+}
+
+/// The symbols [`encode_words`] still holds at the end of a run, walked
+/// one by one. A group is only made for a stored row, so the error is
+/// never returned.
+fn walk_held(
+    table: &BinomialTable,
+    groups: &[Group],
+    out: &mut [bool],
+) -> Result<(), CodewordError> {
+    for g in groups {
+        for &(k, v, at) in g.chains.iter().take(g.len) {
+            let words = table
+                .word_rows(g.n)
+                .ok_or(CodewordError::InvalidPattern { n: g.n, k })?;
+            unrank_run(words, g.n, [k], [v], [at], out);
         }
     }
     Ok(())
@@ -530,21 +646,25 @@ fn encode_next(
     if let Some(words) = table.word_rows(n) {
         let at = out.len();
         out.resize(at + n, false);
-        let v = reader.read_word(bits) as u64;
-        let groups = &mut scratch.groups;
-        let i = groups.iter().position(|g| g.n == n).unwrap_or_else(|| {
-            groups.push(Group {
-                n,
-                ..Group::default()
-            });
-            groups.len() - 1
-        });
-        let g = &mut groups[i];
-        (g.k[g.len], g.v[g.len], g.at[g.len]) = (k, v, at);
-        g.len += 1;
-        if g.len == 4 {
-            unrank_run(words, n, g.k, g.v, g.at, out);
-            g.len = 0;
+        let chain = (k, reader.read_word(bits) as u64, at);
+        let full = match scratch.groups.iter_mut().find(|g| g.n == n) {
+            Some(g) => g.push(chain).then(|| {
+                g.len = 0;
+                g.chains
+            }),
+            None => {
+                let mut g = Group {
+                    n,
+                    ..Group::default()
+                };
+                g.push(chain);
+                scratch.groups.push(g);
+                None
+            }
+        };
+        if let Some(c) = full {
+            let (k, v, at) = (c.map(|c| c.0), c.map(|c| c.1), c.map(|c| c.2));
+            unrank_run(words, n, k, v, at, out);
         }
         return Ok(());
     }
@@ -563,41 +683,153 @@ fn encode_next(
     encode_codeword_into(table, n, k, &value, scratch, out)
 }
 
-/// Algorithm 2 on one received symbol: rank `codeword` and append its
-/// `b = ⌊log2 C(n,k)⌋`-bit data word to `writer`.
-///
-/// Returns `Ok(true)` for a symbol error: a word that lost its constant
-/// weight, or one that kept it but ranks at or beyond `2^b` (never sent,
-/// since `C(n,k)` is rarely a power of two). A failed symbol appends `b`
-/// zero bits so the stream keeps its alignment; the frame CRC decides the
-/// frame's fate. A wrong length or pattern is an error.
-pub fn decode_word(
-    table: &BinomialTable,
+/// A pattern's constants for one [`decode_words`] call.
+#[derive(Clone, Copy)]
+struct RankPattern {
     n: usize,
     k: usize,
-    codeword: &[bool],
+    /// Data bits per symbol, `⌊log2 C(n,k)⌋`.
+    bits: usize,
+    /// The low `n` bits set when the packed rank serves row `n`.
+    mask: Option<u64>,
+}
+
+impl RankPattern {
+    /// `(n, k)`'s constants, from the patterns already met in this call or
+    /// looked up once and added to them.
+    fn lookup(
+        table: &BinomialTable,
+        met: &mut Vec<RankPattern>,
+        n: usize,
+        k: usize,
+    ) -> Result<RankPattern, CodewordError> {
+        if let Some(p) = met.iter().find(|p| p.n == n && p.k == k) {
+            return Ok(*p);
+        }
+        let bits = table
+            .bits_per_symbol(n, k)
+            .ok_or(CodewordError::InvalidPattern { n, k })? as usize;
+        let mask = packed_rows(table, n).map(|_| u64::MAX.checked_shr(64 - n as u32).unwrap_or(0));
+        let p = RankPattern { n, k, bits, mask };
+        met.push(p);
+        Ok(p)
+    }
+}
+
+/// Data words on their way to a [`BitWriter`]: appended below one
+/// another in one `u64`, which is written out once the next word would
+/// take it past 56 bits.
+#[derive(Default)]
+struct Pending {
+    word: u64,
+    len: usize,
+}
+
+impl Pending {
+    /// Append the low `bits ≤ 60` bits of `word` (no bit above them set).
+    fn push(&mut self, writer: &mut BitWriter, word: u64, bits: usize) {
+        if self.len + bits > 56 {
+            self.flush(writer);
+        }
+        self.word = self.word << bits | word;
+        self.len += bits;
+    }
+
+    /// Write out what is held.
+    fn flush(&mut self, writer: &mut BitWriter) {
+        writer.write_word(self.word.into(), self.len);
+        *self = Pending::default();
+    }
+}
+
+/// Algorithm 2 on a run of symbols: for each `(n, k)` of `patterns`, in
+/// order, rank the next `n` slots of `slots` and append the symbol's
+/// `b = ⌊log2 C(n,k)⌋`-bit data word to `writer`. Returns the number of
+/// symbol errors.
+///
+/// A symbol error is a word that lost its constant weight, or one that
+/// kept it but ranks at or beyond `2^b` (never sent, since `C(n,k)` is
+/// rarely a power of two). A failed symbol appends `b` zero bits so the
+/// stream keeps its alignment; the frame CRC decides the frame's fate.
+/// Slots after the run's last symbol are ignored. A pattern with `k > n`,
+/// or a symbol that finds fewer than `n` slots left (`WrongLength`, with
+/// the slots it found), is an error, and `writer` then holds the words of
+/// the symbols before it.
+///
+/// This is the modems' block path, the mirror of [`encode_words`]. The
+/// block is packed into `u64` words once; a symbol on a row up to 64 is
+/// funnel-shifted out of them, weight-checked with a `popcount` and
+/// ranked from its sparser side, and its word joins a 56-bit batch for
+/// the writer. Longer rows are ranked slot by slot, in `u128` while
+/// `C(n,k)` fits, else on `BigUint` in `scratch`. Each pattern's bit count
+/// and rank path are looked up once per call.
+pub fn decode_words<I>(
+    table: &BinomialTable,
+    patterns: I,
+    slots: &[bool],
     scratch: &mut EncodeScratch,
     writer: &mut BitWriter,
-) -> Result<bool, CodewordError> {
-    let bits = table
-        .bits_per_symbol(n, k)
-        .ok_or(CodewordError::InvalidPattern { n, k })? as usize;
-    if let Some(words) = packed_rows(table, n) {
-        check_length(n, codeword)?;
-        let word = pack_slots(codeword);
-        let rank = (word.count_ones() as usize == k).then(|| rank_packed(words, n, k, word));
-        return Ok(write_rank(writer, rank.map(u128::from), bits));
-    }
-    let weight_ok = match check_received(n, k, codeword) {
-        Ok(()) => true,
-        Err(CodewordError::WrongWeight { .. }) => false,
-        Err(e) => return Err(e),
-    };
+) -> Result<u32, CodewordError>
+where
+    I: IntoIterator<Item = (usize, usize)>,
+{
+    let EncodeScratch {
+        val,
+        packed,
+        patterns: met,
+        ..
+    } = scratch;
+    pack_block(slots, packed);
+    met.clear();
+    // Rows 0..=min(max_n, 64): every row the packed rank serves.
+    let words = table.word_rows(table.max_n().min(64)).unwrap_or_default();
+    let mut pending = Pending::default();
+    let (mut at, mut failures) = (0, 0u32);
+    let run = patterns.into_iter().try_for_each(|(n, k)| {
+        let p = RankPattern::lookup(table, met, n, k)?;
+        let got = slots.len() - at;
+        if got < n {
+            return Err(CodewordError::WrongLength { expected: n, got });
+        }
+        let failed = match p.mask {
+            Some(mask) => {
+                let word = symbol_word(packed, at) & mask;
+                let rank = (word.count_ones() as usize == k)
+                    .then(|| rank_packed(words, n, k, word))
+                    .filter(|r| r >> p.bits == 0);
+                pending.push(writer, rank.unwrap_or(0), p.bits);
+                rank.is_none()
+            }
+            None => {
+                pending.flush(writer);
+                let codeword = slots.get(at..at + n).unwrap_or_default();
+                decode_wide(table, p, codeword, val, writer)
+            }
+        };
+        failures += u32::from(failed);
+        at += n;
+        Ok(())
+    });
+    pending.flush(writer);
+    run.map(|()| failures)
+}
+
+/// One symbol of [`decode_words`] on a row past the packed rank (`n > 64`):
+/// ranked slot by slot in `u128` while `C(n,k)` fits, else on `BigUint`
+/// in `value`. Returns whether the symbol failed.
+fn decode_wide(
+    table: &BinomialTable,
+    p: RankPattern,
+    codeword: &[bool],
+    value: &mut BigUint,
+    writer: &mut BitWriter,
+) -> bool {
+    let (n, k, bits) = (p.n, p.k, p.bits);
+    let weight_ok = codeword.iter().filter(|&&b| b).count() == k;
     if table.binomial_u128(n, k).is_some() {
         let rank = weight_ok.then(|| rank_wide(table, n, k, codeword));
-        return Ok(write_rank(writer, rank, bits));
+        return write_rank(writer, rank, bits);
     }
-    let value = &mut scratch.val;
     if weight_ok {
         rank_big(table, n, k, codeword, value);
     } else {
@@ -613,7 +845,7 @@ pub fn decode_word(
         writer.write_word(word, (hi - lo) as usize);
         hi = lo;
     }
-    Ok(failed)
+    failed
 }
 
 /// Append a ranked symbol's `bits`-bit data word to `writer` and return
@@ -797,8 +1029,8 @@ mod tests {
             assert_eq!(slots, encode_codeword(&t, n, k, &value).unwrap(), "n={n}");
             let mut w = BitWriter::new();
             assert_eq!(
-                decode_word(&t, n, k, &slots, &mut scratch, &mut w),
-                Ok(false)
+                decode_words(&t, [(n, k)], &slots, &mut scratch, &mut w),
+                Ok(0)
             );
             let (bytes, nbits) = w.finish();
             assert_eq!(nbits, bits);
@@ -810,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_word_flags_symbol_errors_and_keeps_alignment() {
+    fn decode_words_flags_symbol_errors_and_keeps_alignment() {
         let t = table();
         let mut scratch = EncodeScratch::new();
         for (n, k) in [(10usize, 4usize), (300, 150)] {
@@ -825,7 +1057,10 @@ mod tests {
             for bad in [cw, flipped] {
                 let mut w = BitWriter::new();
                 w.write_bit(true);
-                assert_eq!(decode_word(&t, n, k, &bad, &mut scratch, &mut w), Ok(true));
+                assert_eq!(
+                    decode_words(&t, [(n, k)], &bad, &mut scratch, &mut w),
+                    Ok(1)
+                );
                 let (bytes, nbits) = w.finish();
                 assert_eq!(nbits, 1 + bits, "failed symbol keeps alignment");
                 let mut r = BitReader::new(&bytes);
@@ -833,19 +1068,42 @@ mod tests {
                 assert!((0..bits).all(|_| r.read_bit() == Some(false)));
             }
         }
+    }
+
+    #[test]
+    fn decode_words_stops_at_a_short_block_or_an_invalid_pattern() {
+        // The symbols before the bad one keep their words in the writer.
+        let t = table();
+        let mut scratch = EncodeScratch::new();
+        let (n, k) = (10usize, 4usize);
+        let bits = t.bits_per_symbol(n, k).unwrap() as usize;
+        let cw = encode_codeword(&t, n, k, &BigUint::from_u64(5)).unwrap();
+        let mut slots = cw.clone();
+        slots.extend_from_slice(&[true; 9]);
         let mut w = BitWriter::new();
         assert_eq!(
-            decode_word(&t, 10, 4, &[true; 9], &mut scratch, &mut w),
+            decode_words(&t, [(n, k), (n, k)], &slots, &mut scratch, &mut w),
             Err(CodewordError::WrongLength {
                 expected: 10,
                 got: 9
             })
         );
+        assert_eq!(w.len_bits(), bits);
+        let mut w = BitWriter::new();
         assert_eq!(
-            decode_word(&t, 3, 5, &[true; 3], &mut scratch, &mut w),
+            decode_words(&t, [(n, k), (3, 5)], &cw, &mut scratch, &mut w),
             Err(CodewordError::InvalidPattern { n: 3, k: 5 })
         );
-        assert_eq!(w.len_bits(), 0);
+        let (bytes, nbits) = w.finish();
+        assert_eq!(nbits, bits);
+        assert_eq!(BitReader::new(&bytes).read_word(bits), 5);
+        // Slots after the run's last symbol are ignored.
+        let mut w = BitWriter::new();
+        assert_eq!(
+            decode_words(&t, [(n, k)], &slots, &mut scratch, &mut w),
+            Ok(0)
+        );
+        assert_eq!(w.len_bits(), bits);
     }
 
     /// Algorithm 2 exactly as the paper walks it, one binomial per OFF
@@ -866,12 +1124,14 @@ mod tests {
         value
     }
 
-    /// `decode_word` on one symbol: the failure flag and the word it
+    /// `decode_words` on one symbol: the failure flag and the word it
     /// wrote, after checking the word is exactly `bits` wide.
     fn decode_one(t: &BinomialTable, n: usize, k: usize, codeword: &[bool]) -> (bool, u128) {
         let bits = t.bits_per_symbol(n, k).unwrap() as usize;
         let mut w = BitWriter::new();
-        let failed = decode_word(t, n, k, codeword, &mut EncodeScratch::new(), &mut w).unwrap();
+        let failures =
+            decode_words(t, [(n, k)], codeword, &mut EncodeScratch::new(), &mut w).unwrap();
+        let failed = failures == 1;
         let (bytes, nbits) = w.finish();
         assert_eq!(nbits, bits, "n={n} k={k}");
         (failed, BitReader::new(&bytes).read_word(bits))
@@ -895,6 +1155,23 @@ mod tests {
     }
 
     #[test]
+    fn on_and_off_rank_walks_agree_exhaustively_to_20() {
+        // Both walks on every weight-k word of every row to 20, both sides
+        // of 2k = n included: each equals the enumeration index.
+        let t = BinomialTable::new(64);
+        for n in 0..=20 {
+            let words = packed_rows(&t, n).unwrap();
+            for k in 0..=n {
+                for (i, cw) in enumerate_codewords(n, k).iter().enumerate() {
+                    let word = pack_slots(cw);
+                    assert_eq!(rank_on(words, n, k, word), i as u64, "n={n} k={k}");
+                    assert_eq!(rank_off(words, n, k, word), i as u64, "n={n} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn pack_slots_puts_slot_i_at_bit_i() {
         let mut gen = xorshift(5);
         for n in 0..=64 {
@@ -906,6 +1183,25 @@ mod tests {
             assert_eq!(pack_slots(&slots), expect, "n={n}");
         }
         assert_eq!(pack_slots(&[true; 64]), u64::MAX);
+        // A packed block yields every symbol's slots at every offset, and
+        // OFF past its end.
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let slots: Vec<bool> = (0..len).map(|_| gen() & 1 == 1).collect();
+            let mut packed = vec![7];
+            pack_block(&slots, &mut packed);
+            assert_eq!(packed.len(), len / 64 + 1, "len={len}");
+            for at in 0..=len {
+                let n = (len - at).min(64);
+                let mask = u64::MAX.checked_shr(64 - n as u32).unwrap_or(0);
+                let word = symbol_word(&packed, at);
+                assert_eq!(
+                    word & mask,
+                    pack_slots(&slots[at..at + n]),
+                    "len={len} at={at}"
+                );
+                assert_eq!(word & !mask, 0, "len={len} at={at}");
+            }
+        }
     }
 
     /// A small xorshift stream, so the codec tests need no RNG crate.
@@ -933,6 +1229,10 @@ mod tests {
                 }
                 let bits = t.bits_per_symbol(n, k).unwrap();
                 let rank = paper_rank(&t, n, k, &cw);
+                let words = packed_rows(&t, n).unwrap();
+                let word = pack_slots(&cw);
+                assert_eq!(u128::from(rank_on(words, n, k, word)), rank, "n={n} k={k}");
+                assert_eq!(u128::from(rank_off(words, n, k, word)), rank, "n={n} k={k}");
                 let sent = rank >> bits == 0;
                 assert_eq!(
                     decode_one(&t, n, k, &cw),
@@ -1195,6 +1495,139 @@ mod tests {
                 .unwrap();
             prop_assert_eq!(&got, &expect, "{:?}", walk);
             prop_assert_eq!(got_reader.position(), reader.position());
+        }
+    }
+
+    /// Algorithm 2 one symbol at a time, as the modems ran it before the
+    /// run decoder: pack the symbol's slots into a word and rank its OFF
+    /// slots for rows to 64, walk in `u128` or on `BigUint` past them, and
+    /// write `b` bits, zeros for a symbol error. Returns whether the symbol
+    /// failed.
+    fn oracle_decode_word(
+        t: &BinomialTable,
+        n: usize,
+        k: usize,
+        codeword: &[bool],
+        writer: &mut BitWriter,
+    ) -> Result<bool, CodewordError> {
+        let bits = t
+            .bits_per_symbol(n, k)
+            .ok_or(CodewordError::InvalidPattern { n, k })? as usize;
+        if codeword.len() != n {
+            return Err(CodewordError::WrongLength {
+                expected: n,
+                got: codeword.len(),
+            });
+        }
+        let weight_ok = codeword.iter().filter(|&&b| b).count() == k;
+        if let Some(words) = packed_rows(t, n) {
+            let rank = weight_ok.then(|| rank_off(words, n, k, pack_slots(codeword)).into());
+            return Ok(write_rank(writer, rank, bits));
+        }
+        if t.binomial_u128(n, k).is_some() {
+            let rank = weight_ok.then(|| rank_wide(t, n, k, codeword));
+            return Ok(write_rank(writer, rank, bits));
+        }
+        let mut value = BigUint::zero();
+        if weight_ok {
+            rank_big(t, n, k, codeword, &mut value);
+        }
+        let failed = !weight_ok || value.bit_length() as usize > bits;
+        for i in (0..bits as u32).rev() {
+            writer.write_bit(!failed && value.bit(i));
+        }
+        Ok(failed)
+    }
+
+    /// One received symbol for the run decoder's oracle test, by `kind`:
+    /// a sent word (`0`), a word ranked at or above `2^b` when `C(n,k)`
+    /// has one (`1`), a sent word with one slot flipped, so it lost its
+    /// weight (`2`), or `n` random slots (`3`).
+    fn received(t: &BinomialTable, n: usize, k: usize, kind: u8, seed: u128) -> Vec<bool> {
+        let bits = t.bits_per_symbol(n, k).unwrap();
+        let c = t.binomial(n, k);
+        let sent = if bits <= 128 {
+            BigUint::from_u128(seed.checked_shr(128 - bits).unwrap_or(0))
+        } else {
+            BigUint::from_u128(seed).shl_small(bits - 128)
+        };
+        let beyond = c
+            .checked_sub(&BigUint::from_u64(1 + (seed % 3) as u64))
+            .filter(|v| v.bit_length() > bits);
+        match kind % 4 {
+            1 => encode_codeword(t, n, k, beyond.as_ref().unwrap_or(&sent)).unwrap(),
+            2 => {
+                let mut cw = encode_codeword(t, n, k, &sent).unwrap();
+                let flip = (seed % n as u128) as usize;
+                cw[flip] = !cw[flip];
+                cw
+            }
+            3 => {
+                let mut gen = xorshift(seed as u64);
+                (0..n).map(|_| gen() & 1 == 1).collect()
+            }
+            _ => encode_codeword(t, n, k, &sent).unwrap(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The run decoder equals the per-symbol oracle on runs of 1–9
+        /// symbols mixing two patterns (rows to 64, 65–67, the `u128` walk
+        /// and `BigUint` rows; `k = 0` and `k = n` among them), each symbol
+        /// clean, ranked at or above `2^b`, short of its weight or random,
+        /// appended after existing writer content and followed by slots
+        /// that belong to no symbol: the same bytes, the same failure count
+        /// and the same writer position.
+        #[test]
+        fn decode_words_matches_the_per_symbol_oracle(
+            classes in (0u8..4, 0u8..4),
+            n_seeds in (any::<u64>(), any::<u64>()),
+            k_sels in (0u8..8, 0u8..8),
+            k_seeds in (any::<u64>(), any::<u64>()),
+            same_n in any::<bool>(),
+            run in proptest::collection::vec((any::<bool>(), 0u8..4, any::<u128>()), 1..=9),
+            prefix in proptest::collection::vec(any::<bool>(), 0..12),
+            tail in proptest::collection::vec(any::<bool>(), 0..3),
+        ) {
+            let t = BinomialTable::new(140);
+            let a = pattern(classes.0, n_seeds.0, k_sels.0, k_seeds.0);
+            let b = if same_n {
+                let k = (k_seeds.1 % (a.0 as u64 + 1)) as usize;
+                (a.0, if classes.0 % 4 == 3 { a.1 } else { k })
+            } else {
+                pattern(classes.1, n_seeds.1, k_sels.1, k_seeds.1)
+            };
+            let mut walk = Vec::new();
+            let mut slots = Vec::new();
+            for &(first, kind, seed) in &run {
+                let (n, k) = if first { a } else { b };
+                walk.push((n, k));
+                slots.extend(received(&t, n, k, kind, seed));
+            }
+            let symbols = slots.len();
+            slots.extend(tail);
+
+            let mut expect = BitWriter::new();
+            let mut got = BitWriter::new();
+            for &bit in &prefix {
+                expect.write_bit(bit);
+                got.write_bit(bit);
+            }
+            let mut at = 0;
+            let mut failures = 0;
+            for &(n, k) in &walk {
+                failures += oracle_decode_word(&t, n, k, &slots[at..at + n], &mut expect).unwrap() as u32;
+                at += n;
+            }
+            prop_assert_eq!(at, symbols);
+
+            let mut scratch = EncodeScratch::new();
+            let got_failures = decode_words(&t, walk.iter().copied(), &slots, &mut scratch, &mut got);
+            prop_assert_eq!(got_failures, Ok(failures), "{:?}", walk);
+            prop_assert_eq!(got.len_bits(), expect.len_bits());
+            prop_assert_eq!(got.finish(), expect.finish(), "{:?}", walk);
         }
     }
 

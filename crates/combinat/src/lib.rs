@@ -25,10 +25,11 @@
 //!   (decode = rank), plus an exhaustive-enumeration reference used by the
 //!   property tests. The stream codec moves data words between the
 //!   payload and the walks as `u128`s: [`encode_words`] unranks a block's
-//!   run of symbols, four chains at a time, and [`decode_word`] ranks one
-//!   received symbol. A symbol whose `C(N,K)` fits 128 bits allocates
+//!   run of symbols, four chains at a time, and [`decode_words`] ranks a
+//!   received block's run from one packed copy, each symbol from its
+//!   sparser side. A symbol whose `C(N,K)` fits 128 bits allocates
 //!   nothing; larger patterns fall back to `BigUint`, with an
-//!   [`EncodeScratch`] workspace reused across symbols.
+//!   [`EncodeScratch`] workspace reused across symbols and blocks.
 //!
 //! The crate is dependency-free and `forbid(unsafe_code)`.
 //!
@@ -62,7 +63,7 @@ pub use biguint::BigUint;
 pub use binomial::BinomialTable;
 pub use bits::{BitReader, BitWriter};
 pub use codeword::{
-    decode_codeword, decode_codeword_with, decode_word, encode_codeword, encode_codeword_into,
+    decode_codeword, decode_codeword_with, decode_words, encode_codeword, encode_codeword_into,
     encode_words, CodewordError, EncodeScratch,
 };
 pub use tabulated::{table_memory_bytes, TabulatedCodec};

@@ -1,7 +1,7 @@
 //! Property-based tests for the combinatorics substrate.
 
 use combinat::{
-    binomial::binomial_u128_direct, decode_codeword, decode_codeword_with, decode_word,
+    binomial::binomial_u128_direct, decode_codeword, decode_codeword_with, decode_words,
     encode_codeword, encode_codeword_into, encode_words, BigUint, BinomialTable, BitReader,
     BitWriter, EncodeScratch,
 };
@@ -218,7 +218,7 @@ proptest! {
             received[flip % n] = !received[flip % n];
         }
         let mut w = BitWriter::new();
-        let failed = decode_word(&t, n, k, &received, &mut scratch, &mut w).unwrap();
+        let failed = decode_words(&t, [(n, k)], &received, &mut scratch, &mut w).unwrap() == 1;
         let (bytes, nbits) = w.finish();
         prop_assert_eq!(nbits, bits);
         let got = BitReader::new(&bytes).read_word(bits);

@@ -125,7 +125,9 @@ impl fmt::Debug for SuperSymbol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use combinat::{encode_words, BitReader, BitWriter, CodewordError, EncodeScratch};
+    use combinat::{
+        decode_words, encode_words, BitReader, BitWriter, CodewordError, EncodeScratch,
+    };
 
     fn table() -> BinomialTable {
         BinomialTable::new(512)
@@ -140,22 +142,17 @@ mod tests {
         slots
     }
 
-    /// Decode one super-symbol's slots into `writer`; returns the number
-    /// of failed symbols.
+    /// Decode one super-symbol's slots into `writer` through the run
+    /// decoder, as the AMPPM modem receives it; returns the number of
+    /// failed symbols.
     fn decode_super(
         ss: &SuperSymbol,
         t: &BinomialTable,
         slots: &[bool],
         writer: &mut BitWriter,
     ) -> Result<u32, CodewordError> {
-        let mut scratch = EncodeScratch::new();
-        let (mut offset, mut failures) = (0, 0);
-        for p in ss.symbols() {
-            let end = (offset + p.n() as usize).min(slots.len());
-            failures += p.decode_word(t, &slots[offset..end], &mut scratch, writer)? as u32;
-            offset = end;
-        }
-        Ok(failures)
+        let walk = ss.symbols().map(Into::into);
+        decode_words(t, walk, slots, &mut EncodeScratch::new(), writer)
     }
 
     fn s(n: u16, k: u16) -> SymbolPattern {

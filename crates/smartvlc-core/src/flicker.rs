@@ -281,7 +281,6 @@ mod tests {
         // super-symbols at a fixed dimming level passes the audit.
         use crate::amppm::planner::AmppmPlanner;
         use crate::dimming::DimmingLevel;
-        use crate::modem::SlotModem;
         use crate::schemes::AmppmModem;
         let planner = AmppmPlanner::new(SystemConfig::default()).unwrap();
         let a = auditor();
@@ -289,7 +288,7 @@ mod tests {
             let plan = planner.plan(DimmingLevel::new(l).unwrap()).unwrap();
             let m = AmppmModem::from_plan(&plan);
             let t = combinat::BinomialTable::new(512);
-            let slots = m.modulate(&t, &vec![0xB7u8; 1024]);
+            let slots = crate::modem::modulated(&m, &t, &[0xB7u8; 1024]);
             let r = a.audit(&slots);
             assert!(r.is_clean(), "l={l}: {:?}", r.violations.first());
         }

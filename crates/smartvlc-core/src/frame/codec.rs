@@ -17,6 +17,7 @@ use crate::frame::format::{DescriptorError, FecMode, Frame, FrameHeader, Pattern
 use crate::modem::{DemodError, SlotModem};
 use crate::schemes::{AmppmModem, DarklightModem, MppmModem, OokCtModem, OppmModem, VppmModem};
 use crate::symbol::SymbolPattern;
+use combinat::EncodeScratch;
 use smartvlc_obs as obs;
 use std::fmt;
 
@@ -111,6 +112,8 @@ pub struct FrameCodec {
     cfg: SystemConfig,
     planner: AmppmPlanner,
     accept_fec: bool,
+    /// The payload decoder's workspace, kept from frame to frame.
+    scratch: EncodeScratch,
 }
 
 impl FrameCodec {
@@ -121,6 +124,7 @@ impl FrameCodec {
             cfg,
             planner,
             accept_fec: true,
+            scratch: EncodeScratch::new(),
         })
     }
 
@@ -205,27 +209,16 @@ impl FrameCodec {
         }
     }
 
-    /// Emit a frame as a slot waveform.
+    /// Emit a frame as a slot waveform, built in one buffer sized up front.
     pub fn emit(&mut self, frame: &Frame) -> Result<Vec<bool>, FrameCodecError> {
         let modem = self.modem_for(frame.header.pattern)?;
         let table = self.planner.table();
-
-        // Preamble: alternating ON/OFF, starting ON.
-        let mut slots: Vec<bool> = (0..PREAMBLE_SLOTS).map(|i| i % 2 == 0).collect();
-
-        // Header: OOK, one slot per bit, MSB first.
-        let header_bytes = frame.header.to_bytes();
-        for &b in &header_bytes {
-            for bit in (0..8).rev() {
-                slots.push((b >> bit) & 1 == 1);
-            }
-        }
-        debug_assert_eq!(slots.len(), PREFIX_SLOTS);
 
         // Payload block: payload ++ CRC(header ++ payload), then the
         // outer code when the header asks for one. The CRC sits *inside*
         // the codeword, so corrected symbols still verify and only
         // uncorrectable blocks fall back to ARQ.
+        let header_bytes = frame.header.to_bytes();
         let mut crc = Crc16::new();
         crc.update(&header_bytes).update(&frame.payload);
         let mut block = frame.payload.clone();
@@ -233,21 +226,34 @@ impl FrameCodec {
         if let Some(profile) = frame.header.fec.profile() {
             block = smartvlc_fec::encode(profile, &block);
         }
-        let payload_slots = modem.modulate(table, &block);
 
         // Compensation + sync: align the prefix brightness to the payload
-        // dimming level (Table 1's Compensation and Sync fields).
+        // dimming level (Table 1's Compensation and Sync fields). The
+        // preamble is half ON.
         let target = modem.dimming().value();
-        let prefix_ones = slots.iter().filter(|&&b| b).count();
+        let header_ones: u32 = header_bytes.iter().map(|b| b.count_ones()).sum();
+        let prefix_ones = PREAMBLE_SLOTS / 2 + header_ones as usize;
         let (comp_len, comp_state) = compensation_plan(
             prefix_ones,
             PREFIX_SLOTS,
             target,
             self.cfg.n_max_super() as usize,
         );
+
+        let total = PREFIX_SLOTS + comp_len + 1 + modem.slots_for_payload(table, block.len());
+        let mut slots = Vec::with_capacity(total);
+        // Preamble: alternating ON/OFF, starting ON.
+        slots.extend((0..PREAMBLE_SLOTS).map(|i| i % 2 == 0));
+        // Header: OOK, one slot per bit, MSB first.
+        for &b in &header_bytes {
+            slots.extend((0..8).rev().map(|bit| (b >> bit) & 1 == 1));
+        }
+        debug_assert_eq!(slots.len(), PREFIX_SLOTS);
+        debug_assert_eq!(slots.iter().filter(|&&b| b).count(), prefix_ones);
         slots.extend(std::iter::repeat_n(comp_state, comp_len));
         slots.push(!comp_state); // sync edge
-        slots.extend(payload_slots);
+        modem.modulate(table, &block, &mut slots);
+        debug_assert_eq!(slots.len(), total);
         obs::counter_add(obs::key!("core.codec.emits"), 1);
         obs::observe(obs::key!("core.codec.emit_slots"), slots.len() as u64);
         Ok(slots)
@@ -322,6 +328,7 @@ impl FrameCodec {
             table,
             &slots[payload_start..payload_start + n_slots],
             air_bytes,
+            &mut self.scratch,
         )?;
         let (block, fec_corrected, fec_failed_codewords) = match header.fec.profile() {
             Some(profile) => {

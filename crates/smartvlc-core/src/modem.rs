@@ -13,7 +13,7 @@
 //! * [`crate::schemes::AmppmModem`] — the paper's contribution (§4).
 
 use crate::dimming::DimmingLevel;
-use combinat::{BinomialTable, CodewordError};
+use combinat::{BinomialTable, CodewordError, EncodeScratch};
 use std::fmt;
 
 /// Statistics from demodulating one payload block.
@@ -75,8 +75,9 @@ impl From<CodewordError> for DemodError {
 /// A block modem: bytes ⇄ slot waveform at a fixed dimming level.
 ///
 /// Implementations must be deterministic: the same bytes produce the same
-/// waveform, and `slots_for_payload` must predict `modulate`'s output
-/// length exactly (the receiver uses it to delimit the payload field).
+/// waveform, and `slots_for_payload` must predict exactly how many slots
+/// `modulate` appends (the receiver uses it to delimit the payload
+/// field).
 pub trait SlotModem {
     /// The dimming level the modulated waveform realizes (block average;
     /// for OOK-CT this is exact only in expectation over scrambled data).
@@ -85,18 +86,20 @@ pub trait SlotModem {
     /// Exact waveform length for an `n_bytes` payload block.
     fn slots_for_payload(&self, table: &BinomialTable, n_bytes: usize) -> usize;
 
-    /// Modulate a payload block into slot states.
-    fn modulate(&self, table: &BinomialTable, bytes: &[u8]) -> Vec<bool>;
+    /// Modulate a payload block into slot states, appended to `out`.
+    fn modulate(&self, table: &BinomialTable, bytes: &[u8], out: &mut Vec<bool>);
 
     /// Demodulate a slot block back into exactly `n_bytes` bytes.
     ///
     /// Corrupted symbols are zero-filled and counted in the returned
-    /// stats; the caller's CRC decides the frame's fate.
+    /// stats; the caller's CRC decides the frame's fate. `scratch` is the
+    /// codec's workspace, which a receiver keeps from block to block.
     fn demodulate(
         &self,
         table: &BinomialTable,
         slots: &[bool],
         n_bytes: usize,
+        scratch: &mut EncodeScratch,
     ) -> Result<(Vec<u8>, DemodStats), DemodError>;
 
     /// Ideal information rate in bits per slot (ignoring errors); used by
@@ -122,6 +125,25 @@ pub fn spread_evenly(m: usize, n: usize) -> impl Iterator<Item = bool> + Clone {
         }
         hit
     })
+}
+
+/// `modulate` into a fresh buffer.
+#[cfg(test)]
+pub(crate) fn modulated(modem: &dyn SlotModem, table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
+    let mut slots = Vec::new();
+    modem.modulate(table, bytes, &mut slots);
+    slots
+}
+
+/// `demodulate` with a fresh scratch.
+#[cfg(test)]
+pub(crate) fn demodulated(
+    modem: &dyn SlotModem,
+    table: &BinomialTable,
+    slots: &[bool],
+    n_bytes: usize,
+) -> Result<(Vec<u8>, DemodStats), DemodError> {
+    modem.demodulate(table, slots, n_bytes, &mut EncodeScratch::new())
 }
 
 /// Convenience: bits required for `n_bytes`.

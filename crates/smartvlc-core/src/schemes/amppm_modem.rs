@@ -16,7 +16,7 @@ use crate::amppm::super_symbol::SuperSymbol;
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, spread_evenly, DemodError, DemodStats, SlotModem};
 use crate::symbol::SymbolPattern;
-use combinat::{encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
+use combinat::{decode_words, encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
 
 /// A modem that repeats one AMPPM super-symbol over the payload block.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -133,15 +133,14 @@ impl SlotModem for AmppmModem {
         layout.slots + layout.filler
     }
 
-    fn modulate(&self, table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
+    fn modulate(&self, table: &BinomialTable, bytes: &[u8], out: &mut Vec<bool>) {
         let layout = self.layout(table, bytes.len());
         let mut reader = BitReader::new(bytes);
-        let mut slots = Vec::with_capacity(layout.slots + layout.filler);
+        out.reserve(layout.slots + layout.filler);
         let walk = self.walk(&layout).map(Into::into);
         let mut scratch = EncodeScratch::new();
-        encode_words(table, walk, &mut reader, &mut scratch, &mut slots).expect("invariant k<=n");
-        slots.extend(spread_evenly(layout.filler_ones, layout.filler));
-        slots
+        encode_words(table, walk, &mut reader, &mut scratch, out).expect("invariant k<=n");
+        out.extend(spread_evenly(layout.filler_ones, layout.filler));
     }
 
     fn demodulate(
@@ -149,6 +148,7 @@ impl SlotModem for AmppmModem {
         table: &BinomialTable,
         slots: &[bool],
         n_bytes: usize,
+        scratch: &mut EncodeScratch,
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
         let layout = self.layout(table, n_bytes);
         let expected = layout.slots + layout.filler;
@@ -159,20 +159,16 @@ impl SlotModem for AmppmModem {
             });
         }
         let mut writer = BitWriter::new();
-        let mut stats = DemodStats::default();
-        let mut scratch = EncodeScratch::new();
-        let mut offset = 0usize;
-        for pattern in self.walk(&layout) {
-            let n = pattern.n() as usize;
-            stats.symbols += 1;
-            let symbol = &slots[offset..offset + n];
-            stats.symbol_failures +=
-                pattern.decode_word(table, symbol, &mut scratch, &mut writer)? as u32;
-            offset += n;
-        }
+        let walk = self.walk(&layout).map(Into::into);
+        let symbol_failures =
+            decode_words(table, walk, &slots[..layout.slots], scratch, &mut writer)?;
         let (mut bytes, _) = writer.finish();
         bytes.truncate(n_bytes);
         bytes.resize(n_bytes, 0);
+        let stats = DemodStats {
+            symbol_failures,
+            symbols: layout.symbols as u32,
+        };
         Ok((bytes, stats))
     }
 
@@ -186,6 +182,7 @@ mod tests {
     use super::*;
     use crate::amppm::planner::AmppmPlanner;
     use crate::config::SystemConfig;
+    use crate::modem::{demodulated, modulated};
 
     fn table() -> BinomialTable {
         BinomialTable::new(512)
@@ -201,9 +198,9 @@ mod tests {
         let ss = SuperSymbol::new(s(21, 11), 2, s(10, 4), 3).unwrap();
         let m = AmppmModem::new(ss);
         let payload: Vec<u8> = (0..128u8).collect();
-        let slots = m.modulate(&t, &payload);
+        let slots = modulated(&m, &t, &payload);
         assert_eq!(slots.len(), m.slots_for_payload(&t, payload.len()));
-        let (back, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let (back, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert_eq!(back, payload);
         assert_eq!(stats.symbol_failures, 0);
         assert!(stats.symbols > 0);
@@ -282,7 +279,7 @@ mod tests {
                 continue;
             }
             let m = AmppmModem::from_plan(&plan);
-            let slots = m.modulate(&t, &payload);
+            let slots = modulated(&m, &t, &payload);
             let duty = slots.iter().filter(|&&b| b).count() as f64 / slots.len() as f64;
             // Truncation of the final super-symbol may shift the block
             // duty slightly; it must stay within a couple percent.
@@ -291,7 +288,7 @@ mod tests {
                 "modulated duty {duty} drifts from plan at l={:?}",
                 l
             );
-            let (back, _) = m.demodulate(&t, &slots, payload.len()).unwrap();
+            let (back, _) = demodulated(&m, &t, &slots, payload.len()).unwrap();
             assert_eq!(back, payload);
         }
     }
@@ -302,9 +299,9 @@ mod tests {
         let ss = SuperSymbol::new(s(10, 3), 2, s(10, 4), 2).unwrap();
         let m = AmppmModem::new(ss);
         let payload = [0x55u8; 30];
-        let mut slots = m.modulate(&t, &payload);
+        let mut slots = modulated(&m, &t, &payload);
         slots[3] = !slots[3];
-        let (_, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let (_, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert_eq!(stats.symbol_failures, 1);
     }
 
@@ -312,9 +309,9 @@ mod tests {
     fn length_mismatch_rejected() {
         let t = table();
         let m = AmppmModem::new(SuperSymbol::uniform(s(10, 5), 3).unwrap());
-        let slots = m.modulate(&t, &[0u8; 8]);
+        let slots = modulated(&m, &t, &[0u8; 8]);
         assert!(matches!(
-            m.demodulate(&t, &slots[..slots.len() - 10], 8),
+            demodulated(&m, &t, &slots[..slots.len() - 10], 8),
             Err(DemodError::LengthMismatch { .. })
         ));
     }

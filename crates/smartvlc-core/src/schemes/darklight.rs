@@ -27,7 +27,7 @@
 
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, div_ceil, DemodError, DemodStats, SlotModem};
-use combinat::{BinomialTable, BitReader, BitWriter};
+use combinat::{BinomialTable, BitReader, BitWriter, EncodeScratch};
 
 /// The DarkLight-style night-mode modem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,19 +89,18 @@ impl SlotModem for DarklightModem {
         div_ceil(bits_for(n_bytes), self.bits_per_symbol() as usize) * self.symbol_slots()
     }
 
-    fn modulate(&self, _table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
+    fn modulate(&self, _table: &BinomialTable, bytes: &[u8], out: &mut Vec<bool>) {
         let bits = self.bits_per_symbol() as usize;
         let symbols = div_ceil(bits_for(bytes.len()), bits);
         let n = self.symbol_slots();
         let mut reader = BitReader::new(bytes);
-        let mut slots = Vec::with_capacity(symbols * n);
+        out.reserve(symbols * n);
         for _ in 0..symbols {
             let v = reader.read_word(bits) as usize;
             let mut symbol = vec![false; n];
             symbol[v..v + self.pulse_w as usize].fill(true);
-            slots.extend(symbol);
+            out.extend(symbol);
         }
-        slots
     }
 
     fn demodulate(
@@ -109,6 +108,7 @@ impl SlotModem for DarklightModem {
         table: &BinomialTable,
         slots: &[bool],
         n_bytes: usize,
+        _scratch: &mut EncodeScratch,
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
         let expected = self.slots_for_payload(table, n_bytes);
         if slots.len() != expected {
@@ -157,6 +157,7 @@ impl SlotModem for DarklightModem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modem::{demodulated, modulated};
 
     fn table() -> BinomialTable {
         BinomialTable::new(16)
@@ -188,11 +189,11 @@ mod tests {
         let t = table();
         let m = DarklightModem::paper_night_mode();
         let payload: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(199)).collect();
-        let slots = m.modulate(&t, &payload);
+        let slots = modulated(&m, &t, &payload);
         assert_eq!(slots.len(), m.slots_for_payload(&t, payload.len()));
         let duty = slots.iter().filter(|&&b| b).count() as f64 / slots.len() as f64;
         assert!(duty < 0.01, "not dark: {duty}");
-        let (back, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let (back, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert_eq!(back, payload);
         assert_eq!(stats.symbol_failures, 0);
     }
@@ -202,8 +203,8 @@ mod tests {
         let t = table();
         let m = DarklightModem::new(256, 2).unwrap();
         let payload = [0xE7u8; 32];
-        let slots = m.modulate(&t, &payload);
-        let (back, _) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let slots = modulated(&m, &t, &payload);
+        let (back, _) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert_eq!(back, payload);
     }
 
@@ -212,12 +213,12 @@ mod tests {
         let t = table();
         let m = DarklightModem::paper_night_mode();
         let payload = [0x11u8; 7]; // 8 symbols
-        let mut slots = m.modulate(&t, &payload);
+        let mut slots = modulated(&m, &t, &payload);
         // Extinguish the first symbol's pulse.
         for s in slots.iter_mut().take(128) {
             *s = false;
         }
-        let (_, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let (_, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert_eq!(stats.symbol_failures, 1);
     }
 
@@ -225,9 +226,9 @@ mod tests {
     fn length_mismatch_rejected() {
         let t = table();
         let m = DarklightModem::paper_night_mode();
-        let slots = m.modulate(&t, &[9; 4]);
+        let slots = modulated(&m, &t, &[9; 4]);
         assert!(matches!(
-            m.demodulate(&t, &slots[1..], 4),
+            demodulated(&m, &t, &slots[1..], 4),
             Err(DemodError::LengthMismatch { .. })
         ));
     }

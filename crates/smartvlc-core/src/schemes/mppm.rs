@@ -8,7 +8,7 @@
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, div_ceil, DemodError, DemodStats, SlotModem};
 use crate::symbol::SymbolPattern;
-use combinat::{encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
+use combinat::{decode_words, encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
 
 /// A fixed-pattern MPPM modem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,14 +50,13 @@ impl SlotModem for MppmModem {
         self.symbols_for(table, n_bytes) * self.pattern.n() as usize
     }
 
-    fn modulate(&self, table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
+    fn modulate(&self, table: &BinomialTable, bytes: &[u8], out: &mut Vec<bool>) {
         let symbols = self.symbols_for(table, bytes.len());
         let mut reader = BitReader::new(bytes);
-        let mut slots = Vec::with_capacity(symbols * self.pattern.n() as usize);
+        out.reserve(symbols * self.pattern.n() as usize);
         let walk = std::iter::repeat_n(self.pattern.into(), symbols);
         let mut scratch = EncodeScratch::new();
-        encode_words(table, walk, &mut reader, &mut scratch, &mut slots).expect("invariant k<=n");
-        slots
+        encode_words(table, walk, &mut reader, &mut scratch, out).expect("invariant k<=n");
     }
 
     fn demodulate(
@@ -65,6 +64,7 @@ impl SlotModem for MppmModem {
         table: &BinomialTable,
         slots: &[bool],
         n_bytes: usize,
+        scratch: &mut EncodeScratch,
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
         let expected = self.slots_for_payload(table, n_bytes);
         if slots.len() != expected {
@@ -73,19 +73,17 @@ impl SlotModem for MppmModem {
                 got: slots.len(),
             });
         }
-        let n = self.pattern.n() as usize;
+        let symbols = self.symbols_for(table, n_bytes);
         let mut writer = BitWriter::new();
-        let mut stats = DemodStats::default();
-        let mut scratch = EncodeScratch::new();
-        for chunk in slots.chunks_exact(n) {
-            stats.symbols += 1;
-            stats.symbol_failures +=
-                self.pattern
-                    .decode_word(table, chunk, &mut scratch, &mut writer)? as u32;
-        }
+        let walk = std::iter::repeat_n(self.pattern.into(), symbols);
+        let symbol_failures = decode_words(table, walk, slots, scratch, &mut writer)?;
         let (mut bytes, _) = writer.finish();
         bytes.truncate(n_bytes);
         bytes.resize(n_bytes, 0);
+        let stats = DemodStats {
+            symbol_failures,
+            symbols: symbols as u32,
+        };
         Ok((bytes, stats))
     }
 
@@ -97,6 +95,7 @@ impl SlotModem for MppmModem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modem::{demodulated, modulated};
 
     fn table() -> BinomialTable {
         BinomialTable::new(64)
@@ -112,9 +111,9 @@ mod tests {
         let payload: Vec<u8> = (0..=255u8).collect();
         for (n, k) in [(20, 2), (20, 10), (20, 18), (10, 5), (21, 11)] {
             let m = modem(n, k);
-            let slots = m.modulate(&t, &payload);
+            let slots = modulated(&m, &t, &payload);
             assert_eq!(slots.len(), m.slots_for_payload(&t, payload.len()));
-            let (back, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+            let (back, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
             assert_eq!(back, payload, "S({n},{k})");
             assert_eq!(stats.symbol_failures, 0);
         }
@@ -128,15 +127,15 @@ mod tests {
         assert!(t.binomial_u128(200, 100).is_none());
         let m = modem(200, 100);
         let payload: Vec<u8> = (0..100u8).map(|b| b.wrapping_mul(151)).collect();
-        let slots = m.modulate(&t, &payload);
+        let slots = modulated(&m, &t, &payload);
         assert_eq!(slots.len(), m.slots_for_payload(&t, payload.len()));
         assert_eq!(slots.iter().filter(|&&b| b).count() * 2, slots.len());
-        let (back, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let (back, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert_eq!(back, payload);
         assert_eq!(stats.symbol_failures, 0);
         let mut corrupted = slots.clone();
         corrupted[7] = !corrupted[7];
-        let (_, stats) = m.demodulate(&t, &corrupted, payload.len()).unwrap();
+        let (_, stats) = demodulated(&m, &t, &corrupted, payload.len()).unwrap();
         assert_eq!(stats.symbol_failures, 1);
     }
 
@@ -144,7 +143,7 @@ mod tests {
     fn waveform_realizes_exact_dimming() {
         let t = table();
         let m = modem(20, 6);
-        let slots = m.modulate(&t, &[0x5A; 64]);
+        let slots = modulated(&m, &t, &[0x5A; 64]);
         let ones = slots.iter().filter(|&&b| b).count();
         assert_eq!(ones as f64 / slots.len() as f64, 0.3);
     }
@@ -161,10 +160,10 @@ mod tests {
         let t = table();
         let m = modem(20, 10);
         let payload = [0xFFu8; 32];
-        let mut slots = m.modulate(&t, &payload);
+        let mut slots = modulated(&m, &t, &payload);
         slots[0] = !slots[0];
         slots[25] = !slots[25];
-        let (_, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let (_, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert_eq!(stats.symbol_failures, 2);
     }
 
@@ -172,9 +171,9 @@ mod tests {
     fn length_mismatch_rejected() {
         let t = table();
         let m = modem(20, 10);
-        let slots = m.modulate(&t, &[0; 16]);
+        let slots = modulated(&m, &t, &[0; 16]);
         assert!(matches!(
-            m.demodulate(&t, &slots[..slots.len() - 1], 16),
+            demodulated(&m, &t, &slots[..slots.len() - 1], 16),
             Err(DemodError::LengthMismatch { .. })
         ));
     }

@@ -30,7 +30,7 @@
 
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, spread_evenly, DemodError, DemodStats, SlotModem};
-use combinat::BinomialTable;
+use combinat::{BinomialTable, EncodeScratch};
 
 /// Multiplicative congruential whitening sequence (PCG-ish byte stream).
 fn scramble_byte(index: usize) -> u8 {
@@ -100,7 +100,7 @@ impl SlotModem for OokCtModem {
         d + c
     }
 
-    fn modulate(&self, _table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
+    fn modulate(&self, _table: &BinomialTable, bytes: &[u8], out: &mut Vec<bool>) {
         let d = bits_for(bytes.len());
         let (c, comp_on) = self.compensation(d);
         // Data bits, scrambled.
@@ -113,17 +113,14 @@ impl SlotModem for OokCtModem {
         // extreme dimming levels (e.g. 4·D consecutive OFFs at l = 0.1 is
         // an 8+ ms dark gap). Both sides derive the same layout from the
         // header's length and dimming level — no extra signalling.
-        let slots: Vec<bool> = spread_evenly(c, d + c)
-            .map(|comp| {
-                if comp {
-                    comp_on
-                } else {
-                    data.next().expect("d data slots")
-                }
-            })
-            .collect();
+        out.extend(spread_evenly(c, d + c).map(|comp| {
+            if comp {
+                comp_on
+            } else {
+                data.next().expect("d data slots")
+            }
+        }));
         debug_assert!(data.next().is_none());
-        slots
     }
 
     fn demodulate(
@@ -131,6 +128,7 @@ impl SlotModem for OokCtModem {
         table: &BinomialTable,
         slots: &[bool],
         n_bytes: usize,
+        _scratch: &mut EncodeScratch,
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
         let expected = self.slots_for_payload(table, n_bytes);
         if slots.len() != expected {
@@ -172,6 +170,7 @@ impl SlotModem for OokCtModem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modem::{demodulated, modulated};
 
     fn table() -> BinomialTable {
         BinomialTable::new(16)
@@ -195,9 +194,9 @@ mod tests {
         let payload: Vec<u8> = (0..=200u8).collect();
         for l in [0.1, 0.3, 0.5, 0.7, 0.9] {
             let m = modem(l);
-            let slots = m.modulate(&t, &payload);
+            let slots = modulated(&m, &t, &payload);
             assert_eq!(slots.len(), m.slots_for_payload(&t, payload.len()));
-            let (back, _) = m.demodulate(&t, &slots, payload.len()).unwrap();
+            let (back, _) = demodulated(&m, &t, &slots, payload.len()).unwrap();
             assert_eq!(back, payload, "l={l}");
         }
     }
@@ -231,7 +230,7 @@ mod tests {
         let payload = [0u8; 128]; // pathological all-zero payload
         for l in [0.1, 0.5, 0.8] {
             let m = modem(l);
-            let slots = m.modulate(&t, &payload);
+            let slots = modulated(&m, &t, &payload);
             let duty = slots.iter().filter(|&&b| b).count() as f64 / slots.len() as f64;
             assert!((duty - l).abs() < 0.05, "l={l} duty={duty}");
         }
@@ -247,9 +246,9 @@ mod tests {
     fn length_mismatch_rejected() {
         let t = table();
         let m = modem(0.4);
-        let slots = m.modulate(&t, &[1, 2, 3]);
+        let slots = modulated(&m, &t, &[1, 2, 3]);
         assert!(matches!(
-            m.demodulate(&t, &slots[1..], 3),
+            demodulated(&m, &t, &slots[1..], 3),
             Err(DemodError::LengthMismatch { .. })
         ));
     }
@@ -260,14 +259,14 @@ mod tests {
         let t = table();
         let m = modem(0.5);
         let payload = vec![0xAA; 16];
-        let slots = m.modulate(&t, &payload);
+        let slots = modulated(&m, &t, &payload);
         // The waveform itself must NOT be the plain 10101010 pattern.
         let plain: Vec<bool> = payload
             .iter()
             .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1 == 1))
             .collect();
         assert_ne!(&slots[..128], &plain[..]);
-        let (back, _) = m.demodulate(&t, &slots, 16).unwrap();
+        let (back, _) = demodulated(&m, &t, &slots, 16).unwrap();
         assert_eq!(back, payload);
     }
 }

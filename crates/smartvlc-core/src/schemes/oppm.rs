@@ -13,7 +13,7 @@
 
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, div_ceil, DemodError, DemodStats, SlotModem};
-use combinat::BinomialTable;
+use combinat::{BinomialTable, EncodeScratch};
 
 /// An OPPM modem with symbol length `n` and pulse width `w`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,16 +113,15 @@ impl SlotModem for OppmModem {
         div_ceil(bits_for(n_bytes), bits) * self.n as usize
     }
 
-    fn modulate(&self, _table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
+    fn modulate(&self, _table: &BinomialTable, bytes: &[u8], out: &mut Vec<bool>) {
         let bits = self.bits_per_symbol() as usize;
         let symbols = div_ceil(bits_for(bytes.len()), bits);
         let mut reader = combinat::BitReader::new(bytes);
-        let mut slots = Vec::with_capacity(symbols * self.n as usize);
+        out.reserve(symbols * self.n as usize);
         for _ in 0..symbols {
             // The final partial word reads zero-padded.
-            slots.extend(self.encode_symbol(reader.read_word(bits) as u16));
+            out.extend(self.encode_symbol(reader.read_word(bits) as u16));
         }
-        slots
     }
 
     fn demodulate(
@@ -130,6 +129,7 @@ impl SlotModem for OppmModem {
         table: &BinomialTable,
         slots: &[bool],
         n_bytes: usize,
+        _scratch: &mut EncodeScratch,
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
         let expected = self.slots_for_payload(table, n_bytes);
         if slots.len() != expected {
@@ -163,6 +163,7 @@ impl SlotModem for OppmModem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modem::{demodulated, modulated};
     use crate::symbol::SymbolPattern;
 
     fn table() -> BinomialTable {
@@ -199,9 +200,9 @@ mod tests {
         let payload: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(73)).collect();
         for (n, w) in [(10, 3), (16, 8), (20, 2), (12, 6)] {
             let m = OppmModem::from_raw(n, w).unwrap();
-            let slots = m.modulate(&t, &payload);
+            let slots = modulated(&m, &t, &payload);
             assert_eq!(slots.len(), m.slots_for_payload(&t, payload.len()));
-            let (back, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+            let (back, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
             assert_eq!(back, payload, "n={n} w={w}");
             assert_eq!(stats.symbol_failures, 0);
         }
@@ -211,7 +212,7 @@ mod tests {
     fn waveform_duty_matches() {
         let t = table();
         let m = OppmModem::from_raw(10, 3).unwrap();
-        let slots = m.modulate(&t, &[0xFF; 30]);
+        let slots = modulated(&m, &t, &[0xFF; 30]);
         let duty = slots.iter().filter(|&&b| b).count() as f64 / slots.len() as f64;
         assert!((duty - 0.3).abs() < 1e-9);
     }
@@ -233,12 +234,12 @@ mod tests {
         let t = table();
         let m = OppmModem::from_raw(12, 5).unwrap();
         let payload = [0x5Au8; 12];
-        let mut slots = m.modulate(&t, &payload);
+        let mut slots = modulated(&m, &t, &payload);
         // Knock one slot out of the middle of a pulse: matched filter
         // still finds the position.
         let hit = slots.iter().position(|&b| b).unwrap() + 2;
         slots[hit] = false;
-        let (back, _) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let (back, _) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert_eq!(back, payload);
     }
 
@@ -247,11 +248,11 @@ mod tests {
         let t = table();
         let m = OppmModem::from_raw(12, 5).unwrap();
         let payload = [0x00u8; 3];
-        let mut slots = m.modulate(&t, &payload);
+        let mut slots = modulated(&m, &t, &payload);
         for s in slots.iter_mut().take(12) {
             *s = false; // first symbol wiped dark
         }
-        let (_, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+        let (_, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
         assert!(stats.symbol_failures >= 1);
     }
 
@@ -259,9 +260,9 @@ mod tests {
     fn length_mismatch_rejected() {
         let t = table();
         let m = OppmModem::from_raw(10, 3).unwrap();
-        let slots = m.modulate(&t, &[1, 2, 3]);
+        let slots = modulated(&m, &t, &[1, 2, 3]);
         assert!(matches!(
-            m.demodulate(&t, &slots[..slots.len() - 1], 3),
+            demodulated(&m, &t, &slots[..slots.len() - 1], 3),
             Err(DemodError::LengthMismatch { .. })
         ));
     }

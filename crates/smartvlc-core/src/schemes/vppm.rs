@@ -11,7 +11,7 @@
 
 use crate::dimming::DimmingLevel;
 use crate::modem::{bits_for, DemodError, DemodStats, SlotModem};
-use combinat::BinomialTable;
+use combinat::{BinomialTable, EncodeScratch};
 
 /// A VPPM modem with symbol length `n` and pulse width `w`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,14 +79,13 @@ impl SlotModem for VppmModem {
         bits_for(n_bytes) * self.n as usize
     }
 
-    fn modulate(&self, _table: &BinomialTable, bytes: &[u8]) -> Vec<bool> {
-        let mut slots = Vec::with_capacity(bits_for(bytes.len()) * self.n as usize);
+    fn modulate(&self, _table: &BinomialTable, bytes: &[u8], out: &mut Vec<bool>) {
+        out.reserve(bits_for(bytes.len()) * self.n as usize);
         for &b in bytes {
             for bit in (0..8).rev() {
-                slots.extend(self.symbol_for((b >> bit) & 1 == 1));
+                out.extend(self.symbol_for((b >> bit) & 1 == 1));
             }
         }
-        slots
     }
 
     fn demodulate(
@@ -94,6 +93,7 @@ impl SlotModem for VppmModem {
         table: &BinomialTable,
         slots: &[bool],
         n_bytes: usize,
+        _scratch: &mut EncodeScratch,
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
         let expected = self.slots_for_payload(table, n_bytes);
         if slots.len() != expected {
@@ -129,6 +129,7 @@ impl SlotModem for VppmModem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modem::{demodulated, modulated};
     use crate::symbol::SymbolPattern;
 
     fn table() -> BinomialTable {
@@ -150,9 +151,9 @@ mod tests {
         let payload: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
         for l in [0.1, 0.3, 0.5, 0.8] {
             let m = VppmModem::new(10, DimmingLevel::new(l).unwrap()).unwrap();
-            let slots = m.modulate(&t, &payload);
+            let slots = modulated(&m, &t, &payload);
             assert_eq!(slots.len(), m.slots_for_payload(&t, payload.len()));
-            let (back, stats) = m.demodulate(&t, &slots, payload.len()).unwrap();
+            let (back, stats) = demodulated(&m, &t, &slots, payload.len()).unwrap();
             assert_eq!(back, payload, "l={l}");
             assert_eq!(stats.symbol_failures, 0);
         }
@@ -162,7 +163,7 @@ mod tests {
     fn waveform_realizes_dimming_exactly() {
         let t = table();
         let m = VppmModem::new(10, DimmingLevel::new(0.3).unwrap()).unwrap();
-        let slots = m.modulate(&t, &[0x0F; 13]);
+        let slots = modulated(&m, &t, &[0x0F; 13]);
         let ones = slots.iter().filter(|&&b| b).count();
         assert_eq!(ones as f64 / slots.len() as f64, 0.3);
     }
@@ -186,9 +187,9 @@ mod tests {
         let sym = vec![
             true, true, false, false, false, false, false, true, true, false,
         ];
-        let mut slots = m.modulate(&t, &[0u8]);
+        let mut slots = modulated(&m, &t, &[0u8]);
         slots[..10].copy_from_slice(&sym);
-        let (_, stats) = m.demodulate(&t, &slots, 1).unwrap();
+        let (_, stats) = demodulated(&m, &t, &slots, 1).unwrap();
         assert_eq!(stats.symbol_failures, 1);
     }
 

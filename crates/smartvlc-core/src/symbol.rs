@@ -7,7 +7,7 @@
 //! enumerative codec in the `combinat` crate.
 
 use crate::dimming::DimmingLevel;
-use combinat::{decode_word, BinomialTable, BitWriter, CodewordError, EncodeScratch};
+use combinat::BinomialTable;
 use std::fmt;
 
 /// A symbol pattern `S(N, l = K/N)`: `N` slots, `K` of them ON.
@@ -63,25 +63,11 @@ impl SymbolPattern {
     pub fn normalized_rate(self, table: &BinomialTable) -> f64 {
         self.bits_per_symbol(table) as f64 / self.n as f64
     }
-
-    /// Decode one received symbol and append its data word to `writer`
-    /// (Algorithm 2). `Ok(true)` is a symbol error — lost weight, or a rank
-    /// beyond the data window — and appends zeros to keep alignment; a
-    /// wrong-length slice is an error.
-    pub fn decode_word(
-        self,
-        table: &BinomialTable,
-        slots: &[bool],
-        scratch: &mut EncodeScratch,
-        writer: &mut BitWriter,
-    ) -> Result<bool, CodewordError> {
-        let (n, k) = (self.n as usize, self.k as usize);
-        decode_word(table, n, k, slots, scratch, writer)
-    }
 }
 
 /// The pattern as the `(N, K)` pair the codec walks take
-/// ([`combinat::encode_words`] reads a run of them).
+/// ([`combinat::encode_words`] and [`combinat::decode_words`] read a run
+/// of them).
 impl From<SymbolPattern> for (usize, usize) {
     fn from(p: SymbolPattern) -> (usize, usize) {
         (p.n as usize, p.k as usize)
@@ -103,7 +89,9 @@ impl fmt::Display for SymbolPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use combinat::{encode_words, BitReader};
+    use combinat::{
+        decode_words, encode_words, BitReader, BitWriter, CodewordError, EncodeScratch,
+    };
 
     fn table() -> BinomialTable {
         BinomialTable::new(512)
@@ -160,14 +148,15 @@ mod tests {
             assert_eq!(slots.len(), 21);
             assert_eq!(slots.iter().filter(|&&b| b).count(), 11);
             let mut w = BitWriter::new();
-            assert_eq!(s.decode_word(&t, &slots, &mut scratch, &mut w), Ok(false));
+            let walk = [s.into()];
+            assert_eq!(decode_words(&t, walk, &slots, &mut scratch, &mut w), Ok(0));
             let (bytes, bits) = w.finish();
             assert_eq!(bits, 18);
             assert_eq!(BitReader::new(&bytes).read_word(18), v);
         }
         let mut w = BitWriter::new();
         assert_eq!(
-            s.decode_word(&t, &[true; 20], &mut scratch, &mut w),
+            decode_words(&t, [s.into()], &[true; 20], &mut scratch, &mut w),
             Err(CodewordError::WrongLength {
                 expected: 21,
                 got: 20

@@ -1,6 +1,6 @@
 //! Property-based tests for the modulation core.
 
-use combinat::{encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
+use combinat::{decode_words, encode_words, BinomialTable, BitReader, BitWriter, EncodeScratch};
 use proptest::prelude::*;
 use smartvlc_core::adaptation::{measured, perceived};
 use smartvlc_core::amppm::SuperSymbol;
@@ -64,8 +64,7 @@ proptest! {
         }
     }
 
-    /// A super-symbol's symbol sequence through the per-symbol word codec
-    /// round-trips arbitrary data for arbitrary shapes within the flicker
+    /// A super-symbol's symbol sequence through the run codec round-trips arbitrary data for arbitrary shapes within the flicker
     /// budget, with the exact slot count and ON count.
     #[test]
     fn super_symbol_roundtrip(
@@ -89,13 +88,9 @@ proptest! {
         prop_assert_eq!(slots.len() as u32, ss.n_super());
         prop_assert_eq!(slots.iter().filter(|&&b| b).count() as u32, ss.ones());
         let mut writer = BitWriter::new();
-        let mut offset = 0;
-        for p in ss.symbols() {
-            let n = p.n() as usize;
-            let failed = p.decode_word(&table, &slots[offset..offset + n], &mut scratch, &mut writer);
-            prop_assert_eq!(failed, Ok(false));
-            offset += n;
-        }
+        let walk = ss.symbols().map(Into::into);
+        let failures = decode_words(&table, walk, &slots, &mut scratch, &mut writer);
+        prop_assert_eq!(failures, Ok(0));
         let consumed = (ss.bits(&table) as usize).min(data.len() * 8);
         let (bytes, _) = writer.finish();
         let mut orig = BitReader::new(&data);

@@ -162,12 +162,13 @@ impl SlotDetector {
     }
 
     /// Analytic `P1`/`P2` at this operating point (Gaussian tails around
-    /// the midpoint threshold).
+    /// the midpoint threshold). The threshold sits midway, so both tails
+    /// are the same `Q(q)`, computed once.
     pub fn error_probs(&self) -> ChannelErrorProbs {
-        let q = self.q_factor().max(0.0);
+        let p = q_function(self.q_factor().max(0.0));
         ChannelErrorProbs {
-            p_off_error: q_function(q),
-            p_on_error: q_function(q),
+            p_off_error: p,
+            p_on_error: p,
         }
     }
 }
@@ -249,6 +250,27 @@ mod tests {
         // Zero or inverted margin: coin flip.
         let dead = SlotDetector::from_levels(0.5, 0.5, 0.1).error_probs();
         assert!((dead.p_on_error - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn error_probs_are_one_q_of_the_clamped_q_factor() {
+        // μ_on = 2q, μ_off = 0 and σ = 1 give a Q-factor of exactly q.
+        let mut qs = vec![0.0, 1e-3, 0.5, 1.0, 3.746, 5.0, 8.0, 20.0, 40.0];
+        qs.extend((1..=400).map(|i| f64::from(i) * 0.1));
+        for q in qs {
+            let d = SlotDetector::from_levels(2.0 * q, 0.0, 1.0);
+            assert_eq!(d.q_factor(), q);
+            let probs = d.error_probs();
+            let want = q_function(q).to_bits();
+            assert_eq!(probs.p_off_error.to_bits(), want, "q={q}");
+            assert_eq!(probs.p_on_error.to_bits(), want, "q={q}");
+        }
+        // An inverted margin clamps to q = 0: a coin flip on both classes.
+        let inverted = SlotDetector::from_levels(0.0, 1.0, 1.0);
+        assert!(inverted.q_factor() < 0.0);
+        let probs = inverted.error_probs();
+        assert_eq!(probs.p_off_error.to_bits(), q_function(0.0).to_bits());
+        assert_eq!(probs.p_on_error.to_bits(), q_function(0.0).to_bits());
     }
 
     #[test]

@@ -46,7 +46,9 @@ fn main() {
     let modem = AmppmModem::from_plan(&plan);
     let table = BinomialTable::new(512);
     let data: Vec<u8> = (0..512u32).map(|i| (i % 251) as u8).collect();
-    verdict("AMPPM data stream (l=0.3)", &modem.modulate(&table, &data));
+    let mut stream = Vec::new();
+    modem.modulate(&table, &data, &mut stream);
+    verdict("AMPPM data stream (l=0.3)", &stream);
 
     // 2. A 62.5 Hz square wave: runs of 1000 slots, way beyond fth.
     let slow: Vec<bool> = (0..12_000).map(|i| (i / 1000) % 2 == 0).collect();
