@@ -60,11 +60,10 @@
 //!   refilled in place. The slow path still assembles each data word as a
 //!   fresh `BigUint`.
 //!
-//! The value-level [`encode_codeword_into`]/[`decode_codeword_with`] take
-//! a `BigUint` and so convert on every call, and the plain
-//! [`encode_codeword`]/[`decode_codeword`] entry points also allocate
-//! their output; they keep their historical signatures and route through
-//! the same walks (a word-triangle row as the one-chain run walk).
+//! The value-level [`encode_codeword_into`] takes a `BigUint` and so
+//! converts on every call; [`encode_codeword`]/[`decode_codeword`] also
+//! allocate their output. They route through the same walks (a
+//! word-triangle row as the one-chain run walk).
 
 #![cfg_attr(
     not(test),
@@ -353,24 +352,23 @@ pub fn encode_codeword(
     Ok(out)
 }
 
-/// Algorithm 2 — rank a received `n`-slot codeword back to its value,
-/// reusing `scratch` for the accumulator.
+/// Algorithm 2 — rank a received `n`-slot codeword back to its value.
 ///
 /// Verifies both the length and the constant-weight invariant; a weight
 /// mismatch means slot errors corrupted the symbol.
-pub fn decode_codeword_with(
+pub fn decode_codeword(
     table: &BinomialTable,
     n: usize,
     k: usize,
     codeword: &[bool],
-    scratch: &mut EncodeScratch,
 ) -> Result<BigUint, CodewordError> {
     check_received(n, k, codeword)?;
     if table.binomial_u128(n, k).is_some() {
         return Ok(BigUint::from_u128(rank_u128(table, n, k, codeword)));
     }
-    rank_big(table, n, k, codeword, &mut scratch.val);
-    Ok(scratch.val.clone())
+    let mut value = BigUint::zero();
+    rank_big(table, n, k, codeword, &mut value);
+    Ok(value)
 }
 
 /// The checks Algorithm 2 needs before ranking: a valid pattern, the
@@ -558,20 +556,6 @@ fn rank_big(table: &BinomialTable, n: usize, k: usize, codeword: &[bool], value:
             value.add_assign(table.binomial_ref(slots_left - 1, ones_left - 1));
         }
     }
-}
-
-/// Algorithm 2 — rank a received `n`-slot codeword back to its value.
-///
-/// Convenience wrapper over [`decode_codeword_with`] with a throwaway
-/// scratch.
-pub fn decode_codeword(
-    table: &BinomialTable,
-    n: usize,
-    k: usize,
-    codeword: &[bool],
-) -> Result<BigUint, CodewordError> {
-    let mut scratch = EncodeScratch::new();
-    decode_codeword_with(table, n, k, codeword, &mut scratch)
 }
 
 /// Algorithm 1 on a run of symbols: for each `(n, k)` of `patterns`, in
@@ -958,7 +942,7 @@ mod tests {
             out.clear();
             encode_codeword_into(&t, n, k, &val, &mut scratch, &mut out).unwrap();
             assert_eq!(out, encode_codeword(&t, n, k, &val).unwrap(), "n={n} k={k}");
-            let back = decode_codeword_with(&t, n, k, &out, &mut scratch).unwrap();
+            let back = decode_codeword(&t, n, k, &out).unwrap();
             assert_eq!(back, val, "n={n} k={k}");
         }
     }

@@ -63,7 +63,7 @@ pub use biguint::BigUint;
 pub use binomial::BinomialTable;
 pub use bits::{BitReader, BitWriter};
 pub use codeword::{
-    decode_codeword, decode_codeword_with, decode_words, encode_codeword, encode_codeword_into,
-    encode_words, CodewordError, EncodeScratch,
+    decode_codeword, decode_words, encode_codeword, encode_codeword_into, encode_words,
+    CodewordError, EncodeScratch,
 };
 pub use tabulated::{table_memory_bytes, TabulatedCodec};

@@ -1,9 +1,9 @@
 //! Property-based tests for the combinatorics substrate.
 
 use combinat::{
-    binomial::binomial_u128_direct, decode_codeword, decode_codeword_with, decode_words,
-    encode_codeword, encode_codeword_into, encode_words, BigUint, BinomialTable, BitReader,
-    BitWriter, EncodeScratch,
+    binomial::binomial_u128_direct, decode_codeword, decode_words, encode_codeword,
+    encode_codeword_into, encode_words, BigUint, BinomialTable, BitReader, BitWriter,
+    EncodeScratch,
 };
 use proptest::prelude::*;
 
@@ -222,7 +222,7 @@ proptest! {
         let (bytes, nbits) = w.finish();
         prop_assert_eq!(nbits, bits);
         let got = BitReader::new(&bytes).read_word(bits);
-        match decode_codeword_with(&t, n, k, &received, &mut scratch) {
+        match decode_codeword(&t, n, k, &received) {
             Ok(value) if value.bit_length() as usize <= bits => {
                 prop_assert!(!failed);
                 prop_assert_eq!(Some(got), value.to_u128());

@@ -9,6 +9,16 @@
 //! analog samples into slots (clock recovery, thresholding) is the job of
 //! `smartvlc-link`'s receiver front end.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
+
 use crate::amppm::planner::{AmppmPlanner, PlanError};
 use crate::config::SystemConfig;
 use crate::dimming::DimmingLevel;
@@ -265,15 +275,17 @@ impl FrameCodec {
     /// [`FrameStats::crc_ok`] before trusting the payload), and the total
     /// number of slots consumed.
     pub fn parse(&mut self, slots: &[bool]) -> Result<(Frame, FrameStats), FrameCodecError> {
-        if slots.len() < PREFIX_SLOTS + 2 {
+        let Some((prefix, body @ &[comp_state, _, ..])) = slots.split_at_checked(PREFIX_SLOTS)
+        else {
             return Err(FrameCodecError::Truncated {
                 needed: PREFIX_SLOTS + 2,
                 got: slots.len(),
             });
-        }
+        };
         // Preamble correlation with tolerance.
-        let mismatches = slots[..PREAMBLE_SLOTS]
+        let mismatches = prefix
             .iter()
+            .take(PREAMBLE_SLOTS)
             .enumerate()
             .filter(|(i, &s)| s != (i % 2 == 0))
             .count();
@@ -281,12 +293,14 @@ impl FrameCodec {
             return Err(FrameCodecError::BadPreamble);
         }
 
-        // Header.
+        // Header: OOK, eight slots per byte, MSB first.
         let mut header_bytes = [0u8; FrameHeader::WIRE_BYTES];
-        for (i, byte) in header_bytes.iter_mut().enumerate() {
-            for bit in 0..8 {
-                *byte = (*byte << 1) | slots[PREAMBLE_SLOTS + i * 8 + bit] as u8;
-            }
+        let mut header_slots = prefix.iter().skip(PREAMBLE_SLOTS);
+        for byte in &mut header_bytes {
+            *byte = header_slots
+                .by_ref()
+                .take(8)
+                .fold(0, |b, &s| (b << 1) | s as u8);
         }
         let header = FrameHeader::from_bytes(&header_bytes).map_err(FrameCodecError::BadHeader)?;
         if !self.accept_fec && header.fec != FecMode::Off {
@@ -295,42 +309,36 @@ impl FrameCodec {
             )));
         }
 
-        // Compensation run: scan for the sync edge.
-        let comp_start = PREFIX_SLOTS;
-        let comp_state = slots[comp_start];
+        // Compensation run: scan for the sync edge. A run past the
+        // flicker bound, or one that reaches the end, has no edge.
         let max_run = self.cfg.n_max_super() as usize;
-        let mut i = comp_start;
-        while i < slots.len() && slots[i] == comp_state {
-            i += 1;
-            if i - comp_start > max_run {
-                return Err(FrameCodecError::CompensationOverrun);
-            }
-        }
-        if i >= slots.len() {
+        let run = body
+            .iter()
+            .take(max_run + 1)
+            .take_while(|&&s| s == comp_state)
+            .count();
+        if run > max_run || run == body.len() {
             return Err(FrameCodecError::CompensationOverrun);
         }
-        let payload_start = i + 1; // the flip slot is the sync bit
+        let payload_start = PREFIX_SLOTS + run + 1; // the flip slot is the sync bit
 
         // Payload block. With FEC on, the on-air block is the coded
         // length; both ends derive it from (profile, payload_len) alone.
         let modem = self.modem_for(header.pattern)?;
         let table = self.planner.table();
-        let block_bytes = header.payload_len as usize + 2;
+        let payload_len = header.payload_len as usize;
+        let block_bytes = payload_len + 2;
         let air_bytes = header.fec.coded_len(block_bytes);
-        let n_slots = modem.slots_for_payload(table, air_bytes);
-        if slots.len() < payload_start + n_slots {
-            return Err(FrameCodecError::Truncated {
-                needed: payload_start + n_slots,
-                got: slots.len(),
-            });
-        }
-        let (raw, dstats) = modem.demodulate(
-            table,
-            &slots[payload_start..payload_start + n_slots],
-            air_bytes,
-            &mut self.scratch,
-        )?;
-        let (block, fec_corrected, fec_failed_codewords) = match header.fec.profile() {
+        let total_slots = payload_start + modem.slots_for_payload(table, air_bytes);
+        let payload_slots =
+            slots
+                .get(payload_start..total_slots)
+                .ok_or(FrameCodecError::Truncated {
+                    needed: total_slots,
+                    got: slots.len(),
+                })?;
+        let (raw, dstats) = modem.demodulate(table, payload_slots, air_bytes, &mut self.scratch)?;
+        let (mut block, fec_corrected, fec_failed_codewords) = match header.fec.profile() {
             Some(profile) => {
                 let out = smartvlc_fec::decode(profile, &raw, block_bytes);
                 if out.corrected > 0 {
@@ -343,14 +351,18 @@ impl FrameCodec {
             }
             None => (raw, 0, 0),
         };
-        let (payload, crc_bytes) = block.split_at(header.payload_len as usize);
-        let mut crc = Crc16::new();
-        crc.update(&header_bytes).update(payload);
-        let crc_ok = crc.finish().to_be_bytes() == crc_bytes;
+        let crc_ok = block
+            .split_at_checked(payload_len)
+            .is_some_and(|(payload, crc_bytes)| {
+                let mut crc = Crc16::new();
+                crc.update(&header_bytes).update(payload);
+                crc.finish().to_be_bytes() == crc_bytes
+            });
+        block.truncate(payload_len);
 
         let stats = FrameStats {
             crc_ok,
-            total_slots: payload_start + n_slots,
+            total_slots,
             symbol_failures: dstats.symbol_failures,
             symbols: dstats.symbols,
             fec_corrected,
@@ -363,7 +375,7 @@ impl FrameCodec {
         Ok((
             Frame {
                 header,
-                payload: payload.to_vec(),
+                payload: block,
             },
             stats,
         ))
@@ -596,16 +608,28 @@ mod tests {
     #[test]
     fn truncated_frame_detected() {
         let mut c = codec();
-        let frame = amppm_frame(0.5, 128);
-        let slots = c.emit(&frame).unwrap();
-        assert!(matches!(
-            c.parse(&slots[..slots.len() / 2]),
-            Err(FrameCodecError::Truncated { .. })
-        ));
-        assert!(matches!(
-            c.parse(&slots[..10]),
-            Err(FrameCodecError::Truncated { .. })
-        ));
+        let cfg = SystemConfig::default();
+        let d = amppm_descriptor(&cfg, DimmingLevel::new(0.5).unwrap());
+        for fec in [FecMode::Off, FecMode::Medium] {
+            let frame = Frame::with_fec(d, fec, payload(128)).unwrap();
+            let slots = c.emit(&frame).unwrap();
+            // Every proper prefix is cut short: either the payload or the
+            // compensation run's sync edge is missing.
+            for cut in 0..slots.len() {
+                assert!(
+                    matches!(
+                        c.parse(&slots[..cut]),
+                        Err(FrameCodecError::Truncated { .. }
+                            | FrameCodecError::CompensationOverrun)
+                    ),
+                    "{fec:?} cut at {cut} of {}",
+                    slots.len()
+                );
+            }
+            let (back, stats) = c.parse(&slots).unwrap();
+            assert!(stats.crc_ok, "{fec:?}");
+            assert_eq!(back, frame, "{fec:?}");
+        }
     }
 
     #[test]

@@ -4,25 +4,41 @@
 //! XOR — the classic CCITT variant used by HDLC and 802.15.4, table-driven
 //! for O(1) per byte.
 
-/// 256-entry lookup table for polynomial 0x1021, generated at first use.
-fn table() -> &'static [u16; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u16; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u16; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut crc = (i as u16) << 8;
-            for _ in 0..8 {
-                crc = if crc & 0x8000 != 0 {
-                    (crc << 1) ^ 0x1021
-                } else {
-                    crc << 1
-                };
-            }
-            *slot = crc;
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
+
+/// 256-entry lookup table for polynomial 0x1021, built at compile time.
+static TABLE: [u16; 256] = table();
+
+#[expect(
+    clippy::indexing_slicing,
+    reason = "runs only in const evaluation, where an out-of-range index fails the build"
+)]
+const fn table() -> [u16; 256] {
+    let mut t = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ 0x1021
+            } else {
+                crc << 1
+            };
+            bit += 1;
         }
-        t
-    })
+        t[i] = crc;
+        i += 1;
+    }
+    t
 }
 
 /// Compute CRC-16/CCITT-FALSE over `data`.
@@ -51,10 +67,11 @@ impl Crc16 {
 
     /// Feed bytes.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
-        let t = table();
         for &b in data {
-            let idx = ((self.state >> 8) ^ b as u16) as usize & 0xFF;
-            self.state = (self.state << 8) ^ t[idx];
+            let idx = usize::from((self.state >> 8) as u8 ^ b);
+            #[expect(clippy::indexing_slicing, reason = "a u8 index into a 256-entry table")]
+            let entry = TABLE[idx];
+            self.state = (self.state << 8) ^ entry;
         }
         self
     }

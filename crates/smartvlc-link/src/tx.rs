@@ -397,14 +397,9 @@ impl Transmitter {
     /// never contain the preamble's strict slot-rate alternation (at
     /// `l = 0.5` an evenly-spread single-slot pattern would be exactly
     /// the preamble and keep the receiver chasing false locks).
-    pub fn idle_filler(&self, slots: usize) -> Vec<bool> {
-        let mut out = Vec::with_capacity(slots);
-        self.idle_filler_into(slots, &mut out);
-        out
-    }
-
-    /// Append the idle filler to `out` without clearing it — callers
-    /// building an on-air stream (gap + frame) extend one reused buffer.
+    ///
+    /// Appends to `out` without clearing it — callers building an on-air
+    /// stream (gap + frame) extend one reused buffer.
     pub fn idle_filler_into(&self, slots: usize, out: &mut Vec<bool>) {
         let pairs = slots / 2;
         let ones = (self.led_level * pairs as f64).round() as usize;
@@ -556,7 +551,8 @@ mod tests {
     fn idle_filler_holds_dimming() {
         let mut t = tx(SchemeKind::Amppm);
         t.update_ambient(0.75); // LED at 0.25
-        let filler = t.idle_filler(400);
+        let mut filler = Vec::new();
+        t.idle_filler_into(400, &mut filler);
         let duty = filler.iter().filter(|&&b| b).count() as f64 / 400.0;
         assert!((duty - 0.25).abs() < 0.01);
     }

@@ -80,7 +80,7 @@ fn transmitter_stream_with_gaps_and_adaptation_is_clean() {
         tx.update_ambient(0.55 + step as f64 * 0.0005);
         let data = tx.random_data();
         let (_, slots) = tx.build_frame(step, &data).unwrap();
-        air.extend(tx.idle_filler(64));
+        tx.idle_filler_into(64, &mut air);
         air.extend(slots);
     }
     let report = a.audit(&air);
