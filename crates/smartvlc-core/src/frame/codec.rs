@@ -42,7 +42,8 @@ pub const PREFIX_SLOTS: usize = PREAMBLE_SLOTS + FrameHeader::WIRE_SLOTS;
 /// Receiver-side statistics for one parsed frame.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrameStats {
-    /// Whether the CRC verified (the MAC only ACKs clean frames).
+    /// Whether every RS codeword decoded and the CRC verified (the MAC
+    /// only ACKs clean frames).
     pub crc_ok: bool,
     /// Total slots the frame occupied on the air.
     pub total_slots: usize,
@@ -53,7 +54,8 @@ pub struct FrameStats {
     /// Symbol errors the outer code corrected in place (0 when FEC off).
     pub fec_corrected: u32,
     /// Codewords the outer decoder could not repair — when nonzero the
-    /// frame falls back to CRC + ARQ exactly as an uncoded frame would.
+    /// frame is rejected (`crc_ok` is false) and falls back to ARQ as a
+    /// CRC failure does.
     pub fec_failed_codewords: u32,
 }
 
@@ -351,13 +353,17 @@ impl FrameCodec {
             }
             None => (raw, 0, 0),
         };
-        let crc_ok = block
-            .split_at_checked(payload_len)
-            .is_some_and(|(payload, crc_bytes)| {
-                let mut crc = Crc16::new();
-                crc.update(&header_bytes).update(payload);
-                crc.finish().to_be_bytes() == crc_bytes
-            });
+        // A codeword the RS decoder refused passes its systematic bytes
+        // through unchecked: the frame is rejected as a CRC failure is,
+        // even when the CRC over those bytes would pass.
+        let crc_ok = fec_failed_codewords == 0
+            && block
+                .split_at_checked(payload_len)
+                .is_some_and(|(payload, crc_bytes)| {
+                    let mut crc = Crc16::new();
+                    crc.update(&header_bytes).update(payload);
+                    crc.finish().to_be_bytes() == crc_bytes
+                });
         block.truncate(payload_len);
 
         let stats = FrameStats {
@@ -557,6 +563,60 @@ mod tests {
         if let Ok((_, stats)) = c.parse(&s) {
             assert!(!stats.crc_ok, "must not accept scrambled payload");
         }
+    }
+
+    #[test]
+    fn failed_codeword_rejects_the_frame_the_crc_would_pass() {
+        let cfg = SystemConfig::default();
+        let mut c = codec();
+        // OOK-CT at l = 0.5 has no compensation slots: payload slot i is
+        // coded bit i, MSB first, after the scramble, so flipping slot
+        // 8·b + k flips bit 7 − k of coded byte b.
+        let d = PatternDescriptor::OokCt {
+            dimming_q: cfg.quantize_dimming(0.5),
+        };
+        let frame = Frame::with_fec(d, FecMode::Heavy, payload(128)).unwrap();
+        let slots = c.emit(&frame).unwrap();
+        let profile = FecMode::Heavy.profile().unwrap();
+        let block = 128 + 2;
+        let words = profile.codewords_for(block);
+        let air = FecMode::Heavy.coded_len(block);
+        let start = slots.len() - 8 * air;
+        // Parity symbol r of codeword j is coded byte block + r·words + j.
+        let corrupt = |slots: &mut [bool], byte: usize, e: u8| {
+            for bit in 0..8 {
+                if e >> (7 - bit) & 1 == 1 {
+                    slots[start + 8 * byte + bit] ^= true;
+                }
+            }
+        };
+
+        // One bad parity byte: corrected, and the frame is clean.
+        let mut s = slots.clone();
+        corrupt(&mut s, block + words, 0x5A);
+        let (back, stats) = c.parse(&s).unwrap();
+        assert_eq!((stats.crc_ok, stats.fec_corrected), (true, 1));
+        assert_eq!(back, frame);
+
+        // More than t bad parity bytes of one codeword: the data bytes and
+        // the CRC arrive intact, so only the RS verdict can reject.
+        let mut failed = 0;
+        for bad in profile.t() + 1..=profile.parity() {
+            for (word, e) in [(0, 0x01u8), (words - 1, 0xC3), (words / 2, 0xFF)] {
+                let mut s = slots.clone();
+                for r in 0..bad {
+                    // Odd `e`, so every byte's error is nonzero.
+                    corrupt(&mut s, block + r * words + word, e ^ (2 * r) as u8);
+                }
+                let (back, stats) = c.parse(&s).unwrap();
+                if stats.fec_failed_codewords >= 1 {
+                    failed += 1;
+                    assert!(!stats.crc_ok, "{bad} bad parity bytes in codeword {word}");
+                    assert_eq!(back.payload, frame.payload, "data passes through");
+                }
+            }
+        }
+        assert!(failed > 0, "no case overwhelmed the decoder");
     }
 
     #[test]

@@ -11,6 +11,16 @@
 //! header, and the dimming deviation of one partial super-symbol within
 //! a frame is far below the perception threshold.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
+
 use crate::amppm::planner::SuperSymbolPlan;
 use crate::amppm::super_symbol::SuperSymbol;
 use crate::dimming::DimmingLevel;
@@ -139,6 +149,10 @@ impl SlotModem for AmppmModem {
         out.reserve(layout.slots + layout.filler);
         let walk = self.walk(&layout).map(Into::into);
         let mut scratch = EncodeScratch::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "the walk yields the super-symbol's validated patterns, each with k <= n"
+        )]
         encode_words(table, walk, &mut reader, &mut scratch, out).expect("invariant k<=n");
         out.extend(spread_evenly(layout.filler_ones, layout.filler));
     }
@@ -152,16 +166,18 @@ impl SlotModem for AmppmModem {
     ) -> Result<(Vec<u8>, DemodStats), DemodError> {
         let layout = self.layout(table, n_bytes);
         let expected = layout.slots + layout.filler;
-        if slots.len() != expected {
-            return Err(DemodError::LengthMismatch {
-                expected,
-                got: slots.len(),
-            });
-        }
+        let coded = match slots.get(..layout.slots) {
+            Some(coded) if slots.len() == expected => coded,
+            _ => {
+                return Err(DemodError::LengthMismatch {
+                    expected,
+                    got: slots.len(),
+                })
+            }
+        };
         let mut writer = BitWriter::new();
         let walk = self.walk(&layout).map(Into::into);
-        let symbol_failures =
-            decode_words(table, walk, &slots[..layout.slots], scratch, &mut writer)?;
+        let symbol_failures = decode_words(table, walk, coded, scratch, &mut writer)?;
         let (mut bytes, _) = writer.finish();
         bytes.truncate(n_bytes);
         bytes.resize(n_bytes, 0);

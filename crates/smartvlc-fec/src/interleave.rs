@@ -41,8 +41,8 @@ use std::sync::OnceLock;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FecDecode {
     /// The recovered data block (corrected in place where possible; on
-    /// codeword failure the uncorrected systematic bytes pass through so
-    /// the outer CRC delivers the verdict).
+    /// codeword failure the uncorrected systematic bytes pass through,
+    /// and `failed_codewords` marks the block untrusted).
     pub data: Vec<u8>,
     /// Symbol errors corrected across all codewords.
     pub corrected: u32,

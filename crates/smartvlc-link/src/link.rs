@@ -567,7 +567,6 @@ impl LinkSimulation {
                         got_ok = true;
                         stats.frames_ok += 1;
                         fec_corrected_symbols += fstats.fec_corrected as u64;
-                        fec_decode_failures += u64::from(fstats.fec_failed_codewords > 0);
                         if first_clean_after_fault.is_none()
                             && recovery_from.is_some_and(|end| rx_done >= end)
                         {

@@ -8,6 +8,16 @@
 //! [`RxEvent::CrcFailed`] and are dropped without an ACK, exactly as
 //! §6.1 describes.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic
+    )
+)]
+
 use crate::error::LinkError;
 use smartvlc_obs as obs;
 
@@ -43,11 +53,11 @@ const WINDOW_MASK: u32 = u32::MAX >> (32 - PREAMBLE_SLOTS);
 /// `PREAMBLE_TOLERANCE` times, which leaves zero exactly when the
 /// popcount is within the tolerance.
 fn hunt(buf: &[bool]) -> usize {
-    let Some(head) = buf.get(..PREAMBLE_SLOTS - 1) else {
+    let Some((head, tail)) = buf.split_at_checked(PREAMBLE_SLOTS - 1) else {
         return 0;
     };
     let mut w = head.iter().fold(0u32, |w, &s| (w << 1) | u32::from(s));
-    for (start, &s) in buf[PREAMBLE_SLOTS - 1..].iter().enumerate() {
+    for (start, &s) in tail.iter().enumerate() {
         w = (w << 1) | u32::from(s);
         let mut off = (w ^ PREAMBLE_WORD) & WINDOW_MASK;
         for _ in 0..PREAMBLE_TOLERANCE {

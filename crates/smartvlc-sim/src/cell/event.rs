@@ -50,7 +50,7 @@ use desim::{EventHandle, Scheduler, SimTime};
 use smartvlc_core::adaptation::{perceived, AdaptationStepper};
 use smartvlc_obs as obs;
 use vlc_channel::detector::SlotDetector;
-use vlc_channel::link::ChannelConfig;
+use vlc_channel::link::{ChannelConfig, DetectorTerms};
 
 /// One typed event on the cell simulation's queue.
 ///
@@ -235,6 +235,9 @@ struct EventEngine<'a> {
     /// The run's luminaire→user channel, [`cell_channel`] but for the
     /// path gain and the ambient, which each operating point supplies.
     channel: ChannelConfig,
+    /// `channel`'s detector terms, built once: each operating point is
+    /// [`DetectorTerms::detector`] at its gain and ambient.
+    detector: DetectorTerms,
     /// The window along x and along y.
     axes: [Axis; 2],
     /// The luminaires' x per grid column and y per grid row.
@@ -242,10 +245,6 @@ struct EventEngine<'a> {
     row_y: Vec<f64>,
     /// Scratch: `dx²` per window column.
     dx2: Vec<f64>,
-    /// [`PathGain::cull_d2`](super::geometry::PathGain::cull_d2) and
-    /// `drop²` of the run's path gain.
-    cull_d2: f64,
-    drop_sq: f64,
     /// `cfg.policy.hysteresis_ratio()`, a `powf`.
     hysteresis: f64,
     /// Grant-conservation violations: a user eligible at the TDMA phase
@@ -294,8 +293,8 @@ impl<'a> EventEngine<'a> {
             .step_by(cfg.nx)
             .map(|l| l.pos.y_m)
             .collect();
-        // `detector_for_gain` reads neither the geometry nor (once the
-        // operating point sets it) the ambient of this template.
+        // `detector_terms` reads neither the geometry nor the ambient of
+        // this template.
         let origin = Position { x_m: 0.0, y_m: 0.0 };
         let channel = cell_channel(&cfg.optics, &parts.room, &origin, &origin, 0.0);
         EventEngine {
@@ -312,12 +311,11 @@ impl<'a> EventEngine<'a> {
             gains: vec![0.0; cfg.n_users * stride],
             stride,
             channel,
+            detector: channel.detector_terms(),
             axes,
             col_x,
             row_y,
             dx2: vec![0.0; axes[0].cap],
-            cull_d2: parts.path_gain.cull_d2(),
-            drop_sq: parts.path_gain.drop_sq(),
             hysteresis: cfg.policy.hysteresis_ratio(),
             violations: 0,
             scheduler,
@@ -383,9 +381,7 @@ impl<'a> EventEngine<'a> {
         self.tallies.operating_points += 1;
         let pos = self.parts.users[user].pos;
         let gain = self.gain(user, cell);
-        let mut channel = self.channel;
-        channel.ambient_lux = self.lux_at(&pos);
-        channel.detector_for_gain(gain, 1.0, false)
+        self.detector.detector(gain, 1.0, false, self.lux_at(&pos))
     }
 
     /// This tick's ambient at `pos`.
@@ -396,13 +392,15 @@ impl<'a> EventEngine<'a> {
     /// Co-channel interference σ (A) at `user` from its window's
     /// luminaires other than those `skip` rejects — bit for bit
     /// [`super::interference_sigma_a`] over the same cells, in id order,
-    /// from the path gains this tick's `Walk` computed.
+    /// from the path gains this tick's `Walk` computed. A dark path (gain
+    /// 0.0) adds an exact +0.0 and is skipped: the sum then differs only
+    /// in the sign of an all-zero σ, which every caller reads as 0.
     fn sigma_cci(&self, user: usize, skip: impl Fn(usize) -> bool) -> f64 {
         // Folded from -0.0 in id order, as `Iterator::sum` folds.
         let mut var = -0.0;
         for (first, row) in self.window_rows(user) {
             for (i, &g) in (first..).zip(row) {
-                if !skip(i) {
+                if g != 0.0 && !skip(i) {
                     var += interference_var_from_gain(&self.cfg.optics, g, self.parts.lums[i].led);
                 }
             }
@@ -456,31 +454,31 @@ impl<'a> EventEngine<'a> {
         self.schedule_next(sched, CellEvent::Sense { lum });
     }
 
-    /// The walk's survey, one pass over the window around `user`: every
-    /// path gain into the user's slice of `gains`, and the handover slate
-    /// `(best, best RSS, serving RSS)` — `best` the RSS argmax over the
-    /// window, lowest id on ties.
+    /// The walk's survey of the window around `user`, row by row: every
+    /// path gain into the user's slice of `gains` by
+    /// [`PathGain::row`](super::geometry::PathGain::row), then the
+    /// handover slate `(best, best RSS, serving RSS)` — `best` the RSS
+    /// argmax over the window, lowest id on ties.
     ///
     /// Cells outside the window, the serving cell among them, are exactly
     /// 0 W. So whenever `best` beats 0 W it is the argmax of a scan of the
     /// whole grid, and whenever it does not, no handover can clear the
     /// margin whichever cell it names: `Association::step` decides the
-    /// same, bit for bit. So are the gains:
-    /// `d²` sums a per-column `dx²`, a per-row `dy²` and `drop²` in
-    /// `PathGain::at`'s order, and a path past `cull_d2` is the exact 0.0
-    /// that `at` returns beyond the FoV, without its square root and
-    /// divisions.
+    /// same, bit for bit. So are the gains: a row's paths share `dy²`,
+    /// and `PathGain::row` sums each path's per-column `dx²`, `dy²` and
+    /// `drop²` in `PathGain::at`'s order.
     fn survey(&mut self, user: usize) -> (usize, f64, f64) {
         let pos = self.parts.users[user].pos;
         let win = self.window_at(&pos);
         self.windows[user] = win;
         let (x1, y1) = (win.x0 + win.w, win.y0 + win.h);
-        for (d, &x) in self.dx2.iter_mut().zip(&self.col_x[win.x0..x1]) {
+        let dx2 = &mut self.dx2[..win.w];
+        for (d, &x) in dx2.iter_mut().zip(&self.col_x[win.x0..x1]) {
             let dx = x - pos.x_m;
             *d = dx * dx;
         }
         let (optics, nx) = (&self.cfg.optics, self.cfg.nx);
-        let path = self.parts.path_gain;
+        let path = &self.parts.path_gain;
         let gains = &mut self.gains[user * self.stride..][..win.w * win.h];
         // Every RSS is ≥ 0, so a cell at 0 W never displaces an earlier
         // one: starting from the window's first cell at 0 W ranks as a
@@ -491,19 +489,12 @@ impl<'a> EventEngine<'a> {
             .zip(gains.chunks_exact_mut(win.w))
         {
             let dy = ly - pos.y_m;
-            let dy2 = dy * dy;
-            for ((i, &dx2), g) in (y * nx + win.x0..).zip(&self.dx2[..win.w]).zip(row) {
-                let d2 = dx2 + dy2 + self.drop_sq;
-                *g = if d2 > self.cull_d2 {
-                    0.0
-                } else {
-                    path.at_d2(d2)
-                };
-                if *g > 0.0 {
-                    let p = rss_from_gain(optics, *g, self.parts.lums[i].led);
-                    if p > best.1 {
-                        best = (i, p);
-                    }
+            path.row(dx2, dy * dy, row);
+            let first = y * nx + win.x0;
+            for ((i, &g), lum) in (first..).zip(&*row).zip(&self.parts.lums[first..]) {
+                let p = rss_from_gain(optics, g, lum.led);
+                if p > best.1 {
+                    best = (i, p);
                 }
             }
         }
@@ -852,6 +843,7 @@ pub(crate) fn run_cell_event(cfg: &CellConfig, seed: u64) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::geometry::integer_mode_semi_angles;
     use crate::cell::{received_power_w, Association, HandoverPolicy};
     use proptest::prelude::*;
 
@@ -1211,7 +1203,8 @@ mod tests {
                 );
                 let (dx, dy) = (lum.pos.x_m - pos.x_m, lum.pos.y_m - pos.y_m);
                 prop_assert!(
-                    dx * dx + dy * dy + eng.drop_sq <= eng.cull_d2,
+                    dx * dx + dy * dy + eng.parts.path_gain.drop_sq()
+                        <= eng.parts.path_gain.cull_d2(),
                     "lit cell {} culled",
                     lum.id
                 );
@@ -1222,8 +1215,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The one-pass survey against the per-cell reference: FoV from
-        /// 20° to 89° (the whole grid), several pitches, random duties
+        /// The row-pass survey against the per-cell reference: semi-angles
+        /// of integer Lambertian orders 2–4 and one (30°) that keeps
+        /// `powf`, FoV from 20° to 89° (the whole grid), several pitches,
+        /// random duties
         /// (some dark), hysteresis from −3 dB (a tie with the serving cell
         /// clears it) to 6 dB, and the user anywhere in the room, within
         /// a few ulps of a luminaire's FoV radius (where the cull and the
@@ -1232,7 +1227,7 @@ mod tests {
         #[test]
         fn survey_matches_the_per_cell_reference(
             (nx, ny) in (1usize..=9, 1usize..=9),
-            pitch in 0usize..4,
+            (pitch, semi) in (0usize..4, 0usize..4),
             (whole_grid, fov) in (0u8..8, 20.0f64..89.0),
             hysteresis_db in -3.0f64..6.0,
             (serving, lum, place) in (any::<usize>(), any::<usize>(), 0u8..3),
@@ -1242,6 +1237,10 @@ mod tests {
         ) {
             let mut cfg = CellConfig::standard(nx, ny, 1);
             cfg.pitch_m = [1.5, 2.5, 3.3, 4.0][pitch];
+            cfg.optics.semi_angle_deg = match integer_mode_semi_angles().get(semi) {
+                Some(&integer) => integer,
+                None => 30.0,
+            };
             cfg.optics.rx_fov_deg = if whole_grid == 0 { 89.0 } else { fov };
             cfg.policy = HandoverPolicy { hysteresis_db, dwell_ticks: 1, assoc_delay_ticks: 3 };
             let mut eng = EventEngine::new(&cfg, sim_parts(&cfg, 3), 3);

@@ -201,7 +201,7 @@ pub fn received_power_w(
 /// The exponent `e = m + 1` comes from `m = −ln2 / ln cos Φ½` and carries
 /// float noise: 45° gives `3.0000000000000004`, not 3. When
 /// `|e − n| ≤ 4ε·e` for an integer `1 ≤ n ≤ 16`, `new` snaps `e` to the
-/// order `n` and [`PathGain::at`] raises `cos θ` to it by
+/// order `n` and [`PathGain::row`] raises `cos θ` to it by
 /// square-and-multiply; any other exponent keeps `powf`. Every lit path
 /// has `cos θ ≥ cos FoV`, so the snap moves a gain by at most
 /// `|e − n|·|ln cos θ| ≤ 4ε·e·|ln cos FoV|` relative, on top of the
@@ -216,7 +216,11 @@ pub(crate) struct PathGain {
     /// `(m+1)·A/2π`, m².
     k: f64,
     drop_m: f64,
+    /// `drop_m²`, the last term of `d²`.
+    drop_sq: f64,
     cos_fov: f64,
+    /// See [`PathGain::cull_d2`].
+    cull_d2: f64,
 }
 
 impl PathGain {
@@ -224,59 +228,117 @@ impl PathGain {
         let origin = Position { x_m: 0.0, y_m: 0.0 };
         let link = link_geometry(optics, room, &origin, &origin);
         let m = link.mode_number();
+        let cos_fov = optics.rx_fov_deg.to_radians().cos();
+        let cull_d2 = if cos_fov > 0.0 {
+            let edge = room.drop_m / cos_fov;
+            edge * edge * (1.0 + 1e-9)
+        } else {
+            f64::INFINITY
+        };
         PathGain {
             exponent: m + 1.0,
             order: integer_order(m + 1.0),
             k: (m + 1.0) * link.rx_area_m2 / (2.0 * core::f64::consts::PI),
             drop_m: room.drop_m,
-            cos_fov: optics.rx_fov_deg.to_radians().cos(),
+            drop_sq: room.drop_m * room.drop_m,
+            cos_fov,
+            cull_d2,
         }
     }
 
     /// The gain of the path from `lum` to `user`: 0.0 outside the
-    /// receiver's FoV.
-    #[inline]
+    /// receiver's FoV. The one-cell case of [`PathGain::row`].
     pub(crate) fn at(&self, lum: &Position, user: &Position) -> f64 {
         let (dx, dy) = (lum.x_m - user.x_m, lum.y_m - user.y_m);
-        self.at_d2(dx * dx + dy * dy + self.drop_sq())
+        let mut gain = [0.0];
+        self.row(&[dx * dx], dy * dy, &mut gain);
+        gain[0]
     }
 
     /// The vertical drop squared, the last term of `d²`.
+    #[cfg(test)]
     pub(crate) fn drop_sq(&self) -> f64 {
-        self.drop_m * self.drop_m
+        self.drop_sq
     }
 
-    /// A bound on `d²` beyond which [`PathGain::at_d2`] is exactly 0.0:
-    /// the FoV edge's `d²`, `(drop / cos FoV)²`, padded by 1e-9 relative,
-    /// which dwarfs the few ulps of rounding in `cos θ = drop/√d²`. Any
-    /// `d²` above it has `cos θ < cos FoV` by ~5e-10 relative, so a
-    /// caller that skips those paths skips only exact zeros. Infinite
-    /// for a 90° FoV, where no path is cut off.
+    /// A bound on `d²` beyond which a path's gain is exactly 0.0: the FoV
+    /// edge's `d²`, `(drop / cos FoV)²`, padded by 1e-9 relative, which
+    /// dwarfs the few ulps of rounding in `cos θ = drop/√d²`. Any `d²`
+    /// above it has `cos θ < cos FoV` by ~5e-10 relative, so the cut
+    /// zeroes only paths the FoV test zeroes too. Infinite for a 90° FoV,
+    /// where no path is cut off.
+    #[cfg(test)]
     pub(crate) fn cull_d2(&self) -> f64 {
-        if self.cos_fov > 0.0 {
-            let edge = self.drop_m / self.cos_fov;
-            edge * edge * (1.0 + 1e-9)
-        } else {
-            f64::INFINITY
+        self.cull_d2
+    }
+
+    /// The gains of one row of paths that share `dy2`, the squared offset
+    /// along y: path `c` has `d² = dx2[c] + dy2 + drop²`, summed in that
+    /// order, and gain `k/d² · cos θ^e` with `cos θ = drop/√d²`, or 0.0
+    /// where `d² > cull_d2` or `cos θ < cos FoV`. `out` receives the
+    /// gains.
+    ///
+    /// One branch-free loop over the row, its power chain unrolled for
+    /// the order at compile time: the compiler pairs the square roots and
+    /// divisions of neighbouring paths, and every path gets the bits a
+    /// path computed alone does.
+    pub(crate) fn row(&self, dx2: &[f64], dy2: f64, out: &mut [f64]) {
+        /// The row pass of each integer order `1..=16`.
+        const BY_ORDER: [RowPass; 16] = [
+            PathGain::row_of::<1>,
+            PathGain::row_of::<2>,
+            PathGain::row_of::<3>,
+            PathGain::row_of::<4>,
+            PathGain::row_of::<5>,
+            PathGain::row_of::<6>,
+            PathGain::row_of::<7>,
+            PathGain::row_of::<8>,
+            PathGain::row_of::<9>,
+            PathGain::row_of::<10>,
+            PathGain::row_of::<11>,
+            PathGain::row_of::<12>,
+            PathGain::row_of::<13>,
+            PathGain::row_of::<14>,
+            PathGain::row_of::<15>,
+            PathGain::row_of::<16>,
+        ];
+        match self.order {
+            Some(n) => BY_ORDER[n as usize - 1](self, dx2, dy2, out),
+            None => self.row_with(dx2, dy2, out, |cos| cos.powf(self.exponent)),
         }
     }
 
-    /// The gain of a path whose squared length is `d2 = r² + drop²`,
-    /// with `r` the horizontal distance: [`PathGain::at`] once it has
-    /// summed `d²`.
-    #[inline]
-    pub(crate) fn at_d2(&self, d2: f64) -> f64 {
-        let cos = self.drop_m / d2.sqrt();
-        if cos < self.cos_fov {
-            return 0.0;
+    /// [`PathGain::row`] at integer order `N`.
+    fn row_of<const N: u32>(&self, dx2: &[f64], dy2: f64, out: &mut [f64]) {
+        self.row_with(dx2, dy2, out, pow_chain::<N>);
+    }
+
+    /// [`PathGain::row`] with `cos θ^e` as `power`.
+    #[inline(always)]
+    fn row_with(&self, dx2: &[f64], dy2: f64, out: &mut [f64], power: impl Fn(f64) -> f64) {
+        let Self {
+            k,
+            drop_m,
+            drop_sq,
+            cos_fov,
+            cull_d2,
+            ..
+        } = *self;
+        for (g, &dx2) in out.iter_mut().zip(dx2) {
+            let d2 = dx2 + dy2 + drop_sq;
+            let cos = drop_m / d2.sqrt();
+            let lit = k / d2 * power(cos);
+            *g = if d2 > cull_d2 || cos < cos_fov {
+                0.0
+            } else {
+                lit
+            };
         }
-        let power = match self.order {
-            Some(n) => pow_chain(cos, n),
-            None => cos.powf(self.exponent),
-        };
-        self.k / d2 * power
     }
 }
+
+/// [`PathGain::row`] at one integer order.
+type RowPass = fn(&PathGain, &[f64], f64, &mut [f64]);
 
 /// The integer order `n` that `exponent` is up to float noise —
 /// `|exponent − n| ≤ 4ε·exponent` with `1 ≤ n ≤ 16` — if there is one.
@@ -286,19 +348,27 @@ fn integer_order(exponent: f64) -> Option<u32> {
         .then_some(n as u32)
 }
 
-/// `x^n` for `n ≥ 1` by left-to-right square-and-multiply over the bits of
-/// `n`. Written out rather than `powi`, whose rounding sequence is
-/// unspecified, so debug and release builds give the same bits.
-#[inline]
-fn pow_chain(x: f64, n: u32) -> f64 {
+/// `x^N` for `N ≥ 1` by left-to-right square-and-multiply over the bits of
+/// `N`, unrolled at compile time. Written out rather than `powi`, whose
+/// rounding sequence is unspecified, so debug and release builds give the
+/// same bits.
+#[inline(always)]
+fn pow_chain<const N: u32>(x: f64) -> f64 {
     let mut acc = x;
-    for bit in (0..n.ilog2()).rev() {
+    for bit in (0..N.ilog2()).rev() {
         acc *= acc;
-        if n >> bit & 1 == 1 {
+        if N >> bit & 1 == 1 {
             acc *= x;
         }
     }
     acc
+}
+
+/// Semi-angles whose Lambertian mode `m` is an integer: 60° (m = 1),
+/// 45° (m = 2) and `acos(2^(-1/3))` (m = 3).
+#[cfg(test)]
+pub(crate) fn integer_mode_semi_angles() -> [f64; 3] {
+    [60.0, 45.0, 2f64.powf(-1.0 / 3.0).acos().to_degrees()]
 }
 
 /// [`received_power_w`] from the path's [`PathGain`].
@@ -541,12 +611,6 @@ mod tests {
         }
     }
 
-    /// Semi-angles whose Lambertian mode `m` is an integer: 60° (m = 1),
-    /// 45° (m = 2) and `acos(2^(-1/3))` (m = 3).
-    fn integer_mode_semi_angles() -> [f64; 3] {
-        [60.0, 45.0, 2f64.powf(-1.0 / 3.0).acos().to_degrees()]
-    }
-
     #[test]
     fn exponent_snaps_to_its_integer_order_only_when_it_is_one() {
         let order = |semi: f64| {
@@ -567,20 +631,75 @@ mod tests {
         assert_eq!(integer_order(17.0), None, "orders above 16 keep powf");
     }
 
-    #[test]
-    fn pow_chain_is_repeated_multiplication() {
-        for x in [0.34, std::f64::consts::FRAC_1_SQRT_2, 0.999, 1.0] {
-            let mut want = 1.0;
-            for n in 1..=16 {
-                want *= x;
-                let got = pow_chain(x, n);
-                assert!(
-                    ((got - want) / want).abs() <= 1e-14,
-                    "{x}^{n}: {got} vs {want}"
-                );
-            }
+    /// One path's gain written out per path, the chain's bit loop run
+    /// at run time: the survey's formula before it became a row pass.
+    fn one_path_gain(path: &PathGain, dx2: f64, dy2: f64) -> f64 {
+        let d2 = dx2 + dy2 + path.drop_sq;
+        let cos = path.drop_m / d2.sqrt();
+        if d2 > path.cull_d2 || cos < path.cos_fov {
+            return 0.0;
         }
-        assert_eq!(pow_chain(0.5, 3).to_bits(), 0.125f64.to_bits());
+        let power = match path.order {
+            Some(n) => (0..n.ilog2()).rev().fold(cos, |acc, bit| {
+                let sq = acc * acc;
+                if n >> bit & 1 == 1 {
+                    sq * cos
+                } else {
+                    sq
+                }
+            }),
+            None => cos.powf(path.exponent),
+        };
+        path.k / d2 * power
+    }
+
+    #[test]
+    fn row_pass_is_the_one_path_case_at_every_order() {
+        // The pass against its one-path case and the written-out formula,
+        // bit for bit. Nine paths a row, so the pass runs paired lanes and a tail; rows
+        // from boresight to past the FoV edge (6.04 m at the 2.2 m drop),
+        // and one row within ulps of the edge, where the cull must agree
+        // with the FoV test.
+        let base = PathGain::new(&CellOptics::office_panel(), &room());
+        let spread: Vec<f64> = (0..9).map(|i| (0.83 * i as f64).powi(2)).collect();
+        let edge2 = (base.drop_m / base.cos_fov).powi(2) - base.drop_sq;
+        let edge: Vec<f64> = (-4..5).map(|j| edge2 * (1.0 + j as f64 * 1e-14)).collect();
+        let orders = (1..=16).map(Some).chain([None]);
+        for order in orders {
+            let path = PathGain {
+                order,
+                exponent: order.map_or(3.7, f64::from),
+                ..base
+            };
+            let (mut lit, mut dark) = (0, 0);
+            let rows = [0.0, 1.3, 4.1, 5.9, 7.0].map(|dy| (&spread, dy));
+            for (dx2, dy) in rows.into_iter().chain([(&edge, 0.0)]) {
+                let mut row = [0.0; 9];
+                path.row(dx2, dy * dy, &mut row);
+                for (&dx2, &g) in dx2.iter().zip(&row) {
+                    let mut one = [0.0];
+                    path.row(&[dx2], dy * dy, &mut one);
+                    assert_eq!(g.to_bits(), one[0].to_bits(), "{order:?} {dx2} {dy}");
+                    let want = one_path_gain(&path, dx2, dy * dy);
+                    assert_eq!(g.to_bits(), want.to_bits(), "{order:?} {dx2} {dy}");
+                    // Against the power taken by `powf`.
+                    let d2 = dx2 + dy * dy + path.drop_sq;
+                    let cos = path.drop_m / d2.sqrt();
+                    let want = if cos < path.cos_fov {
+                        0.0
+                    } else {
+                        path.k / d2 * cos.powf(path.exponent)
+                    };
+                    assert!(
+                        g == want || ((g - want) / want).abs() <= 1e-14,
+                        "{order:?} {dx2} {dy}: {g:e} vs {want:e}"
+                    );
+                    lit += usize::from(g > 0.0);
+                    dark += usize::from(g == 0.0);
+                }
+            }
+            assert!(lit > 9 && dark > 9, "{order:?}: {lit} lit, {dark} dark");
+        }
     }
 
     proptest! {

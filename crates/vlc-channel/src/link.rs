@@ -105,26 +105,6 @@ impl ChannelConfig {
         (self.samples_per_slot as u64 - 1) * ((1u64 << self.frontend.adc_bits) - 1)
     }
 
-    /// Total DC photocurrent from ambient light plus dark current, A.
-    fn ambient_current(&self) -> f64 {
-        self.rx_diode.a_per_lux * self.ambient_lux + self.rx_diode.dark_current_a
-    }
-
-    /// Per-sample noise σ at this operating point (input-referred, before
-    /// slot averaging): thermal ⊕ ambient RIN ⊕ shot. The signal shot term
-    /// conservatively uses `clear_rx_power_w`, the clear-path received
-    /// power of the ON level (an attenuated signal sheds shot noise, but
-    /// ambient dominates the budget).
-    fn per_sample_sigma(&self, clear_rx_power_w: f64) -> f64 {
-        let i_amb = self.ambient_current();
-        let i_sig_mid = 0.5 * self.rx_diode.responsivity_a_per_w * clear_rx_power_w;
-        let fs = self.samples_per_slot as f64 / self.tslot_s;
-        let shot = self.rx_diode.shot_noise_std_a(i_amb + i_sig_mid, fs / 2.0);
-        let rin = self.ambient_rin * i_amb;
-        let th = self.frontend.thermal_noise_a_rms;
-        (th * th + rin * rin + shot * shot).sqrt()
-    }
-
     /// The expected slot-detector operating point for this configuration,
     /// with an extra multiplicative optical gain (blockage/occlusion) and
     /// an optional railed (saturated) front end folded in.
@@ -143,31 +123,35 @@ impl ChannelConfig {
     /// configuration's own geometry is not consulted. With
     /// `clear = self.geometry.path_gain()` the two are bit-identical.
     pub fn detector_for_gain(&self, clear: f64, extra_gain: f64, saturated: bool) -> SlotDetector {
-        // One path gain serves the levels and the shot term;
-        // `on_power_w * clear` is `received_power_w(on_power_w)` bit for bit.
-        let gain = clear * extra_gain;
+        self.detector_terms()
+            .detector(clear, extra_gain, saturated, self.ambient_lux)
+    }
+
+    /// The terms of [`ChannelConfig::detector_for_gain`] that depend on
+    /// neither the path gain nor the ambient: a caller that prices many
+    /// operating points of one receiver chain builds them once.
+    pub fn detector_terms(&self) -> DetectorTerms {
         let r = self.rx_diode.responsivity_a_per_w;
-        let mu_on = r * self.led.steady_power(1.0) * gain;
-        let mu_off = r * self.led.steady_power(0.0) * gain;
-        // Saturation: the frontend clips; fold the clipped swing in.
-        let max_i = self
-            .frontend
-            .code_to_current(((1u64 << self.frontend.adc_bits) - 1) as f64);
-        // A railed front end pins both levels at full scale: the slot eye
-        // collapses entirely (same degenerate detector as a beyond-FoV
-        // receiver, which the detector already supports).
-        let (mu_on, mu_off) = if saturated {
-            (max_i, max_i)
-        } else {
-            (mu_on.min(max_i), mu_off.min(max_i))
-        };
-        let sigma = self.per_sample_sigma(self.led.on_power_w * clear)
-            / ((self.samples_per_slot - 1) as f64).sqrt();
+        let fs = self.samples_per_slot as f64 / self.tslot_s;
+        let sqrt_counted = ((self.samples_per_slot - 1) as f64).sqrt();
         // Quantization adds lsb/sqrt(12) per sample.
-        let q = self.frontend.lsb_current_a()
-            / 12f64.sqrt()
-            / ((self.samples_per_slot - 1) as f64).sqrt();
-        SlotDetector::from_levels(mu_on, mu_off, (sigma * sigma + q * q).sqrt())
+        let q = self.frontend.lsb_current_a() / 12f64.sqrt() / sqrt_counted;
+        let th = self.frontend.thermal_noise_a_rms;
+        DetectorTerms {
+            r_on: r * self.led.steady_power(1.0),
+            r_off: r * self.led.steady_power(0.0),
+            max_i: self
+                .frontend
+                .code_to_current(((1u64 << self.frontend.adc_bits) - 1) as f64),
+            on_power_w: self.led.on_power_w,
+            half_r: 0.5 * r,
+            rx_diode: self.rx_diode,
+            half_fs: fs / 2.0,
+            ambient_rin: self.ambient_rin,
+            th_sq: th * th,
+            sqrt_counted,
+            q_sq: q * q,
+        }
     }
 
     /// Clear-path analytic detector for this configuration.
@@ -219,6 +203,77 @@ impl ChannelConfig {
             self.ambient_lux.to_bits(),
             self.ambient_rin.to_bits(),
         ]
+    }
+}
+
+/// The run-fixed terms of [`ChannelConfig::detector_for_gain`], from
+/// [`ChannelConfig::detector_terms`]: every product that reads neither
+/// the path gain nor the ambient, each kept in the order the detector
+/// multiplies it, so [`DetectorTerms::detector`] runs the same IEEE
+/// operations on what is left.
+#[derive(Clone, Copy, Debug)]
+pub struct DetectorTerms {
+    /// Responsivity times the ON and the OFF steady power, A per unit
+    /// path gain.
+    r_on: f64,
+    r_off: f64,
+    /// The front end's rail current (the top ADC code), A.
+    max_i: f64,
+    /// The LED's ON power, W: the clear-path shot term's emitted power.
+    on_power_w: f64,
+    /// Half the responsivity, A/W.
+    half_r: f64,
+    rx_diode: Photodiode,
+    /// Half the sample rate, Hz: the shot noise bandwidth.
+    half_fs: f64,
+    ambient_rin: f64,
+    /// The thermal noise variance, A².
+    th_sq: f64,
+    /// `√(samples_per_slot − 1)`: the counted samples' averaging.
+    sqrt_counted: f64,
+    /// The slot-averaged quantization variance, A².
+    q_sq: f64,
+}
+
+impl DetectorTerms {
+    /// The slot detector at clear-path gain `clear`, extra multiplicative
+    /// optical gain `extra_gain` (blockage/occlusion), a railed
+    /// (`saturated`) or linear front end, and `ambient_lux` at the
+    /// receiver.
+    pub fn detector(
+        &self,
+        clear: f64,
+        extra_gain: f64,
+        saturated: bool,
+        ambient_lux: f64,
+    ) -> SlotDetector {
+        // One path gain serves the levels and the shot term;
+        // `on_power_w * clear` is `received_power_w(on_power_w)` bit for bit.
+        let gain = clear * extra_gain;
+        let mu_on = self.r_on * gain;
+        let mu_off = self.r_off * gain;
+        // A railed front end pins both levels at full scale: the slot eye
+        // collapses entirely (same degenerate detector as a beyond-FoV
+        // receiver, which the detector already supports). Otherwise the
+        // front end clips each level at the rail.
+        let (mu_on, mu_off) = if saturated {
+            (self.max_i, self.max_i)
+        } else {
+            (mu_on.min(self.max_i), mu_off.min(self.max_i))
+        };
+        // Per-sample noise σ, input-referred: thermal ⊕ ambient RIN ⊕
+        // shot. The signal shot term conservatively uses the clear-path
+        // ON power (an attenuated signal sheds shot noise, but ambient
+        // dominates the budget).
+        let i_amb = self.rx_diode.a_per_lux * ambient_lux + self.rx_diode.dark_current_a;
+        let i_sig_mid = self.half_r * (self.on_power_w * clear);
+        let shot = self
+            .rx_diode
+            .shot_noise_std_a(i_amb + i_sig_mid, self.half_fs);
+        let rin = self.ambient_rin * i_amb;
+        let per_sample = (self.th_sq + rin * rin + shot * shot).sqrt();
+        let sigma = per_sample / self.sqrt_counted;
+        SlotDetector::from_levels(mu_on, mu_off, (sigma * sigma + self.q_sq).sqrt())
     }
 }
 
@@ -1408,6 +1463,76 @@ mod tests {
             gain,
             saturated,
         });
+    }
+
+    /// The detector as written out before its run-fixed terms were
+    /// hoisted: every term from `cfg`, in the order the detector
+    /// multiplies it.
+    fn unhoisted_detector(
+        cfg: &ChannelConfig,
+        clear: f64,
+        extra_gain: f64,
+        saturated: bool,
+    ) -> SlotDetector {
+        let gain = clear * extra_gain;
+        let r = cfg.rx_diode.responsivity_a_per_w;
+        let mu_on = r * cfg.led.steady_power(1.0) * gain;
+        let mu_off = r * cfg.led.steady_power(0.0) * gain;
+        let max_i = cfg
+            .frontend
+            .code_to_current(((1u64 << cfg.frontend.adc_bits) - 1) as f64);
+        let (mu_on, mu_off) = if saturated {
+            (max_i, max_i)
+        } else {
+            (mu_on.min(max_i), mu_off.min(max_i))
+        };
+        let i_amb = cfg.rx_diode.a_per_lux * cfg.ambient_lux + cfg.rx_diode.dark_current_a;
+        let i_sig_mid = 0.5 * cfg.rx_diode.responsivity_a_per_w * (cfg.led.on_power_w * clear);
+        let fs = cfg.samples_per_slot as f64 / cfg.tslot_s;
+        let shot = cfg.rx_diode.shot_noise_std_a(i_amb + i_sig_mid, fs / 2.0);
+        let rin = cfg.ambient_rin * i_amb;
+        let th = cfg.frontend.thermal_noise_a_rms;
+        let sigma =
+            (th * th + rin * rin + shot * shot).sqrt() / ((cfg.samples_per_slot - 1) as f64).sqrt();
+        let q = cfg.frontend.lsb_current_a()
+            / 12f64.sqrt()
+            / ((cfg.samples_per_slot - 1) as f64).sqrt();
+        SlotDetector::from_levels(mu_on, mu_off, (sigma * sigma + q * q).sqrt())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// Detector terms built once, from a template whose geometry and
+        /// ambient differ, give `detector_for_gain`'s detector bit for bit
+        /// at any gain, extra gain, saturation flag and lux, and so does
+        /// the detector written out term by term.
+        #[test]
+        fn hoisted_detector_is_detector_for_gain_bit_for_bit(
+            (clear, dark) in (0.0f64..2e-5, 0u8..8),
+            extra_gain in 0.0f64..=1.5,
+            saturated in any::<bool>(),
+            (lux, lit) in (0.0f64..30_000.0, any::<bool>()),
+            (spp, adc_bits, on_power_w) in (2usize..9, 1u8..=16, 0.5f64..20.0),
+            quiet in 0u8..3,
+        ) {
+            let mut template = ChannelConfig::paper_bench(1.0);
+            template.samples_per_slot = spp;
+            template.frontend.adc_bits = adc_bits;
+            template.led.on_power_w = on_power_w;
+            // A quieter front end, down to none, so the shot term and
+            // then the quantization floor set σ.
+            template.frontend.thermal_noise_a_rms *= [1.0, 1e-3, 0.0][usize::from(quiet)];
+            let lux = if lit { lux } else { 0.0 };
+            let terms = template.detector_terms();
+            let mut cfg = template;
+            cfg.geometry = LambertianLink::paper_bench(4.2);
+            cfg.ambient_lux = lux;
+            let clear = if dark == 0 { 0.0 } else { clear };
+            let det = |d: SlotDetector| [d.mu_on_a, d.mu_off_a, d.sigma_a].map(f64::to_bits);
+            let got = det(terms.detector(clear, extra_gain, saturated, lux));
+            prop_assert_eq!(got, det(cfg.detector_for_gain(clear, extra_gain, saturated)));
+            prop_assert_eq!(got, det(unhoisted_detector(&cfg, clear, extra_gain, saturated)));
+        }
     }
 
     proptest! {
