@@ -50,7 +50,7 @@ use desim::{EventHandle, Scheduler, SimTime};
 use smartvlc_core::adaptation::{perceived, AdaptationStepper};
 use smartvlc_obs as obs;
 use vlc_channel::detector::SlotDetector;
-use vlc_channel::link::{ChannelConfig, DetectorTerms};
+use vlc_channel::link::DetectorTerms;
 
 /// One typed event on the cell simulation's queue.
 ///
@@ -232,12 +232,12 @@ struct EventEngine<'a> {
     /// `Walk` on). Allocated once, at the most cells a window can hold.
     gains: Vec<f64>,
     stride: usize,
-    /// The run's luminaire→user channel, [`cell_channel`] but for the
-    /// path gain and the ambient, which each operating point supplies.
-    channel: ChannelConfig,
-    /// `channel`'s detector terms, built once: each operating point is
-    /// [`DetectorTerms::detector`] at its gain and ambient.
+    /// The run's luminaire→user detector terms, from [`cell_channel`]'s
+    /// configuration and built once: each operating point is
+    /// [`DetectorTerms::detector`] at its path gain and ambient.
     detector: DetectorTerms,
+    /// That configuration's slot duration (s).
+    tslot_s: f64,
     /// The window along x and along y.
     axes: [Axis; 2],
     /// The luminaires' x per grid column and y per grid row.
@@ -310,8 +310,8 @@ impl<'a> EventEngine<'a> {
             windows: vec![Window::default(); cfg.n_users],
             gains: vec![0.0; cfg.n_users * stride],
             stride,
-            channel,
             detector: channel.detector_terms(),
+            tslot_s: channel.tslot_s,
             axes,
             col_x,
             row_y,
@@ -642,7 +642,7 @@ impl<'a> EventEngine<'a> {
             SlotDetector::from_levels(det.mu_on_a, det.mu_off_a, det.sigma_a.hypot(sigma_cci));
         let probs = noisy.error_probs();
         let p_slot = 0.5 * (probs.p_off_error + probs.p_on_error);
-        let slots_per_frame = (cfg.frame_bits / rate / self.channel.tslot_s).max(1.0);
+        let slots_per_frame = (cfg.frame_bits / rate / self.tslot_s).max(1.0);
         let p_frame_ok = (1.0 - p_slot).powf(slots_per_frame);
         let swing = 0.5 * (det.mu_on_a - det.mu_off_a);
         let sinr = swing * swing
@@ -692,7 +692,7 @@ impl<'a> EventEngine<'a> {
             let det = SlotDetector::from_levels(mu_on, det.mu_off_a, det.sigma_a.hypot(sigma_cci));
             let probs = det.error_probs();
             let p_slot = 0.5 * (probs.p_off_error + probs.p_on_error);
-            let slots_per_frame = (cfg.frame_bits / rate / self.channel.tslot_s).max(1.0);
+            let slots_per_frame = (cfg.frame_bits / rate / self.tslot_s).max(1.0);
             let p_frame_ok = (1.0 - p_slot).powf(slots_per_frame);
             achieved_bps = granted_bps * p_frame_ok;
             bits = granted_bps * p_frame_ok * cfg.tick_s;
@@ -795,7 +795,7 @@ impl<'a> EventEngine<'a> {
             duration_s,
             opcache_hits: 0,
             opcache_misses: t.operating_points,
-            slots_equivalent: t.served_ticks as f64 * (cfg.tick_s / self.channel.tslot_s),
+            slots_equivalent: t.served_ticks as f64 * (cfg.tick_s / self.tslot_s),
             events,
             queue_peak,
         }
@@ -942,12 +942,18 @@ mod tests {
     }
 
     /// The detector of the path from `cell` to `user`, computed directly:
-    /// the closed-form gain through [`ChannelConfig::detector_for_gain`].
+    /// the closed-form gain through the cell channel's
+    /// [`detector_for_gain`](vlc_channel::link::ChannelConfig::detector_for_gain).
     fn direct(eng: &EventEngine, user: usize, cell: usize) -> SlotDetector {
-        let pos = eng.parts.users[user].pos;
-        let gain = eng.parts.path_gain.at(&eng.parts.grid[cell].pos, &pos);
-        let mut channel = eng.channel;
-        channel.ambient_lux = eng.lux_at(&pos);
+        let (lum, pos) = (eng.parts.grid[cell].pos, eng.parts.users[user].pos);
+        let gain = eng.parts.path_gain.at(&lum, &pos);
+        let channel = cell_channel(
+            &eng.cfg.optics,
+            &eng.parts.room,
+            &lum,
+            &pos,
+            eng.lux_at(&pos),
+        );
         channel.detector_for_gain(gain, 1.0, false)
     }
 
@@ -1087,7 +1093,7 @@ mod tests {
             for pos in &spots {
                 let window = eng.window_at(pos);
                 for lum in &eng.parts.grid {
-                    if eng.parts.path_gain.at(&lum.pos, pos) > 0.0 {
+                    if eng.parts.path_gain.reference_at(&lum.pos, pos) > 0.0 {
                         if lum.pos.horizontal_distance(pos) > edge * (1.0 - 1e-9) {
                             edge_lit += 1;
                         }
@@ -1120,8 +1126,9 @@ mod tests {
 
     /// The per-cell survey the one-pass [`EventEngine::survey`] replaced,
     /// kept as its reference: the ceil/floor window as a candidate list,
-    /// [`PathGain::at`](super::super::geometry::PathGain::at) per cell, the
-    /// serving cell merged in, and an RSS slate over every cell for
+    /// [`PathGain::reference_at`](super::super::geometry::PathGain::reference_at)
+    /// per cell (the FoV test alone, no cull), the serving cell merged
+    /// in, and an RSS slate over every cell for
     /// [`Association::step_subset`]. Returns the window's `(cell, gain)`
     /// pairs, the slate and the candidates.
     fn reference_survey(
@@ -1138,7 +1145,7 @@ mod tests {
             .collect();
         let path = eng.parts.path_gain;
         let rss_of = |i: usize| {
-            let g = path.at(&eng.parts.grid[i].pos, &pos);
+            let g = path.reference_at(&eng.parts.grid[i].pos, &pos);
             (g, rss_from_gain(&cfg.optics, g, eng.parts.lums[i].led))
         };
         let mut rss = vec![0.0; cfg.n_cells()];
@@ -1159,7 +1166,8 @@ mod tests {
     /// One survey-and-decide step of user 0 of `eng`, by the one-pass
     /// survey and by the reference, from the same association state:
     /// both must agree bit for bit on every gain, the RSS slate and the
-    /// handover decision, and the window must hold every lit path.
+    /// handover decision, and the window must hold every path the FoV
+    /// test lights, none of them culled.
     fn check_survey(eng: &mut EventEngine) {
         let cfg = eng.cfg;
         let (gains_ref, rss_ref, cand) = reference_survey(eng, 0);
@@ -1187,7 +1195,7 @@ mod tests {
         let pos = eng.parts.users[0].pos;
         let window = eng.windows[0];
         for lum in &eng.parts.grid {
-            let want = eng.parts.path_gain.at(&lum.pos, &pos);
+            let want = eng.parts.path_gain.reference_at(&lum.pos, &pos);
             prop_assert_eq!(
                 eng.gain(0, lum.id).to_bits(),
                 want.to_bits(),

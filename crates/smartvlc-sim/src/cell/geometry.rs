@@ -255,6 +255,37 @@ impl PathGain {
         gain[0]
     }
 
+    /// The gain of the path from `lum` to `user` written out for one
+    /// path, the FoV test alone deciding 0.0: no cull, and the chain's
+    /// bit loop run at run time. [`PathGain::at`] must give the same
+    /// bits, so a cull that cuts a lit path shows against this.
+    #[cfg(test)]
+    pub(crate) fn reference_at(&self, lum: &Position, user: &Position) -> f64 {
+        let (dx, dy) = (lum.x_m - user.x_m, lum.y_m - user.y_m);
+        self.reference_d2(dx * dx + dy * dy + self.drop_sq)
+    }
+
+    /// [`PathGain::reference_at`] of a path whose squared length is `d2`.
+    #[cfg(test)]
+    fn reference_d2(&self, d2: f64) -> f64 {
+        let cos = self.drop_m / d2.sqrt();
+        if cos < self.cos_fov {
+            return 0.0;
+        }
+        let power = match self.order {
+            Some(n) => (0..n.ilog2()).rev().fold(cos, |acc, bit| {
+                let sq = acc * acc;
+                if n >> bit & 1 == 1 {
+                    sq * cos
+                } else {
+                    sq
+                }
+            }),
+            None => cos.powf(self.exponent),
+        };
+        self.k / d2 * power
+    }
+
     /// The vertical drop squared, the last term of `d²`.
     #[cfg(test)]
     pub(crate) fn drop_sq(&self) -> f64 {
@@ -631,72 +662,60 @@ mod tests {
         assert_eq!(integer_order(17.0), None, "orders above 16 keep powf");
     }
 
-    /// One path's gain written out per path, the chain's bit loop run
-    /// at run time: the survey's formula before it became a row pass.
-    fn one_path_gain(path: &PathGain, dx2: f64, dy2: f64) -> f64 {
-        let d2 = dx2 + dy2 + path.drop_sq;
-        let cos = path.drop_m / d2.sqrt();
-        if d2 > path.cull_d2 || cos < path.cos_fov {
-            return 0.0;
+    /// [`PathGain::row`] over the row `dx2` at `dy2`, bit for bit against
+    /// each path alone and against [`PathGain::reference_d2`] (which has
+    /// no cull), and within 1e-14 of the gain with the power taken by
+    /// `powf`. Returns the row's lit and dark path counts.
+    fn check_row(path: &PathGain, dx2: &[f64], dy2: f64) -> (usize, usize) {
+        let mut row = vec![0.0; dx2.len()];
+        path.row(dx2, dy2, &mut row);
+        let (mut lit, mut dark) = (0, 0);
+        for (&dx2, &g) in dx2.iter().zip(&row) {
+            let order = path.order;
+            let mut one = [0.0];
+            path.row(&[dx2], dy2, &mut one);
+            assert_eq!(g.to_bits(), one[0].to_bits(), "{order:?} {dx2} {dy2}");
+            let d2 = dx2 + dy2 + path.drop_sq;
+            let want = path.reference_d2(d2);
+            assert_eq!(g.to_bits(), want.to_bits(), "{order:?} {dx2} {dy2}");
+            let cos = path.drop_m / d2.sqrt();
+            let want = if cos < path.cos_fov {
+                0.0
+            } else {
+                path.k / d2 * cos.powf(path.exponent)
+            };
+            assert!(
+                g == want || ((g - want) / want).abs() <= 1e-14,
+                "{order:?} {dx2} {dy2}: {g:e} vs {want:e}"
+            );
+            lit += usize::from(g > 0.0);
+            dark += usize::from(g == 0.0);
         }
-        let power = match path.order {
-            Some(n) => (0..n.ilog2()).rev().fold(cos, |acc, bit| {
-                let sq = acc * acc;
-                if n >> bit & 1 == 1 {
-                    sq * cos
-                } else {
-                    sq
-                }
-            }),
-            None => cos.powf(path.exponent),
-        };
-        path.k / d2 * power
+        (lit, dark)
+    }
+
+    /// The base `path` at integer order `order`, or at the exponent 3.7
+    /// (which keeps `powf`) for `None`.
+    fn at_order(path: PathGain, order: Option<u32>) -> PathGain {
+        PathGain {
+            order,
+            exponent: order.map_or(3.7, f64::from),
+            ..path
+        }
     }
 
     #[test]
     fn row_pass_is_the_one_path_case_at_every_order() {
-        // The pass against its one-path case and the written-out formula,
-        // bit for bit. Nine paths a row, so the pass runs paired lanes and a tail; rows
-        // from boresight to past the FoV edge (6.04 m at the 2.2 m drop),
-        // and one row within ulps of the edge, where the cull must agree
-        // with the FoV test.
+        // Nine paths a row, so the pass runs paired lanes and a tail; rows
+        // from boresight to past the FoV edge (6.04 m at the 2.2 m drop).
         let base = PathGain::new(&CellOptics::office_panel(), &room());
         let spread: Vec<f64> = (0..9).map(|i| (0.83 * i as f64).powi(2)).collect();
-        let edge2 = (base.drop_m / base.cos_fov).powi(2) - base.drop_sq;
-        let edge: Vec<f64> = (-4..5).map(|j| edge2 * (1.0 + j as f64 * 1e-14)).collect();
-        let orders = (1..=16).map(Some).chain([None]);
-        for order in orders {
-            let path = PathGain {
-                order,
-                exponent: order.map_or(3.7, f64::from),
-                ..base
-            };
+        for order in (1..=16).map(Some).chain([None]) {
+            let path = at_order(base, order);
             let (mut lit, mut dark) = (0, 0);
-            let rows = [0.0, 1.3, 4.1, 5.9, 7.0].map(|dy| (&spread, dy));
-            for (dx2, dy) in rows.into_iter().chain([(&edge, 0.0)]) {
-                let mut row = [0.0; 9];
-                path.row(dx2, dy * dy, &mut row);
-                for (&dx2, &g) in dx2.iter().zip(&row) {
-                    let mut one = [0.0];
-                    path.row(&[dx2], dy * dy, &mut one);
-                    assert_eq!(g.to_bits(), one[0].to_bits(), "{order:?} {dx2} {dy}");
-                    let want = one_path_gain(&path, dx2, dy * dy);
-                    assert_eq!(g.to_bits(), want.to_bits(), "{order:?} {dx2} {dy}");
-                    // Against the power taken by `powf`.
-                    let d2 = dx2 + dy * dy + path.drop_sq;
-                    let cos = path.drop_m / d2.sqrt();
-                    let want = if cos < path.cos_fov {
-                        0.0
-                    } else {
-                        path.k / d2 * cos.powf(path.exponent)
-                    };
-                    assert!(
-                        g == want || ((g - want) / want).abs() <= 1e-14,
-                        "{order:?} {dx2} {dy}: {g:e} vs {want:e}"
-                    );
-                    lit += usize::from(g > 0.0);
-                    dark += usize::from(g == 0.0);
-                }
+            for dy in [0.0, 1.3, 4.1, 5.9, 7.0] {
+                let (l, d) = check_row(&path, &spread, dy * dy);
+                (lit, dark) = (lit + l, dark + d);
             }
             assert!(lit > 9 && dark > 9, "{order:?}: {lit} lit, {dark} dark");
         }
@@ -725,6 +744,26 @@ mod tests {
             phi in 0.0f64..std::f64::consts::TAU,
         ) {
             check_gain(semi, fov, drop, reach, phi);
+        }
+
+        /// A row within 4e-13 of the FoV edge's `d²`, well inside the
+        /// cull's 1e-9 padding: the pass lights exactly the paths the FoV
+        /// test lights, at every order and any FoV from 20° to 89°.
+        #[test]
+        fn row_pass_cuts_only_unlit_paths_at_the_fov_edge(
+            fov in 20.0f64..=89.0,
+            order in 0u32..=16,
+            dy in 0.0f64..=1.0,
+        ) {
+            let optics = CellOptics { rx_fov_deg: fov, ..CellOptics::office_panel() };
+            let base = PathGain::new(&optics, &room());
+            let path = at_order(base, (order > 0).then_some(order));
+            // The edge's `r²`, less a `dy²` up to a tenth of it.
+            let r2 = (path.drop_m / path.cos_fov).powi(2) - path.drop_sq;
+            let dy2 = 0.1 * r2 * dy;
+            let edge: Vec<f64> = (-4..5).map(|j| (r2 - dy2) * (1.0 + j as f64 * 1e-13)).collect();
+            let (lit, dark) = check_row(&path, &edge, dy2);
+            prop_assert!(lit > 0 && dark > 0, "{lit} lit, {dark} dark");
         }
 
         #[test]

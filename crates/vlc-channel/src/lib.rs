@@ -65,7 +65,7 @@ pub mod shadowing;
 pub use ambient::AmbientProfile;
 pub use detector::{ChannelErrorProbs, SlotDetector};
 pub use faults::{ChannelFaultState, FaultEvent, FaultKind, FaultPlan, UplinkFaultState};
-pub use link::{ChannelConfig, DetectorTerms, OpticalChannel, RxScratch};
+pub use link::{ChannelConfig, OpticalChannel, RxScratch};
 pub use opcache::{CachedOp, OperatingPointCache};
 pub use optics::LambertianLink;
 pub use shadowing::{ShadowingModel, ShadowingProcess};
